@@ -34,8 +34,8 @@ from .errors import (
 )
 from .gamma import GammaFit, fit_irls
 from .higher_order import (
+    _fraser_root,
     fit_known_mean,
-    fraser_root_known_mu,
     signed_precision_root,
     skovgaard_precision,
 )
@@ -318,9 +318,9 @@ def _precision_root_fn(args, method: str, table: CsvTable | None):
     if args.known_mu:
         y = table.column(args.response)
         Dataset(y=y, X=np.ones((len(y), 1))).require_positive_response()
-        if method == "fraser":
-            return lambda v: fraser_root_known_mu(y, v), fit_known_mean(y).varphi_hat
         km = fit_known_mean(y)
+        if method == "fraser":
+            return lambda v: _fraser_root(km, v), km.varphi_hat
 
         def first_order(v: float) -> ModifiedRoot:
             zp = signed_precision_root(km.n, km.varphi_hat, v)

@@ -8,6 +8,13 @@ method's one-sided confidence transform at the truth; the truth is covered
 by the level-alpha statement exactly when that transform is <= alpha.
 Reports reduce hit counts, so a run is reproducible bit for bit across any
 number of workers.
+
+Replications run in blocks.  A block's responses come from
+:func:`~confdist.numerics.rng_block_draws`, whose rows are the unchanged
+per-replication streams, so reports are byte-identical to drawing and
+fitting one replication at a time.  Normal regression fits and transforms a
+whole block as arrays, from design quantities computed once per study; the
+gamma models loop over the block's rows with the scalar fits.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special as _sf
 
 from .data import Dataset
 from .errors import ConvergenceError, DegenerateFitError, DomainError, ScenarioError
@@ -30,8 +38,8 @@ from .higher_order import (
     skovgaard_beta,
     skovgaard_precision,
 )
-from .linear import coefficient_ball_pivot, contrast, contrast_pivot, fit_ols, variance_pivot
-from .numerics import RngStream, chisq_cdf, normal_cdf, rng_draws
+from .linear import Contrast, LinearFit, _rss_noise_floor, _svd_factors, contrast
+from .numerics import RngStream, chisq_cdf, normal_cdf, rng_block_draws, rng_draws
 
 __all__ = ["Scenario", "CoverageRow", "CoverageReport", "MethodComparison",
            "run_scenario", "compare_methods", "design_matrix"]
@@ -41,6 +49,13 @@ SCHEMA_VERSION = 1
 # Stream id reserved for generating recipe-based designs; replication ids
 # stay well below it.
 _DESIGN_STREAM = 2**63
+
+# Block draws key one stream per replication id, and need ids below 2**32.
+_MAX_REPLICATIONS = 2**32
+
+# Response values per block (rows x n).  Large enough that the per-block
+# setup is noise, small enough that a block's arrays stay in cache.
+_BLOCK_VALUES = 2**15
 
 _MODEL_METHODS = {
     "normal_regression": ("variance_chisq", "contrast_t", "coefficient_f"),
@@ -76,6 +91,10 @@ class Scenario:
             raise ScenarioError(f"unknown model {self.model!r}")
         if self.replications < 100:
             raise ScenarioError("replications must be at least 100")
+        if self.replications > _MAX_REPLICATIONS:
+            raise ScenarioError(f"replications must be at most {_MAX_REPLICATIONS}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+            raise ScenarioError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not self.levels:
             raise ScenarioError("at least one nominal level is required")
         for a in self.levels:
@@ -95,6 +114,8 @@ class Scenario:
         elif self.model == "gamma_known_mu":
             if self.varphi is None or self.varphi <= 0:
                 raise ScenarioError("gamma_known_mu needs a positive varphi")
+            if self.n < 2:
+                raise ScenarioError(f"gamma_known_mu needs n >= 2, got n={self.n}")
         else:
             if self.beta is None or self.varphi is None or self.varphi <= 0:
                 raise ScenarioError("gamma_regression needs beta and positive varphi")
@@ -109,6 +130,13 @@ class Scenario:
                 raise ScenarioError("intercept design has a single column")
             if self.n <= p:
                 raise ScenarioError(f"need n > p, got n={self.n}, p={p}")
+            if self.contrast_vector is not None:
+                if len(self.contrast_vector) != width:
+                    raise ScenarioError(
+                        f"contrast has {len(self.contrast_vector)} entries but beta has {width}"
+                    )
+                if not any(self.contrast_vector):
+                    raise ScenarioError("contrast vector must be nonzero")
 
     def to_dict(self) -> dict:
         return {
@@ -196,39 +224,92 @@ def design_matrix(sc: Scenario) -> np.ndarray | None:
     return np.column_stack(cols)
 
 
-def _simulate(sc: Scenario, X: np.ndarray | None, rep: int) -> np.ndarray:
-    stream = RngStream(sc.seed, rep)
-    if sc.model == "normal_regression":
-        noise = rng_draws(stream, "normal", sc.n)
-        return X @ np.array(sc.beta) + math.sqrt(sc.phi) * noise
+# ---------------------------------------------------------------------------
+# Block engine (a transform value u is covered at level a iff u <= a)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Study:
+    """What every replication of a scenario shares, computed once per study.
+
+    ``mean`` is X beta (normal) or exp(X beta) (gamma regression).  Normal
+    regression also keeps the design's thin SVD, the truth as a LinearFit
+    (true beta and variance with the design's Gram matrix), and the contrast
+    at the truth, whose ``lambda_hat`` is the true contrast value.
+    """
+
+    X: np.ndarray | None = None
+    mean: np.ndarray | None = None
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    truth: LinearFit | None = None
+    con: Contrast | None = None
+
+
+def _study(sc: Scenario) -> _Study:
+    X = design_matrix(sc)
     if sc.model == "gamma_known_mu":
-        return rng_draws(stream, "gamma", sc.n, shape=sc.varphi, scale=1.0 / sc.varphi)
-    mu = np.exp(X @ np.array(sc.beta))
-    raw = rng_draws(stream, "gamma", sc.n, shape=sc.varphi, scale=1.0 / sc.varphi)
-    return mu * raw
+        return _Study()
+    beta = np.array(sc.beta)
+    if sc.model == "gamma_regression":
+        return _Study(X, np.exp(X @ beta))
+    mean = X @ beta
+    svd = _svd_factors(Dataset(y=mean, X=X))  # SingularDesignError as in fit_ols
+    n, p = X.shape
+    truth = LinearFit(beta_hat=beta, phi_hat_m=sc.phi, xtx=X.T @ X, df=n - p, n=n, p=p)
+    con = None
+    if "contrast_t" in sc.methods:
+        b = np.array(sc.contrast_vector) if sc.contrast_vector else np.eye(p)[0]
+        con = contrast(truth, b)
+    return _Study(X, mean, svd, truth, con)
 
 
-# ---------------------------------------------------------------------------
-# Per-replication confidence transforms (value u: covered at level a iff u <= a)
-# ---------------------------------------------------------------------------
+def _blocks(reps: range, n: int):
+    """Consecutive sub-ranges of ``reps`` holding at most _BLOCK_VALUES responses."""
+    step = max(1, _BLOCK_VALUES // n)
+    for start in range(reps.start, reps.stop, step):
+        yield range(start, min(start + step, reps.stop))
 
 
-def _transforms_normal(sc: Scenario, X: np.ndarray, y: np.ndarray) -> dict:
-    fit = fit_ols(Dataset(y=y, X=X))
+def _responses(sc: Scenario, study: _Study, ids: range) -> np.ndarray:
+    """One row of responses per replication id, each from its own stream."""
+    if sc.model == "normal_regression":
+        noise = rng_block_draws(sc.seed, ids, "normal", sc.n)
+        return study.mean + math.sqrt(sc.phi) * noise
+    raw = rng_block_draws(sc.seed, ids, "gamma", sc.n, shape=sc.varphi, scale=1.0 / sc.varphi)
+    return raw if sc.model == "gamma_known_mu" else study.mean * raw
+
+
+def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int]:
+    """Exact-pivot transforms for a block of normal responses, one row each.
+
+    Follows :func:`~confdist.linear.fit_ols` (coefficients from the design's
+    SVD, the same noise floor on the residual sum of squares) and the
+    scalar pivots' CDF formulas.  Returns each method's transforms over the
+    rows with a nondegenerate fit, and the number of those rows; a row whose
+    residual sum of squares falls to the floor is a failed fit.
+    """
+    truth = study.truth
+    n, p, df = truth.n, truth.p, truth.df
+    u, s, vt = study.svd
+    beta_hat = ((Y @ u) / s) @ vt
+    resid = Y - beta_hat @ study.X.T
+    rss = np.einsum("ij,ij->i", resid, resid)
+    fitted = rss > _rss_noise_floor(n, p, np.linalg.norm(Y, axis=1))
+    beta_hat, phi_hat_m = beta_hat[fitted], rss[fitted] / df
     out = {}
     if "variance_chisq" in sc.methods:
-        pv = variance_pivot(fit)
-        out["variance_chisq"] = (pv.law.cdf(pv.value(sc.phi)), False)
+        v = (df * phi_hat_m) / sc.phi
+        out["variance_chisq"] = _sf.gammainc(df / 2.0, v / 2.0)
     if "contrast_t" in sc.methods:
-        b = np.array(sc.contrast_vector) if sc.contrast_vector else np.eye(len(sc.beta))[0]
-        con = contrast(fit, b)
-        pv = contrast_pivot(fit, con)
-        lam_true = float(b @ np.array(sc.beta))
-        out["contrast_t"] = (pv.law.cdf(pv.value(lam_true)), False)
+        con = study.con
+        v = (beta_hat @ con.b - con.lambda_hat) / np.sqrt(con.k * phi_hat_m)
+        out["contrast_t"] = _sf.stdtr(float(df), v)
     if "coefficient_f" in sc.methods:
-        pv = coefficient_ball_pivot(fit)
-        out["coefficient_f"] = (pv.law.cdf(pv.value(np.array(sc.beta))), False)
-    return out
+        d = beta_hat - truth.beta_hat
+        v = np.einsum("ij,ij->i", d @ truth.xtx, d) / (p * phi_hat_m)
+        out["coefficient_f"] = np.where(v > 0.0, _sf.fdtr(float(p), float(df), v), 0.0)
+    return out, int(fitted.sum())
 
 
 def _transforms_known_mu(sc: Scenario, y: np.ndarray) -> dict:
@@ -262,29 +343,35 @@ def _transforms_gamma(sc: Scenario, X: np.ndarray, y: np.ndarray) -> dict:
     return out
 
 
-def _run_chunk(sc: Scenario, X: np.ndarray | None, reps: range) -> tuple:
+def _run_chunk(sc: Scenario, study: _Study, reps: range) -> tuple:
     hits = np.zeros((len(sc.methods), len(sc.levels)), dtype=np.int64)
     flagged = np.zeros(len(sc.methods), dtype=np.int64)
     used = np.zeros(len(sc.methods), dtype=np.int64)
     failures = 0
     levels = np.array(sc.levels)
-    for rep in reps:
-        y = _simulate(sc, X, rep)
-        try:
-            if sc.model == "normal_regression":
-                transforms = _transforms_normal(sc, X, y)
-            elif sc.model == "gamma_known_mu":
-                transforms = _transforms_known_mu(sc, y)
-            else:
-                transforms = _transforms_gamma(sc, X, y)
-        except (ConvergenceError, DegenerateFitError):
-            failures += 1
+    for ids in _blocks(reps, sc.n):
+        Y = _responses(sc, study, ids)
+        if sc.model == "normal_regression":
+            transforms, n_fitted = _normal_block(sc, study, Y)
+            failures += len(ids) - n_fitted
+            for i, method in enumerate(sc.methods):
+                hits[i] += (transforms[method][:, None] <= levels).sum(0)
+                used[i] += n_fitted
             continue
-        for i, method in enumerate(sc.methods):
-            u, flag = transforms[method]
-            hits[i] += u <= levels
-            flagged[i] += bool(flag)
-            used[i] += 1
+        for y in Y:
+            try:
+                if sc.model == "gamma_known_mu":
+                    transforms = _transforms_known_mu(sc, y)
+                else:
+                    transforms = _transforms_gamma(sc, study.X, y)
+            except (ConvergenceError, DegenerateFitError):
+                failures += 1
+                continue
+            for i, method in enumerate(sc.methods):
+                u, flag = transforms[method]
+                hits[i] += u <= levels
+                flagged[i] += bool(flag)
+                used[i] += 1
     return hits, flagged, used, failures
 
 
@@ -300,15 +387,15 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> CoverageReport:
     start = time.monotonic()
     if jobs < 1:
         raise DomainError(f"jobs must be positive, got {jobs!r}")
-    X = design_matrix(sc)
+    study = _study(sc)
 
     if jobs == 1:
-        parts = [_run_chunk(sc, X, range(sc.replications))]
+        parts = [_run_chunk(sc, study, range(sc.replications))]
     else:
         chunk_edges = np.linspace(0, sc.replications, jobs + 1).astype(int)
         ranges = [range(a, b) for a, b in zip(chunk_edges, chunk_edges[1:]) if a < b]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_chunk, [sc] * len(ranges), [X] * len(ranges), ranges))
+            parts = list(pool.map(_run_chunk, [sc] * len(ranges), [study] * len(ranges), ranges))
 
     hits = sum(p[0] for p in parts)
     flagged = sum(p[1] for p in parts)

@@ -195,6 +195,13 @@ def _interpolate_through_window(x_nodes, y_nodes, x: float) -> float:
     return float(np.polyval(coeffs, x))
 
 
+def _require_precision(varphi: float) -> float:
+    v = float(varphi)
+    if not (math.isfinite(v) and v > 0):
+        raise DomainError(f"precision must be positive, got {varphi!r}")
+    return v
+
+
 def fraser_root_known_mu(sample: np.ndarray, varphi: float) -> ModifiedRoot:
     """Modified root for the precision of a known-mean gamma sample.
 
@@ -202,10 +209,13 @@ def fraser_root_known_mu(sample: np.ndarray, varphi: float) -> ModifiedRoot:
     m = sqrt(n * cumulant_d2(varphi_hat)) * (varphi_hat - varphi).  The tail
     confidence of the result is read from the standard normal law.
     """
-    v = float(varphi)
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"precision must be positive, got {varphi!r}")
-    km = fit_known_mean(sample)
+    _require_precision(varphi)
+    return _fraser_root(fit_known_mean(sample), varphi)
+
+
+def _fraser_root(km: KnownMeanGammaFit, varphi: float) -> ModifiedRoot:
+    """:func:`fraser_root_known_mu` from a fit, for curves over many varphi."""
+    v = _require_precision(varphi)
     n, vh = km.n, km.varphi_hat
     info_root = math.sqrt(n * cumulant_d2(vh))
 
@@ -429,7 +439,7 @@ def fraser_pivot(sample: np.ndarray) -> Pivot:
     scale = 1.0 / math.sqrt(km.n * cumulant_d2(km.varphi_hat))
     return Pivot(
         law=PivotLaw.corrected_normal(),
-        value_fn=lambda v: fraser_root_known_mu(sample, v).value,
+        value_fn=lambda v: _fraser_root(km, v).value,
         jacobian_fn=None,
         monotonic="decreasing",
         param_support=(0.0, math.inf),

@@ -52,6 +52,28 @@ class Contrast:
             raise DomainError(f"contrast quadratic form must be positive, got {self.k!r}")
 
 
+def _svd_factors(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) of the design, after the rank check of :func:`fit_ols`."""
+    X = data.X
+    n, p = X.shape
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    rank_tol = np.finfo(float).eps * max(n, p) * s[0]
+    rank = int(np.sum(s > rank_tol))
+    if rank < p:
+        data.raise_rank_deficient(rank, rank_tol)
+    return u, s, vt
+
+
+def _rss_noise_floor(n: int, p: int, y_norm):
+    """Residual sum of squares at or below which a fit counts as perfect.
+
+    A perfect fit leaves only rounding residue; reporting it as exactly zero
+    makes the degenerate state detectable downstream.  ``y_norm`` may be an
+    array of response norms.
+    """
+    return (np.finfo(float).eps * max(n, p) * y_norm) ** 2
+
+
 def fit_ols(data: Dataset) -> LinearFit:
     """Least-squares fit via an orthogonal decomposition of the design.
 
@@ -60,18 +82,11 @@ def fit_ols(data: Dataset) -> LinearFit:
     """
     X, y = data.X, data.y
     n, p = X.shape
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
-    rank_tol = np.finfo(float).eps * max(n, p) * s[0]
-    rank = int(np.sum(s > rank_tol))
-    if rank < p:
-        data.raise_rank_deficient(rank, rank_tol)
+    u, s, vt = _svd_factors(data)
     beta = vt.T @ ((u.T @ y) / s)
     resid = y - X @ beta
     rss = float(resid @ resid)
-    # a perfect fit leaves only rounding residue; report exactly zero so the
-    # degenerate state is detectable downstream
-    noise_floor = (np.finfo(float).eps * max(n, p) * np.linalg.norm(y)) ** 2
-    if rss <= noise_floor:
+    if rss <= _rss_noise_floor(n, p, np.linalg.norm(y)):
         rss = 0.0
     df = n - p
     return LinearFit(

@@ -219,6 +219,29 @@ class TestConfdensCommand:
         dens = np.array([float(r.split(",")[1]) for r in out[1:]])
         assert np.all(dens >= 0)
 
+    def test_fraser_density_fits_the_sample_once(self, tmp_path, capsys, monkeypatch):
+        import confdist.cli
+        import confdist.higher_order
+
+        y = rng_draws(RngStream(9, 0), "gamma", 15, shape=2.0, scale=0.5)
+        p = tmp_path / "km.csv"
+        write_csv(p, ["y"], y[:, None])
+        calls = []
+        original = confdist.higher_order.fit_known_mean
+
+        def counted(sample):
+            calls.append(1)
+            return original(sample)
+
+        monkeypatch.setattr(confdist.higher_order, "fit_known_mean", counted)
+        monkeypatch.setattr(confdist.cli, "fit_known_mean", counted)
+        code = main(["confdens", "--file", str(p), "--model", "gamma",
+                     "--response", "y", "--known-mu", "--target", "precision",
+                     "--grid", "0.5:8:201", "--method", "fraser"])
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 202
+        assert len(calls) == 1
+
 
 class TestIntervalCommand:
     def test_contrast_t_quantile_endpoint(self, tmp_path, capsys):
@@ -369,6 +392,17 @@ class TestCoverageCommand:
         code = main(["coverage", "--scenario", str(ini), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "magic" in capsys.readouterr().err
+
+    def test_contrast_length_mismatch_is_schema_error(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(
+            "[bad]\nmodel = normal_regression\nn = 12\nreplications = 400\n"
+            "seed = 5\nlevels = 0.5\nmethods = contrast_t\nbeta = 0.5, 1.0\n"
+            "phi = 1.0\ncontrast = 1, 0, 0\n"
+        )
+        code = main(["coverage", "--scenario", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "contrast has 3 entries" in capsys.readouterr().err
 
     def test_unknown_field_named(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"

@@ -56,6 +56,31 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             normal_scenario(model="poisson_regression")
 
+    def test_contrast_length_must_match_beta(self):
+        with pytest.raises(ScenarioError, match="contrast has 2 entries"):
+            normal_scenario(contrast_vector=(1.0, 0.0))
+
+    def test_zero_contrast_rejected(self):
+        with pytest.raises(ScenarioError, match="nonzero"):
+            normal_scenario(contrast_vector=(0.0, 0.0, 0.0))
+
+    def test_replications_beyond_stream_ids_rejected(self):
+        # replication r draws from stream id r, and block draws need r < 2**32
+        with pytest.raises(ScenarioError, match="at most"):
+            normal_scenario(replications=2**32 + 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ScenarioError, match="seed"):
+            normal_scenario(seed=seed)
+
+    def test_known_mu_needs_two_observations(self):
+        with pytest.raises(ScenarioError, match="n >= 2"):
+            Scenario(
+                model="gamma_known_mu", n=1, replications=1000, seed=1,
+                levels=(0.5,), methods=("fraser_z",), varphi=2.0,
+            )
+
 
 class TestDesignMatrix:
     def test_deterministic_given_seed(self):
