@@ -12,9 +12,11 @@ number of workers.
 Replications run in blocks.  A block's responses come from
 :func:`~confdist.numerics.rng_block_draws`, whose rows are the unchanged
 per-replication streams, so reports are byte-identical to drawing and
-fitting one replication at a time.  Normal regression fits and transforms a
-whole block as arrays, from design quantities computed once per study; the
-gamma models loop over the block's rows with the scalar fits.
+fitting one replication at a time.  Every model fits and transforms a whole
+block as arrays, from design quantities computed once per study.  The gamma
+models send the rows the array path does not settle (Skovgaard window rows,
+unconverged or degenerate fits, samples the scalar checks reject) through
+the scalar transforms, which also decide whether such a row fails.
 """
 
 from __future__ import annotations
@@ -30,8 +32,24 @@ from scipy import special as _sf
 
 from .data import Dataset
 from .errors import ConvergenceError, DegenerateFitError, DomainError, ScenarioError
-from .gamma import fit_irls, profile_deviance_beta, profile_deviance_precision
+from .gamma import (
+    _DEGENERATE_MEAN_B,
+    _check_rank,
+    _fit_irls_block,
+    _profile_deviance_beta_array,
+    _profile_deviance_precision_array,
+    _solve_precision_array,
+    fit_irls,
+    profile_deviance_beta,
+    profile_deviance_precision,
+    unit_deviance_terms,
+)
 from .higher_order import (
+    ROOT_WINDOW,
+    _beta_correction_factors,
+    _corrected_deviance_values,
+    _known_mean_roots,
+    _precision_correction_factors,
     ball_confidence,
     fraser_root_known_mu,
     signed_root_confidence,
@@ -252,7 +270,9 @@ def _study(sc: Scenario) -> _Study:
         return _Study()
     beta = np.array(sc.beta)
     if sc.model == "gamma_regression":
-        return _Study(X, np.exp(X @ beta))
+        mean = np.exp(X @ beta)
+        _check_rank(Dataset(y=mean, X=X))  # SingularDesignError as in fit_irls
+        return _Study(X, mean)
     mean = X @ beta
     svd = _svd_factors(Dataset(y=mean, X=X))  # SingularDesignError as in fit_ols
     n, p = X.shape
@@ -285,9 +305,10 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
 
     Follows :func:`~confdist.linear.fit_ols` (coefficients from the design's
     SVD, the same noise floor on the residual sum of squares) and the
-    scalar pivots' CDF formulas.  Returns each method's transforms over the
-    rows with a nondegenerate fit, and the number of those rows; a row whose
-    residual sum of squares falls to the floor is a failed fit.
+    scalar pivots' CDF formulas.  Returns each method's transforms (which
+    carry no flags) over the rows with a nondegenerate fit, and the number
+    of those rows; a row whose residual sum of squares falls to the floor is
+    a failed fit.
     """
     truth = study.truth
     n, p, df = truth.n, truth.p, truth.df
@@ -300,29 +321,25 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
     out = {}
     if "variance_chisq" in sc.methods:
         v = (df * phi_hat_m) / sc.phi
-        out["variance_chisq"] = _sf.gammainc(df / 2.0, v / 2.0)
+        out["variance_chisq"] = (_sf.gammainc(df / 2.0, v / 2.0), False)
     if "contrast_t" in sc.methods:
         con = study.con
         v = (beta_hat @ con.b - con.lambda_hat) / np.sqrt(con.k * phi_hat_m)
-        out["contrast_t"] = _sf.stdtr(float(df), v)
+        out["contrast_t"] = (_sf.stdtr(float(df), v), False)
     if "coefficient_f" in sc.methods:
         d = beta_hat - truth.beta_hat
         v = np.einsum("ij,ij->i", d @ truth.xtx, d) / (p * phi_hat_m)
-        out["coefficient_f"] = np.where(v > 0.0, _sf.fdtr(float(p), float(df), v), 0.0)
+        out["coefficient_f"] = (np.where(v > 0.0, _sf.fdtr(float(p), float(df), v), 0.0), False)
     return out, int(fitted.sum())
 
 
-def _transforms_known_mu(sc: Scenario, y: np.ndarray) -> dict:
-    root = fraser_root_known_mu(y, sc.varphi)
-    out = {}
-    if "first_order_z" in sc.methods:
-        out["first_order_z"] = (normal_cdf(root.signed_root), False)
-    if "fraser_z" in sc.methods:
-        out["fraser_z"] = (normal_cdf(root.value), root.interpolated)
-    return out
-
-
-def _transforms_gamma(sc: Scenario, X: np.ndarray, y: np.ndarray) -> dict:
+def _transforms_gamma(sc: Scenario, X: np.ndarray | None, y: np.ndarray) -> dict:
+    """Scalar transforms of one gamma replication, for the rows a block leaves."""
+    if sc.model == "gamma_known_mu":
+        root = fraser_root_known_mu(y, sc.varphi)
+        out = {"first_order_z": (normal_cdf(root.signed_root), False),
+               "fraser_z": (normal_cdf(root.value), root.interpolated)}
+        return {m: out[m] for m in sc.methods}
     data = Dataset(y=y, X=X)
     fit = fit_irls(data)
     beta_true = np.array(sc.beta)
@@ -343,35 +360,108 @@ def _transforms_gamma(sc: Scenario, X: np.ndarray, y: np.ndarray) -> dict:
     return out
 
 
+def _known_mu_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, np.ndarray]:
+    zp, value, interpolated, scalar = _known_mean_roots(Y, sc.varphi)
+    out = {"first_order_z": (_sf.ndtr(zp), np.zeros(len(Y), dtype=bool)),
+           "fraser_z": (_sf.ndtr(value), interpolated)}
+    return {m: out[m] for m in sc.methods}, scalar
+
+
+def _chisq_cdf(x: np.ndarray, df: int) -> np.ndarray:
+    """chisq_cdf on an array; NaN stays NaN."""
+    return np.where(x <= 0.0, 0.0, _sf.gammainc(df / 2.0, x / 2.0))
+
+
+def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Gamma-regression transforms for the rows the array path settles.
+
+    Rows that fail a scalar check (a response not positive or not finite,
+    no convergence, a perfect fit at the estimate or at the truth) and rows
+    inside either Skovgaard window are marked for the scalar path.
+    """
+    X, methods, v = study.X, sc.methods, sc.varphi
+    n, p = X.shape
+    rows = np.flatnonzero(np.all(np.isfinite(Y) & (Y > 0.0), axis=1))
+    _, mu_hat, sum_b, converged = _fit_irls_block(X, Y[rows])
+    fitted = converged & (sum_b / n >= _DEGENERATE_MEAN_B)
+    rows, mu_hat, y = rows[fitted], mu_hat[fitted], Y[rows[fitted]]
+    vh = _solve_precision_array(sum_b[fitted] / n)
+    no_flags = np.zeros(len(rows), dtype=bool)
+    window = no_flags.copy()
+    out = {}
+    if "first_order_precision" in methods or "skovgaard_precision" in methods:
+        dp = _profile_deviance_precision_array(n, vh, v)
+        sign = np.copysign(1.0, vh - v)
+        out["first_order_precision"] = (_sf.ndtr(sign * np.sqrt(dp)), no_flags)
+        if "skovgaard_precision" in methods:
+            m = _precision_correction_factors(X, y, mu_hat, vh, v)
+            value, unavailable, clamped = _corrected_deviance_values(dp, m)
+            out["skovgaard_precision"] = (_sf.ndtr(sign * np.sqrt(value)), unavailable | clamped)
+            window |= dp < ROOT_WINDOW**2
+    if "first_order_beta" in methods or "skovgaard_beta" in methods:
+        with np.errstate(divide="ignore"):
+            mean_b = unit_deviance_terms(y, study.mean).mean(axis=1)
+        vt = np.full(len(rows), np.nan)  # NaN: a perfect fit at the truth
+        at_truth = mean_b >= _DEGENERATE_MEAN_B
+        vt[at_truth] = _solve_precision_array(mean_b[at_truth])
+        dp = _profile_deviance_beta_array(n, vh, vt)
+        out["first_order_beta"] = (_chisq_cdf(dp, p), no_flags)
+        if "skovgaard_beta" in methods:
+            m = _beta_correction_factors(X, y, study.mean, vh, vt)
+            value, unavailable, clamped = _corrected_deviance_values(dp, m)
+            out["skovgaard_beta"] = (_chisq_cdf(value, p), unavailable | clamped)
+            window |= ~(dp >= ROOT_WINDOW**2)
+    scalar = np.ones(len(Y), dtype=bool)
+    scalar[rows] = window
+    transforms = {}
+    for method in methods:
+        u, flag = np.full(len(Y), np.nan), np.zeros(len(Y), dtype=bool)
+        u[rows], flag[rows] = out[method]
+        transforms[method] = (u, flag)
+    return transforms, scalar
+
+
+def _gamma_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int]:
+    """Transforms for a block of gamma responses: arrays, then scalar rows.
+
+    The array path settles most rows; the rest, and any row with a
+    non-finite transform, run through :func:`_transforms_gamma`, whose
+    ConvergenceError or DegenerateFitError makes the row a failed fit.
+    Returns each method's (transforms, flags) over the rows that fit, and
+    their number.
+    """
+    arrays = _known_mu_arrays if sc.model == "gamma_known_mu" else _regression_arrays
+    transforms, scalar = arrays(sc, study, Y)
+    for u, _ in transforms.values():
+        scalar |= ~np.isfinite(u)
+    used = ~scalar
+    for i in np.flatnonzero(scalar):
+        try:
+            row = _transforms_gamma(sc, study.X, Y[i])
+        except (ConvergenceError, DegenerateFitError):
+            continue
+        for method, (u, flag) in row.items():
+            transforms[method][0][i] = u
+            transforms[method][1][i] = flag
+        used[i] = True
+    return {m: (u[used], flag[used]) for m, (u, flag) in transforms.items()}, int(used.sum())
+
+
 def _run_chunk(sc: Scenario, study: _Study, reps: range) -> tuple:
     hits = np.zeros((len(sc.methods), len(sc.levels)), dtype=np.int64)
     flagged = np.zeros(len(sc.methods), dtype=np.int64)
     used = np.zeros(len(sc.methods), dtype=np.int64)
     failures = 0
     levels = np.array(sc.levels)
+    block = _normal_block if sc.model == "normal_regression" else _gamma_block
     for ids in _blocks(reps, sc.n):
-        Y = _responses(sc, study, ids)
-        if sc.model == "normal_regression":
-            transforms, n_fitted = _normal_block(sc, study, Y)
-            failures += len(ids) - n_fitted
-            for i, method in enumerate(sc.methods):
-                hits[i] += (transforms[method][:, None] <= levels).sum(0)
-                used[i] += n_fitted
-            continue
-        for y in Y:
-            try:
-                if sc.model == "gamma_known_mu":
-                    transforms = _transforms_known_mu(sc, y)
-                else:
-                    transforms = _transforms_gamma(sc, study.X, y)
-            except (ConvergenceError, DegenerateFitError):
-                failures += 1
-                continue
-            for i, method in enumerate(sc.methods):
-                u, flag = transforms[method]
-                hits[i] += u <= levels
-                flagged[i] += bool(flag)
-                used[i] += 1
+        transforms, n_used = block(sc, study, _responses(sc, study, ids))
+        failures += len(ids) - n_used
+        for i, method in enumerate(sc.methods):
+            u, flag = transforms[method]
+            hits[i] += (u[:, None] <= levels).sum(0)
+            flagged[i] += np.count_nonzero(flag)
+            used[i] += n_used
     return hits, flagged, used, failures
 
 

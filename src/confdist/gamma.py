@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sf
 
 from .data import Dataset
 from .errors import ConvergenceError, DegenerateFitError, DomainError
@@ -74,6 +75,17 @@ def cumulant_d2(varphi: float) -> float:
     if not (math.isfinite(v) and v > 0):
         raise DomainError(f"precision must be positive, got {varphi!r}")
     return trigamma(v) - 1.0 / v
+
+
+def _cumulant_arrays(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cumulant and cumulant_d1 of an array of positive precisions."""
+    log_v = np.log(v)
+    return _sf.gammaln(v) - v * log_v + v, _sf.psi(v) - log_v
+
+
+def _cumulant_d2_array(v: np.ndarray) -> np.ndarray:
+    """cumulant_d2 of an array of positive precisions (zeta(2, v) is trigamma)."""
+    return _sf.zeta(2.0, v) - 1.0 / v
 
 
 def unit_deviance_terms(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -164,6 +176,38 @@ def solve_precision(mean_b: float, tol: float = 1e-15) -> float:
     )
 
 
+def _solve_precision_array(mean_b: np.ndarray, tol: float = 1e-15) -> np.ndarray:
+    """:func:`solve_precision` for an array of positive, finite mean unit deviances.
+
+    Each element follows the scalar iteration: the same start, tolerance
+    rule, domain damping, stalled-step stop and 40-step budget.  An element
+    still open after the budget is finished by the scalar function.  np.log
+    and math.log can differ in the last bit, so an element may differ from
+    the scalar solve by rounding.
+    """
+    m = np.asarray(mean_b, dtype=float)
+    phi = (3.0 - m + np.sqrt((m - 3.0) ** 2 + 24.0 * m)) / (12.0 * m)
+    open_ = np.arange(m.size)
+    for _ in range(40):
+        ph, mo = phi[open_], m[open_]
+        log_phi = np.log(ph)
+        g = log_phi - _sf.psi(ph) - mo
+        moving = np.abs(g) > np.maximum(tol, 8e-16 * (1.0 + np.abs(log_phi) + mo))
+        open_, ph, g = open_[moving], ph[moving], g[moving]
+        if not open_.size:
+            break
+        step = g / (1.0 / ph - _sf.zeta(2.0, ph))
+        new = ph - step
+        while (overshoot := new <= 0.0).any():  # damp steps that leave the domain
+            step[overshoot] *= 0.5
+            new[overshoot] = ph[overshoot] - step[overshoot]
+        phi[open_] = new
+        open_ = open_[new != ph]
+    for i in open_:
+        phi[i] = solve_precision(m[i], tol)
+    return phi
+
+
 def _check_rank(data: Dataset) -> None:
     s = np.linalg.svd(data.X, compute_uv=False)
     tol = np.finfo(float).eps * max(data.n, data.p) * s[0]
@@ -200,7 +244,7 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None, max_iter: int = 200,
         beta = np.linalg.lstsq(X, np.log(y), rcond=None)[0]
 
     def deviance_parts(b_vec):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             eta = X @ b_vec
             mu = np.exp(eta)
             terms = unit_deviance_terms(y, mu)
@@ -272,6 +316,70 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None, max_iter: int = 200,
     )
 
 
+def _fit_irls_block(X: np.ndarray, Y: np.ndarray, max_iter: int = 200,
+                    tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficient iteration of :func:`fit_irls` for every row of ``Y`` at once.
+
+    ``X`` must have full column rank and ``Y`` must be positive.  Each row
+    keeps its own step halving, acceptance slack, 1e-10 step floor,
+    deviance-and-score convergence rule and iteration budget.  Products and
+    solves are stacked per row, so they round as the scalar fit's do and a
+    row's result does not depend on the other rows of the block.  Only the
+    start, pinv(X) log(y), can differ from the scalar fit's least-squares
+    start in the last bits.
+
+    Returns (beta_hat, mu_hat, sum_b, converged).  A row that did not
+    converge, including one whose start gives a non-finite deviance, holds
+    NaN and must be refit by :func:`fit_irls`, which raises or accepts it as
+    the scalar rules say.
+    """
+    rows = len(Y)
+    beta_hat, mu_hat = np.full((rows, X.shape[1]), np.nan), np.full(Y.shape, np.nan)
+    sum_b, converged = np.full(rows, np.nan), np.zeros(rows, dtype=bool)
+    xtx = X.T @ X
+    score_tol = 1e-12 * X.shape[0] * max(1.0, float(np.max(np.abs(X))))
+
+    def deviance_parts(B, Yr):
+        eta = np.matmul(X, B[:, :, None])[:, :, 0]
+        mu = np.exp(eta)
+        return eta, mu, unit_deviance_terms(Yr, mu).sum(axis=1)
+
+    def gram_apply(V):  # X' v for every row v of V
+        return np.matmul(X.T, V[:, :, None])[:, :, 0]
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = np.matmul(np.linalg.pinv(X), np.log(Y)[:, :, None])[:, :, 0]
+        e, m, d = deviance_parts(b, Y)
+        # state of the rows still iterating, and their row numbers
+        idx = np.flatnonzero(np.isfinite(d))
+        y, b, e, m, d = Y[idx], b[idx], e[idx], m[idx], d[idx]
+        for _ in range(max_iter):
+            if not idx.size:
+                break
+            proposal = np.linalg.solve(xtx, gram_apply(e + (y - m) / m)[:, :, None])[:, :, 0]
+            d_old = d.copy()
+            slack = 1e-11 * np.maximum(1.0, np.abs(d_old))
+            # every row still pending has been halved equally often, so one
+            # step serves them all; rows pending below the floor keep their values
+            pending, step = np.arange(idx.size), 1.0
+            while pending.size and step >= 1e-10:
+                cand = b[pending] + step * (proposal[pending] - b[pending])
+                ce, cm, cd = deviance_parts(cand, y[pending])
+                ok = np.isfinite(cd) & (cd <= d_old[pending] + slack[pending])
+                acc = pending[ok]
+                b[acc], e[acc], m[acc], d[acc] = cand[ok], ce[ok], cm[ok], cd[ok]
+                pending, step = pending[~ok], step * 0.5
+            score_inf = np.max(np.abs(gram_apply(y / m - 1.0)), axis=1)
+            done = ((np.abs(d_old - d) <= tol * np.maximum(1.0, np.abs(d)))
+                    & (score_inf <= score_tol))
+            if done.any():
+                fin = idx[done]
+                beta_hat[fin], mu_hat[fin], sum_b[fin], converged[fin] = b[done], m[done], d[done], True
+                keep = ~done
+                idx, y, b, e, m, d = idx[keep], y[keep], b[keep], e[keep], m[keep], d[keep]
+    return beta_hat, mu_hat, sum_b, converged
+
+
 # ---------------------------------------------------------------------------
 # Profile deviances
 # ---------------------------------------------------------------------------
@@ -329,3 +437,22 @@ def profile_deviance_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> Pro
 
     raw = 2.0 * fit.n * (g_val(vh) - g_val(vt))
     return ProfileDeviance(value=max(raw, 0.0), at=beta, dims=fit.p)
+
+
+def _profile_deviance_precision_array(n: int, varphi_hat: np.ndarray, varphi) -> np.ndarray:
+    """:func:`profile_deviance_precision` values for arrays of estimates and precisions."""
+    c_hat, c1_hat = _cumulant_arrays(varphi_hat)
+    return np.maximum(
+        2.0 * n * ((varphi_hat - varphi) * c1_hat + _cumulant_arrays(varphi)[0] - c_hat), 0.0)
+
+
+def _profile_deviance_beta_array(n: int, varphi_hat: np.ndarray,
+                                 varphi_at_beta: np.ndarray) -> np.ndarray:
+    """:func:`profile_deviance_beta` values from the estimates and the profile
+    precisions at the coefficient vectors."""
+
+    def g_val(v):
+        c, c1 = _cumulant_arrays(v)
+        return v * c1 - c
+
+    return np.maximum(2.0 * n * (g_val(varphi_hat) - g_val(varphi_at_beta)), 0.0)

@@ -29,6 +29,10 @@ from .data import Dataset
 from .errors import ContractViolationError, DegenerateFitError, DomainError
 from .gamma import (
     GammaFit,
+    _cumulant_arrays,
+    _cumulant_d2_array,
+    _profile_deviance_precision_array,
+    _solve_precision_array,
     cumulant,
     cumulant_d1,
     cumulant_d2,
@@ -237,6 +241,87 @@ def _fraser_root(km: KnownMeanGammaFit, varphi: float) -> ModifiedRoot:
                         interpolated=True)
 
 
+# Array forms of the known-mean root, for a block of samples at once.
+
+_WINDOW_TARGETS = np.array([2.0 * ROOT_WINDOW, ROOT_WINDOW, -ROOT_WINDOW, -2.0 * ROOT_WINDOW])
+
+
+def _signed_roots(n: int, varphi_hat: np.ndarray, varphi) -> np.ndarray:
+    d = _profile_deviance_precision_array(n, varphi_hat, varphi)
+    return np.copysign(np.sqrt(d), varphi_hat - varphi)
+
+
+def _modified_root_values(signed_root: np.ndarray, correction: np.ndarray) -> np.ndarray:
+    """:func:`modified_root_value` on arrays; NaN where the scalar raises."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = correction / signed_root
+        z = np.where(correction == signed_root, signed_root,
+                     signed_root + np.log(ratio) / signed_root)
+    return np.where(ratio > 0.0, z, np.nan)
+
+
+def _known_mean_window_nodes(n: int, varphi_hat: np.ndarray, info_root: np.ndarray) -> np.ndarray:
+    """The nodes of :func:`_root_window_nodes` for many known-mean fits at once.
+
+    ``varphi_hat`` and ``info_root`` are columns; the result has one row per
+    fit and one column per window target.  Each node is a Newton solve of
+    the closed-form signed root, started from its linear approximation
+    varphi_hat - target/info_root.  A node stops when its step falls to
+    :func:`find_root`'s tolerance or stops shrinking (the evaluation noise
+    floor); a node that does not settle in 50 steps, lands on the wrong side
+    of the estimate, or misses its target is NaN.
+    """
+    t = _WINDOW_TARGETS
+    u = varphi_hat - t / info_root
+    c1_hat = _cumulant_arrays(varphi_hat)[1]
+    last = np.full(u.shape, np.inf)
+    open_ = np.ones(u.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(50):
+            zp = _signed_roots(n, varphi_hat, u)
+            step = np.where(open_, (zp - t) * zp / (n * (_cumulant_arrays(u)[1] - c1_hat)), 0.0)
+            noise_floor = np.abs(step) >= np.abs(last)
+            u = np.where(open_ & ~noise_floor, u - step, u)
+            open_ &= ~noise_floor & (np.abs(step) > 1e-12 + 8.9e-16 * np.abs(u))
+            last = step
+            if not open_.any():
+                break
+        settled = (~open_ & np.isfinite(u) & ((varphi_hat - u) * t > 0.0)
+                   & (np.abs(_signed_roots(n, varphi_hat, u) - t) <= 1e-6))
+    return np.where(settled, u, np.nan)
+
+
+def _known_mean_roots(Y: np.ndarray, varphi: float):
+    """:func:`fraser_root_known_mu` for every row of ``Y``, as arrays.
+
+    Returns (signed_root, value, interpolated, scalar).  Rows marked in
+    ``scalar`` hold no result and are left to the scalar function: samples
+    it rejects (a value not finite or not positive, a vanishing deviance),
+    and window rows whose nodes did not settle.  The window nodes depend
+    only on (n, varphi_hat), so all window rows solve them together; each
+    row then fits the scalar path's cubic through its own nodes.
+    """
+    v = _require_precision(varphi)
+    rows, n = Y.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_b = (Y - 1.0 - np.log(Y)).mean(axis=1)
+    fit = np.all(np.isfinite(Y) & (Y > 0.0), axis=1) & (mean_b >= 1e-13)
+    zp, value = np.full(rows, np.nan), np.full(rows, np.nan)
+    vh = _solve_precision_array(mean_b[fit])
+    info_root = np.sqrt(n * _cumulant_d2_array(vh))
+    zp[fit] = _signed_roots(n, vh, v)
+    value[fit] = _modified_root_values(zp[fit], info_root * (vh - v))
+    interpolated = fit & (np.abs(zp) < ROOT_WINDOW)
+    w = interpolated[fit]
+    vh_w, info_w = vh[w, None], info_root[w, None]
+    nodes = _known_mean_window_nodes(n, vh_w, info_w)
+    z_nodes = _modified_root_values(_signed_roots(n, vh_w, nodes), info_w * (vh_w - nodes))
+    for i, x_nodes, y_nodes in zip(np.flatnonzero(interpolated), nodes, z_nodes):
+        settled = np.isfinite(y_nodes).all()
+        value[i] = _interpolate_through_window(x_nodes, y_nodes, v) if settled else np.nan
+    return zp, value, interpolated, ~fit | ~np.isfinite(value)
+
+
 # ---------------------------------------------------------------------------
 # Skovgaard-type corrected deviances for gamma regression
 # ---------------------------------------------------------------------------
@@ -381,6 +466,56 @@ def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedD
     clamped = value < 0.0
     return CorrectedDeviance(deviance=dp, correction=m_req, value=max(value, 0.0),
                              dims=fit.p, interpolated=True, clamped=clamped)
+
+
+# Array forms of the Skovgaard factors, one row per replication of a fixed
+# design.  Products, solves and determinants are stacked per row, so they
+# round as the scalar factors' do.
+
+
+def _residual_gram(X: np.ndarray, Y: np.ndarray, mu: np.ndarray):
+    """X'(y/mu - 1) as columns and X' diag(y/mu) X, for every row."""
+    ratio = Y / mu
+    return np.matmul(X.T, (ratio - 1.0)[:, :, None]), np.matmul(X.T, X * ratio[:, :, None])
+
+
+def _precision_correction_factors(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray,
+                                  varphi_hat: np.ndarray, varphi: float) -> np.ndarray:
+    """:func:`_precision_correction_factor` for every row; NaN where it is None."""
+    n = X.shape[0]
+    xr, m_mat = _residual_gram(X, Y, mu_hat)
+    quad = np.matmul(np.swapaxes(xr, 1, 2), np.linalg.solve(m_mat, xr))[:, 0, 0]
+    denom = n * cumulant_d2(varphi) - quad / varphi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = n * _cumulant_d2_array(varphi_hat) / denom
+    return np.where((denom > 0.0) & (m > 0.0), m, np.nan)
+
+
+def _beta_correction_factors(X: np.ndarray, Y: np.ndarray, mu: np.ndarray,
+                             varphi_hat: np.ndarray, profile_prec: np.ndarray) -> np.ndarray:
+    """:func:`_beta_correction_factor` for every row at one coefficient vector
+    (mean ``mu``); NaN where it is None."""
+    n = X.shape[0]
+    xr, weighted = _residual_gram(X, Y, mu)
+    prec = profile_prec[:, None, None]
+    denom_mat = prec * weighted - xr * np.swapaxes(xr, 1, 2) / (n * _cumulant_d2_array(prec))
+    sign_num, logdet_num = np.linalg.slogdet(varphi_hat[:, None, None] * (X.T @ X))
+    sign_den, logdet_den = np.linalg.slogdet(denom_mat)
+    return np.where((sign_num > 0.0) & (sign_den > 0.0), np.exp(logdet_num - logdet_den), np.nan)
+
+
+def _corrected_deviance_values(deviance: np.ndarray, correction: np.ndarray):
+    """:func:`corrected_deviance_value` for deviances outside the window.
+
+    A NaN correction (unavailable) keeps the first-order deviance.  Returns
+    (value, unavailable, clamped).
+    """
+    unavailable = np.isnan(correction)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.where(unavailable | (correction == 1.0), deviance,
+                       deviance + np.log(correction) / (2.0 * deviance))
+    clamped = raw < 0.0
+    return np.where(clamped, 0.0, raw), unavailable, clamped
 
 
 # ---------------------------------------------------------------------------

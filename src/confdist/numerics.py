@@ -193,8 +193,13 @@ def digamma(x: float) -> float:
 
 
 def trigamma(x: float) -> float:
-    """Second logarithmic derivative of the gamma function, x > 0."""
-    return float(_sf.polygamma(1, _require_positive("x", x)))
+    """Second logarithmic derivative of the gamma function, x > 0.
+
+    Evaluated as the Hurwitz zeta function zeta(2, x), which is how
+    scipy.special.polygamma(1, x) computes it, without that function's
+    Python-level wrapper.
+    """
+    return float(_sf.zeta(2.0, _require_positive("x", x)))
 
 
 def chisq_cdf(x: float, df: float) -> float:

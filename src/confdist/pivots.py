@@ -278,8 +278,15 @@ def confidence_of(pivot: Pivot, bound: float, side: str = "<=") -> float:
     return c if side == "<=" else 1.0 - c
 
 
-def _check_monotone(pivot: Pivot, grid: RealGrid) -> np.ndarray:
-    values = np.array([pivot.value(float(t)) for t in grid.points])
+def _check_monotone(pivot: Pivot, grid: RealGrid) -> None:
+    """Verify the declared direction on the grid points inside the open support.
+
+    Points on or outside the support carry no density and may lie where the
+    pivot is undefined (a variance of 0), so they are not evaluated.
+    """
+    lo, hi = pivot.param_support
+    points = grid.points[(grid.points > lo) & (grid.points < hi)]
+    values = np.array([pivot.value(float(t)) for t in points])
     diffs = np.diff(values)
     expect_positive = pivot.monotonic == "increasing"
     bad = diffs <= 0 if expect_positive else diffs >= 0
@@ -288,9 +295,8 @@ def _check_monotone(pivot: Pivot, grid: RealGrid) -> np.ndarray:
         raise ContractViolationError(
             f"{pivot.label}: declared {pivot.monotonic} but pivot value moved from "
             f"{values[i]:.6g} to {values[i + 1]:.6g} on "
-            f"[{grid.points[i]:.6g}, {grid.points[i + 1]:.6g}]"
+            f"[{points[i]:.6g}, {points[i + 1]:.6g}]"
         )
-    return values
 
 
 def parameter_density(pivot: Pivot, grid: RealGrid) -> ConfidenceDensity:

@@ -194,6 +194,22 @@ class TestConfdensCommand:
         assert code == 0
         assert "warning" in capsys.readouterr().err
 
+    def test_variance_grid_from_zero(self, normal_csv, capsys):
+        # phi = 0 is outside the open support: density 0 there, and the
+        # rest as on the same grid without that point
+        def density(grid):
+            code = main(["confdens", "--file", str(normal_csv[0]), "--model", "normal",
+                         "--response", "y", "--design", "x1,x2", "--target", "variance",
+                         "--grid", grid, "--method", "exact"])
+            assert code == 0
+            rows = capsys.readouterr().out.strip().splitlines()
+            assert rows[0] == "variance,confidence_density"
+            return np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+
+        from_zero, from_step = density("0:8:51"), density("0.16:8:50")
+        assert from_zero[0].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(from_zero[1:], from_step, rtol=1e-13, atol=0.0)
+
     def test_incompatible_pair_is_usage_error(self, gamma_csv, capsys):
         path = gamma_csv[0]
         code = main(["confdens", "--file", str(path), "--model", "gamma",

@@ -1,0 +1,235 @@
+"""The gamma block paths against per-replication oracles.
+
+Both gamma models fit and transform a block of replications as arrays and
+send window, unconverged and degenerate rows through the scalar transforms.
+Hit, used, flagged and failure counts must equal those of fitting one
+replication at a time with the public scalar API.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from confdist import coverage
+from confdist.coverage import Scenario, design_matrix, run_scenario
+from confdist.data import Dataset
+from confdist.errors import ConvergenceError, DegenerateFitError
+from confdist.gamma import (
+    _fit_irls_block,
+    _solve_precision_array,
+    fit_irls,
+    profile_deviance_beta,
+    profile_deviance_precision,
+    solve_precision,
+)
+from confdist.higher_order import (
+    _known_mean_roots,
+    ball_confidence,
+    fraser_root_known_mu,
+    signed_root_confidence,
+    skovgaard_beta,
+    skovgaard_precision,
+)
+from confdist.numerics import RngStream, chisq_cdf, normal_cdf, rng_draws
+
+KNOWN_MU_METHODS = ("first_order_z", "fraser_z")
+REGRESSION_METHODS = ("first_order_precision", "skovgaard_precision",
+                      "first_order_beta", "skovgaard_beta")
+
+
+def oracle_transforms(sc: Scenario, X, y) -> dict:
+    """(transform, flagged) of each method for one replication."""
+    if sc.model == "gamma_known_mu":
+        root = fraser_root_known_mu(y, sc.varphi)
+        out = {"first_order_z": (normal_cdf(root.signed_root), False),
+               "fraser_z": (normal_cdf(root.value), root.interpolated)}
+        return {m: out[m] for m in sc.methods}
+    data = Dataset(y=y, X=X)
+    fit = fit_irls(data)
+    beta = np.array(sc.beta)
+    out = {}
+    for method in sc.methods:
+        if method == "first_order_precision":
+            dp = profile_deviance_precision(fit, sc.varphi).value
+            root = math.copysign(math.sqrt(dp), fit.varphi_hat - sc.varphi)
+            out[method] = (normal_cdf(root), False)
+        elif method == "skovgaard_precision":
+            cd = skovgaard_precision(data, fit, sc.varphi)
+            out[method] = (signed_root_confidence(cd), cd.flagged)
+        elif method == "first_order_beta":
+            dp = profile_deviance_beta(data, fit, beta)
+            out[method] = (chisq_cdf(dp.value, dp.dims), False)
+        else:
+            cd = skovgaard_beta(data, fit, beta)
+            out[method] = (ball_confidence(cd), cd.flagged)
+    return out
+
+
+def oracle_counts(sc: Scenario):
+    """Hits, flagged, used and failures from one scalar fit per replication."""
+    X = design_matrix(sc)
+    mean = None if X is None else np.exp(X @ np.array(sc.beta))
+    levels = np.array(sc.levels)
+    hits = np.zeros((len(sc.methods), len(levels)), dtype=np.int64)
+    flagged = np.zeros(len(sc.methods), dtype=np.int64)
+    used = np.zeros(len(sc.methods), dtype=np.int64)
+    failures = 0
+    for r in range(sc.replications):
+        draws = rng_draws(RngStream(sc.seed, r), "gamma", sc.n,
+                          shape=sc.varphi, scale=1.0 / sc.varphi)
+        y = draws if mean is None else mean * draws
+        try:
+            transforms = oracle_transforms(sc, X, y)
+        except (ConvergenceError, DegenerateFitError):
+            failures += 1
+            continue
+        for i, method in enumerate(sc.methods):
+            u, flag = transforms[method]
+            hits[i] += u <= levels
+            flagged[i] += bool(flag)
+            used[i] += 1
+    return hits, flagged, used, failures
+
+
+def engine_counts(sc: Scenario, rows_per_block: int):
+    # a small block budget makes the engine cross block edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverage, "_BLOCK_VALUES", rows_per_block * sc.n)
+        return coverage._run_chunk(sc, coverage._study(sc), range(sc.replications))
+
+
+def assert_counts_equal(sc: Scenario, rows_per_block: int = 37):
+    got = engine_counts(sc, rows_per_block)
+    want = oracle_counts(sc)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return want
+
+
+seeds = st.integers(0, 2**64 - 1)
+levels = st.lists(st.floats(0.01, 0.99).map(lambda v: round(v, 3)),
+                  min_size=1, max_size=4, unique=True).map(lambda v: tuple(sorted(v)))
+
+
+def methods_from(allowed):
+    return st.lists(st.sampled_from(allowed), min_size=1, max_size=len(allowed),
+                    unique=True).map(tuple)
+
+
+@st.composite
+def known_mu_scenarios(draw):
+    return Scenario(
+        model="gamma_known_mu", n=draw(st.integers(2, 40)),
+        replications=draw(st.integers(100, 250)), seed=draw(seeds),
+        levels=draw(levels), methods=draw(methods_from(KNOWN_MU_METHODS)),
+        varphi=draw(st.floats(0.3, 20.0)),
+    )
+
+
+@st.composite
+def regression_scenarios(draw):
+    design = draw(st.sampled_from(["intercept", "gaussian"]))
+    p = 1 if design == "intercept" else draw(st.integers(1, 3))
+    coef = st.floats(-2.0, 2.0).map(lambda v: round(v, 3))
+    return Scenario(
+        model="gamma_regression", n=draw(st.integers(p + 6, 40)),
+        replications=draw(st.integers(100, 130)), seed=draw(seeds),
+        levels=draw(levels), methods=draw(methods_from(REGRESSION_METHODS)),
+        beta=tuple(draw(st.lists(coef, min_size=p, max_size=p))),
+        varphi=draw(st.floats(0.3, 20.0)), design=design,
+    )
+
+
+class TestKnownMeanBlock:
+    @settings(max_examples=25, deadline=None)
+    @given(sc=known_mu_scenarios(), rows_per_block=st.integers(5, 60))
+    def test_counts_equal_per_replication_oracle(self, sc, rows_per_block):
+        assert_counts_equal(sc, rows_per_block)
+
+    @pytest.mark.parametrize("n,varphi", [(2, 0.3), (10, 2.0), (40, 20.0)])
+    def test_window_rows_match(self, n, varphi):
+        sc = Scenario(model="gamma_known_mu", n=n, replications=400, seed=n,
+                      levels=(0.05, 0.5, 0.95), methods=KNOWN_MU_METHODS, varphi=varphi)
+        hits, flagged, used, failures = assert_counts_equal(sc)
+        assert flagged[1] > 0  # interpolated rows
+        # every row, window rows included, is settled by the array path and
+        # agrees with the scalar root up to rounding and node-solve noise
+        Y = coverage._responses(sc, coverage._study(sc), range(sc.replications))
+        zp, value, interpolated, scalar = _known_mean_roots(Y, varphi)
+        roots = [fraser_root_known_mu(y, varphi) for y in Y]
+        assert not scalar.any()
+        assert interpolated.tolist() == [r.interpolated for r in roots]
+        np.testing.assert_allclose(zp, [r.signed_root for r in roots], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(value, [r.value for r in roots], rtol=0, atol=1e-7)
+
+    def test_precision_solve_matches_scalar(self):
+        m = np.exp(np.random.default_rng(0).uniform(math.log(1e-12), math.log(1e3), 3000))
+        got = _solve_precision_array(m)
+        want = np.array([solve_precision(v) for v in m])
+        # the score flattens as the precision grows, so a last-bit difference
+        # in its logarithm moves the root by about eps * varphi, relatively
+        assert np.all(np.abs(got - want) <= 1e-14 * want * np.maximum(1.0, want))
+
+
+class TestRegressionBlock:
+    @settings(max_examples=10, deadline=None)
+    @given(sc=regression_scenarios(), rows_per_block=st.integers(5, 60))
+    def test_counts_equal_per_replication_oracle(self, sc, rows_per_block):
+        assert_counts_equal(sc, rows_per_block)
+
+    def test_block_irls_matches_fit_irls(self):
+        sc = Scenario(model="gamma_regression", n=30, replications=300, seed=3,
+                      levels=(0.5,), methods=("first_order_precision",),
+                      beta=(0.5, -0.3, 0.2), varphi=0.5)
+        study = coverage._study(sc)
+        Y = coverage._responses(sc, study, range(sc.replications))
+        beta, mu, sum_b, converged = _fit_irls_block(study.X, Y)
+        assert converged.mean() > 0.9
+        for i in np.flatnonzero(converged):
+            fit = fit_irls(Dataset(y=Y[i], X=study.X))
+            np.testing.assert_allclose(beta[i], fit.beta_hat, rtol=0, atol=1e-14)
+            assert sum_b[i] == pytest.approx(fit.sum_b, rel=1e-14)
+        assert np.isnan(sum_b[~converged]).all()
+
+    def test_window_and_unconverged_rows_match(self):
+        # the benchmark's gamma_regression shape at the seed whose study holds
+        # an IRLS fit that cycles until its budget runs out (a kept defect)
+        sc = Scenario(model="gamma_regression", n=30, replications=100,
+                      seed=7149797385448953174, levels=(0.05, 0.5, 0.95),
+                      methods=REGRESSION_METHODS, beta=(0.5, -0.3), varphi=2.0)
+        hits, flagged, used, failures = assert_counts_equal(sc)
+        assert failures == 1
+        assert flagged[1] > 0 and flagged[3] > 0  # Skovgaard window rows
+        assert run_scenario(sc).failures == 1
+
+    def test_low_precision_study_leaks_no_warnings(self):
+        # at n=5, varphi=0.3 fitted means overflow and underflow; replication
+        # 99 of this study took log(0) inside fit_irls
+        sc = Scenario(model="gamma_regression", n=5, replications=100, seed=5,
+                      levels=(0.5,), methods=("first_order_precision",),
+                      beta=(0.5, -0.3), varphi=0.3)
+        X = design_matrix(sc)
+        y = np.exp(X @ np.array(sc.beta)) * rng_draws(
+            RngStream(sc.seed, 99), "gamma", sc.n, shape=sc.varphi, scale=1.0 / sc.varphi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_irls(Dataset(y=y, X=X))
+            assert run_scenario(sc).failures == 0
+
+
+@pytest.mark.parametrize("model", ["gamma_known_mu", "gamma_regression"])
+def test_jobs_give_identical_bytes(model):
+    if model == "gamma_known_mu":
+        sc = Scenario(model=model, n=10, replications=3 * 3276 + 5, seed=23,
+                      levels=(0.05, 0.5, 0.95), methods=KNOWN_MU_METHODS, varphi=2.0)
+    else:
+        sc = Scenario(model=model, n=30, replications=301, seed=24,
+                      levels=(0.05, 0.5, 0.95), methods=REGRESSION_METHODS,
+                      beta=(0.5, -0.3), varphi=2.0)
+    csv1 = run_scenario(sc, jobs=1).to_csv()
+    assert run_scenario(sc, jobs=2).to_csv() == csv1
+    assert run_scenario(sc, jobs=3).to_csv() == csv1

@@ -124,6 +124,14 @@ class TestGammaDerivatives:
         assert all(b > a for a, b in zip(dg, dg[1:]))
         assert all(trigamma(float(x)) > 0 for x in xs)
 
+    def test_trigamma_is_polygamma_bit_for_bit(self):
+        from scipy import special
+
+        rng = np.random.default_rng(2)
+        xs = np.concatenate([rng.lognormal(0.0, 3.0, 2000), np.logspace(-300, 300, 601)])
+        for x in xs:
+            assert trigamma(float(x)) == float(special.polygamma(1, x))
+
     def test_domain_errors(self):
         for fn in (log_gamma, digamma, trigamma):
             with pytest.raises(DomainError):
