@@ -47,6 +47,13 @@ __all__ = [
 # precision estimate would exceed ~5e12, far outside float-stable territory.
 _DEGENERATE_MEAN_B = 1e-13
 
+# Iteration settings shared by the scalar fits and their array versions,
+# which hand unsettled elements back to the scalar fits with these defaults.
+_PRECISION_TOL = 1e-15
+_PRECISION_STEPS = 40
+_IRLS_TOL = 1e-12
+_IRLS_MAX_ITER = 200
+
 
 # ---------------------------------------------------------------------------
 # Precision-side cumulant pieces
@@ -134,7 +141,7 @@ def gamma_loglik(beta: np.ndarray, varphi: float, data: Dataset) -> float:
     return float(-v * b.sum() - data.n * cumulant(v))
 
 
-def solve_precision(mean_b: float, tol: float = 1e-15) -> float:
+def solve_precision(mean_b: float, tol: float = _PRECISION_TOL) -> float:
     """Precision solving cumulant_d1(varphi) = -mean_b, for mean_b > 0.
 
     The score function log(varphi) - digamma(varphi) - mean_b is strictly
@@ -151,7 +158,7 @@ def solve_precision(mean_b: float, tol: float = 1e-15) -> float:
         raise DomainError(f"mean unit deviance must be positive, got {mean_b!r}")
 
     phi = (3.0 - m + math.sqrt((m - 3.0) ** 2 + 24.0 * m)) / (12.0 * m)
-    for _ in range(40):
+    for _ in range(_PRECISION_STEPS):
         g = math.log(phi) - digamma(phi) - m
         tol_eff = max(tol, 8e-16 * (1.0 + abs(math.log(phi)) + m))
         if abs(g) <= tol_eff:
@@ -176,7 +183,7 @@ def solve_precision(mean_b: float, tol: float = 1e-15) -> float:
     )
 
 
-def _solve_precision_array(mean_b: np.ndarray, tol: float = 1e-15) -> np.ndarray:
+def _solve_precision_array(mean_b: np.ndarray) -> np.ndarray:
     """:func:`solve_precision` for an array of positive, finite mean unit deviances.
 
     Each element follows the scalar iteration: the same start, tolerance
@@ -188,11 +195,11 @@ def _solve_precision_array(mean_b: np.ndarray, tol: float = 1e-15) -> np.ndarray
     m = np.asarray(mean_b, dtype=float)
     phi = (3.0 - m + np.sqrt((m - 3.0) ** 2 + 24.0 * m)) / (12.0 * m)
     open_ = np.arange(m.size)
-    for _ in range(40):
+    for _ in range(_PRECISION_STEPS):
         ph, mo = phi[open_], m[open_]
         log_phi = np.log(ph)
         g = log_phi - _sf.psi(ph) - mo
-        moving = np.abs(g) > np.maximum(tol, 8e-16 * (1.0 + np.abs(log_phi) + mo))
+        moving = np.abs(g) > np.maximum(_PRECISION_TOL, 8e-16 * (1.0 + np.abs(log_phi) + mo))
         open_, ph, g = open_[moving], ph[moving], g[moving]
         if not open_.size:
             break
@@ -204,7 +211,7 @@ def _solve_precision_array(mean_b: np.ndarray, tol: float = 1e-15) -> np.ndarray
         phi[open_] = new
         open_ = open_[new != ph]
     for i in open_:
-        phi[i] = solve_precision(m[i], tol)
+        phi[i] = solve_precision(m[i])
     return phi
 
 
@@ -216,8 +223,8 @@ def _check_rank(data: Dataset) -> None:
         data.raise_rank_deficient(rank, tol)
 
 
-def fit_irls(data: Dataset, init: np.ndarray | None = None, max_iter: int = 200,
-             tol: float = 1e-12) -> GammaFit:
+def fit_irls(data: Dataset, init: np.ndarray | None = None,
+             max_iter: int = _IRLS_MAX_ITER, tol: float = _IRLS_TOL) -> GammaFit:
     """Maximum likelihood fit by iterative least squares on the working response.
 
     Coefficients start at the least-squares fit of log(y) on X (exact for
@@ -316,8 +323,7 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None, max_iter: int = 200,
     )
 
 
-def _fit_irls_block(X: np.ndarray, Y: np.ndarray, max_iter: int = 200,
-                    tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _fit_irls_block(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, ...]:
     """The coefficient iteration of :func:`fit_irls` for every row of ``Y`` at once.
 
     ``X`` must have full column rank and ``Y`` must be positive.  Each row
@@ -353,7 +359,7 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, max_iter: int = 200,
         # state of the rows still iterating, and their row numbers
         idx = np.flatnonzero(np.isfinite(d))
         y, b, e, m, d = Y[idx], b[idx], e[idx], m[idx], d[idx]
-        for _ in range(max_iter):
+        for _ in range(_IRLS_MAX_ITER):
             if not idx.size:
                 break
             proposal = np.linalg.solve(xtx, gram_apply(e + (y - m) / m)[:, :, None])[:, :, 0]
@@ -370,7 +376,7 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, max_iter: int = 200,
                 b[acc], e[acc], m[acc], d[acc] = cand[ok], ce[ok], cm[ok], cd[ok]
                 pending, step = pending[~ok], step * 0.5
             score_inf = np.max(np.abs(gram_apply(y / m - 1.0)), axis=1)
-            done = ((np.abs(d_old - d) <= tol * np.maximum(1.0, np.abs(d)))
+            done = ((np.abs(d_old - d) <= _IRLS_TOL * np.maximum(1.0, np.abs(d)))
                     & (score_inf <= score_tol))
             if done.any():
                 fin = idx[done]
