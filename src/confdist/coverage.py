@@ -12,16 +12,22 @@ number of workers.
 Replications run in blocks.  A block's responses come from
 :func:`~confdist.numerics.rng_block_draws`, whose rows are the unchanged
 per-replication streams, bit for bit.  Every model fits and transforms a
-whole block as arrays, from design quantities computed once per study.  The
-gamma models send the rows the array path does not settle (Skovgaard window
-rows, unconverged or degenerate fits, samples the scalar checks reject)
-through the scalar transforms, which also decide whether such a row fails.
+whole block as arrays, from design quantities computed once per study,
+Skovgaard and Fraser window rows included: their interpolation nodes are
+solved for all window rows of a block at once.  The gamma models send the
+few rows the array path does not settle through the scalar transforms,
+which also decide whether such a row fails: samples the scalar checks
+reject, unconverged or degenerate fits (at the estimate or at the truth),
+window rows whose nodes do not settle, and any row with a non-finite
+transform.
 
 The array transforms are not the scalar ones' floats.  They agree to
 rounding (the precision solve uses np.log, the block IRLS starts from
-pinv(X) log y), and known-mean window rows agree to the accuracy of their
-node solves, whose nodes are accepted within 1e-6 of their target roots.  A
-hit can therefore differ from the per-replication engine's only for a
+pinv(X) log y), and window rows agree to the accuracy of their node
+solves: Newton iterations stopped at the scalar root finder's tolerance,
+whose nodes are accepted within 1e-6 of their target roots (known mean and
+precision windows) or 1e-9 of their target deviances (coefficient rays).
+A hit can therefore differ from the per-replication engine's only for a
 transform within that distance of a level, and a failure only for a
 regression row whose IRLS converges from one start and not from the other.
 Reports have been observed byte-identical on every study compared, and
@@ -40,7 +46,7 @@ import numpy as np
 from scipy import special as _sf
 
 from .data import Dataset
-from .errors import ConvergenceError, DegenerateFitError, DomainError, ScenarioError
+from .errors import ConfdistError, DomainError, ScenarioError
 from .gamma import (
     _DEGENERATE_MEAN_B,
     _check_rank,
@@ -54,11 +60,9 @@ from .gamma import (
     unit_deviance_terms,
 )
 from .higher_order import (
-    ROOT_WINDOW,
-    _beta_correction_factors,
-    _corrected_deviance_values,
     _known_mean_roots,
-    _precision_correction_factors,
+    _skovgaard_beta_values,
+    _skovgaard_precision_values,
     ball_confidence,
     fraser_root_known_mu,
     signed_root_confidence,
@@ -314,18 +318,20 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
 
     Follows :func:`~confdist.linear.fit_ols` (coefficients from the design's
     SVD, the same noise floor on the residual sum of squares) and the
-    scalar pivots' CDF formulas.  Returns each method's transforms (which
-    carry no flags) over the rows with a nondegenerate fit, and the number
-    of those rows; a row whose residual sum of squares falls to the floor is
-    a failed fit.
+    scalar pivots' CDF formulas.  Products are stacked per row (matvec,
+    vecdot), so each row rounds as the scalar fit and pivots do, whatever
+    the block's size.  Returns each method's transforms (which carry no
+    flags) over the rows with a nondegenerate fit, and the number of those
+    rows; a row whose residual sum of squares falls to the floor is a
+    failed fit.
     """
     truth = study.truth
     n, p, df = truth.n, truth.p, truth.df
     u, s, vt = study.svd
-    beta_hat = ((Y @ u) / s) @ vt
-    resid = Y - beta_hat @ study.X.T
-    rss = np.einsum("ij,ij->i", resid, resid)
-    fitted = rss > _rss_noise_floor(n, p, np.linalg.norm(Y, axis=1))
+    beta_hat = np.matvec(vt.T, np.matvec(u.T, Y) / s)
+    resid = Y - np.matvec(study.X, beta_hat)
+    rss = np.vecdot(resid, resid)
+    fitted = rss > _rss_noise_floor(n, p, np.sqrt(np.vecdot(Y, Y)))  # np.linalg.norm(y)
     beta_hat, phi_hat_m = beta_hat[fitted], rss[fitted] / df
     out = {}
     if "variance_chisq" in sc.methods:
@@ -333,11 +339,11 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
         out["variance_chisq"] = (_sf.gammainc(df / 2.0, v / 2.0), False)
     if "contrast_t" in sc.methods:
         con = study.con
-        v = (beta_hat @ con.b - con.lambda_hat) / np.sqrt(con.k * phi_hat_m)
+        v = (np.vecdot(beta_hat, con.b) - con.lambda_hat) / np.sqrt(con.k * phi_hat_m)
         out["contrast_t"] = (_sf.stdtr(float(df), v), False)
     if "coefficient_f" in sc.methods:
         d = beta_hat - truth.beta_hat
-        v = np.einsum("ij,ij->i", d @ truth.xtx, d) / (p * phi_hat_m)
+        v = np.vecdot(np.vecmat(d, truth.xtx), d) / (p * phi_hat_m)
         out["coefficient_f"] = (np.where(v > 0.0, _sf.fdtr(float(p), float(df), v), 0.0), False)
     return out, int(fitted.sum())
 
@@ -385,28 +391,26 @@ def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict
     """Gamma-regression transforms for the rows the array path settles.
 
     Rows that fail a scalar check (a response not positive or not finite,
-    no convergence, a perfect fit at the estimate or at the truth) and rows
-    inside either Skovgaard window are marked for the scalar path.
+    no convergence, a perfect fit at the estimate) are marked for the scalar
+    path; a row whose transform comes out NaN (a perfect fit at the truth,
+    Skovgaard window nodes that did not settle) is sent there too.
     """
     X, methods, v = study.X, sc.methods, sc.varphi
     n, p = X.shape
     rows = np.flatnonzero(np.all(np.isfinite(Y) & (Y > 0.0), axis=1))
-    _, mu_hat, sum_b, converged = _fit_irls_block(X, Y[rows])
+    beta_hat, mu_hat, sum_b, converged = _fit_irls_block(X, Y[rows])
     fitted = converged & (sum_b / n >= _DEGENERATE_MEAN_B)
-    rows, mu_hat, y = rows[fitted], mu_hat[fitted], Y[rows[fitted]]
+    rows, beta_hat, mu_hat, y = rows[fitted], beta_hat[fitted], mu_hat[fitted], Y[rows[fitted]]
     vh = _solve_precision_array(sum_b[fitted] / n)
     no_flags = np.zeros(len(rows), dtype=bool)
-    window = no_flags.copy()
     out = {}
     if "first_order_precision" in methods or "skovgaard_precision" in methods:
         dp = _profile_deviance_precision_array(n, vh, v)
-        sign = np.copysign(1.0, vh - v)
+        sign = np.sign(vh - v)
         out["first_order_precision"] = (_sf.ndtr(sign * np.sqrt(dp)), no_flags)
         if "skovgaard_precision" in methods:
-            m = _precision_correction_factors(X, y, mu_hat, vh, v)
-            value, unavailable, clamped = _corrected_deviance_values(dp, m)
-            out["skovgaard_precision"] = (_sf.ndtr(sign * np.sqrt(value)), unavailable | clamped)
-            window |= dp < ROOT_WINDOW**2
+            value, flags = _skovgaard_precision_values(X, y, mu_hat, vh, v, dp)
+            out["skovgaard_precision"] = (_sf.ndtr(sign * np.sqrt(value)), flags)
     if "first_order_beta" in methods or "skovgaard_beta" in methods:
         with np.errstate(divide="ignore"):
             mean_b = unit_deviance_terms(y, study.mean).mean(axis=1)
@@ -416,12 +420,11 @@ def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict
         dp = _profile_deviance_beta_array(n, vh, vt)
         out["first_order_beta"] = (_chisq_cdf(dp, p), no_flags)
         if "skovgaard_beta" in methods:
-            m = _beta_correction_factors(X, y, study.mean, vh, vt)
-            value, unavailable, clamped = _corrected_deviance_values(dp, m)
-            out["skovgaard_beta"] = (_chisq_cdf(value, p), unavailable | clamped)
-            window |= ~(dp >= ROOT_WINDOW**2)
+            value, flags = _skovgaard_beta_values(X, y, beta_hat, vh, np.array(sc.beta),
+                                                  study.mean, vt, dp)
+            out["skovgaard_beta"] = (_chisq_cdf(value, p), flags)
     scalar = np.ones(len(Y), dtype=bool)
-    scalar[rows] = window
+    scalar[rows] = False
     transforms = {}
     for method in methods:
         u, flag = np.full(len(Y), np.nan), np.zeros(len(Y), dtype=bool)
@@ -434,8 +437,9 @@ def _gamma_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int]
     """Transforms for a block of gamma responses: arrays, then scalar rows.
 
     The array path settles most rows; the rest, and any row with a
-    non-finite transform, run through :func:`_transforms_gamma`, whose
-    ConvergenceError or DegenerateFitError makes the row a failed fit.
+    non-finite transform, run through :func:`_transforms_gamma`.  Any
+    ConfdistError it raises (a fit that does not converge or is degenerate,
+    a ray search that finds no bracket) makes the row a failed replication.
     Returns each method's (transforms, flags) over the rows that fit, and
     their number.
     """
@@ -447,7 +451,7 @@ def _gamma_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int]
     for i in np.flatnonzero(scalar):
         try:
             row = _transforms_gamma(sc, study.X, Y[i])
-        except (ConvergenceError, DegenerateFitError):
+        except ConfdistError:
             continue
         for method, (u, flag) in row.items():
             transforms[method][0][i] = u
@@ -480,8 +484,8 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> CoverageReport:
     ``jobs`` > 1 splits the replication range across worker processes; the
     report is identical for any job count because stream ids are replication
     indices and the reduction is an order-insensitive sum.  Replications
-    whose fit fails are excluded and counted; more than 1% failures aborts
-    the scenario.
+    whose fit or scalar transform fails are excluded and counted; more than
+    1% failures aborts the scenario.
     """
     start = time.monotonic()
     if jobs < 1:

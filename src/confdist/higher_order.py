@@ -28,9 +28,11 @@ import numpy as np
 from .data import Dataset
 from .errors import ContractViolationError, DegenerateFitError, DomainError
 from .gamma import (
+    _DEGENERATE_MEAN_B,
     GammaFit,
     _cumulant_arrays,
     _cumulant_d2_array,
+    _profile_deviance_beta_array,
     _profile_deviance_precision_array,
     _solve_precision_array,
     cumulant,
@@ -40,6 +42,7 @@ from .gamma import (
     profile_deviance_precision,
     profile_precision_at,
     solve_precision,
+    unit_deviance_terms,
 )
 from .numerics import RealGrid, find_root, normal_cdf
 from .pivots import ConfidenceDensity, Pivot, PivotLaw
@@ -63,6 +66,9 @@ __all__ = [
 
 # Interpolation window on the signed-root scale (equivalently d_p < 0.0025).
 ROOT_WINDOW = 0.05
+
+# Deviances at the nodes of the coefficient-ray interpolation.
+_RAY_TARGETS = tuple((k * ROOT_WINDOW) ** 2 for k in (1.0, 2.0, 3.0, 4.0))
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,12 @@ def _fraser_root(km: KnownMeanGammaFit, varphi: float) -> ModifiedRoot:
 
 _WINDOW_TARGETS = np.array([2.0 * ROOT_WINDOW, ROOT_WINDOW, -ROOT_WINDOW, -2.0 * ROOT_WINDOW])
 
+# Newton node solves of the array window paths: the tolerance of the scalar
+# paths' find_root calls (brentq adds 8.9e-16 relative) and a step budget.
+_NODE_TOL = 1e-12
+_NODE_RTOL = 8.9e-16
+_NODE_STEPS = 50
+
 
 def _signed_roots(n: int, varphi_hat: np.ndarray, varphi) -> np.ndarray:
     d = _profile_deviance_precision_array(n, varphi_hat, varphi)
@@ -260,32 +272,47 @@ def _modified_root_values(signed_root: np.ndarray, correction: np.ndarray) -> np
     return np.where(ratio > 0.0, z, np.nan)
 
 
+def _newton_nodes(step_fn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton iterations x <- x - step_fn(x) on every element of ``x`` at once.
+
+    An element stops when its step falls to :func:`find_root`'s tolerance
+    (_NODE_TOL plus brentq's relative _NODE_RTOL) or stops shrinking (the
+    evaluation noise floor).  Returns the iterates and a mask of the
+    elements still open after _NODE_STEPS steps; a NaN step closes its
+    element at NaN.
+    """
+    last = np.full(x.shape, np.inf)
+    open_ = np.ones(x.shape, dtype=bool)
+    for _ in range(_NODE_STEPS):
+        step = np.where(open_, step_fn(x), 0.0)
+        noise_floor = np.abs(step) >= np.abs(last)
+        x = np.where(open_ & ~noise_floor, x - step, x)
+        open_ &= ~noise_floor & (np.abs(step) > _NODE_TOL + _NODE_RTOL * np.abs(x))
+        last = step
+        if not open_.any():
+            break
+    return x, open_
+
+
 def _known_mean_window_nodes(n: int, varphi_hat: np.ndarray, info_root: np.ndarray) -> np.ndarray:
     """The nodes of :func:`_root_window_nodes` for many known-mean fits at once.
 
     ``varphi_hat`` and ``info_root`` are columns; the result has one row per
     fit and one column per window target.  Each node is a Newton solve of
     the closed-form signed root, started from its linear approximation
-    varphi_hat - target/info_root.  A node stops when its step falls to
-    :func:`find_root`'s tolerance or stops shrinking (the evaluation noise
-    floor); a node that does not settle in 50 steps, lands on the wrong side
-    of the estimate, or misses its target is NaN.
+    varphi_hat - target/info_root (see :func:`_newton_nodes`); a node that
+    does not settle, lands on the wrong side of the estimate, or misses its
+    target by more than 1e-6 is NaN.
     """
     t = _WINDOW_TARGETS
-    u = varphi_hat - t / info_root
     c1_hat = _cumulant_arrays(varphi_hat)[1]
-    last = np.full(u.shape, np.inf)
-    open_ = np.ones(u.shape, dtype=bool)
+
+    def step(u):
+        zp = _signed_roots(n, varphi_hat, u)
+        return (zp - t) * zp / (n * (_cumulant_arrays(u)[1] - c1_hat))
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(50):
-            zp = _signed_roots(n, varphi_hat, u)
-            step = np.where(open_, (zp - t) * zp / (n * (_cumulant_arrays(u)[1] - c1_hat)), 0.0)
-            noise_floor = np.abs(step) >= np.abs(last)
-            u = np.where(open_ & ~noise_floor, u - step, u)
-            open_ &= ~noise_floor & (np.abs(step) > 1e-12 + 8.9e-16 * np.abs(u))
-            last = step
-            if not open_.any():
-                break
+        u, open_ = _newton_nodes(step, varphi_hat - t / info_root)
         settled = (~open_ & np.isfinite(u) & ((varphi_hat - u) * t > 0.0)
                    & (np.abs(_signed_roots(n, varphi_hat, u) - t) <= 1e-6))
     return np.where(settled, u, np.nan)
@@ -438,8 +465,7 @@ def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedD
 
     t_nodes = []
     t_hi = 1.0
-    for target in (ROOT_WINDOW**2, (2.0 * ROOT_WINDOW) ** 2,
-                   (3.0 * ROOT_WINDOW) ** 2, (4.0 * ROOT_WINDOW) ** 2):
+    for target in _RAY_TARGETS:
         for _ in range(60):
             if dp_at(t_hi) >= target:
                 break
@@ -468,9 +494,17 @@ def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedD
                              dims=fit.p, interpolated=True, clamped=clamped)
 
 
-# Array forms of the Skovgaard factors, one row per replication of a fixed
-# design.  Products, solves and determinants are stacked per row, so they
-# round as the scalar factors' do.
+# Array forms of the Skovgaard corrections, one row per replication of a
+# fixed design.  Products, solves and determinants are stacked per row, so
+# they round as the scalar factors' do.  Window rows solve their nodes by
+# Newton iterations instead of find_root, so their values agree with the
+# scalar functions' to the accuracy of the node solves, not bit for bit:
+# both sides place a node at the evaluation noise of the deviance, and the
+# corrected deviance's slope there, log(m) d_p' / (2 d_p^2), magnifies that
+# (measured: values within 2e-9 relative, confidences within 3e-10).
+
+# A ray node is accepted when its profile deviance is this close to its target.
+_RAY_NODE_ACCEPT = 1e-9
 
 
 def _residual_gram(X: np.ndarray, Y: np.ndarray, mu: np.ndarray):
@@ -479,13 +513,17 @@ def _residual_gram(X: np.ndarray, Y: np.ndarray, mu: np.ndarray):
     return np.matmul(X.T, (ratio - 1.0)[:, :, None]), np.matmul(X.T, X * ratio[:, :, None])
 
 
-def _precision_correction_factors(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray,
-                                  varphi_hat: np.ndarray, varphi: float) -> np.ndarray:
-    """:func:`_precision_correction_factor` for every row; NaN where it is None."""
-    n = X.shape[0]
+def _precision_quads(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
+    """The score quadratic form of :func:`_precision_correction_factor`, per row."""
     xr, m_mat = _residual_gram(X, Y, mu_hat)
-    quad = np.matmul(np.swapaxes(xr, 1, 2), np.linalg.solve(m_mat, xr))[:, 0, 0]
-    denom = n * cumulant_d2(varphi) - quad / varphi
+    return np.matmul(np.swapaxes(xr, 1, 2), np.linalg.solve(m_mat, xr))[:, 0, 0]
+
+
+def _precision_correction_factors(n: int, varphi_hat: np.ndarray, quad: np.ndarray,
+                                  varphi) -> np.ndarray:
+    """:func:`_precision_correction_factor` from each row's quadratic form, at
+    one precision or an array of them; NaN where the scalar gives None."""
+    denom = n * _cumulant_d2_array(varphi) - quad / varphi
     with np.errstate(divide="ignore", invalid="ignore"):
         m = n * _cumulant_d2_array(varphi_hat) / denom
     return np.where((denom > 0.0) & (m > 0.0), m, np.nan)
@@ -518,6 +556,124 @@ def _corrected_deviance_values(deviance: np.ndarray, correction: np.ndarray):
     return np.where(clamped, 0.0, raw), unavailable, clamped
 
 
+def _window_values(x_nodes: np.ndarray, d_nodes: np.ndarray, unavailable: np.ndarray,
+                   deviance: np.ndarray, x) -> np.ndarray:
+    """Corrected deviances of window rows from their nodes, one row per row.
+
+    As in the scalar functions: a correction unavailable at any node keeps
+    the first-order deviance, otherwise the cubic through the nodes at ``x``
+    is clamped at 0.  A row with an unsettled (NaN) node is NaN.
+    """
+    settled = np.isfinite(x_nodes).all(axis=1)
+    unavailable = unavailable.any(axis=1)
+    value = np.where(settled & unavailable, deviance, np.nan)
+    for i in np.flatnonzero(settled & ~unavailable):
+        value[i] = max(_interpolate_through_window(x_nodes[i], d_nodes[i], x), 0.0)
+    return value
+
+
+def _skovgaard_precision_values(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray,
+                                varphi_hat: np.ndarray, varphi: float,
+                                deviance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and flag of :func:`skovgaard_precision` for every row.
+
+    ``deviance`` holds the rows' precision profile deviances at ``varphi``.
+    Window rows with an available factor take the nodes of the known-mean
+    model, since the signed root is the same closed form in (n, varphi_hat);
+    only the factor's denominator changes from node to node.  A row whose
+    nodes do not settle holds NaN and is left to the scalar function.
+    """
+    n = X.shape[0]
+    quad = _precision_quads(X, Y, mu_hat)
+    m = _precision_correction_factors(n, varphi_hat, quad, varphi)
+    value, unavailable, clamped = _corrected_deviance_values(deviance, m)
+    window = deviance < ROOT_WINDOW**2
+    rows = np.flatnonzero(window & ~unavailable)
+    if rows.size:
+        vh, q = varphi_hat[rows, None], quad[rows, None]
+        nodes = _known_mean_window_nodes(n, vh, np.sqrt(n * _cumulant_d2_array(vh)))
+        d_nodes, node_unavailable, _ = _corrected_deviance_values(
+            _profile_deviance_precision_array(n, vh, nodes),
+            _precision_correction_factors(n, vh, q, nodes))
+        value[rows] = _window_values(nodes, d_nodes, node_unavailable, deviance[rows], varphi)
+    return value, unavailable | clamped | window
+
+
+def _along_rays(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: np.ndarray,
+                varphi_hat: np.ndarray, t: np.ndarray):
+    """Means, profile precisions and profile deviances at beta_hat + t * direction.
+
+    One row per data row and one column per node ``t``.  The precision (and
+    so the deviance) is NaN where the unit deviance vanishes or is not
+    finite, where :func:`profile_precision_at` would raise.
+    """
+    b = beta_hat[:, None, :] + t[:, :, None] * direction[:, None, :]
+    mu = np.exp(np.matmul(X, b[..., None])[..., 0])
+    mean_b = unit_deviance_terms(Y[:, None, :], mu).mean(axis=2)
+    prec = np.full(t.shape, np.nan)
+    ok = np.isfinite(mean_b) & (mean_b >= _DEGENERATE_MEAN_B)
+    prec[ok] = _solve_precision_array(mean_b[ok])
+    return mu, prec, _profile_deviance_beta_array(X.shape[0], varphi_hat[:, None], prec)
+
+
+def _ray_nodes(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: np.ndarray,
+               varphi_hat: np.ndarray, deviance: np.ndarray):
+    """The ray nodes of :func:`skovgaard_beta` for many rows at once.
+
+    Node k of a row is where the profile deviance along its ray reaches
+    _RAY_TARGETS[k].  Newton in t starts from sqrt(target / deviance), exact
+    for a quadratic deviance, with the closed-form slope
+    2 * v(t) * sum((1 - y/mu_t) * x'direction), v(t) being the profile
+    precision along the ray (see :func:`_newton_nodes`).  Returns (t, mu,
+    profile precision, profile deviance) at the nodes; a node that does not
+    settle, or whose deviance misses its target by more than
+    _RAY_NODE_ACCEPT, is NaN in t.
+    """
+    target = np.array(_RAY_TARGETS)
+    xd = np.matmul(X, direction[:, :, None])[:, None, :, 0]
+
+    def step(t):
+        mu, prec, dp = _along_rays(X, Y, beta_hat, direction, varphi_hat, t)
+        slope = 2.0 * prec * ((1.0 - Y[:, None, :] / mu) * xd).sum(axis=2)
+        return (dp - target) / slope
+
+    with np.errstate(all="ignore"):
+        t, open_ = _newton_nodes(step, np.sqrt(target / deviance[:, None]))
+        mu, prec, dp = _along_rays(X, Y, beta_hat, direction, varphi_hat, t)
+    settled = ~open_ & (t > 0.0) & (np.abs(dp - target) <= _RAY_NODE_ACCEPT)
+    return np.where(settled, t, np.nan), mu, prec, dp
+
+
+def _skovgaard_beta_values(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray,
+                           varphi_hat: np.ndarray, beta: np.ndarray, mu: np.ndarray,
+                           profile_prec: np.ndarray,
+                           deviance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and flag of :func:`skovgaard_beta` for every row.
+
+    ``mu``, ``profile_prec`` and ``deviance`` are the rows' mean, profile
+    precision and profile deviance at ``beta``.  A window row at its
+    estimate (deviance 0) has value 0; the others find their ray nodes
+    together (:func:`_ray_nodes`) and evaluate the correction there.  A row
+    whose nodes do not settle holds NaN and is left to the scalar function.
+    """
+    m = _beta_correction_factors(X, Y, mu, varphi_hat, profile_prec)
+    value, unavailable, clamped = _corrected_deviance_values(deviance, m)
+    window = deviance < ROOT_WINDOW**2
+    value[deviance == 0.0] = 0.0
+    rows = np.flatnonzero(window & (deviance > 0.0))
+    if rows.size:
+        t, mu_t, prec_t, dp_t = _ray_nodes(X, Y[rows], beta_hat[rows], beta - beta_hat[rows],
+                                           varphi_hat[rows], deviance[rows])
+        k = t.shape[1]
+        with np.errstate(invalid="ignore"):  # unsettled nodes hold NaN
+            m_t = _beta_correction_factors(
+                X, np.repeat(Y[rows], k, axis=0), mu_t.reshape(-1, X.shape[0]),
+                np.repeat(varphi_hat[rows], k), prec_t.ravel()).reshape(t.shape)
+        d_nodes, node_unavailable, _ = _corrected_deviance_values(dp_t, m_t)
+        value[rows] = _window_values(t, d_nodes, node_unavailable, deviance[rows], 1.0)
+    return value, unavailable | clamped | window
+
+
 # ---------------------------------------------------------------------------
 # Tail confidences and densities for corrected pivots
 # ---------------------------------------------------------------------------
@@ -539,29 +695,32 @@ def ball_confidence(corrected: CorrectedDeviance) -> float:
 def corrected_confidence_density(root_fn, grid: RealGrid) -> ConfidenceDensity:
     """Confidence density from a corrected root curve by finite differences.
 
-    ``root_fn`` maps a parameter value to a :class:`ModifiedRoot`; the
-    density is the central difference of Phi(root(theta)) with step
-    span/2048, after verifying the root curve is strictly monotone over the
-    grid.  The finite-difference construction limits normalization accuracy
-    to about 1e-4 over a grid spanning the bulk of the mass.
+    ``root_fn`` maps a precision to a :class:`ModifiedRoot`; the density is
+    the central difference of Phi(root(theta)) with step span/2048, after
+    verifying the root curve is strictly monotone over the grid points
+    inside (0, inf).  Points at or below 0 carry density 0 and are not
+    evaluated; a point within one step of 0 takes the forward difference.
+    The finite-difference construction limits normalization accuracy to
+    about 1e-4 over a grid spanning the bulk of the mass.
     """
-    values = [root_fn(float(t)).value for t in grid.points]
+    points = grid.points[grid.points > 0.0]
+    values = [root_fn(float(t)).value for t in points]
     diffs = np.diff(values)
-    if np.all(diffs < 0):
-        pass
-    elif np.all(diffs > 0):
-        pass
-    else:
+    if not (np.all(diffs < 0) or np.all(diffs > 0)):
         bad = int(np.argmax(diffs * np.sign(diffs[0]) <= 0))
         raise ContractViolationError(
             "corrected root is not monotone over the grid near "
-            f"[{grid.points[bad]:.6g}, {grid.points[bad + 1]:.6g}]"
+            f"[{points[bad]:.6g}, {points[bad + 1]:.6g}]"
         )
     h = grid.span / 2048.0
     lo, hi = float(grid.points[0]), float(grid.points[-1])
 
     def density(theta: float) -> float:
+        if theta <= 0.0:
+            return 0.0
         up = normal_cdf(root_fn(theta + h).value)
+        if theta <= h:
+            return abs(up - normal_cdf(root_fn(theta).value)) / h
         down = normal_cdf(root_fn(theta - h).value)
         return abs(up - down) / (2.0 * h)
 

@@ -169,3 +169,36 @@ def test_jobs_give_identical_bytes_off_block_multiples():
     csv1 = run_scenario(sc, jobs=1).to_csv()
     assert run_scenario(sc, jobs=2).to_csv() == csv1
     assert run_scenario(sc, jobs=3).to_csv() == csv1
+
+
+@pytest.mark.parametrize("n,beta", [(15, (1.0, -0.5, 0.25)), (8, (2.0,)), (30, (0.3, 1.0, -2.0, 0.5))])
+def test_normal_transforms_do_not_depend_on_block_size(monkeypatch, n, beta):
+    # every row rounds as fit_ols and the scalar pivots do, so blocks of any
+    # size (as in the tail block of a --jobs chunk) give the same bits
+    p = len(beta)
+    sc = Scenario(model="normal_regression", n=n, replications=150, seed=n, levels=(0.5,),
+                  methods=("variance_chisq", "contrast_t", "coefficient_f"), beta=beta, phi=2.0,
+                  contrast_vector=tuple(float(k % 3 - 1) or 1.0 for k in range(p)))
+    study = coverage._study(sc)
+    reps = range(sc.replications)
+
+    def transforms(rows_per_block):
+        monkeypatch.setattr(coverage, "_BLOCK_VALUES", rows_per_block * sc.n)
+        parts = [coverage._normal_block(sc, study, coverage._responses(sc, study, ids))[0]
+                 for ids in coverage._blocks(reps, sc.n)]
+        return {m: np.concatenate([part[m][0] for part in parts]) for m in sc.methods}
+
+    whole = transforms(sc.replications)
+    for rows_per_block in (1, 3, 7):
+        got = transforms(rows_per_block)
+        for m in sc.methods:
+            assert np.array_equal(got[m], whole[m])
+    X, b, truth = design_matrix(sc), np.array(sc.contrast_vector), np.array(beta)
+    for r in reps:
+        y = X @ truth + math.sqrt(sc.phi) * rng_draws(RngStream(sc.seed, r), "normal", sc.n)
+        fit = fit_ols(Dataset(y=y, X=X))
+        pivots = {"variance_chisq": (variance_pivot(fit), sc.phi),
+                  "contrast_t": (contrast_pivot(fit, contrast(fit, b)), float(b @ truth)),
+                  "coefficient_f": (coefficient_ball_pivot(fit), truth)}
+        for m, (pv, at) in pivots.items():
+            assert pv.law.cdf(pv.value(at)) == whole[m][r]

@@ -235,6 +235,29 @@ class TestConfdensCommand:
         dens = np.array([float(r.split(",")[1]) for r in out[1:]])
         assert np.all(dens >= 0)
 
+    @pytest.mark.parametrize("method", ["fraser", "first_order"])
+    def test_known_mu_precision_grid_from_zero(self, tmp_path, capsys, method):
+        # precision 0 is outside the support: density 0 there, and the rest
+        # as on the grid without that point, up to the finite-difference
+        # step, which follows the grid's span
+        y = rng_draws(RngStream(9, 0), "gamma", 15, shape=2.0, scale=0.5)
+        p = tmp_path / "km.csv"
+        write_csv(p, ["y"], y[:, None])
+
+        def density(grid):
+            code = main(["confdens", "--file", str(p), "--model", "gamma",
+                         "--response", "y", "--known-mu", "--target", "precision",
+                         "--grid", grid, "--method", method])
+            assert code == 0
+            rows = capsys.readouterr().out.strip().splitlines()
+            assert rows[0] == "precision,confidence_density"
+            return np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+
+        from_zero, from_step = density("0:8:51"), density("0.16:8:50")
+        assert from_zero[0].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(from_zero[1:, 0], from_step[:, 0], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(from_zero[1:, 1], from_step[:, 1], rtol=1e-3, atol=0.0)
+
     def test_fraser_density_fits_the_sample_once(self, tmp_path, capsys, monkeypatch):
         import confdist.cli
         import confdist.higher_order

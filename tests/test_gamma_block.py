@@ -1,9 +1,9 @@
 """The gamma block paths against per-replication oracles.
 
-Both gamma models fit and transform a block of replications as arrays and
-send window, unconverged and degenerate rows through the scalar transforms.
-Hit, used, flagged and failure counts must equal those of fitting one
-replication at a time with the public scalar API.
+Both gamma models fit and transform a block of replications as arrays,
+window rows included, and send unconverged and degenerate rows through the
+scalar transforms.  Hit, used, flagged and failure counts must equal those
+of fitting one replication at a time with the public scalar API.
 """
 
 import math
@@ -14,20 +14,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confdist import coverage
+from confdist import coverage, higher_order
 from confdist.coverage import Scenario, design_matrix, run_scenario
 from confdist.data import Dataset
-from confdist.errors import ConvergenceError, DegenerateFitError
+from confdist.errors import (
+    BracketingError,
+    ConfdistError,
+    ContractViolationError,
+    ConvergenceError,
+    DegenerateFitError,
+    ScenarioError,
+)
 from confdist.gamma import (
     _fit_irls_block,
     _solve_precision_array,
     fit_irls,
     profile_deviance_beta,
     profile_deviance_precision,
+    profile_precision_at,
     solve_precision,
 )
 from confdist.higher_order import (
+    ROOT_WINDOW,
     _known_mean_roots,
+    _skovgaard_beta_values,
+    _skovgaard_precision_values,
     ball_confidence,
     fraser_root_known_mu,
     signed_root_confidence,
@@ -233,3 +244,203 @@ def test_jobs_give_identical_bytes(model):
     csv1 = run_scenario(sc, jobs=1).to_csv()
     assert run_scenario(sc, jobs=2).to_csv() == csv1
     assert run_scenario(sc, jobs=3).to_csv() == csv1
+
+
+# Skovgaard window rows: the array values against skovgaard_precision and
+# skovgaard_beta, from the same scalar fits, so only the node solves differ.
+
+def scalar_fits(sc: Scenario):
+    """The design and the (data, fit) of every replication fit_irls fits."""
+    study = coverage._study(sc)
+    rows = []
+    for y in coverage._responses(sc, study, range(sc.replications)):
+        data = Dataset(y=y, X=study.X)
+        try:
+            rows.append((data, fit_irls(data)))
+        except ConfdistError:
+            pass
+    return study.X, rows
+
+
+def array_window_values(X, rows, varphi: float, beta: np.ndarray):
+    """(value, flagged, deviance) of both array Skovgaard paths for every row."""
+    y = np.array([data.y for data, _ in rows])
+    vh = np.array([fit.varphi_hat for _, fit in rows])
+    dp_prec = np.array([profile_deviance_precision(fit, varphi).value for _, fit in rows])
+    mu_hat = np.array([fit.mu_hat for _, fit in rows])
+    prec = _skovgaard_precision_values(X, y, mu_hat, vh, varphi, dp_prec)
+    vt = np.array([profile_precision_at(data, beta) for data, _ in rows])
+    dp_beta = np.array([profile_deviance_beta(data, fit, beta).value for data, fit in rows])
+    beta_hat = np.array([fit.beta_hat for _, fit in rows])
+    mean = np.tile(np.exp(X @ beta), (len(rows), 1))
+    coef = _skovgaard_beta_values(X, y, beta_hat, vh, beta, mean, vt, dp_beta)
+    return (*prec, dp_prec), (*coef, dp_beta)
+
+
+WINDOW_STUDIES = [
+    dict(n=30, beta=(0.5, -0.3), varphi=2.0, design="gaussian"),  # the benchmark's shape
+    dict(n=8, beta=(1.0,), varphi=0.4, design="intercept"),
+    dict(n=40, beta=(0.2, 0.4, -0.6), varphi=15.0, design="gaussian"),
+]
+
+
+class TestSkovgaardWindowRows:
+    @pytest.mark.parametrize("shape", WINDOW_STUDIES)
+    def test_window_values_match_scalar(self, shape):
+        sc = Scenario(model="gamma_regression", replications=400, seed=shape["n"],
+                      levels=(0.5,), methods=REGRESSION_METHODS, **shape)
+        X, rows = scalar_fits(sc)
+        beta = np.array(sc.beta)
+        paths = array_window_values(X, rows, sc.varphi, beta)
+        # both sides place their nodes at the evaluation noise of the
+        # deviance, which at large precisions is ~1e-9 of the precision
+        # deviance; the corrected value's slope at the nodes,
+        # log(m) d_p'/(2 d_p^2), magnifies that, hence the looser bound
+        tolerance = (1e-8, 1e-9)
+        windows = [0, 0]
+        for k, (value, flagged, dp) in enumerate(paths):
+            for i in np.flatnonzero(dp < ROOT_WINDOW**2):
+                data, fit = rows[i]
+                cd = (skovgaard_precision(data, fit, sc.varphi) if k == 0
+                      else skovgaard_beta(data, fit, beta))
+                assert flagged[i] == cd.flagged
+                assert abs(value[i] - cd.value) <= tolerance[k] * max(1.0, abs(cd.value))
+                confidence = (signed_root_confidence(cd) if k == 0 else ball_confidence(cd))
+                array_confidence = (normal_cdf(cd.sign * math.sqrt(value[i])) if k == 0
+                                    else chisq_cdf(value[i], len(beta)))
+                assert abs(array_confidence - confidence) <= 1e-9
+                windows[k] += 1
+        assert windows[0] >= 5
+        if len(beta) == 1:
+            assert windows[1] >= 5
+
+    def test_zero_deviance_rows(self):
+        sc = Scenario(model="gamma_regression", n=30, replications=100, seed=3,
+                      levels=(0.5,), methods=REGRESSION_METHODS, beta=(0.5, -0.3), varphi=2.0)
+        X, rows = scalar_fits(sc)
+        for data, fit in rows[:5]:
+            # at the estimate itself both deviances vanish
+            (pv, pf, pdp), (bv, bf, bdp) = array_window_values(X, [(data, fit)], fit.varphi_hat,
+                                                               fit.beta_hat)
+            assert pdp[0] == bdp[0] == 0.0
+            cd = skovgaard_beta(data, fit, fit.beta_hat)
+            assert bv[0] == cd.value == 0.0 and bf[0] and cd.flagged
+            cd = skovgaard_precision(data, fit, fit.varphi_hat)
+            assert pf[0] and cd.flagged
+            assert abs(pv[0] - cd.value) <= 1e-9 * max(1.0, abs(cd.value))
+
+    def test_factor_unavailable_at_a_node(self, monkeypatch):
+        # declare the corrections unavailable away from the truth, that is
+        # at the window nodes: window rows keep the first-order deviance
+        sc = Scenario(model="gamma_regression", n=30, replications=400, seed=30,
+                      levels=(0.5,), methods=REGRESSION_METHODS, beta=(0.5, -0.3), varphi=2.0)
+        X, rows = scalar_fits(sc)
+        beta = np.array(sc.beta)
+        real_p, real_ps = (higher_order._precision_correction_factor,
+                           higher_order._precision_correction_factors)
+        monkeypatch.setattr(higher_order, "_precision_correction_factor",
+                            lambda d, f, v: real_p(d, f, v) if v == sc.varphi else None)
+        monkeypatch.setattr(higher_order, "_precision_correction_factors",
+                            lambda n, vh, q, v: real_ps(n, vh, q, v) + np.where(
+                                np.equal(v, sc.varphi), 0.0, np.nan))
+        monkeypatch.setattr(higher_order, "_beta_correction_factor",
+                            lambda d, f, b, prec: None)
+        monkeypatch.setattr(higher_order, "_beta_correction_factors",
+                            lambda *a: np.full(len(a[1]), np.nan))
+        windows = 0
+        for k, (value, flagged, dp) in enumerate(array_window_values(X, rows, sc.varphi, beta)):
+            for i in np.flatnonzero((dp < ROOT_WINDOW**2) & (dp > 0.0)):
+                data, fit = rows[i]
+                cd = (skovgaard_precision(data, fit, sc.varphi) if k == 0
+                      else skovgaard_beta(data, fit, beta))
+                assert cd.correction_unavailable and flagged[i]
+                assert value[i] == cd.value == dp[i]
+                windows += 1
+        assert windows >= 5
+
+    @settings(max_examples=8, deadline=None)
+    @given(sc=regression_scenarios(), replications=st.integers(300, 400),
+           rows_per_block=st.integers(5, 60))
+    def test_many_window_rows_count_as_oracle(self, sc, replications, rows_per_block):
+        sc = Scenario(**{**sc.to_dict(), "replications": replications,
+                         "methods": REGRESSION_METHODS, "levels": tuple(sc.levels)})
+        hits, flagged, used, failures = assert_counts_equal(sc, rows_per_block)
+        assert flagged[1] > 0
+
+    def test_window_rows_skip_the_scalar_path(self, monkeypatch):
+        sc = Scenario(model="gamma_regression", n=30, replications=400, seed=5,
+                      levels=(0.05, 0.5, 0.95), methods=REGRESSION_METHODS,
+                      beta=(0.5, -0.3), varphi=2.0)
+        sent = []
+        real = coverage._transforms_gamma
+
+        def counted(sc_, X, y):
+            sent.append(y)
+            return real(sc_, X, y)
+
+        monkeypatch.setattr(coverage, "_transforms_gamma", counted)
+        report = run_scenario(sc)
+        assert report.row("skovgaard_precision", 0.5).flagged_count >= 5
+        X, beta = design_matrix(sc), np.array(sc.beta)
+        for y in sent:  # only rows the scalar fit rejects or outside both windows
+            data = Dataset(y=y, X=X)
+            try:
+                fit = fit_irls(data)
+            except ConfdistError:
+                continue
+            assert profile_deviance_precision(fit, sc.varphi).value >= ROOT_WINDOW**2
+            assert profile_deviance_beta(data, fit, beta).value >= ROOT_WINDOW**2
+
+    def test_unsettled_nodes_fall_back_to_the_scalar_path(self, monkeypatch):
+        # one Newton step settles no node: every window row must take the
+        # scalar path and still count as the oracle does
+        sc = Scenario(model="gamma_regression", n=30, replications=300, seed=6,
+                      levels=(0.05, 0.5, 0.95), methods=REGRESSION_METHODS,
+                      beta=(0.5, -0.3), varphi=2.0)
+        sent = []
+        real = coverage._transforms_gamma
+        monkeypatch.setattr(higher_order, "_NODE_STEPS", 1)
+        monkeypatch.setattr(coverage, "_transforms_gamma",
+                            lambda sc_, X, y: sent.append(y) or real(sc_, X, y))
+        assert_counts_equal(sc)
+        X, rows = scalar_fits(sc)
+        beta = np.array(sc.beta)
+        windows = sum(profile_deviance_precision(fit, sc.varphi).value < ROOT_WINDOW**2
+                      or profile_deviance_beta(data, fit, beta).value < ROOT_WINDOW**2
+                      for data, fit in rows)
+        assert len(sent) >= windows >= 5
+
+
+class TestScalarRowFailures:
+    SC = Scenario(model="gamma_regression", n=30, replications=100, seed=11,
+                  levels=(0.05, 0.5, 0.95), methods=REGRESSION_METHODS,
+                  beta=(0.5, -0.3), varphi=2.0)
+
+    def force_scalar_rows(self, monkeypatch, rows, error):
+        """Send ``rows`` of every block to the scalar path, where skovgaard_beta raises."""
+        real = coverage._regression_arrays
+
+        def arrays(sc, study, Y):
+            transforms, scalar = real(sc, study, Y)
+            scalar[rows] = True
+            return transforms, scalar
+
+        def raising(*args):
+            raise error("forced")
+
+        monkeypatch.setattr(coverage, "_regression_arrays", arrays)
+        monkeypatch.setattr(coverage, "skovgaard_beta", raising)
+
+    @pytest.mark.parametrize("error", [ContractViolationError, BracketingError])
+    def test_error_in_one_row_is_a_failed_replication(self, monkeypatch, error):
+        base = run_scenario(self.SC)
+        self.force_scalar_rows(monkeypatch, [3], error)
+        report = run_scenario(self.SC)
+        assert report.failures == base.failures + 1
+        for got, want in zip(report.rows, base.rows):
+            assert got.replications_used == want.replications_used - 1
+
+    def test_more_than_one_percent_still_aborts(self, monkeypatch):
+        self.force_scalar_rows(monkeypatch, [3, 40], ContractViolationError)
+        with pytest.raises(ScenarioError, match="2 of 100 replications failed"):
+            run_scenario(self.SC)
