@@ -34,15 +34,17 @@ from .errors import (
 )
 from .gamma import GammaFit, fit_irls
 from .higher_order import (
-    _fraser_root,
+    ModifiedRoot,
+    _root_pivot,
+    corrected_confidence_density,
     fit_known_mean,
-    signed_precision_root,
-    skovgaard_precision,
+    fraser_curve,
+    signed_root_curve,
+    skovgaard_precision_curve,
 )
-from .higher_order import ModifiedRoot, corrected_confidence_density
 from .linear import LinearFit, contrast, contrast_pivot, fit_ols, variance_pivot
 from .numerics import RealGrid
-from .pivots import Pivot, PivotLaw, interval_endpoint, parameter_density
+from .pivots import interval_endpoint, parameter_density
 
 SCHEMA_VERSION = 1
 
@@ -313,37 +315,42 @@ def _normal_pivot(fit: LinearFit, target: str):
     return contrast_pivot(fit, contrast(fit, b)), "contrast"
 
 
+def _first_order_curve(n: int, varphi_hat: float):
+    """varphi -> the first-order signed root as an uncorrected ModifiedRoot."""
+    zp_fn = signed_root_curve(n, varphi_hat)
+
+    def first_order(v: float) -> ModifiedRoot:
+        zp = zp_fn(v)
+        return ModifiedRoot(signed_root=zp, correction=zp, value=zp)
+
+    return first_order
+
+
 def _precision_root_fn(args, method: str, table: CsvTable | None):
-    """Map varphi -> ModifiedRoot for the requested gamma method."""
+    """Map varphi -> ModifiedRoot for the requested gamma method, as one
+    curve of one fit (see the curve builders in :mod:`confdist.higher_order`)."""
     if args.known_mu:
         y = table.column(args.response)
         Dataset(y=y, X=np.ones((len(y), 1))).require_positive_response()
         km = fit_known_mean(y)
         if method == "fraser":
-            return lambda v: _fraser_root(km, v), km.varphi_hat
-
-        def first_order(v: float) -> ModifiedRoot:
-            zp = signed_precision_root(km.n, km.varphi_hat, v)
-            return ModifiedRoot(signed_root=zp, correction=zp, value=zp)
-
-        return first_order, km.varphi_hat
+            return fraser_curve(km), km.varphi_hat
+        return _first_order_curve(km.n, km.varphi_hat), km.varphi_hat
 
     ds = build_dataset(table, args.response, _design_list(args), args.intercept)
     ds.require_positive_response()
     fit = fit_irls(ds)
     if method == "first_order":
-
-        def first_order(v: float) -> ModifiedRoot:
-            zp = signed_precision_root(fit.n, fit.varphi_hat, v)
-            return ModifiedRoot(signed_root=zp, correction=zp, value=zp)
-
-        return first_order, fit.varphi_hat
+        return _first_order_curve(fit.n, fit.varphi_hat), fit.varphi_hat
+    curve = skovgaard_precision_curve(ds, fit)
 
     def skov(v: float) -> ModifiedRoot:
-        cd = skovgaard_precision(ds, fit, v)
+        cd = curve(v)
         root = (cd.sign if cd.sign else 0.0) * math.sqrt(max(cd.value, 0.0))
         return ModifiedRoot(signed_root=root, correction=cd.correction, value=root,
-                            interpolated=cd.interpolated)
+                            interpolated=cd.interpolated,
+                            correction_unavailable=cd.correction_unavailable,
+                            clamped=cd.clamped)
 
     return skov, fit.varphi_hat
 
@@ -393,19 +400,6 @@ def cmd_confdens(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _corrected_pivot(root_fn, center: float) -> Pivot:
-    scale = max(center, 1e-6)
-    return Pivot(
-        law=PivotLaw.corrected_normal(),
-        value_fn=lambda v: root_fn(v).value,
-        jacobian_fn=None,
-        monotonic="decreasing",
-        param_support=(0.0, math.inf),
-        hint=(center, 0.75 * scale),
-        label="corrected precision root",
-    )
-
-
 def _fit_from_json(path: str):
     try:
         payload = json.loads(Path(path).read_text())
@@ -436,7 +430,7 @@ def cmd_interval(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise UsageError(f"--level must lie in (0, 1), got {args.level}")
 
-    flags: list[str] = []
+    root_fn, flags = None, set()  # a corrected root curve; flags at its endpoints
     if args.model == "normal":
         if fit_json is not None:
             fit = _fit_from_json(fit_json)
@@ -458,25 +452,24 @@ def cmd_interval(args) -> int:
             payload = _fit_from_json(fit_json)
             if isinstance(payload, LinearFit):
                 raise UsageError("--fit-json model does not match --model gamma")
-            n, vh = int(payload["n"]), float(payload["varphi_hat"])
-
-            def root_fn(v: float) -> ModifiedRoot:
-                zp = signed_precision_root(n, vh, v)
-                return ModifiedRoot(signed_root=zp, correction=zp, value=zp)
-
-            center = vh
+            n, center = int(payload["n"]), float(payload["varphi_hat"])
+            root_fn = _first_order_curve(n, center)
         else:
             table = load_csv_table(args.file)
             root_fn, center = _precision_root_fn(args, args.method, table)
-        pivot = _corrected_pivot(root_fn, center)
+        pivot = _root_pivot(root_fn, (center, 0.75 * max(center, 1e-6)))
 
     def endpoint(level: float, side: str) -> float:
         try:
-            return interval_endpoint(pivot, level, side)
+            value = interval_endpoint(pivot, level, side)
         except BracketingError as exc:
             raise BracketingError(
                 f"endpoint inversion failed for level {level} side {side}: {exc}"
             ) from exc
+        root = root_fn(value) if root_fn else None
+        flags.update(f for f in ("interpolated", "correction_unavailable", "clamped")
+                     if getattr(root, f, False))
+        return value
 
     if args.sides == "one":
         value = endpoint(args.level, args.side)
@@ -503,7 +496,7 @@ def cmd_interval(args) -> int:
         "model": args.model + ("_known_mu" if args.known_mu else ""),
         "method": args.method,
         "statement": statement,
-        "flags": flags,
+        "flags": sorted(flags),
     }
     _emit(args, payload)
     return EXIT_OK
@@ -598,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p_fit)
     p_fit.add_argument("--format", choices=["json", "text"], default="json")
     p_fit.add_argument("--out", help="write output to this path instead of stdout")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_dens = sub.add_parser("confdens", help="confidence density over a parameter grid")
     _add_data_options(p_dens)
@@ -608,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens.add_argument("--method", required=True,
                         choices=["exact", "first_order", "fraser", "skovgaard"])
     p_dens.add_argument("--out", help="write CSV here instead of stdout")
-    p_dens.set_defaults(func=cmd_confdens)
 
     p_int = sub.add_parser("interval", help="confidence interval endpoints")
     _add_data_options(p_int, fit_json=True)
@@ -622,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["exact", "first_order", "fraser", "skovgaard"])
     p_int.add_argument("--format", choices=["json", "text"], default="json")
     p_int.add_argument("--out", help="write output here instead of stdout")
-    p_int.set_defaults(func=cmd_interval)
 
     p_cov = sub.add_parser("coverage", help="run Monte Carlo coverage scenarios")
     p_cov.add_argument("--scenario", required=True, help="INI scenario file")
@@ -630,18 +620,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--jobs", type=int, default=1)
     p_cov.add_argument("--seed", type=int, default=None,
                        help="override every scenario seed")
-    p_cov.set_defaults(func=cmd_coverage)
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; the parser is built on the first call and reused."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # by name per call: a cmd_* replaced after the parser was built runs
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, UnsupportedOperationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

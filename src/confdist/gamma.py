@@ -405,9 +405,14 @@ def profile_deviance_precision(fit: GammaFit, varphi: float) -> ProfileDeviance:
     v = float(varphi)
     if not (math.isfinite(v) and v > 0):
         raise DomainError(f"precision must be positive, got {varphi!r}")
-    vh = fit.varphi_hat
-    raw = 2.0 * fit.n * ((vh - v) * cumulant_d1(vh) + cumulant(v) - cumulant(vh))
-    return ProfileDeviance(value=max(raw, 0.0), at=v, dims=1)
+    return ProfileDeviance(_precision_deviance_curve(fit.n, fit.varphi_hat)(v), at=v, dims=1)
+
+
+def _precision_deviance_curve(n: int, varphi_hat: float):
+    """varphi -> the value of :func:`profile_deviance_precision` for one fit,
+    with the cumulant terms at varphi_hat computed once."""
+    c_hat, c1_hat = cumulant(varphi_hat), cumulant_d1(varphi_hat)
+    return lambda v: max(2.0 * n * ((varphi_hat - v) * c1_hat + cumulant(v) - c_hat), 0.0)
 
 
 def profile_precision_at(data: Dataset, beta: np.ndarray) -> float:

@@ -20,6 +20,7 @@ raising, since simulation sweeps legitimately produce such configurations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,14 +33,12 @@ from .gamma import (
     GammaFit,
     _cumulant_arrays,
     _cumulant_d2_array,
+    _precision_deviance_curve,
     _profile_deviance_beta_array,
     _profile_deviance_precision_array,
     _solve_precision_array,
-    cumulant,
-    cumulant_d1,
     cumulant_d2,
     profile_deviance_beta,
-    profile_deviance_precision,
     profile_precision_at,
     solve_precision,
     unit_deviance_terms,
@@ -54,8 +53,11 @@ __all__ = [
     "corrected_deviance_value",
     "KnownMeanGammaFit",
     "fit_known_mean",
+    "fraser_curve",
     "fraser_root_known_mu",
+    "signed_root_curve",
     "signed_precision_root",
+    "skovgaard_precision_curve",
     "skovgaard_precision",
     "skovgaard_beta",
     "corrected_confidence_density",
@@ -73,12 +75,14 @@ _RAY_TARGETS = tuple((k * ROOT_WINDOW) ** 2 for k in (1.0, 2.0, 3.0, 4.0))
 
 @dataclass(frozen=True)
 class ModifiedRoot:
-    """Signed root, correction factor, and corrected root (normal reference)."""
+    """Signed root, correction factor, corrected root (normal reference), flags."""
 
     signed_root: float
     correction: float
     value: float
     interpolated: bool = False
+    correction_unavailable: bool = False
+    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -157,31 +161,36 @@ def fit_known_mean(sample: np.ndarray) -> KnownMeanGammaFit:
     return KnownMeanGammaFit(varphi_hat=solve_precision(mean_b), mean_b=mean_b, n=y.size)
 
 
-def _precision_deviance(n: int, varphi_hat: float, varphi: float) -> float:
-    raw = 2.0 * n * (
-        (varphi_hat - varphi) * cumulant_d1(varphi_hat)
-        + cumulant(varphi) - cumulant(varphi_hat)
-    )
-    return max(raw, 0.0)
+def _require_precision(varphi: float, name: str = "precision") -> float:
+    v = float(varphi)
+    if not (math.isfinite(v) and v > 0):
+        raise DomainError(f"{name} must be positive, got {varphi!r}")
+    return v
 
 
-def _signed_root(n: int, varphi_hat: float, varphi: float) -> float:
-    d = _precision_deviance(n, varphi_hat, varphi)
-    return math.copysign(math.sqrt(d), varphi_hat - varphi)
+def signed_root_curve(n: int, varphi_hat: float):
+    """varphi -> :func:`signed_precision_root` for one (n, varphi_hat); the
+    cumulant terms at varphi_hat are computed once, not per varphi."""
+    if n < 2:
+        raise DomainError("need at least two observations")
+    vh = _require_precision(varphi_hat, "varphi_hat")
+    deviance = _precision_deviance_curve(n, vh)
+
+    def signed_root(varphi: float) -> float:
+        v = _require_precision(varphi, "varphi")
+        return math.copysign(math.sqrt(deviance(v)), vh - v)
+
+    return signed_root
 
 
 def signed_precision_root(n: int, varphi_hat: float, varphi: float) -> float:
     """First-order signed root of the precision profile deviance.
 
     Needs only the sample size and the precision estimate, so intervals can
-    be reconstructed from a stored fit summary.
+    be reconstructed from a stored fit summary.  One point of a fresh
+    :func:`signed_root_curve`; build the curve to evaluate many varphi.
     """
-    if n < 2:
-        raise DomainError("need at least two observations")
-    for name, v in (("varphi_hat", varphi_hat), ("varphi", varphi)):
-        if not (math.isfinite(v) and v > 0):
-            raise DomainError(f"{name} must be positive, got {v!r}")
-    return _signed_root(n, varphi_hat, varphi)
+    return signed_root_curve(n, varphi_hat)(varphi)
 
 
 def _root_window_nodes(zp_fn, varphi_hat: float, scale: float):
@@ -200,16 +209,35 @@ def _root_window_nodes(zp_fn, varphi_hat: float, scale: float):
     return nodes
 
 
-def _interpolate_through_window(x_nodes, y_nodes, x: float) -> float:
-    coeffs = np.polyfit(np.asarray(x_nodes), np.asarray(y_nodes), 3)
-    return float(np.polyval(coeffs, x))
+def _window_cubic(x_nodes, y_nodes) -> np.ndarray:
+    """Coefficients of the cubic through the four window nodes (np.polyval)."""
+    return np.polyfit(np.asarray(x_nodes), np.asarray(y_nodes), 3)
 
 
-def _require_precision(varphi: float) -> float:
-    v = float(varphi)
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"precision must be positive, got {varphi!r}")
-    return v
+def fraser_curve(km: KnownMeanGammaFit):
+    """varphi -> :func:`fraser_root_known_mu` for the sample fitted by ``km``.
+
+    Computed once per fit: the signed-root curve, sqrt(n * cumulant_d2(varphi_hat))
+    and, at the first varphi inside the window, its nodes and their cubic.
+    """
+    n, vh = km.n, km.varphi_hat
+    zp_fn = signed_root_curve(n, vh)
+    info_root = math.sqrt(n * cumulant_d2(vh))
+
+    @functools.cache
+    def window_cubic() -> np.ndarray:
+        nodes = _root_window_nodes(zp_fn, vh, 1.0 / info_root)
+        return _window_cubic(nodes, [modified_root_value(zp_fn(u), info_root * (vh - u))
+                                     for u in nodes])
+
+    def root(varphi: float) -> ModifiedRoot:
+        v = _require_precision(varphi)
+        zp, m = zp_fn(v), info_root * (vh - v)
+        inside = abs(zp) < ROOT_WINDOW
+        value = float(np.polyval(window_cubic(), v)) if inside else modified_root_value(zp, m)
+        return ModifiedRoot(signed_root=zp, correction=m, value=value, interpolated=inside)
+
+    return root
 
 
 def fraser_root_known_mu(sample: np.ndarray, varphi: float) -> ModifiedRoot:
@@ -217,34 +245,11 @@ def fraser_root_known_mu(sample: np.ndarray, varphi: float) -> ModifiedRoot:
 
     With the mean fixed at 1 the correction factor takes the closed form
     m = sqrt(n * cumulant_d2(varphi_hat)) * (varphi_hat - varphi).  The tail
-    confidence of the result is read from the standard normal law.
+    confidence of the result is read from the standard normal law.  One
+    point of a fresh :func:`fraser_curve`; build the curve for many varphi.
     """
     _require_precision(varphi)
-    return _fraser_root(fit_known_mean(sample), varphi)
-
-
-def _fraser_root(km: KnownMeanGammaFit, varphi: float) -> ModifiedRoot:
-    """:func:`fraser_root_known_mu` from a fit, for curves over many varphi."""
-    v = _require_precision(varphi)
-    n, vh = km.n, km.varphi_hat
-    info_root = math.sqrt(n * cumulant_d2(vh))
-
-    def zp_fn(u: float) -> float:
-        return _signed_root(n, vh, u)
-
-    def m_fn(u: float) -> float:
-        return info_root * (vh - u)
-
-    zp = zp_fn(v)
-    m = m_fn(v)
-    if abs(zp) >= ROOT_WINDOW:
-        return ModifiedRoot(signed_root=zp, correction=m,
-                            value=modified_root_value(zp, m))
-    nodes = _root_window_nodes(zp_fn, vh, 1.0 / info_root)
-    z_nodes = [modified_root_value(zp_fn(u), m_fn(u)) for u in nodes]
-    return ModifiedRoot(signed_root=zp, correction=m,
-                        value=_interpolate_through_window(nodes, z_nodes, v),
-                        interpolated=True)
+    return fraser_curve(fit_known_mean(sample))(varphi)
 
 
 # Array forms of the known-mean root, for a block of samples at once.
@@ -345,7 +350,7 @@ def _known_mean_roots(Y: np.ndarray, varphi: float):
     z_nodes = _modified_root_values(_signed_roots(n, vh_w, nodes), info_w * (vh_w - nodes))
     for i, x_nodes, y_nodes in zip(np.flatnonzero(interpolated), nodes, z_nodes):
         settled = np.isfinite(y_nodes).all()
-        value[i] = _interpolate_through_window(x_nodes, y_nodes, v) if settled else np.nan
+        value[i] = np.polyval(_window_cubic(x_nodes, y_nodes), v) if settled else np.nan
     return zp, value, interpolated, ~fit | ~np.isfinite(value)
 
 
@@ -354,19 +359,20 @@ def _known_mean_roots(Y: np.ndarray, varphi: float):
 # ---------------------------------------------------------------------------
 
 
-def _precision_correction_factor(data: Dataset, fit: GammaFit, varphi: float) -> float | None:
-    """m for the precision: information ratio with a score-form adjustment.
-
-    Returns None when the denominator or the ratio is nonpositive.  The
-    quadratic form contracts the scaled residuals through the design; at the
-    exact coefficient estimate the score X'((y - mu)/mu) vanishes, so the
-    adjustment is analytically zero there, but it is evaluated literally.
-    """
-    n, vh = fit.n, fit.varphi_hat
+def _precision_quad(data: Dataset, fit: GammaFit) -> float:
+    """The score quadratic form of the precision correction factor.  At the
+    exact estimate the score X'((y - mu)/mu) vanishes, so the form is
+    analytically zero there, but it is evaluated literally."""
     resid = data.y / fit.mu_hat - 1.0
     xr = data.X.T @ resid
     m_mat = data.X.T @ (data.X * (data.y / fit.mu_hat)[:, None])
-    quad = float(xr @ np.linalg.solve(m_mat, xr))
+    return float(xr @ np.linalg.solve(m_mat, xr))
+
+
+def _precision_correction_factor(quad: float, fit: GammaFit, varphi: float) -> float | None:
+    """m for the precision, an information ratio with a score-form adjustment
+    from the fit's :func:`_precision_quad`; None if m or its denominator is <= 0."""
+    n, vh = fit.n, fit.varphi_hat
     denom = n * cumulant_d2(varphi) - quad / varphi
     if denom <= 0.0:
         return None
@@ -374,38 +380,57 @@ def _precision_correction_factor(data: Dataset, fit: GammaFit, varphi: float) ->
     return m if m > 0.0 else None
 
 
-def skovgaard_precision(data: Dataset, fit: GammaFit, varphi: float) -> CorrectedDeviance:
-    """Corrected deviance for the gamma precision, chi-square(1) reference."""
-    v = float(varphi)
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"precision must be positive, got {varphi!r}")
-    dp = profile_deviance_precision(fit, v).value
-    sign = math.copysign(1.0, fit.varphi_hat - v) if v != fit.varphi_hat else 0.0
-    m = _precision_correction_factor(data, fit, v)
-    if m is None:
-        return CorrectedDeviance(deviance=dp, correction=math.nan, value=dp, dims=1,
-                                 sign=sign, correction_unavailable=True)
+def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
+    """varphi -> :func:`skovgaard_precision` for one fit.
 
-    if dp >= ROOT_WINDOW**2:
-        value, clamped = corrected_deviance_value(dp, m)
-        return CorrectedDeviance(deviance=dp, correction=m, value=value, dims=1,
-                                 sign=sign, clamped=clamped)
-
-    # near the maximum: interpolate d(varphi) through the window
+    Computed once per fit: the cumulant terms at varphi_hat, the score
+    quadratic form and, at the first varphi inside the window, its nodes,
+    their factors and their cubic.
+    """
     n, vh = fit.n, fit.varphi_hat
-    scale = 1.0 / math.sqrt(n * cumulant_d2(vh))
-    nodes = _root_window_nodes(lambda u: _signed_root(n, vh, u), vh, scale)
-    d_nodes = []
-    for u in nodes:
-        mu_ = _precision_correction_factor(data, fit, u)
-        if mu_ is None:
+    zp_fn = signed_root_curve(n, vh)
+    deviance = _precision_deviance_curve(n, vh)
+    quad = _precision_quad(data, fit)
+
+    @functools.cache
+    def window_cubic() -> np.ndarray | None:
+        nodes = _root_window_nodes(zp_fn, vh, 1.0 / math.sqrt(n * cumulant_d2(vh)))
+        d_nodes = []
+        for u in nodes:
+            m_node = _precision_correction_factor(quad, fit, u)
+            if m_node is None:
+                return None
+            d_nodes.append(corrected_deviance_value(deviance(u), m_node)[0])
+        return _window_cubic(nodes, d_nodes)
+
+    def corrected(varphi: float) -> CorrectedDeviance:
+        v = _require_precision(varphi)
+        dp = deviance(v)
+        sign = math.copysign(1.0, vh - v) if v != vh else 0.0
+        m = _precision_correction_factor(quad, fit, v)
+        if m is not None and dp >= ROOT_WINDOW**2:
+            value, clamped = corrected_deviance_value(dp, m)
+            return CorrectedDeviance(deviance=dp, correction=m, value=value, dims=1,
+                                     sign=sign, clamped=clamped)
+        # without a factor, or inside the window (then through its cubic)
+        cubic = None if m is None else window_cubic()
+        if cubic is None:
             return CorrectedDeviance(deviance=dp, correction=math.nan, value=dp, dims=1,
                                      sign=sign, correction_unavailable=True)
-        d_nodes.append(corrected_deviance_value(profile_deviance_precision(fit, u).value, mu_)[0])
-    value = _interpolate_through_window(nodes, d_nodes, v)
-    clamped = value < 0.0
-    return CorrectedDeviance(deviance=dp, correction=m, value=max(value, 0.0), dims=1,
-                             sign=sign, interpolated=True, clamped=clamped)
+        value = float(np.polyval(cubic, v))
+        return CorrectedDeviance(deviance=dp, correction=m, value=max(value, 0.0), dims=1,
+                                 sign=sign, interpolated=True, clamped=value < 0.0)
+
+    return corrected
+
+
+def skovgaard_precision(data: Dataset, fit: GammaFit, varphi: float) -> CorrectedDeviance:
+    """Corrected deviance for the gamma precision, chi-square(1) reference.
+
+    One point of a fresh :func:`skovgaard_precision_curve`; build the curve
+    to evaluate many varphi.
+    """
+    return skovgaard_precision_curve(data, fit)(varphi)
 
 
 def _beta_correction_factor(data: Dataset, fit: GammaFit, beta: np.ndarray,
@@ -488,7 +513,7 @@ def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedD
         d_nodes.append(val)
         if m_req is None:
             m_req = m_node
-    value = _interpolate_through_window(t_nodes, d_nodes, 1.0)
+    value = float(np.polyval(_window_cubic(t_nodes, d_nodes), 1.0))
     clamped = value < 0.0
     return CorrectedDeviance(deviance=dp, correction=m_req, value=max(value, 0.0),
                              dims=fit.p, interpolated=True, clamped=clamped)
@@ -514,7 +539,7 @@ def _residual_gram(X: np.ndarray, Y: np.ndarray, mu: np.ndarray):
 
 
 def _precision_quads(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
-    """The score quadratic form of :func:`_precision_correction_factor`, per row."""
+    """:func:`_precision_quad` for every row."""
     xr, m_mat = _residual_gram(X, Y, mu_hat)
     return np.matmul(np.swapaxes(xr, 1, 2), np.linalg.solve(m_mat, xr))[:, 0, 0]
 
@@ -568,7 +593,7 @@ def _window_values(x_nodes: np.ndarray, d_nodes: np.ndarray, unavailable: np.nda
     unavailable = unavailable.any(axis=1)
     value = np.where(settled & unavailable, deviance, np.nan)
     for i in np.flatnonzero(settled & ~unavailable):
-        value[i] = max(_interpolate_through_window(x_nodes[i], d_nodes[i], x), 0.0)
+        value[i] = max(np.polyval(_window_cubic(x_nodes[i], d_nodes[i]), x), 0.0)
     return value
 
 
@@ -695,13 +720,16 @@ def ball_confidence(corrected: CorrectedDeviance) -> float:
 def corrected_confidence_density(root_fn, grid: RealGrid) -> ConfidenceDensity:
     """Confidence density from a corrected root curve by finite differences.
 
-    ``root_fn`` maps a precision to a :class:`ModifiedRoot`; the density is
-    the central difference of Phi(root(theta)) with step span/2048, after
-    verifying the root curve is strictly monotone over the grid points
-    inside (0, inf).  Points at or below 0 carry density 0 and are not
-    evaluated; a point within one step of 0 takes the forward difference.
-    The finite-difference construction limits normalization accuracy to
-    about 1e-4 over a grid spanning the bulk of the mass.
+    ``root_fn`` maps a precision to a :class:`ModifiedRoot` and is called
+    about three times per grid point: pass a curve of one fit (such as
+    :func:`fraser_curve`), which computes its per-fit constants and window
+    cubic once, not a scalar function that redoes them per call.  The
+    density is the central difference of Phi(root(theta)) with step
+    span/2048, after verifying the root curve is strictly monotone over the
+    grid points inside (0, inf).  Points at or below 0 carry density 0 and
+    are not evaluated; a point within one step of 0 takes the forward
+    difference.  The finite-difference construction limits normalization
+    accuracy to about 1e-4 over a grid spanning the bulk of the mass.
     """
     points = grid.points[grid.points > 0.0]
     values = [root_fn(float(t)).value for t in points]
@@ -727,16 +755,16 @@ def corrected_confidence_density(root_fn, grid: RealGrid) -> ConfidenceDensity:
     return ConfidenceDensity(density, support=(lo, hi), label="corrected-root density")
 
 
+def _root_pivot(root_fn, hint: tuple[float, float],
+                label: str = "corrected precision root") -> Pivot:
+    """A precision curve varphi -> ModifiedRoot as a decreasing pivot on
+    (0, inf) with the (corrected) standard normal law."""
+    return Pivot(law=PivotLaw.corrected_normal(), value_fn=lambda v: root_fn(v).value,
+                 monotonic="decreasing", param_support=(0.0, math.inf), hint=hint, label=label)
+
+
 def fraser_pivot(sample: np.ndarray) -> Pivot:
-    """The modified root as a pivot with a (corrected) standard normal law."""
+    """The modified root as a pivot: one :func:`fraser_curve` of one fit."""
     km = fit_known_mean(sample)
     scale = 1.0 / math.sqrt(km.n * cumulant_d2(km.varphi_hat))
-    return Pivot(
-        law=PivotLaw.corrected_normal(),
-        value_fn=lambda v: _fraser_root(km, v).value,
-        jacobian_fn=None,
-        monotonic="decreasing",
-        param_support=(0.0, math.inf),
-        hint=(km.varphi_hat, scale),
-        label="modified precision root",
-    )
+    return _root_pivot(fraser_curve(km), (km.varphi_hat, scale), "modified precision root")
