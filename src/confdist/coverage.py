@@ -21,16 +21,16 @@ reject, unconverged or degenerate fits (at the estimate or at the truth),
 window rows whose nodes do not settle, and any row with a non-finite
 transform.
 
+The block coefficient fit is :func:`~confdist.gamma.fit_irls` row by row,
+bit for bit, so a regression row fails exactly when its scalar fit does.
 The array transforms are not the scalar ones' floats.  They agree to
-rounding (the precision solve uses np.log, the block IRLS starts from
-pinv(X) log y), and window rows agree to the accuracy of their node
-solves: Newton iterations stopped at the scalar root finder's tolerance,
-whose nodes are accepted within 1e-6 of their target roots (known mean and
-precision windows) or 1e-9 of their target deviances (coefficient rays).
-A hit can therefore differ from the per-replication engine's only for a
-transform within that distance of a level, and a failure only for a
-regression row whose IRLS converges from one start and not from the other.
-Reports have been observed byte-identical on every study compared, and
+rounding (the precision solve uses np.log), and window rows agree to the
+accuracy of their node solves: Newton iterations stopped at the scalar root
+finder's tolerance, whose nodes are accepted within 1e-6 of their target
+roots (known mean and precision windows) or 1e-9 of their target deviances
+(coefficient rays).  A hit can therefore differ from the per-replication
+engine's only for a transform within that distance of a level.  Reports
+have been observed byte-identical on every study compared, and
 tests/test_golden_reports.py pins the bundled scenarios.
 """
 
@@ -49,7 +49,6 @@ from .data import Dataset
 from .errors import ConfdistError, DomainError, ScenarioError
 from .gamma import (
     _DEGENERATE_MEAN_B,
-    _check_rank,
     _fit_irls_block,
     _profile_deviance_beta_array,
     _profile_deviance_precision_array,
@@ -282,12 +281,10 @@ def _study(sc: Scenario) -> _Study:
     if sc.model == "gamma_known_mu":
         return _Study()
     beta = np.array(sc.beta)
+    mean = np.exp(X @ beta) if sc.model == "gamma_regression" else X @ beta
+    svd = _svd_factors(Dataset(y=mean, X=X))  # SingularDesignError as in the fits
     if sc.model == "gamma_regression":
-        mean = np.exp(X @ beta)
-        _check_rank(Dataset(y=mean, X=X))  # SingularDesignError as in fit_irls
         return _Study(X, mean)
-    mean = X @ beta
-    svd = _svd_factors(Dataset(y=mean, X=X))  # SingularDesignError as in fit_ols
     n, p = X.shape
     truth = LinearFit(beta_hat=beta, phi_hat_m=sc.phi, xtx=X.T @ X, df=n - p, n=n, p=p)
     con = None

@@ -1,4 +1,4 @@
-"""Gamma regression with log link: likelihood, IRLS fit, and profile deviances.
+"""Gamma regression with log link: likelihood, Newton fit, and profile deviances.
 
 The model is y_i ~ Gamma with mean mu_i = exp(x_i' beta) and precision
 varphi (variance mu_i^2 / varphi).  Up to a data-only constant the
@@ -9,11 +9,12 @@ log-likelihood is
 where b_i = (y_i - mu_i)/mu_i - log(y_i/mu_i) >= 0 is the per-observation
 unit deviance term and cumulant(varphi) = log Gamma(varphi)
 - varphi*log(varphi) + varphi collects the precision-dependent normalizer.
-Under the log link the iterative weighted least squares update has identity
-weights, so beta is fit by repeated plain least squares on the working
-response; the precision then solves a strictly monotone scalar score
-equation.  Only this family/link pair is supported: the identity-weight
-simplification is specific to it.
+The summed unit deviance, sum_i (y_i exp(-eta_i) + eta_i) up to a constant,
+is strictly convex in beta with observed information X' diag(y/mu) X, so
+beta is fit by Newton's method with step halving from the least-squares fit
+of log(y); the precision then solves a strictly monotone scalar score
+equation.  One definition fits a block of responses at once, and the scalar
+fit is that block fit on one row.  Only this family/link pair is supported.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from scipy import special as _sf
 
 from .data import Dataset
 from .errors import ConvergenceError, DegenerateFitError, DomainError
+from .linear import _svd_factors
 from .numerics import digamma, find_root, log_gamma, trigamma
 
 __all__ = [
@@ -215,91 +217,48 @@ def _solve_precision_array(mean_b: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _check_rank(data: Dataset) -> None:
-    s = np.linalg.svd(data.X, compute_uv=False)
-    tol = np.finfo(float).eps * max(data.n, data.p) * s[0]
-    rank = int(np.sum(s > tol))
-    if rank < data.p:
-        data.raise_rank_deficient(rank, tol)
-
-
 def fit_irls(data: Dataset, init: np.ndarray | None = None,
              max_iter: int = _IRLS_MAX_ITER, tol: float = _IRLS_TOL) -> GammaFit:
-    """Maximum likelihood fit by iterative least squares on the working response.
+    """Maximum likelihood fit: Newton's method on the coefficients, then the precision.
 
-    Coefficients start at the least-squares fit of log(y) on X (exact for
-    noise-free data).  Each iteration regresses eta + (y - mu)/mu on X; a
-    proposed step that increases the summed unit deviance is halved until it
-    does not.  Convergence is a relative change of the summed unit deviance
-    below ``tol``; afterwards the precision solves its own score equation.
+    This is :func:`_fit_irls_block` on one row.  Coefficients start at
+    ``init`` or at the least-squares fit of log(y) on X (exact for
+    noise-free data); each Newton step solves the score against the
+    observed information and is halved while it raises the summed unit
+    deviance.  That deviance is strictly convex in the coefficients, so on a
+    full-rank design the iteration converges from any start in exact
+    arithmetic, and in about five steps from the least-squares start on
+    sampled data.  Afterwards the precision solves its own score equation.
 
     Raises :class:`ConvergenceError` (with the deviance trace attached) when
-    the iteration budget runs out, and :class:`DegenerateFitError` on a
-    perfect fit, which leaves the precision estimate unbounded; the error
-    carries the converged coefficients in ``beta_hat``.
+    the iteration stops short of convergence with a score sup-norm above
+    1e-8, and :class:`DegenerateFitError` on a perfect fit, which leaves the
+    precision estimate unbounded; the error carries the converged
+    coefficients in ``beta_hat``.
     """
     data.require_positive_response()
-    _check_rank(data)
-    X, y = data.X, data.y
-    xtx = X.T @ X
-
-    if init is not None:
-        beta = np.asarray(init, dtype=float)
-        if beta.shape != (data.p,):
-            raise DomainError(f"init must have length {data.p}")
+    svd = _svd_factors(data)  # SingularDesignError on a rank-deficient design
+    Y = data.y[None]
+    if init is None:
+        start = _log_least_squares(svd, Y)
     else:
-        beta = np.linalg.lstsq(X, np.log(y), rcond=None)[0]
-
-    def deviance_parts(b_vec):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            eta = X @ b_vec
-            mu = np.exp(eta)
-            terms = unit_deviance_terms(y, mu)
-            s = float(terms.sum())
-        return eta, mu, s
-
-    eta, mu, dev_sum = deviance_parts(beta)
+        start = np.asarray(init, dtype=float)[None]
+        if start.shape != (1, data.p):
+            raise DomainError(f"init must have length {data.p}")
+    deviances = []
+    beta, mu, sum_b, converged = _fit_irls_block(data.X, Y, start, max_iter, tol, deviances)
+    trace = [float(d[0]) for d in deviances]
+    beta, mu, dev_sum = beta[0], mu[0], float(sum_b[0])
     if not math.isfinite(dev_sum):
-        raise ConvergenceError("starting values give a non-finite deviance", trace=[dev_sum])
-
-    # The deviance is flat at the optimum, so a deviance-change rule alone
-    # leaves coefficient scores around 1e-7; convergence additionally
-    # requires the score itself near its floating-point floor.
-    score_tol = 1e-12 * data.n * max(1.0, float(np.max(np.abs(X))))
-    trace = [dev_sum]
-    converged = False
-    for _ in range(max_iter):
-        working = eta + (y - mu) / mu
-        proposal = np.linalg.solve(xtx, X.T @ working)
-        step = 1.0
-        # acceptance slack sits at the rounding floor of the summed deviance,
-        # so the last Newton steps are not rejected for float noise
-        slack = 1e-11 * max(1.0, abs(dev_sum))
-        while True:
-            candidate = beta + step * (proposal - beta)
-            eta_new, mu_new, dev_new = deviance_parts(candidate)
-            if math.isfinite(dev_new) and dev_new <= dev_sum + slack:
-                break
-            step *= 0.5
-            if step < 1e-10:
-                eta_new, mu_new, dev_new = eta, mu, dev_sum
-                candidate = beta
-                break
-        moved = abs(dev_sum - dev_new)
-        beta, eta, mu, dev_sum = candidate, eta_new, mu_new, dev_new
-        trace.append(dev_sum)
-        score_inf = float(np.max(np.abs(X.T @ (y / mu - 1.0))))
-        if moved <= tol * max(1.0, abs(dev_sum)) and score_inf <= score_tol:
-            converged = True
-            break
-
-    score = X.T @ (y / mu - 1.0)
-    if not converged and float(np.max(np.abs(score))) > 1e-8:
-        raise ConvergenceError(
-            f"IRLS did not converge in {max_iter} iterations "
-            f"(score sup-norm {float(np.max(np.abs(score))):.3e})",
-            trace=trace,
-        )
+        raise ConvergenceError("starting values give a non-finite deviance", trace=trace)
+    if not converged[0]:
+        score_inf = float(np.max(np.abs(data.X.T @ (data.y / mu - 1.0))))
+        if score_inf > 1e-8:
+            raise ConvergenceError(
+                f"IRLS did not converge in {len(trace) - 1} of {max_iter} iterations "
+                f"(score sup-norm {score_inf:.3e})",
+                trace=trace,
+            )
 
     mean_b = dev_sum / data.n
     if mean_b < _DEGENERATE_MEAN_B:
@@ -323,67 +282,98 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None,
     )
 
 
-def _fit_irls_block(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The coefficient iteration of :func:`fit_irls` for every row of ``Y`` at once.
+def _log_least_squares(svd: tuple[np.ndarray, ...], Y: np.ndarray) -> np.ndarray:
+    """pinv(X) log(y) for every row y of ``Y``, with pinv(X) formed from the
+    thin SVD (u, s, vt) of a full-rank X as np.linalg.pinv forms it."""
+    u, s, vt = svd
+    return np.matvec(vt.T @ ((1.0 / s)[:, None] * u.T), np.log(Y))
 
-    ``X`` must have full column rank and ``Y`` must be positive.  Each row
-    keeps its own step halving, acceptance slack, 1e-10 step floor,
-    deviance-and-score convergence rule and iteration budget.  Products and
-    solves are stacked per row, so they round as the scalar fit's do and a
-    row's result does not depend on the other rows of the block.  Only the
-    start, pinv(X) log(y), can differ from the scalar fit's least-squares
-    start in the last bits.
 
-    Returns (beta_hat, mu_hat, sum_b, converged).  A row that did not
-    converge, including one whose start gives a non-finite deviance, holds
-    NaN and must be refit by :func:`fit_irls`, which raises or accepts it as
-    the scalar rules say.
+def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray | None = None,
+                    max_iter: int = _IRLS_MAX_ITER, tol: float = _IRLS_TOL,
+                    trace: list | None = None) -> tuple[np.ndarray, ...]:
+    """Maximum likelihood coefficients of every row of ``Y`` by Newton's method.
+
+    ``X`` must have full column rank and ``Y`` must be positive.  Rows
+    start at ``start`` or at pinv(X) log(y).  A step solves the score
+    X'(y/mu - 1) against the observed information X' diag(y/mu) X; while
+    the summed unit deviance would rise by more than its rounding slack,
+    the step is halved, and below a 1e-10 fraction the row keeps its
+    iterate.  A row converges once its deviance moves by at most ``tol``
+    relatively and its score sup-norm sits at its floating-point floor.  A
+    row whose step fell below the floor would repeat that step, so it stops
+    unconverged, as it does when ``max_iter`` steps run out.  Products and
+    solves are stacked per row, so a row's result does not depend on the
+    other rows of the block: :func:`fit_irls` is this fit on one row.
+
+    Returns (beta_hat, mu_hat, sum_b, converged) with each row's last
+    iterate; a row whose start gives a non-finite deviance holds NaN.  Rows
+    that did not converge must be refit by :func:`fit_irls`, which raises
+    or accepts them as its rules say.  A ``trace`` list receives the summed
+    deviances of the start and, after each step, of the rows still
+    iterating.
     """
     rows = len(Y)
     beta_hat, mu_hat = np.full((rows, X.shape[1]), np.nan), np.full(Y.shape, np.nan)
     sum_b, converged = np.full(rows, np.nan), np.zeros(rows, dtype=bool)
-    xtx = X.T @ X
     score_tol = 1e-12 * X.shape[0] * max(1.0, float(np.max(np.abs(X))))
 
     def deviance_parts(B, Yr):
-        eta = np.matmul(X, B[:, :, None])[:, :, 0]
-        mu = np.exp(eta)
-        return eta, mu, unit_deviance_terms(Yr, mu).sum(axis=1)
+        mu = np.exp(np.matvec(X, B))
+        return mu, unit_deviance_terms(Yr, mu).sum(axis=1)
 
-    def gram_apply(V):  # X' v for every row v of V
-        return np.matmul(X.T, V[:, :, None])[:, :, 0]
-
+    if start is None:
+        start = _log_least_squares(np.linalg.svd(X, full_matrices=False), Y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        b = np.matmul(np.linalg.pinv(X), np.log(Y)[:, :, None])[:, :, 0]
-        e, m, d = deviance_parts(b, Y)
+        m, d = deviance_parts(start, Y)
+        if trace is not None:
+            trace.append(d.copy())
         # state of the rows still iterating, and their row numbers
         idx = np.flatnonzero(np.isfinite(d))
-        y, b, e, m, d = Y[idx], b[idx], e[idx], m[idx], d[idx]
-        for _ in range(_IRLS_MAX_ITER):
+        y, b, m, d = Y[idx], start[idx], m[idx], d[idx]
+        for _ in range(max_iter):
             if not idx.size:
                 break
-            proposal = np.linalg.solve(xtx, gram_apply(e + (y - m) / m)[:, :, None])[:, :, 0]
+            w = y / m  # observed-information weights
+            delta = _solve_rows(np.matmul(X.T * w[:, None, :], X), np.matvec(X.T, w - 1.0))
             d_old = d.copy()
             slack = 1e-11 * np.maximum(1.0, np.abs(d_old))
             # every row still pending has been halved equally often, so one
             # step serves them all; rows pending below the floor keep their values
             pending, step = np.arange(idx.size), 1.0
             while pending.size and step >= 1e-10:
-                cand = b[pending] + step * (proposal[pending] - b[pending])
-                ce, cm, cd = deviance_parts(cand, y[pending])
+                cand = b[pending] + step * delta[pending]
+                cm, cd = deviance_parts(cand, y[pending])
                 ok = np.isfinite(cd) & (cd <= d_old[pending] + slack[pending])
                 acc = pending[ok]
-                b[acc], e[acc], m[acc], d[acc] = cand[ok], ce[ok], cm[ok], cd[ok]
+                b[acc], m[acc], d[acc] = cand[ok], cm[ok], cd[ok]
                 pending, step = pending[~ok], step * 0.5
-            score_inf = np.max(np.abs(gram_apply(y / m - 1.0)), axis=1)
-            done = ((np.abs(d_old - d) <= _IRLS_TOL * np.maximum(1.0, np.abs(d)))
-                    & (score_inf <= score_tol))
+            if trace is not None:
+                trace.append(d.copy())
+            score_inf = np.abs(np.matvec(X.T, y / m - 1.0)).max(axis=1)
+            done = (np.abs(d_old - d) <= tol * np.maximum(1.0, np.abs(d))) & (score_inf <= score_tol)
+            converged[idx[done]] = True
+            done[pending] = True  # stalled: stop, unconverged
             if done.any():
-                fin = idx[done]
-                beta_hat[fin], mu_hat[fin], sum_b[fin], converged[fin] = b[done], m[done], d[done], True
-                keep = ~done
-                idx, y, b, e, m, d = idx[keep], y[keep], b[keep], e[keep], m[keep], d[keep]
+                fin, keep = idx[done], ~done
+                beta_hat[fin], mu_hat[fin], sum_b[fin] = b[done], m[done], d[done]
+                idx, y, b, m, d = idx[keep], y[keep], b[keep], m[keep], d[keep]
+        beta_hat[idx], mu_hat[idx], sum_b[idx] = b, m, d
     return beta_hat, mu_hat, sum_b, converged
+
+
+def _solve_rows(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x with H[i] x[i] = g[i] for every row i; NaN where H[i] is singular."""
+    try:
+        return np.linalg.solve(H, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full(g.shape, np.nan)
+        for i in range(len(g)):
+            try:
+                x[i] = np.linalg.solve(H[i:i + 1], g[i:i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
 
 
 # ---------------------------------------------------------------------------

@@ -202,20 +202,70 @@ class TestRegressionBlock:
         assert converged.mean() > 0.9
         for i in np.flatnonzero(converged):
             fit = fit_irls(Dataset(y=Y[i], X=study.X))
-            np.testing.assert_allclose(beta[i], fit.beta_hat, rtol=0, atol=1e-14)
-            assert sum_b[i] == pytest.approx(fit.sum_b, rel=1e-14)
+            assert np.array_equal(beta[i], fit.beta_hat)
+            assert sum_b[i] == fit.sum_b
         assert np.isnan(sum_b[~converged]).all()
 
     def test_window_and_unconverged_rows_match(self):
-        # the benchmark's gamma_regression shape at the seed whose study holds
-        # an IRLS fit that cycles until its budget runs out (a kept defect)
+        # the benchmark's gamma_regression shape at the seed whose replication
+        # 34 once ran out its Fisher-scoring budget far from the optimum;
+        # Newton's method fits every row
         sc = Scenario(model="gamma_regression", n=30, replications=100,
                       seed=7149797385448953174, levels=(0.05, 0.5, 0.95),
                       methods=REGRESSION_METHODS, beta=(0.5, -0.3), varphi=2.0)
         hits, flagged, used, failures = assert_counts_equal(sc)
-        assert failures == 1
+        assert failures == 0
         assert flagged[1] > 0 and flagged[3] > 0  # Skovgaard window rows
-        assert run_scenario(sc).failures == 1
+        assert run_scenario(sc).failures == 0
+
+    def test_formerly_failing_row_fits(self):
+        # replication 34 of the seed above stopped with ConvergenceError at a
+        # score sup-norm of 1.31 under Fisher scoring
+        sc = Scenario(model="gamma_regression", n=30, replications=100,
+                      seed=7149797385448953174, levels=(0.5,),
+                      methods=("first_order_precision",), beta=(0.5, -0.3), varphi=2.0)
+        study = coverage._study(sc)
+        y = coverage._responses(sc, study, range(34, 35))[0]
+        fit = fit_irls(Dataset(y=y, X=study.X))
+        score_tol = 1e-12 * sc.n * max(1.0, float(np.max(np.abs(study.X))))
+        assert np.max(np.abs(study.X.T @ (y / fit.mu_hat - 1.0))) <= score_tol
+
+    def test_singular_information_row_stops_alone(self):
+        # responses spanning 1e-207 to 1e285 make X' diag(y/mu) X singular in
+        # floating point at the start; the row stops unconverged, its block
+        # neighbours fit as they would alone
+        X = np.array([[1.0, 0.0], [1.0, 2.0], [1.0, -1.0]])
+        y = np.array([4.70171123472481e-207, 5.253145285862088e+285, 5887043564.1832])
+        with pytest.raises(ConvergenceError):
+            fit_irls(Dataset(y=y, X=X))
+        other = np.array([0.7, 2.9, 0.4])
+        beta, mu, sum_b, converged = _fit_irls_block(X, np.array([y, other]))
+        assert converged.tolist() == [False, True]
+        assert np.array_equal(beta[1], fit_irls(Dataset(y=other, X=X)).beta_hat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(design=st.sampled_from(["intercept", "gaussian"]), p=st.integers(1, 3),
+           extra=st.integers(2, 40), varphi=st.floats(0.3, 20.0), seed=seeds,
+           coef=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    def test_block_rows_are_one_row_fits(self, design, p, extra, varphi, seed, coef):
+        p = 1 if design == "intercept" else p
+        sc = Scenario(model="gamma_regression", n=min(p + extra, 40), replications=100,
+                      seed=seed, levels=(0.5,), methods=("first_order_precision",),
+                      beta=tuple(coef[:p]), varphi=varphi, design=design)
+        study = coverage._study(sc)
+        Y = coverage._responses(sc, study, range(20))
+        Y = Y[np.all(np.isfinite(Y) & (Y > 0.0), axis=1)]
+        want = []
+        for y in Y:
+            fit = fit_irls(Dataset(y=y, X=study.X))
+            want.append((fit.beta_hat, fit.mu_hat, fit.sum_b))
+        for size in (1, 3, 7, len(Y)):
+            for start in range(0, len(Y), max(size, 1)):
+                beta, mu, sum_b, converged = _fit_irls_block(study.X, Y[start:start + size])
+                assert converged.all()
+                for i, (b, m, s) in enumerate(want[start:start + size]):
+                    assert np.array_equal(beta[i], b) and np.array_equal(mu[i], m)
+                    assert sum_b[i] == s
 
     def test_low_precision_study_leaks_no_warnings(self):
         # at n=5, varphi=0.3 fitted means overflow and underflow; replication

@@ -100,7 +100,7 @@ GOLDEN = {
         "25ef164492cf2910dea28a4e6664c9602b646b2985532df18c963c43ec5ef86a",
     "confdens_known_mu_fraser": "8ead138ed84f8f1e8a8c41b4f0035b7a9c228a89526ba6a675fb38c670ad7486",
     "confdens_variance_exact": "29a58205c687c28077b8ab0b8f71c5ea180700b8c143b81a160f8bffda8c32c8",
-    "fit_gamma": "b15c3b7e6a446afab55448872a8616e51f497ff74a59daf79200ac48b0100ccc",
+    "fit_gamma": "ef40742a29a37549a6e0a6b4f0c82d51092f31da20bbdef26c7ccfa104b5cd80",
     "fit_known_mu": "16b2c10201da9c454e8e1f6e1ad8cb588db19caba64305f98b131a394634edf3",
     "fit_normal": "041398803da87ed0e8a2ef41b1202808f2b9670d2e7b4e9c39b842a63c7240ad",
     "fit_normal_text": "59f4a001af6e2845da2bb4002481187c9ecfa98e9c6a408ba3c68061f2a32d08",
