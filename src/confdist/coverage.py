@@ -1,25 +1,29 @@
 """Monte Carlo verification that observed-interval confidence equals coverage.
 
 A scenario fixes a model, a true parameter, a design, sample size, nominal
-levels, and methods.  Each replication draws data from the truth on its own
-random stream (stream id = replication index, so results are independent of
-execution order and worker count), fits the model, and evaluates each
-method's one-sided confidence transform at the truth; the truth is covered
-by the level-alpha statement exactly when that transform is <= alpha.
-Reports reduce hit counts, so a run is reproducible bit for bit across any
-number of workers.
+levels, and methods.  Each replication draws data from the truth, fits the
+model, and evaluates each method's one-sided confidence transform at the
+truth; the truth is covered by the level-alpha statement exactly when that
+transform is <= alpha.
 
-Replications run in blocks.  A block's responses come from
-:func:`~confdist.numerics.rng_block_draws`, whose rows are the unchanged
-per-replication streams, bit for bit.  Every model fits and transforms a
-whole block as arrays, from design quantities computed once per study,
-Skovgaard and Fraser window rows included: their interpolation nodes are
-solved for all window rows of a block at once.  The gamma models send the
-few rows the array path does not settle through the scalar transforms,
-which also decide whether such a row fails: samples the scalar checks
-reject, unconverged or degenerate fits (at the estimate or at the truth),
-window rows whose nodes do not settle, and any row with a non-finite
-transform.
+The random-stream contract (version 2, reported as ``stream_version``)
+splits the replications into stream blocks of ``_STREAM_BLOCK`` = 256.
+Block b is one flat draw, ``rng_draws(RngStream(seed, b), law, rows * n)``
+reshaped to (rows, n), and replication r is row r mod 256 of block
+r // 256.  A generator fills its output in order, so a short last block is
+the leading rows of a full one: a replication's data depend on neither the
+study's size nor the worker count.  Reports reduce hit counts, so a run is
+reproducible bit for bit across any number of workers.
+
+Replications run in compute blocks of whole stream blocks.  Every model
+fits and transforms a whole compute block as arrays, from design quantities
+computed once per study, Skovgaard and Fraser window rows included: their
+interpolation nodes are solved for all window rows of a block at once.  The
+gamma models send the few rows the array path does not settle through the
+scalar transforms, which also decide whether such a row fails: samples the
+scalar checks reject, unconverged or degenerate fits (at the estimate or at
+the truth), window rows whose nodes do not settle, and any row with a
+non-finite transform.
 
 The block coefficient fit is :func:`~confdist.gamma.fit_irls` row by row,
 bit for bit, so a regression row fails exactly when its scalar fit does.
@@ -28,9 +32,9 @@ rounding (the precision solve uses np.log), and window rows agree to the
 accuracy of their node solves: Newton iterations stopped at the scalar root
 finder's tolerance, whose nodes are accepted within 1e-6 of their target
 roots (known mean and precision windows) or 1e-9 of their target deviances
-(coefficient rays).  A hit can therefore differ from the per-replication
-engine's only for a transform within that distance of a level.  Reports
-have been observed byte-identical on every study compared, and
+(coefficient rays).  A hit can therefore differ from the scalar
+transforms' only for a transform within that distance of a level.  Hit
+counts have been observed equal on every study compared, and
 tests/test_golden_reports.py pins the bundled scenarios.
 """
 
@@ -69,22 +73,28 @@ from .higher_order import (
     skovgaard_precision,
 )
 from .linear import Contrast, LinearFit, _rss_noise_floor, _svd_factors, contrast
-from .numerics import RngStream, chisq_cdf, normal_cdf, rng_block_draws, rng_draws
+from .numerics import RngStream, chisq_cdf, normal_cdf, rng_draws
 
 __all__ = ["Scenario", "CoverageRow", "CoverageReport", "MethodComparison",
            "run_scenario", "compare_methods", "design_matrix"]
 
 SCHEMA_VERSION = 1
+STREAM_VERSION = 2
 
-# Stream id reserved for generating recipe-based designs; replication ids
-# stay well below it.
+# Replications per stream block: part of the stream contract, so changing it
+# changes every report.
+_STREAM_BLOCK = 256
+
+# Stream id reserved for generating recipe-based designs.
 _DESIGN_STREAM = 2**63
 
-# Block draws key one stream per replication id, and need ids below 2**32.
+# A bound on a study's size; its stream block ids stay below 2**24, far
+# below _DESIGN_STREAM.
 _MAX_REPLICATIONS = 2**32
 
-# Response values per block (rows x n).  Large enough that the per-block
-# setup is noise, small enough that a block's arrays stay in cache.
+# Response values per compute block (rows x n), rounded down to whole stream
+# blocks.  Large enough that the per-block setup is noise, small enough that
+# a block's arrays stay in cache; it changes no output.
 _BLOCK_VALUES = 2**15
 
 _MODEL_METHODS = {
@@ -216,6 +226,7 @@ class CoverageReport:
     def to_json(self) -> str:
         payload = {
             "schema_version": self.schema_version,
+            "stream_version": STREAM_VERSION,
             "scenario": self.scenario,
             "failures": self.failures,
             "runtime_seconds": self.runtime_seconds,
@@ -295,18 +306,28 @@ def _study(sc: Scenario) -> _Study:
 
 
 def _blocks(reps: range, n: int):
-    """Consecutive sub-ranges of ``reps`` holding at most _BLOCK_VALUES responses."""
-    step = max(1, _BLOCK_VALUES // n)
+    """Consecutive sub-ranges of ``reps``, each of whole stream blocks holding
+    at most _BLOCK_VALUES responses (or one stream block, if that holds more)."""
+    step = _STREAM_BLOCK * max(1, _BLOCK_VALUES // (n * _STREAM_BLOCK))
     for start in range(reps.start, reps.stop, step):
         yield range(start, min(start + step, reps.stop))
 
 
 def _responses(sc: Scenario, study: _Study, ids: range) -> np.ndarray:
-    """One row of responses per replication id, each from its own stream."""
+    """One row of responses per replication id, drawn a stream block at a time."""
     if sc.model == "normal_regression":
-        noise = rng_block_draws(sc.seed, ids, "normal", sc.n)
-        return study.mean + math.sqrt(sc.phi) * noise
-    raw = rng_block_draws(sc.seed, ids, "gamma", sc.n, shape=sc.varphi, scale=1.0 / sc.varphi)
+        law, kw = "normal", {}
+    else:
+        law, kw = "gamma", {"shape": sc.varphi, "scale": 1.0 / sc.varphi}
+    rows = []
+    for b in range(ids.start // _STREAM_BLOCK, -(-ids.stop // _STREAM_BLOCK)):
+        first = b * _STREAM_BLOCK
+        count = min(ids.stop, first + _STREAM_BLOCK) - first
+        draws = rng_draws(RngStream(sc.seed, b), law, count * sc.n, **kw)
+        rows.append(draws.reshape(count, sc.n)[max(ids.start - first, 0):])
+    raw = np.concatenate(rows)
+    if sc.model == "normal_regression":
+        return study.mean + math.sqrt(sc.phi) * raw
     return raw if sc.model == "gamma_known_mu" else study.mean * raw
 
 
@@ -478,24 +499,27 @@ def _run_chunk(sc: Scenario, study: _Study, reps: range) -> tuple:
 def run_scenario(sc: Scenario, jobs: int = 1) -> CoverageReport:
     """Execute every replication and reduce the hit counts into a report.
 
-    ``jobs`` > 1 splits the replication range across worker processes; the
-    report is identical for any job count because stream ids are replication
-    indices and the reduction is an order-insensitive sum.  Replications
-    whose fit or scalar transform fails are excluded and counted; more than
-    1% failures aborts the scenario.
+    ``jobs`` > 1 splits the stream blocks into at most ``jobs`` chunks, one
+    per worker process; a single chunk runs in this process.  The report is
+    identical for any job count because a replication's data do not depend
+    on its chunk and the reduction is an order-insensitive sum.
+    Replications whose fit or scalar transform fails are excluded and
+    counted; more than 1% failures aborts the scenario.
     """
     start = time.monotonic()
     if jobs < 1:
         raise DomainError(f"jobs must be positive, got {jobs!r}")
     study = _study(sc)
 
-    if jobs == 1:
-        parts = [_run_chunk(sc, study, range(sc.replications))]
+    blocks = -(-sc.replications // _STREAM_BLOCK)
+    jobs = min(jobs, blocks)
+    edges = [min(sc.replications, _STREAM_BLOCK * (blocks * k // jobs)) for k in range(jobs + 1)]
+    chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
+    if len(chunks) == 1:
+        parts = [_run_chunk(sc, study, chunks[0])]
     else:
-        chunk_edges = np.linspace(0, sc.replications, jobs + 1).astype(int)
-        ranges = [range(a, b) for a, b in zip(chunk_edges, chunk_edges[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_chunk, [sc] * len(ranges), [study] * len(ranges), ranges))
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_run_chunk, [sc] * len(chunks), [study] * len(chunks), chunks))
 
     hits = sum(p[0] for p in parts)
     flagged = sum(p[1] for p in parts)

@@ -17,7 +17,7 @@ from scipy import integrate as _scipy_integrate
 from scipy import optimize as _scipy_optimize
 from scipy import special as _sf
 
-from .errors import AccuracyError, BracketingError, ContractViolationError, DomainError
+from .errors import AccuracyError, BracketingError, DomainError
 
 __all__ = [
     "RealGrid",
@@ -38,7 +38,6 @@ __all__ = [
     "find_root",
     "integrate",
     "rng_draws",
-    "rng_block_draws",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -96,14 +95,11 @@ class RngStream:
     """Immutable descriptor for a reproducible random stream.
 
     The same (seed, stream_id, offset) triple always reproduces the same
-    draws; distinct stream_ids give statistically independent sequences, so
-    Monte Carlo replication ``r`` can simply use ``stream_id=r``.  Drawing
+    draws; distinct stream_ids give statistically independent sequences.
+    Coverage studies key one stream per block of replications (see
+    :mod:`confdist.coverage`) and draw the whole block in one call.  Drawing
     never mutates the descriptor: to continue a sequence functionally, use
     :meth:`advanced` and draw again from the returned descriptor.
-
-    :func:`rng_block_draws` serves many streams of one seed at once and is
-    bit-identical to this descriptor: its row for stream id ``r`` (offset 0,
-    ``r < 2**32``) equals ``rng_draws(RngStream(seed, r), ...)`` exactly.
     """
 
     seed: int
@@ -398,27 +394,6 @@ def integrate(f, domain: tuple[float, float], tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sampler(law: str, shape: float | None, scale: float | None):
-    """(generator, n) -> n variates of ``law``, after checking its parameters."""
-    if law == "uniform":
-        return lambda gen, n: gen.random(n)
-    if law == "normal":
-        return lambda gen, n: gen.standard_normal(n)
-    if law == "gamma":
-        if shape is None or scale is None:
-            raise DomainError("gamma draws need shape and scale")
-        shape = _require_positive("shape", shape)
-        scale = _require_positive("scale", scale)
-        return lambda gen, n: gen.gamma(shape, scale, n)
-    raise DomainError(f"unknown law {law!r}; expected uniform, normal, or gamma")
-
-
-def _require_count(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def rng_draws(
     stream: RngStream,
     law: str,
@@ -431,111 +406,20 @@ def rng_draws(
     Supported laws: ``"uniform"`` on [0, 1), ``"normal"`` (standard), and
     ``"gamma"`` with keyword ``shape``/``scale``.  The call is pure: the same
     descriptor always returns the same vector, and shared state is never
-    mutated (continue a sequence via ``stream.advanced()``).
+    mutated (continue a sequence via ``stream.advanced()``).  The generator
+    fills its output in order, so the first k of ``n`` draws equal a call
+    for k draws.
     """
-    n = _require_count(n)
-    return _sampler(law, shape, scale)(stream.generator(), n)
-
-
-# SeedSequence's hashing constants (numpy/random/bit_generator.pyx).  NumPy's
-# RNG policy (NEP 19) freezes the SeedSequence algorithm, and every block is
-# cross-checked against a real SeedSequence in case that ever changes.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
-
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's word hash: xor, multiply, fold, advancing its constant."""
-
-    def hash_words(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * mult) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    return hash_words
-
-
-def _stream_keys(seed: int, ids: np.ndarray) -> np.ndarray:
-    """Philox keys of ``RngStream(seed, r)`` for every r in ``ids``, shape (len, 2).
-
-    Replays ``SeedSequence([seed, r, 0]).generate_state(2, np.uint64)`` in
-    uint32 array arithmetic, one array lane per stream id.  Every id must be
-    below 2**32, so it is a single entropy word and the entropy (one or two
-    seed words, the id, the zero offset) never exceeds the pool of four.
-    """
-
-    def word(w: int) -> np.ndarray:
-        return np.full(ids.size, w, dtype=np.uint32)
-
-    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [word(w) for w in seed_words] + [ids.astype(np.uint32), word(0)]
-    entropy += [word(0)] * (_POOL_SIZE - len(entropy))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(e) for e in entropy]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed = (pool[dst] * np.uint32(_MIX_MULT_L)
-                         - hashmix(pool[src]) * np.uint32(_MIX_MULT_R))
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    generate = _hasher(_INIT_B, _MULT_B)  # generate_state: four words, two keys
-    words = [generate(w).astype(np.uint64) for w in pool]
-    return np.stack([words[0] | (words[1] << np.uint64(32)),
-                     words[2] | (words[3] << np.uint64(32))], axis=1)
-
-
-def rng_block_draws(
-    seed: int,
-    stream_ids,
-    law: str,
-    n: int,
-    shape: float | None = None,
-    scale: float | None = None,
-) -> np.ndarray:
-    """Draws for many streams of one seed: row i holds stream ``stream_ids[i]``.
-
-    Row i equals ``rng_draws(RngStream(seed, stream_ids[i]), law, n, shape,
-    scale)`` bit for bit.  The Philox keys of all streams are computed at
-    once, and one generator is re-keyed per row (counter 0, empty buffer)
-    instead of being built per stream.  Stream ids must lie in [0, 2**32).
-    Raises :class:`ContractViolationError` if the first row's key disagrees
-    with NumPy's own SeedSequence.
-    """
-    seed = _require_u64("seed", seed)
-    n = _require_count(n)
-    sample = _sampler(law, shape, scale)
-    ids = np.asarray(stream_ids)
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-        raise DomainError("stream ids must be a one-dimensional integer sequence")
-    out = np.empty((ids.size, n))
-    if ids.size == 0:
-        return out
-    if ids.min() < 0 or ids.max() > _MASK32:
-        raise DomainError("block draws need stream ids in [0, 2**32)")
-    keys = _stream_keys(seed, ids)
-    first = np.random.SeedSequence([seed, int(ids[0]), 0]).generate_state(2, np.uint64)
-    if not np.array_equal(keys[0], first):
-        raise ContractViolationError(
-            "block stream keys disagree with numpy.random.SeedSequence; "
-            "its mixing algorithm has changed"
-        )
-    bitgen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bitgen)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": keys[0]},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # buffer empty: the next draw runs the counter
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for i, key in enumerate(keys):
-        state["state"]["key"] = key
-        bitgen.state = state
-        out[i] = sample(gen, n)
-    return out
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if law == "uniform":
+        return stream.generator().random(n)
+    if law == "normal":
+        return stream.generator().standard_normal(n)
+    if law == "gamma":
+        if shape is None or scale is None:
+            raise DomainError("gamma draws need shape and scale")
+        shape = _require_positive("shape", shape)
+        scale = _require_positive("scale", scale)
+        return stream.generator().gamma(shape, scale, n)
+    raise DomainError(f"unknown law {law!r}; expected uniform, normal, or gamma")

@@ -1,27 +1,21 @@
-"""The block replication engine against per-replication oracles.
+"""The block replication engine against the stream contract and oracles.
 
-Block draws must reproduce every replication's own stream bit for bit, and
-the normal-regression block transforms must give the hit, used and failure
-counts that fitting one replication at a time with the public API gives.
+Block draws must follow the stream contract (version 2, see
+``tests/streams.py``) whatever the study's size, compute block or worker
+count, and the normal-regression block transforms must give the hit, used
+and failure counts that fitting one replication at a time with the public
+API gives.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import confdist.numerics
 from confdist import coverage
 from confdist.coverage import Scenario, design_matrix, run_scenario
 from confdist.data import Dataset
-from confdist.errors import (
-    ContractViolationError,
-    DegenerateFitError,
-    DomainError,
-    SingularDesignError,
-)
+from confdist.errors import DegenerateFitError, SingularDesignError
 from confdist.linear import (
     coefficient_ball_pivot,
     contrast,
@@ -29,42 +23,100 @@ from confdist.linear import (
     fit_ols,
     variance_pivot,
 )
-from confdist.numerics import RngStream, rng_block_draws, rng_draws
+from streams import replication_responses, stream_blocks
 
 EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
 
+# (model, varphi): normal draws, and gamma draws of a small and a large shape
+LAWS = [("normal_regression", None), ("gamma_known_mu", 0.3), ("gamma_known_mu", 20.0)]
+
+
+def draw_scenario(law, seed: int, replications: int = 100, n: int = 6) -> Scenario:
+    model, varphi = law
+    if model == "normal_regression":
+        return Scenario(model=model, n=n, replications=replications, seed=seed,
+                        levels=(0.05, 0.5, 0.95), methods=("variance_chisq", "contrast_t"),
+                        beta=(1.0, -0.5), phi=2.0)
+    return Scenario(model=model, n=n, replications=replications, seed=seed,
+                    levels=(0.05, 0.5, 0.95), methods=("first_order_z", "fraser_z"),
+                    varphi=varphi)
+
+
+def contract_rows(sc: Scenario, ids) -> np.ndarray:
+    mean = coverage._study(sc).mean
+    return np.array([replication_responses(sc, mean, r) for r in ids])
+
+
+contract_cases = pytest.mark.parametrize(
+    "law,seed", [(law, seed) for law in LAWS for seed in EDGE_SEEDS])
+
 
 class TestBlockDraws:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=seeds, start=st.integers(0, 2**32 - 64), n=st.integers(1200, 4000),
-           law=st.sampled_from(["normal", "gamma"]))
-    def test_rows_equal_per_stream_draws_across_block_edges(self, seed, start, n, law):
-        kw = {"shape": 1.7, "scale": 0.6} if law == "gamma" else {}
-        step = len(next(coverage._blocks(range(start, 2**32), n)))
-        ids = range(start, start + step + 3)
-        blocks = list(coverage._blocks(ids, n))
-        assert len(blocks) == 2
-        got = np.vstack([rng_block_draws(seed, b, law, n, **kw) for b in blocks])
-        want = np.array([rng_draws(RngStream(seed, r), law, n, **kw) for r in ids])
-        assert np.array_equal(got, want)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=seeds, start=st.integers(0, 2**32 - 1024), n=st.integers(3, 40),
+           law=st.sampled_from(LAWS), per_compute=st.integers(1, 3))
+    def test_rows_equal_per_stream_draws_across_block_edges(self, seed, start, n, law,
+                                                            per_compute):
+        # compute blocks of one to three stream blocks, over a range that
+        # starts and ends inside a stream block
+        ids = range(start, start + 3 * coverage._STREAM_BLOCK + 5)
+        for s in [*EDGE_SEEDS, seed]:
+            sc = draw_scenario(law, s, n=n)
+            study = coverage._study(sc)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(coverage, "_BLOCK_VALUES", per_compute * coverage._STREAM_BLOCK * n)
+                got = np.vstack([coverage._responses(sc, study, b)
+                                 for b in coverage._blocks(ids, n)])
+            assert np.array_equal(got, contract_rows(sc, ids))
 
     def test_largest_stream_id(self):
-        got = rng_block_draws(2**64 - 1, [2**32 - 1, 0], "normal", 5)
-        assert np.array_equal(got[0], rng_draws(RngStream(2**64 - 1, 2**32 - 1), "normal", 5))
-        assert np.array_equal(got[1], rng_draws(RngStream(2**64 - 1, 0), "normal", 5))
+        last = coverage._MAX_REPLICATIONS - 1
+        assert last // coverage._STREAM_BLOCK == 2**24 - 1 < coverage._DESIGN_STREAM
+        for law in LAWS:
+            for seed in EDGE_SEEDS:
+                sc = draw_scenario(law, seed, replications=coverage._MAX_REPLICATIONS)
+                ids = range(last - 1, last + 1)
+                got = coverage._responses(sc, coverage._study(sc), ids)
+                assert np.array_equal(got, contract_rows(sc, ids))
 
-    @pytest.mark.parametrize("ids", [[2**32], [-1], [[0, 1]]])
-    def test_stream_ids_outside_u32_rejected(self, ids):
-        with pytest.raises(DomainError):
-            rng_block_draws(1, ids, "normal", 3)
+    @contract_cases
+    def test_partial_block_is_leading_rows_of_full_block(self, law, seed):
+        sc = draw_scenario(law, seed)
+        study = coverage._study(sc)
+        size = coverage._STREAM_BLOCK
+        for first in (0, size):
+            full = coverage._responses(sc, study, range(first, first + size))
+            assert np.array_equal(full, contract_rows(sc, range(first, first + size)))
+            for rows in (1, 37, size - 1):
+                part = coverage._responses(sc, study, range(first, first + rows))
+                assert np.array_equal(part, full[:rows])
 
-    def test_key_mismatch_with_seed_sequence_is_caught(self, monkeypatch):
-        real = confdist.numerics._stream_keys
-        monkeypatch.setattr(confdist.numerics, "_stream_keys",
-                            lambda seed, ids: real(seed, ids) ^ np.uint64(1))
-        with pytest.raises(ContractViolationError):
-            rng_block_draws(7, range(3), "normal", 4)
+    @contract_cases
+    def test_replication_rows_do_not_depend_on_study_size(self, law, seed, monkeypatch):
+        # record what the engine fits; 300 and 700 replications end in
+        # different stream blocks, and inside them
+        fitted = {}
+        name = "_normal_block" if law[0] == "normal_regression" else "_gamma_block"
+        real = getattr(coverage, name)
+
+        def recording(sc, study, Y):
+            fitted.setdefault(sc.replications, []).append(Y.copy())
+            return real(sc, study, Y)
+
+        monkeypatch.setattr(coverage, name, recording)
+        for replications in (300, 700):
+            run_scenario(draw_scenario(law, seed, replications))
+        small, large = (np.vstack(fitted[r]) for r in (300, 700))
+        assert np.array_equal(small, large[:300])
+
+    @contract_cases
+    def test_block_values_change_no_csv_byte(self, law, seed, monkeypatch):
+        sc = draw_scenario(law, seed, replications=3 * coverage._STREAM_BLOCK + 7)
+        csv = run_scenario(sc).to_csv()
+        for values in (1, 2 * coverage._STREAM_BLOCK * sc.n, 2**40):
+            monkeypatch.setattr(coverage, "_BLOCK_VALUES", values)
+            assert run_scenario(sc).to_csv() == csv
 
 
 def oracle_counts(sc: Scenario):
@@ -77,8 +129,7 @@ def oracle_counts(sc: Scenario):
     used = np.zeros(len(sc.methods), dtype=np.int64)
     failures = 0
     for r in range(sc.replications):
-        y = X @ beta + math.sqrt(sc.phi) * rng_draws(RngStream(sc.seed, r), "normal", sc.n)
-        fit = fit_ols(Dataset(y=y, X=X))
+        fit = fit_ols(Dataset(y=replication_responses(sc, X @ beta, r), X=X))
         try:
             pivots = {
                 "variance_chisq": (variance_pivot(fit), sc.phi),
@@ -126,13 +177,11 @@ def normal_scenarios(draw):
 
 class TestNormalBlockTransforms:
     @settings(max_examples=25, deadline=None)
-    @given(sc=normal_scenarios())
-    def test_counts_equal_per_replication_oracle(self, sc):
-        # a small block budget makes the engine cross block edges here too
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coverage, "_BLOCK_VALUES", 7 * sc.n)
+    @given(sc=normal_scenarios(), stream_block=st.integers(1, 40))
+    def test_counts_equal_per_replication_oracle(self, sc, stream_block):
+        with stream_blocks(sc, stream_block):
             hits, used, failures = engine_counts(sc)
-        want_hits, want_used, want_failures = oracle_counts(sc)
+            want_hits, want_used, want_failures = oracle_counts(sc)
         assert np.array_equal(hits, want_hits)
         assert np.array_equal(used, want_used)
         assert failures == want_failures == 0
@@ -171,10 +220,37 @@ def test_jobs_give_identical_bytes_off_block_multiples():
     assert run_scenario(sc, jobs=3).to_csv() == csv1
 
 
+def test_jobs_split_on_stream_blocks():
+    # four stream blocks, the last of 7 rows: two chunks of two blocks, or
+    # three chunks of one, one and two blocks
+    sc = Scenario(model="normal_regression", n=15, replications=3 * 256 + 7, seed=22,
+                  levels=(0.05, 0.5, 0.95),
+                  methods=("variance_chisq", "contrast_t", "coefficient_f"),
+                  beta=(1.0, -0.5, 0.25), phi=2.0)
+    csv1 = run_scenario(sc, jobs=1).to_csv()
+    assert run_scenario(sc, jobs=2).to_csv() == csv1
+    assert run_scenario(sc, jobs=3).to_csv() == csv1
+
+
+def test_one_block_study_starts_no_workers(monkeypatch):
+    sc = Scenario(model="normal_regression", n=15, replications=200, seed=23,
+                  levels=(0.05, 0.5, 0.95), methods=("variance_chisq", "contrast_t"),
+                  beta=(1.0, -0.5, 0.25), phi=2.0)
+    csv1 = run_scenario(sc, jobs=1).to_csv()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single chunk must run in-process")
+
+    monkeypatch.setattr(coverage, "ProcessPoolExecutor", no_pool)
+    assert run_scenario(sc, jobs=4).to_csv() == csv1
+
+
 @pytest.mark.parametrize("n,beta", [(15, (1.0, -0.5, 0.25)), (8, (2.0,)), (30, (0.3, 1.0, -2.0, 0.5))])
 def test_normal_transforms_do_not_depend_on_block_size(monkeypatch, n, beta):
     # every row rounds as fit_ols and the scalar pivots do, so blocks of any
-    # size (as in the tail block of a --jobs chunk) give the same bits
+    # size (as in the tail block of a --jobs chunk) give the same bits; one
+    # row per stream block lets compute blocks take any size
+    monkeypatch.setattr(coverage, "_STREAM_BLOCK", 1)
     p = len(beta)
     sc = Scenario(model="normal_regression", n=n, replications=150, seed=n, levels=(0.5,),
                   methods=("variance_chisq", "contrast_t", "coefficient_f"), beta=beta, phi=2.0,
@@ -195,8 +271,7 @@ def test_normal_transforms_do_not_depend_on_block_size(monkeypatch, n, beta):
             assert np.array_equal(got[m], whole[m])
     X, b, truth = design_matrix(sc), np.array(sc.contrast_vector), np.array(beta)
     for r in reps:
-        y = X @ truth + math.sqrt(sc.phi) * rng_draws(RngStream(sc.seed, r), "normal", sc.n)
-        fit = fit_ols(Dataset(y=y, X=X))
+        fit = fit_ols(Dataset(y=replication_responses(sc, X @ truth, r), X=X))
         pivots = {"variance_chisq": (variance_pivot(fit), sc.phi),
                   "contrast_t": (contrast_pivot(fit, contrast(fit, b)), float(b @ truth)),
                   "coefficient_f": (coefficient_ball_pivot(fit), truth)}

@@ -65,7 +65,8 @@ class TestScenarioValidation:
             normal_scenario(contrast_vector=(0.0, 0.0, 0.0))
 
     def test_replications_beyond_stream_ids_rejected(self):
-        # replication r draws from stream id r, and block draws need r < 2**32
+        # a bound on the study size; stream block ids r // 256 stay far below
+        # the design stream id 2**63
         with pytest.raises(ScenarioError, match="at most"):
             normal_scenario(replications=2**32 + 1)
 
@@ -175,6 +176,16 @@ class TestRunScenario:
                 "method", "level", "hit_count", "replications_used",
                 "empirical_coverage", "mc_stderr", "flagged_count",
             }
+
+    def test_json_report_names_the_stream_contract(self):
+        import json
+
+        sc = normal_scenario(replications=200)
+        payload = json.loads(run_scenario(sc).to_json())
+        assert payload["stream_version"] == 2
+        # the scenario dict stays a Scenario's constructor arguments
+        assert "stream_version" not in payload["scenario"]
+        assert Scenario(**payload["scenario"]).to_dict() == payload["scenario"]
 
     def test_meta_exactness_over_random_scenarios(self):
         # randomized scenario sweep: exact pivots stay within 4 mc_stderr of

@@ -46,6 +46,7 @@ from confdist.higher_order import (
     skovgaard_precision,
 )
 from confdist.numerics import RngStream, chisq_cdf, normal_cdf, rng_draws
+from streams import replication_responses, stream_blocks
 
 KNOWN_MU_METHODS = ("first_order_z", "fraser_z")
 REGRESSION_METHODS = ("first_order_precision", "skovgaard_precision",
@@ -90,9 +91,7 @@ def oracle_counts(sc: Scenario):
     used = np.zeros(len(sc.methods), dtype=np.int64)
     failures = 0
     for r in range(sc.replications):
-        draws = rng_draws(RngStream(sc.seed, r), "gamma", sc.n,
-                          shape=sc.varphi, scale=1.0 / sc.varphi)
-        y = draws if mean is None else mean * draws
+        y = replication_responses(sc, mean, r)
         try:
             transforms = oracle_transforms(sc, X, y)
         except (ConvergenceError, DegenerateFitError):
@@ -106,16 +105,10 @@ def oracle_counts(sc: Scenario):
     return hits, flagged, used, failures
 
 
-def engine_counts(sc: Scenario, rows_per_block: int):
-    # a small block budget makes the engine cross block edges
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coverage, "_BLOCK_VALUES", rows_per_block * sc.n)
-        return coverage._run_chunk(sc, coverage._study(sc), range(sc.replications))
-
-
-def assert_counts_equal(sc: Scenario, rows_per_block: int = 37):
-    got = engine_counts(sc, rows_per_block)
-    want = oracle_counts(sc)
+def assert_counts_equal(sc: Scenario, stream_block: int | None = None):
+    with stream_blocks(sc, stream_block):
+        got = coverage._run_chunk(sc, coverage._study(sc), range(sc.replications))
+        want = oracle_counts(sc)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     return want
@@ -157,9 +150,9 @@ def regression_scenarios(draw):
 
 class TestKnownMeanBlock:
     @settings(max_examples=25, deadline=None)
-    @given(sc=known_mu_scenarios(), rows_per_block=st.integers(5, 60))
-    def test_counts_equal_per_replication_oracle(self, sc, rows_per_block):
-        assert_counts_equal(sc, rows_per_block)
+    @given(sc=known_mu_scenarios(), stream_block=st.integers(1, 60))
+    def test_counts_equal_per_replication_oracle(self, sc, stream_block):
+        assert_counts_equal(sc, stream_block)
 
     @pytest.mark.parametrize("n,varphi", [(2, 0.3), (10, 2.0), (40, 20.0)])
     def test_window_rows_match(self, n, varphi):
@@ -188,9 +181,9 @@ class TestKnownMeanBlock:
 
 class TestRegressionBlock:
     @settings(max_examples=10, deadline=None)
-    @given(sc=regression_scenarios(), rows_per_block=st.integers(5, 60))
-    def test_counts_equal_per_replication_oracle(self, sc, rows_per_block):
-        assert_counts_equal(sc, rows_per_block)
+    @given(sc=regression_scenarios(), stream_block=st.integers(1, 60))
+    def test_counts_equal_per_replication_oracle(self, sc, stream_block):
+        assert_counts_equal(sc, stream_block)
 
     def test_block_irls_matches_fit_irls(self):
         sc = Scenario(model="gamma_regression", n=30, replications=300, seed=3,
@@ -209,13 +202,16 @@ class TestRegressionBlock:
     def test_window_and_unconverged_rows_match(self):
         # the benchmark's gamma_regression shape at the seed whose replication
         # 34 once ran out its Fisher-scoring budget far from the optimum;
-        # Newton's method fits every row
+        # Newton's method fits every row.  One row per stream block keys
+        # replication r on RngStream(seed, r), the data of that study.
         sc = Scenario(model="gamma_regression", n=30, replications=100,
                       seed=7149797385448953174, levels=(0.05, 0.5, 0.95),
                       methods=REGRESSION_METHODS, beta=(0.5, -0.3), varphi=2.0)
-        hits, flagged, used, failures = assert_counts_equal(sc)
+        hits, flagged, used, failures = assert_counts_equal(sc, stream_block=1)
         assert failures == 0
         assert flagged[1] > 0 and flagged[3] > 0  # Skovgaard window rows
+        with stream_blocks(sc, 1):
+            assert run_scenario(sc).failures == 0
         assert run_scenario(sc).failures == 0
 
     def test_formerly_failing_row_fits(self):
@@ -225,7 +221,8 @@ class TestRegressionBlock:
                       seed=7149797385448953174, levels=(0.5,),
                       methods=("first_order_precision",), beta=(0.5, -0.3), varphi=2.0)
         study = coverage._study(sc)
-        y = coverage._responses(sc, study, range(34, 35))[0]
+        y = study.mean * rng_draws(RngStream(sc.seed, 34), "gamma", sc.n,
+                                   shape=sc.varphi, scale=1.0 / sc.varphi)
         fit = fit_irls(Dataset(y=y, X=study.X))
         score_tol = 1e-12 * sc.n * max(1.0, float(np.max(np.abs(study.X))))
         assert np.max(np.abs(study.X.T @ (y / fit.mu_hat - 1.0))) <= score_tol
@@ -268,8 +265,9 @@ class TestRegressionBlock:
                     assert sum_b[i] == s
 
     def test_low_precision_study_leaks_no_warnings(self):
-        # at n=5, varphi=0.3 fitted means overflow and underflow; replication
-        # 99 of this study took log(0) inside fit_irls
+        # at n=5, varphi=0.3 fitted means overflow and underflow; the study
+        # whose replication r drew RngStream(seed, r) (one row per stream
+        # block) took log(0) inside fit_irls at replication 99
         sc = Scenario(model="gamma_regression", n=5, replications=100, seed=5,
                       levels=(0.5,), methods=("first_order_precision",),
                       beta=(0.5, -0.3), varphi=0.3)
@@ -279,6 +277,8 @@ class TestRegressionBlock:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit_irls(Dataset(y=y, X=X))
+            with stream_blocks(sc, 1):
+                assert run_scenario(sc).failures == 0
             assert run_scenario(sc).failures == 0
 
 
@@ -410,11 +410,11 @@ class TestSkovgaardWindowRows:
 
     @settings(max_examples=8, deadline=None)
     @given(sc=regression_scenarios(), replications=st.integers(300, 400),
-           rows_per_block=st.integers(5, 60))
-    def test_many_window_rows_count_as_oracle(self, sc, replications, rows_per_block):
+           stream_block=st.integers(1, 60))
+    def test_many_window_rows_count_as_oracle(self, sc, replications, stream_block):
         sc = Scenario(**{**sc.to_dict(), "replications": replications,
                          "methods": REGRESSION_METHODS, "levels": tuple(sc.levels)})
-        hits, flagged, used, failures = assert_counts_equal(sc, rows_per_block)
+        hits, flagged, used, failures = assert_counts_equal(sc, stream_block)
         assert flagged[1] > 0
 
     def test_window_rows_skip_the_scalar_path(self, monkeypatch):

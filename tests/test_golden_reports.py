@@ -16,13 +16,14 @@ from confdist.coverage import run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
+# Recorded under stream contract version 2 (coverage.STREAM_VERSION).
 GOLDEN_SHA256 = {
     ("gamma_dominance.ini", "gamma_dominance"):
-        "d3a3e2760ac0eb1b3d86ea274d3310f443af582f08c0e275dd14e9b7947ee89b",
+        "b0a85af9969742b42a93f8b2e9b82f1ff279cc1584bf44a43893939975e31a44",
     ("gamma_dominance.ini", "gamma_regression_precision"):
-        "b0550b21d95ece74dcdb993e69ce3d4f99bdd8d88671f22de30e0d9fbe421579",
+        "c1f8122113d2d747f9afddb54289db241538156794699b2f19837381bb823f7e",
     ("normal_exact.ini", "normal_exact"):
-        "242ef4a40e9b4cfecafbbb17d37ce373f24ddc2a5aba8289f6d8245e7d111de2",
+        "6c161513bfd2ab12b7f16312a2473725d4a725e03bc1384d5f17cd659f3e71c4",
 }
 
 
