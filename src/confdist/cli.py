@@ -400,24 +400,27 @@ def cmd_confdens(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fit_from_json(path: str):
+def _fit_from_json(path: str, model: str):
+    """The fit summary at ``path``, which must be one of ``model``: a
+    LinearFit for "normal", else the payload (enough for first-order
+    precision intervals)."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read fit JSON {path}: {exc}") from exc
-    model = payload.get("model")
-    if model == "normal":
-        return LinearFit(
-            beta_hat=np.array(payload["beta_hat"], dtype=float),
-            phi_hat_m=float(payload["phi_hat_m"]),
-            xtx=np.array(payload["xtx"], dtype=float),
-            df=int(payload["df"]),
-            n=int(payload["n"]),
-            p=int(payload["p"]),
-        )
-    if model == "gamma":
-        return payload  # enough for first-order precision intervals
-    raise DataError(f"fit JSON {path} has unsupported model {model!r}")
+    if payload.get("model") != model:
+        raise UsageError(f"--fit-json {path} holds a {payload.get('model')!r} fit, "
+                         f"which does not match {model!r}")
+    if model != "normal":
+        return payload
+    return LinearFit(
+        beta_hat=np.array(payload["beta_hat"], dtype=float),
+        phi_hat_m=float(payload["phi_hat_m"]),
+        xtx=np.array(payload["xtx"], dtype=float),
+        df=int(payload["df"]),
+        n=int(payload["n"]),
+        p=int(payload["p"]),
+    )
 
 
 def cmd_interval(args) -> int:
@@ -433,9 +436,7 @@ def cmd_interval(args) -> int:
     root_fn, flags = None, set()  # a corrected root curve; flags at its endpoints
     if args.model == "normal":
         if fit_json is not None:
-            fit = _fit_from_json(fit_json)
-            if not isinstance(fit, LinearFit):
-                raise UsageError("--fit-json model does not match --model normal")
+            fit = _fit_from_json(fit_json, "normal")
         else:
             table = load_csv_table(args.file)
             ds = build_dataset(table, args.response, _design_list(args), args.intercept)
@@ -449,9 +450,7 @@ def cmd_interval(args) -> int:
                     "--fit-json supports method first_order only; "
                     "skovgaard and fraser need the data file"
                 )
-            payload = _fit_from_json(fit_json)
-            if isinstance(payload, LinearFit):
-                raise UsageError("--fit-json model does not match --model gamma")
+            payload = _fit_from_json(fit_json, "gamma_known_mu" if args.known_mu else "gamma")
             n, center = int(payload["n"]), float(payload["varphi_hat"])
             root_fn = _first_order_curve(n, center)
         else:

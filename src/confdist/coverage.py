@@ -18,24 +18,15 @@ reproducible bit for bit across any number of workers.
 Replications run in compute blocks of whole stream blocks.  Every model
 fits and transforms a whole compute block as arrays, from design quantities
 computed once per study, Skovgaard and Fraser window rows included: their
-interpolation nodes are solved for all window rows of a block at once.  The
-gamma models send the few rows the array path does not settle through the
-scalar transforms, which also decide whether such a row fails: samples the
-scalar checks reject, unconverged or degenerate fits (at the estimate or at
-the truth), window rows whose nodes do not settle, and any row with a
-non-finite transform.
-
-The block coefficient fit is :func:`~confdist.gamma.fit_irls` row by row,
-bit for bit, so a regression row fails exactly when its scalar fit does.
-The array transforms are not the scalar ones' floats.  They agree to
-rounding (the precision solve uses np.log), and window rows agree to the
-accuracy of their node solves: Newton iterations stopped at the scalar root
-finder's tolerance, whose nodes are accepted within 1e-6 of their target
-roots (known mean and precision windows) or 1e-9 of their target deviances
-(coefficient rays).  A hit can therefore differ from the scalar
-transforms' only for a transform within that distance of a level.  Hit
-counts have been observed equal on every study compared, and
-tests/test_golden_reports.py pins the bundled scenarios.
+interpolation nodes are solved for all window rows of a block at once.  A
+gamma replication is used when every requested transform is finite.  Any
+other is a failed replication: a sample with a value not positive or not
+finite, a coefficient fit the block fit does not accept, a perfect fit (at
+the estimate, or at the truth for the coefficient methods), or window nodes
+that do not settle.  The scalar functions of :mod:`confdist.gamma` and
+:mod:`confdist.higher_order` are the per-replication reference for these
+transforms (tests/test_gamma_block.py), and tests/test_golden_reports.py
+pins the bundled scenarios.
 """
 
 from __future__ import annotations
@@ -50,30 +41,18 @@ import numpy as np
 from scipy import special as _sf
 
 from .data import Dataset
-from .errors import ConfdistError, DomainError, ScenarioError
+from .errors import DomainError, ScenarioError
 from .gamma import (
     _DEGENERATE_MEAN_B,
     _fit_irls_block,
     _profile_deviance_beta_array,
     _profile_deviance_precision_array,
     _solve_precision_array,
-    fit_irls,
-    profile_deviance_beta,
-    profile_deviance_precision,
     unit_deviance_terms,
 )
-from .higher_order import (
-    _known_mean_roots,
-    _skovgaard_beta_values,
-    _skovgaard_precision_values,
-    ball_confidence,
-    fraser_root_known_mu,
-    signed_root_confidence,
-    skovgaard_beta,
-    skovgaard_precision,
-)
+from .higher_order import _known_mean_roots, _skovgaard_beta_values, _skovgaard_precision_values
 from .linear import Contrast, LinearFit, _rss_noise_floor, _svd_factors, contrast
-from .numerics import RngStream, chisq_cdf, normal_cdf, rng_draws
+from .numerics import RngStream, rng_draws
 
 __all__ = ["Scenario", "CoverageRow", "CoverageReport", "MethodComparison",
            "run_scenario", "compare_methods", "design_matrix"]
@@ -129,6 +108,14 @@ class Scenario:
     def __post_init__(self):
         if self.model not in _MODEL_METHODS:
             raise ScenarioError(f"unknown model {self.model!r}")
+        for name in ("n", "replications"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        for name in ("phi", "varphi", "beta", "contrast_vector"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ScenarioError(f"{name} must be finite, got {value!r}")
         if self.replications < 100:
             raise ScenarioError("replications must be at least 100")
         if self.replications > _MAX_REPLICATIONS:
@@ -142,6 +129,10 @@ class Scenario:
                 raise ScenarioError(f"levels must lie in (0, 1), got {a!r}")
         if not self.methods:
             raise ScenarioError("at least one method is required")
+        for name in ("levels", "methods"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ScenarioError(f"{name} repeat an entry: {values!r}")
         allowed = _MODEL_METHODS[self.model]
         for m in self.methods:
             if m not in allowed:
@@ -366,38 +357,11 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
     return out, int(fitted.sum())
 
 
-def _transforms_gamma(sc: Scenario, X: np.ndarray | None, y: np.ndarray) -> dict:
-    """Scalar transforms of one gamma replication, for the rows a block leaves."""
-    if sc.model == "gamma_known_mu":
-        root = fraser_root_known_mu(y, sc.varphi)
-        out = {"first_order_z": (normal_cdf(root.signed_root), False),
-               "fraser_z": (normal_cdf(root.value), root.interpolated)}
-        return {m: out[m] for m in sc.methods}
-    data = Dataset(y=y, X=X)
-    fit = fit_irls(data)
-    beta_true = np.array(sc.beta)
-    out = {}
-    if "first_order_precision" in sc.methods:
-        dp = profile_deviance_precision(fit, sc.varphi).value
-        sign = math.copysign(1.0, fit.varphi_hat - sc.varphi)
-        out["first_order_precision"] = (normal_cdf(sign * math.sqrt(dp)), False)
-    if "skovgaard_precision" in sc.methods:
-        cd = skovgaard_precision(data, fit, sc.varphi)
-        out["skovgaard_precision"] = (signed_root_confidence(cd), cd.flagged)
-    if "first_order_beta" in sc.methods:
-        dp = profile_deviance_beta(data, fit, beta_true)
-        out["first_order_beta"] = (chisq_cdf(dp.value, dp.dims), False)
-    if "skovgaard_beta" in sc.methods:
-        cd = skovgaard_beta(data, fit, beta_true)
-        out["skovgaard_beta"] = (ball_confidence(cd), cd.flagged)
-    return out
-
-
-def _known_mu_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, np.ndarray]:
-    zp, value, interpolated, scalar = _known_mean_roots(Y, sc.varphi)
+def _known_mu_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
+    zp, value, interpolated = _known_mean_roots(Y, sc.varphi)
     out = {"first_order_z": (_sf.ndtr(zp), np.zeros(len(Y), dtype=bool)),
            "fraser_z": (_sf.ndtr(value), interpolated)}
-    return {m: out[m] for m in sc.methods}, scalar
+    return {m: out[m] for m in sc.methods}
 
 
 def _chisq_cdf(x: np.ndarray, df: int) -> np.ndarray:
@@ -405,22 +369,22 @@ def _chisq_cdf(x: np.ndarray, df: int) -> np.ndarray:
     return np.where(x <= 0.0, 0.0, _sf.gammainc(df / 2.0, x / 2.0))
 
 
-def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Gamma-regression transforms for the rows the array path settles.
+def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
+    """Gamma-regression transforms of the rows whose fit is accepted.
 
-    Rows that fail a scalar check (a response not positive or not finite,
-    no convergence, a perfect fit at the estimate) are marked for the scalar
-    path; a row whose transform comes out NaN (a perfect fit at the truth,
-    Skovgaard window nodes that did not settle) is sent there too.
+    Rows with a response not positive or not finite, a fit the block fit
+    does not accept, or a perfect fit at the estimate are left out; a
+    transform is NaN on a row that cannot be settled (a perfect fit at the
+    truth, Skovgaard window nodes that did not settle).
     """
     X, methods, v = study.X, sc.methods, sc.varphi
     n, p = X.shape
-    rows = np.flatnonzero(np.all(np.isfinite(Y) & (Y > 0.0), axis=1))
-    beta_hat, mu_hat, sum_b, converged = _fit_irls_block(X, Y[rows])
+    Y = Y[np.all(np.isfinite(Y) & (Y > 0.0), axis=1)]
+    beta_hat, mu_hat, sum_b, converged = _fit_irls_block(X, Y)
     fitted = converged & (sum_b / n >= _DEGENERATE_MEAN_B)
-    rows, beta_hat, mu_hat, y = rows[fitted], beta_hat[fitted], mu_hat[fitted], Y[rows[fitted]]
+    beta_hat, mu_hat, y = beta_hat[fitted], mu_hat[fitted], Y[fitted]
     vh = _solve_precision_array(sum_b[fitted] / n)
-    no_flags = np.zeros(len(rows), dtype=bool)
+    no_flags = np.zeros(len(y), dtype=bool)
     out = {}
     if "first_order_precision" in methods or "skovgaard_precision" in methods:
         dp = _profile_deviance_precision_array(n, vh, v)
@@ -432,7 +396,7 @@ def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict
     if "first_order_beta" in methods or "skovgaard_beta" in methods:
         with np.errstate(divide="ignore"):
             mean_b = unit_deviance_terms(y, study.mean).mean(axis=1)
-        vt = np.full(len(rows), np.nan)  # NaN: a perfect fit at the truth
+        vt = np.full(len(y), np.nan)  # NaN: a perfect fit at the truth
         at_truth = mean_b >= _DEGENERATE_MEAN_B
         vt[at_truth] = _solve_precision_array(mean_b[at_truth])
         dp = _profile_deviance_beta_array(n, vh, vt)
@@ -441,40 +405,19 @@ def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict
             value, flags = _skovgaard_beta_values(X, y, beta_hat, vh, np.array(sc.beta),
                                                   study.mean, vt, dp)
             out["skovgaard_beta"] = (_chisq_cdf(value, p), flags)
-    scalar = np.ones(len(Y), dtype=bool)
-    scalar[rows] = False
-    transforms = {}
-    for method in methods:
-        u, flag = np.full(len(Y), np.nan), np.zeros(len(Y), dtype=bool)
-        u[rows], flag[rows] = out[method]
-        transforms[method] = (u, flag)
-    return transforms, scalar
+    return {m: out[m] for m in methods}
 
 
 def _gamma_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int]:
-    """Transforms for a block of gamma responses: arrays, then scalar rows.
+    """Transforms for a block of gamma responses, one row each.
 
-    The array path settles most rows; the rest, and any row with a
-    non-finite transform, run through :func:`_transforms_gamma`.  Any
-    ConfdistError it raises (a fit that does not converge or is degenerate,
-    a ray search that finds no bracket) makes the row a failed replication.
-    Returns each method's (transforms, flags) over the rows that fit, and
-    their number.
+    A row is used when every requested transform is finite; any other row
+    is a failed replication.  Returns each method's (transforms, flags) over
+    the used rows, and their number.
     """
     arrays = _known_mu_arrays if sc.model == "gamma_known_mu" else _regression_arrays
-    transforms, scalar = arrays(sc, study, Y)
-    for u, _ in transforms.values():
-        scalar |= ~np.isfinite(u)
-    used = ~scalar
-    for i in np.flatnonzero(scalar):
-        try:
-            row = _transforms_gamma(sc, study.X, Y[i])
-        except ConfdistError:
-            continue
-        for method, (u, flag) in row.items():
-            transforms[method][0][i] = u
-            transforms[method][1][i] = flag
-        used[i] = True
+    transforms = arrays(sc, study, Y)
+    used = np.logical_and.reduce([np.isfinite(u) for u, _ in transforms.values()])
     return {m: (u[used], flag[used]) for m, (u, flag) in transforms.items()}, int(used.sum())
 
 
@@ -503,8 +446,8 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> CoverageReport:
     per worker process; a single chunk runs in this process.  The report is
     identical for any job count because a replication's data do not depend
     on its chunk and the reduction is an order-insensitive sum.
-    Replications whose fit or scalar transform fails are excluded and
-    counted; more than 1% failures aborts the scenario.
+    Replications whose fit or transforms fail are excluded and counted;
+    more than 1% failures aborts the scenario.
     """
     start = time.monotonic()
     if jobs < 1:

@@ -49,12 +49,17 @@ __all__ = [
 # precision estimate would exceed ~5e12, far outside float-stable territory.
 _DEGENERATE_MEAN_B = 1e-13
 
-# Iteration settings shared by the scalar fits and their array versions,
-# which hand unsettled elements back to the scalar fits with these defaults.
+# Iteration settings shared by the scalar and array precision solves (the
+# array solve hands elements still open to the scalar one) and by the
+# coefficient fit.
 _PRECISION_TOL = 1e-15
 _PRECISION_STEPS = 40
 _IRLS_TOL = 1e-12
 _IRLS_MAX_ITER = 200
+
+# A coefficient fit stopped short of convergence (its step stalled or its
+# steps ran out) is accepted at a score sup-norm at most this.
+_ACCEPT_SCORE = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +236,9 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None,
     sampled data.  Afterwards the precision solves its own score equation.
 
     Raises :class:`ConvergenceError` (with the deviance trace attached) when
-    the iteration stops short of convergence with a score sup-norm above
-    1e-8, and :class:`DegenerateFitError` on a perfect fit, which leaves the
-    precision estimate unbounded; the error carries the converged
-    coefficients in ``beta_hat``.
+    the block fit does not accept the row, and :class:`DegenerateFitError`
+    on a perfect fit, which leaves the precision estimate unbounded; the
+    error carries the converged coefficients in ``beta_hat``.
     """
     data.require_positive_response()
     svd = _svd_factors(data)  # SingularDesignError on a rank-deficient design
@@ -253,12 +257,11 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None,
         raise ConvergenceError("starting values give a non-finite deviance", trace=trace)
     if not converged[0]:
         score_inf = float(np.max(np.abs(data.X.T @ (data.y / mu - 1.0))))
-        if score_inf > 1e-8:
-            raise ConvergenceError(
-                f"IRLS did not converge in {len(trace) - 1} of {max_iter} iterations "
-                f"(score sup-norm {score_inf:.3e})",
-                trace=trace,
-            )
+        raise ConvergenceError(
+            f"IRLS did not converge in {len(trace) - 1} of {max_iter} iterations "
+            f"(score sup-norm {score_inf:.3e})",
+            trace=trace,
+        )
 
     mean_b = dev_sum / data.n
     if mean_b < _DEGENERATE_MEAN_B:
@@ -304,13 +307,14 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray | None = Non
     row whose step fell below the floor would repeat that step, so it stops
     unconverged, as it does when ``max_iter`` steps run out.  Products and
     solves are stacked per row, so a row's result does not depend on the
-    other rows of the block: :func:`fit_irls` is this fit on one row.
+    other rows of the block: :func:`fit_irls` is this fit on one row.  A
+    row that stopped unconverged is still accepted when its score sup-norm
+    is at most _ACCEPT_SCORE.
 
     Returns (beta_hat, mu_hat, sum_b, converged) with each row's last
-    iterate; a row whose start gives a non-finite deviance holds NaN.  Rows
-    that did not converge must be refit by :func:`fit_irls`, which raises
-    or accepts them as its rules say.  A ``trace`` list receives the summed
-    deviances of the start and, after each step, of the rows still
+    iterate; ``converged`` marks the accepted rows, and a row whose start
+    gives a non-finite deviance holds NaN.  A ``trace`` list receives the
+    summed deviances of the start and, after each step, of the rows still
     iterating.
     """
     rows = len(Y)
@@ -359,6 +363,9 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray | None = Non
                 beta_hat[fin], mu_hat[fin], sum_b[fin] = b[done], m[done], d[done]
                 idx, y, b, m, d = idx[keep], y[keep], b[keep], m[keep], d[keep]
         beta_hat[idx], mu_hat[idx], sum_b[idx] = b, m, d
+        stopped = np.flatnonzero(~converged & np.isfinite(sum_b))
+        score_inf = np.abs(np.matvec(X.T, Y[stopped] / mu_hat[stopped] - 1.0)).max(axis=1)
+        converged[stopped[score_inf <= _ACCEPT_SCORE]] = True
     return beta_hat, mu_hat, sum_b, converged
 
 

@@ -326,12 +326,12 @@ def _known_mean_window_nodes(n: int, varphi_hat: np.ndarray, info_root: np.ndarr
 def _known_mean_roots(Y: np.ndarray, varphi: float):
     """:func:`fraser_root_known_mu` for every row of ``Y``, as arrays.
 
-    Returns (signed_root, value, interpolated, scalar).  Rows marked in
-    ``scalar`` hold no result and are left to the scalar function: samples
-    it rejects (a value not finite or not positive, a vanishing deviance),
-    and window rows whose nodes did not settle.  The window nodes depend
-    only on (n, varphi_hat), so all window rows solve them together; each
-    row then fits the scalar path's cubic through its own nodes.
+    Returns (signed_root, value, interpolated).  Both roots are NaN on a
+    sample the scalar function rejects (a value not finite or not positive,
+    a vanishing deviance), and ``value`` is NaN on a window row whose nodes
+    did not settle.  The window nodes depend only on (n, varphi_hat), so all
+    window rows solve them together; each row then fits the scalar function's
+    cubic through its own nodes.
     """
     v = _require_precision(varphi)
     rows, n = Y.shape
@@ -351,7 +351,7 @@ def _known_mean_roots(Y: np.ndarray, varphi: float):
     for i, x_nodes, y_nodes in zip(np.flatnonzero(interpolated), nodes, z_nodes):
         settled = np.isfinite(y_nodes).all()
         value[i] = np.polyval(_window_cubic(x_nodes, y_nodes), v) if settled else np.nan
-    return zp, value, interpolated, ~fit | ~np.isfinite(value)
+    return zp, value, interpolated
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +606,7 @@ def _skovgaard_precision_values(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray
     Window rows with an available factor take the nodes of the known-mean
     model, since the signed root is the same closed form in (n, varphi_hat);
     only the factor's denominator changes from node to node.  A row whose
-    nodes do not settle holds NaN and is left to the scalar function.
+    nodes do not settle holds NaN.
     """
     n = X.shape[0]
     quad = _precision_quads(X, Y, mu_hat)
@@ -679,7 +679,7 @@ def _skovgaard_beta_values(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray,
     precision and profile deviance at ``beta``.  A window row at its
     estimate (deviance 0) has value 0; the others find their ray nodes
     together (:func:`_ray_nodes`) and evaluate the correction there.  A row
-    whose nodes do not settle holds NaN and is left to the scalar function.
+    whose nodes do not settle holds NaN.
     """
     m = _beta_correction_factors(X, Y, mu, varphi_hat, profile_prec)
     value, unavailable, clamped = _corrected_deviance_values(deviance, m)

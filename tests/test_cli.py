@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,41 @@ class TestIntervalCommand:
                      "--method", "skovgaard"])
         assert code == 2
 
+    @pytest.mark.parametrize("sides", [["--sides", "one", "--side", "upper"],
+                                       ["--sides", "two"]])
+    def test_known_mu_first_order_via_fit_json(self, tmp_path, capsys, sides):
+        path = tmp_path / "km.csv"
+        write_csv(path, ["y"], rng_draws(RngStream(5, 0), "gamma", 12, shape=2.0,
+                                         scale=0.5)[:, None])
+        fit_path = tmp_path / "km.json"
+        assert main(["fit", "--file", str(path), "--model", "gamma", "--known-mu",
+                     "--response", "y", "--out", str(fit_path)]) == 0
+        tail = ["--model", "gamma", "--known-mu", "--target", "precision",
+                "--level", "0.9", "--method", "first_order"] + sides
+        assert main(["interval", "--file", str(path), "--response", "y"] + tail) == 0
+        direct = capsys.readouterr().out
+        assert main(["interval", "--fit-json", str(fit_path)] + tail) == 0
+        assert capsys.readouterr().out == direct
+
+    @pytest.mark.parametrize("fit_args,interval_args", [
+        # a regression summary where a known-mean one is asked for, and back
+        (["--design", "x1"], ["--model", "gamma", "--known-mu", "--target", "precision",
+                              "--method", "first_order"]),
+        (["--known-mu"], ["--model", "gamma", "--target", "precision",
+                          "--method", "first_order"]),
+        (["--design", "x1"], ["--model", "normal", "--target", "variance",
+                              "--method", "exact"]),
+    ])
+    def test_fit_json_model_mismatch_is_usage_error(self, gamma_csv, tmp_path, capsys,
+                                                    fit_args, interval_args):
+        fit_path = tmp_path / "gfit.json"
+        assert main(["fit", "--file", str(gamma_csv[0]), "--model", "gamma",
+                     "--response", "y", "--out", str(fit_path)] + fit_args) == 0
+        code = main(["interval", "--fit-json", str(fit_path), "--level", "0.9"]
+                    + interval_args)
+        assert code == 2
+        assert "does not match" in capsys.readouterr().err
+
     def test_matches_library_endpoint(self, normal_csv, capsys):
         path, y, x1, x2 = normal_csv
         code = main(["interval", "--file", str(path), "--model", "normal",
@@ -442,6 +478,20 @@ class TestCoverageCommand:
         code = main(["coverage", "--scenario", str(ini), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "contrast has 3 entries" in capsys.readouterr().err
+
+    def test_non_finite_phi_is_schema_error(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(
+            "[bad]\nmodel = normal_regression\nn = 12\nreplications = 100\n"
+            "seed = 5\nlevels = 0.5\nmethods = variance_chisq\nbeta = 0.5\n"
+            "phi = nan\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["coverage", "--scenario", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "phi must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "bad.csv").exists()
 
     def test_unknown_field_named(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"

@@ -75,6 +75,31 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="seed"):
             normal_scenario(seed=seed)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(phi=math.nan),
+        dict(phi=math.inf),
+        dict(beta=(1.0, math.nan, 0.25)),
+        dict(methods=("contrast_t",), contrast_vector=(math.nan, 1.0, 0.0)),
+        dict(n=10.5),
+        dict(replications=2000.0),
+        dict(methods=("variance_chisq", "variance_chisq")),
+        dict(levels=(0.5, 0.5)),
+    ], ids=["phi_nan", "phi_inf", "beta_nan", "contrast_nan", "n_fractional",
+            "replications_float", "methods_repeated", "levels_repeated"])
+    def test_bad_input_rejected(self, overrides):
+        with pytest.raises(ScenarioError):
+            normal_scenario(**overrides)
+
+    @pytest.mark.parametrize("model,method,beta", [
+        ("gamma_known_mu", "fraser_z", None),
+        ("gamma_regression", "first_order_precision", (0.5, -0.3)),
+    ])
+    @pytest.mark.parametrize("varphi", [math.inf, math.nan])
+    def test_non_finite_varphi_rejected(self, model, method, beta, varphi):
+        with pytest.raises(ScenarioError, match="varphi must be finite"):
+            Scenario(model=model, n=10, replications=100, seed=1, levels=(0.5,),
+                     methods=(method,), beta=beta, varphi=varphi)
+
     def test_known_mu_needs_two_observations(self):
         with pytest.raises(ScenarioError, match="n >= 2"):
             Scenario(

@@ -1,9 +1,21 @@
 """The gamma block paths against per-replication oracles.
 
 Both gamma models fit and transform a block of replications as arrays,
-window rows included, and send unconverged and degenerate rows through the
-scalar transforms.  Hit, used, flagged and failure counts must equal those
-of fitting one replication at a time with the public scalar API.
+window rows included; a row whose fit is not accepted, or whose transforms
+are not all finite, is a failed replication.  Hit, used, flagged and
+failure counts must equal those of fitting one replication at a time with
+the public scalar API.
+
+The block coefficient fit is :func:`~confdist.gamma.fit_irls` row by row,
+bit for bit, so a regression row fails exactly when its scalar fit raises.
+The array transforms are not the scalar ones' floats.  They agree to
+rounding (the precision solve uses np.log), and window rows agree to the
+accuracy of their node solves: Newton iterations stopped at the scalar root
+finder's tolerance, whose nodes are accepted within 1e-6 of their target
+roots (known mean and precision windows) or 1e-9 of their target deviances
+(coefficient rays).  A hit can therefore differ from the oracle's only for
+a transform within that distance of a level; the counts have been equal on
+every study compared.
 """
 
 import math
@@ -18,9 +30,7 @@ from confdist import coverage, higher_order
 from confdist.coverage import Scenario, design_matrix, run_scenario
 from confdist.data import Dataset
 from confdist.errors import (
-    BracketingError,
     ConfdistError,
-    ContractViolationError,
     ConvergenceError,
     DegenerateFitError,
     ScenarioError,
@@ -163,9 +173,9 @@ class TestKnownMeanBlock:
         # every row, window rows included, is settled by the array path and
         # agrees with the scalar root up to rounding and node-solve noise
         Y = coverage._responses(sc, coverage._study(sc), range(sc.replications))
-        zp, value, interpolated, scalar = _known_mean_roots(Y, varphi)
+        zp, value, interpolated = _known_mean_roots(Y, varphi)
         roots = [fraser_root_known_mu(y, varphi) for y in Y]
-        assert not scalar.any()
+        assert np.isfinite(value).all()
         assert interpolated.tolist() == [r.interpolated for r in roots]
         np.testing.assert_allclose(zp, [r.signed_root for r in roots], rtol=0, atol=1e-10)
         np.testing.assert_allclose(value, [r.value for r in roots], rtol=0, atol=1e-7)
@@ -197,7 +207,28 @@ class TestRegressionBlock:
             fit = fit_irls(Dataset(y=Y[i], X=study.X))
             assert np.array_equal(beta[i], fit.beta_hat)
             assert sum_b[i] == fit.sum_b
-        assert np.isnan(sum_b[~converged]).all()
+        # five steps leave rows unconverged: each keeps the last iterate of
+        # its one-row fit, and fit_irls raises for exactly those rows
+        short = _fit_irls_block(study.X, Y, max_iter=5)
+        assert 0 < short[3].sum() < len(Y)
+        for i in range(len(Y)):
+            one = _fit_irls_block(study.X, Y[i:i + 1], max_iter=5)
+            for got, want in zip(short, one):
+                assert np.array_equal(got[i], want[0])
+            if short[3][i]:
+                assert fit_irls(Dataset(y=Y[i], X=study.X), max_iter=5).sum_b == short[2][i]
+            else:
+                with pytest.raises(ConvergenceError, match="did not converge in 5 of 5"):
+                    fit_irls(Dataset(y=Y[i], X=study.X), max_iter=5)
+        # with tol=-1 no row meets the convergence test; the block accepts
+        # the rows whose score sup-norm is at most 1e-8, and fit_irls
+        # returns them without raising
+        beta, mu, sum_b, converged = _fit_irls_block(study.X, Y, tol=-1.0)
+        score = np.abs(np.matvec(study.X.T, Y / mu - 1.0)).max(axis=1)
+        assert converged.all() and (score <= 1e-8).all()
+        for i in range(0, len(Y), 10):
+            fit = fit_irls(Dataset(y=Y[i], X=study.X), tol=-1.0)
+            assert np.array_equal(fit.beta_hat, beta[i]) and fit.sum_b == sum_b[i]
 
     def test_window_and_unconverged_rows_match(self):
         # the benchmark's gamma_regression shape at the seed whose replication
@@ -417,80 +448,71 @@ class TestSkovgaardWindowRows:
         hits, flagged, used, failures = assert_counts_equal(sc, stream_block)
         assert flagged[1] > 0
 
-    def test_window_rows_skip_the_scalar_path(self, monkeypatch):
+    def test_window_rows_settle_in_the_array_path(self):
+        # a window row whose nodes do not settle would be a failed
+        # replication, so every row fit_irls fits must be used
         sc = Scenario(model="gamma_regression", n=30, replications=400, seed=5,
                       levels=(0.05, 0.5, 0.95), methods=REGRESSION_METHODS,
                       beta=(0.5, -0.3), varphi=2.0)
-        sent = []
-        real = coverage._transforms_gamma
-
-        def counted(sc_, X, y):
-            sent.append(y)
-            return real(sc_, X, y)
-
-        monkeypatch.setattr(coverage, "_transforms_gamma", counted)
         report = run_scenario(sc)
         assert report.row("skovgaard_precision", 0.5).flagged_count >= 5
-        X, beta = design_matrix(sc), np.array(sc.beta)
-        for y in sent:  # only rows the scalar fit rejects or outside both windows
-            data = Dataset(y=y, X=X)
-            try:
-                fit = fit_irls(data)
-            except ConfdistError:
-                continue
-            assert profile_deviance_precision(fit, sc.varphi).value >= ROOT_WINDOW**2
-            assert profile_deviance_beta(data, fit, beta).value >= ROOT_WINDOW**2
+        X, rows = scalar_fits(sc)
+        assert report.failures == sc.replications - len(rows) == 0
 
-    def test_unsettled_nodes_fall_back_to_the_scalar_path(self, monkeypatch):
-        # one Newton step settles no node: every window row must take the
-        # scalar path and still count as the oracle does
+    def test_unsettled_nodes_are_failed_replications(self, monkeypatch):
+        # one Newton step settles no node: every window row is a failed
+        # replication, and the other rows count as the oracle does
         sc = Scenario(model="gamma_regression", n=30, replications=300, seed=6,
                       levels=(0.05, 0.5, 0.95), methods=REGRESSION_METHODS,
                       beta=(0.5, -0.3), varphi=2.0)
-        sent = []
-        real = coverage._transforms_gamma
         monkeypatch.setattr(higher_order, "_NODE_STEPS", 1)
-        monkeypatch.setattr(coverage, "_transforms_gamma",
-                            lambda sc_, X, y: sent.append(y) or real(sc_, X, y))
-        assert_counts_equal(sc)
+        got = coverage._run_chunk(sc, coverage._study(sc), range(sc.replications))
         X, rows = scalar_fits(sc)
-        beta = np.array(sc.beta)
-        windows = sum(profile_deviance_precision(fit, sc.varphi).value < ROOT_WINDOW**2
-                      or profile_deviance_beta(data, fit, beta).value < ROOT_WINDOW**2
-                      for data, fit in rows)
-        assert len(sent) >= windows >= 5
+        beta, levels = np.array(sc.beta), np.array(sc.levels)
+        hits = np.zeros((len(sc.methods), len(levels)), dtype=np.int64)
+        flagged = np.zeros(len(sc.methods), dtype=np.int64)
+        kept = 0
+        for data, fit in rows:
+            coef = skovgaard_beta(data, fit, beta)
+            if (skovgaard_precision(data, fit, sc.varphi).interpolated
+                    or (coef.interpolated and coef.deviance > 0.0)):
+                continue
+            kept += 1
+            for i, (u, flag) in enumerate(oracle_transforms(sc, X, data.y).values()):
+                hits[i] += u <= levels
+                flagged[i] += flag
+        assert len(rows) - kept >= 5
+        want = hits, flagged, np.full(len(sc.methods), kept), sc.replications - kept
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
-class TestScalarRowFailures:
+class TestRowFailures:
     SC = Scenario(model="gamma_regression", n=30, replications=100, seed=11,
                   levels=(0.05, 0.5, 0.95), methods=REGRESSION_METHODS,
                   beta=(0.5, -0.3), varphi=2.0)
 
-    def force_scalar_rows(self, monkeypatch, rows, error):
-        """Send ``rows`` of every block to the scalar path, where skovgaard_beta raises."""
+    def force_nan(self, monkeypatch, rows, method):
+        """Make ``method``'s transform NaN on ``rows`` of every block."""
         real = coverage._regression_arrays
 
         def arrays(sc, study, Y):
-            transforms, scalar = real(sc, study, Y)
-            scalar[rows] = True
-            return transforms, scalar
-
-        def raising(*args):
-            raise error("forced")
+            transforms = real(sc, study, Y)
+            transforms[method][0][rows] = np.nan
+            return transforms
 
         monkeypatch.setattr(coverage, "_regression_arrays", arrays)
-        monkeypatch.setattr(coverage, "skovgaard_beta", raising)
 
-    @pytest.mark.parametrize("error", [ContractViolationError, BracketingError])
-    def test_error_in_one_row_is_a_failed_replication(self, monkeypatch, error):
+    @pytest.mark.parametrize("method", ["first_order_precision", "skovgaard_beta"])
+    def test_nan_transform_is_a_failed_replication(self, monkeypatch, method):
         base = run_scenario(self.SC)
-        self.force_scalar_rows(monkeypatch, [3], error)
+        self.force_nan(monkeypatch, [3], method)
         report = run_scenario(self.SC)
         assert report.failures == base.failures + 1
         for got, want in zip(report.rows, base.rows):
             assert got.replications_used == want.replications_used - 1
 
     def test_more_than_one_percent_still_aborts(self, monkeypatch):
-        self.force_scalar_rows(monkeypatch, [3, 40], ContractViolationError)
+        self.force_nan(monkeypatch, [3, 40], "skovgaard_beta")
         with pytest.raises(ScenarioError, match="2 of 100 replications failed"):
             run_scenario(self.SC)
