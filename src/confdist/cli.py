@@ -191,6 +191,12 @@ _VALID_PAIRS = (
 )
 
 
+def _require_known_mu_model(args) -> None:
+    """--known-mu describes a gamma response; it is not a flag of the normal model."""
+    if args.known_mu and args.model != "gamma":
+        raise UsageError(f"--known-mu applies to --model gamma only, not {args.model!r}")
+
+
 def _require_pair(model: str, target: str, method: str, known_mu: bool) -> None:
     base = target.split(":", 1)[0]
     if model == "normal":
@@ -252,6 +258,7 @@ def _gamma_fit_payload(fit: GammaFit, meta: dict) -> dict:
 def cmd_fit(args) -> int:
     if args.model is None or args.response is None or args.file is None:
         raise UsageError("fit needs --file, --model, and --response")
+    _require_known_mu_model(args)
     table = load_csv_table(args.file)
     meta = {"response": args.response, "design_columns": _design_list(args),
             "intercept": bool(args.intercept)}
@@ -316,19 +323,22 @@ def _normal_pivot(fit: LinearFit, target: str):
 
 
 def _first_order_curve(n: int, varphi_hat: float):
-    """varphi -> the first-order signed root as an uncorrected ModifiedRoot."""
+    """varphi -> the first-order signed root as an uncorrected ModifiedRoot;
+    ``values`` maps an array of precisions to their signed roots."""
     zp_fn = signed_root_curve(n, varphi_hat)
 
     def first_order(v: float) -> ModifiedRoot:
         zp = zp_fn(v)
         return ModifiedRoot(signed_root=zp, correction=zp, value=zp)
 
+    first_order.values = zp_fn.values
     return first_order
 
 
 def _precision_root_fn(args, method: str, table: CsvTable | None):
     """Map varphi -> ModifiedRoot for the requested gamma method, as one
-    curve of one fit (see the curve builders in :mod:`confdist.higher_order`)."""
+    curve of one fit (see the curve builders in :mod:`confdist.higher_order`).
+    The curve's ``values`` maps an array of precisions to their root values."""
     if args.known_mu:
         y = table.column(args.response)
         Dataset(y=y, X=np.ones((len(y), 1))).require_positive_response()
@@ -352,6 +362,11 @@ def _precision_root_fn(args, method: str, table: CsvTable | None):
                             correction_unavailable=cd.correction_unavailable,
                             clamped=cd.clamped)
 
+    def skov_values(v) -> np.ndarray:
+        value = curve.values(v)
+        return np.sign(fit.varphi_hat - np.asarray(v, dtype=float)) * np.sqrt(value)
+
+    skov.values = skov_values
     return skov, fit.varphi_hat
 
 
@@ -363,6 +378,7 @@ def _precision_root_fn(args, method: str, table: CsvTable | None):
 def cmd_confdens(args) -> int:
     if args.model is None or args.file is None or args.response is None:
         raise UsageError("confdens needs --file, --model, and --response")
+    _require_known_mu_model(args)
     _require_pair(args.model, args.target, args.method, args.known_mu)
     grid = _parse_grid(args.grid)
     table = load_csv_table(args.file)
@@ -373,14 +389,13 @@ def cmd_confdens(args) -> int:
         density = parameter_density(pivot, grid)
     else:
         root_fn, _ = _precision_root_fn(args, args.method, table)
-        density = corrected_confidence_density(root_fn, grid)
+        density = corrected_confidence_density(root_fn.values, grid)
         name = "precision"
 
-    values = np.array([density(float(t)) for t in grid.points])
+    values = density(grid.points)
     mass = float(np.trapezoid(values, grid.points))
     lines = [f"{name},confidence_density"]
-    for t, c in zip(grid.points, values):
-        lines.append(f"{t:.17g},{c:.17g}")
+    lines += [f"{t:.17g},{c:.17g}" for t, c in zip(grid.points.tolist(), values.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -429,6 +444,7 @@ def cmd_interval(args) -> int:
         raise UsageError("interval needs --file/--response or --fit-json")
     if args.model is None:
         raise UsageError("interval needs --model")
+    _require_known_mu_model(args)
     _require_pair(args.model, args.target, args.method, args.known_mu)
     if not 0.0 < args.level < 1.0:
         raise UsageError(f"--level must lie in (0, 1), got {args.level}")

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .data import Dataset
 from .errors import ContractViolationError, DegenerateFitError, DomainError
@@ -168,9 +169,29 @@ def _require_precision(varphi: float, name: str = "precision") -> float:
     return v
 
 
+def _require_precisions(varphi, name: str = "precision") -> np.ndarray:
+    """:func:`_require_precision` on an array; the first bad element raises.
+
+    The array forms of the curves then evaluate with floating-point warnings
+    off: at extreme precisions their terms overflow to inf or NaN silently,
+    as in the scalar float arithmetic of the pointwise curves, and the
+    checks that follow (a modified root's sign, the monotone check, a
+    finite root) decide.
+    """
+    v = np.asarray(varphi, dtype=float)
+    bad = ~(np.isfinite(v) & (v > 0))
+    if bad.any():
+        _require_precision(float(v[bad][0]), name)
+    return v
+
+
 def signed_root_curve(n: int, varphi_hat: float):
     """varphi -> :func:`signed_precision_root` for one (n, varphi_hat); the
-    cumulant terms at varphi_hat are computed once, not per varphi."""
+    cumulant terms at varphi_hat are computed once, not per varphi.
+
+    The curve's ``values`` attribute maps an array of precisions to their
+    signed roots in one call (the array kernel coverage uses).
+    """
     if n < 2:
         raise DomainError("need at least two observations")
     vh = _require_precision(varphi_hat, "varphi_hat")
@@ -180,6 +201,12 @@ def signed_root_curve(n: int, varphi_hat: float):
         v = _require_precision(varphi, "varphi")
         return math.copysign(math.sqrt(deviance(v)), vh - v)
 
+    def values(varphi) -> np.ndarray:
+        v = _require_precisions(varphi, "varphi")
+        with np.errstate(all="ignore"):  # see _require_precisions
+            return _signed_roots(n, vh, v)
+
+    signed_root.values = values
     return signed_root
 
 
@@ -219,6 +246,10 @@ def fraser_curve(km: KnownMeanGammaFit):
 
     Computed once per fit: the signed-root curve, sqrt(n * cumulant_d2(varphi_hat))
     and, at the first varphi inside the window, its nodes and their cubic.
+    The curve's ``values`` attribute maps an array of precisions to their
+    corrected root values in one call, from the array kernels coverage uses;
+    points inside the window take the same cubic, so their values are the
+    same floats as the pointwise curve's.
     """
     n, vh = km.n, km.varphi_hat
     zp_fn = signed_root_curve(n, vh)
@@ -237,6 +268,20 @@ def fraser_curve(km: KnownMeanGammaFit):
         value = float(np.polyval(window_cubic(), v)) if inside else modified_root_value(zp, m)
         return ModifiedRoot(signed_root=zp, correction=m, value=value, interpolated=inside)
 
+    def values(varphi) -> np.ndarray:
+        v = _require_precisions(varphi)
+        with np.errstate(all="ignore"):
+            zp = _signed_roots(n, vh, v)
+            m = info_root * (vh - v)
+            inside = np.abs(zp) < ROOT_WINDOW
+            if np.any(~inside & (m / zp <= 0.0)):  # where modified_root_value raises
+                raise DomainError("correction and signed root must share a sign")
+            value = _modified_root_values(zp, m)
+        if inside.any():
+            value[inside] = np.polyval(window_cubic(), v[inside])
+        return value
+
+    root.values = values
     return root
 
 
@@ -385,7 +430,10 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
 
     Computed once per fit: the cumulant terms at varphi_hat, the score
     quadratic form and, at the first varphi inside the window, its nodes,
-    their factors and their cubic.
+    their factors and their cubic.  The curve's ``values`` attribute maps an
+    array of precisions to their corrected deviance values (no flags) in one
+    call, from the array kernels coverage uses; points inside the window
+    take the same cubic as the pointwise curve.
     """
     n, vh = fit.n, fit.varphi_hat
     zp_fn = signed_root_curve(n, vh)
@@ -421,6 +469,20 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
         return CorrectedDeviance(deviance=dp, correction=m, value=max(value, 0.0), dims=1,
                                  sign=sign, interpolated=True, clamped=value < 0.0)
 
+    def values(varphi) -> np.ndarray:
+        v = _require_precisions(varphi)
+        with np.errstate(all="ignore"):
+            dp = _profile_deviance_precision_array(n, vh, v)
+            value, unavailable, _ = _corrected_deviance_values(
+                dp, _precision_correction_factors(n, vh, quad, v))
+        window = ~unavailable & (dp < ROOT_WINDOW**2)
+        if window.any():
+            cubic = window_cubic()
+            value[window] = (dp[window] if cubic is None
+                             else np.maximum(np.polyval(cubic, v[window]), 0.0))
+        return value
+
+    corrected.values = values
     return corrected
 
 
@@ -720,19 +782,20 @@ def ball_confidence(corrected: CorrectedDeviance) -> float:
 def corrected_confidence_density(root_fn, grid: RealGrid) -> ConfidenceDensity:
     """Confidence density from a corrected root curve by finite differences.
 
-    ``root_fn`` maps a precision to a :class:`ModifiedRoot` and is called
-    about three times per grid point: pass a curve of one fit (such as
-    :func:`fraser_curve`), which computes its per-fit constants and window
-    cubic once, not a scalar function that redoes them per call.  The
+    ``root_fn`` maps an array of precisions to the array of their corrected
+    root values, such as the ``values`` of a :func:`fraser_curve`, which
+    computes its per-fit constants and window cubic once.  It is called once
+    on the grid points inside (0, inf), to verify that the root is strictly
+    monotone there, and each evaluation of the density calls it twice more,
+    on theta + h and on theta - h (theta itself where theta <= h).  The
     density is the central difference of Phi(root(theta)) with step
-    span/2048, after verifying the root curve is strictly monotone over the
-    grid points inside (0, inf).  Points at or below 0 carry density 0 and
-    are not evaluated; a point within one step of 0 takes the forward
-    difference.  The finite-difference construction limits normalization
-    accuracy to about 1e-4 over a grid spanning the bulk of the mass.
+    h = span/2048.  Points at or below 0 carry density 0 and are not
+    evaluated; a point within one step of 0 takes the forward difference.
+    The finite-difference construction limits normalization accuracy to
+    about 1e-4 over a grid spanning the bulk of the mass.
     """
     points = grid.points[grid.points > 0.0]
-    values = [root_fn(float(t)).value for t in points]
+    values = np.asarray(root_fn(points), dtype=float)
     diffs = np.diff(values)
     if not (np.all(diffs < 0) or np.all(diffs > 0)):
         bad = int(np.argmax(diffs * np.sign(diffs[0]) <= 0))
@@ -743,14 +806,19 @@ def corrected_confidence_density(root_fn, grid: RealGrid) -> ConfidenceDensity:
     h = grid.span / 2048.0
     lo, hi = float(grid.points[0]), float(grid.points[-1])
 
-    def density(theta: float) -> float:
-        if theta <= 0.0:
-            return 0.0
-        up = normal_cdf(root_fn(theta + h).value)
-        if theta <= h:
-            return abs(up - normal_cdf(root_fn(theta).value)) / h
-        down = normal_cdf(root_fn(theta - h).value)
-        return abs(up - down) / (2.0 * h)
+    def density(theta: np.ndarray) -> np.ndarray:
+        out = np.zeros(theta.shape)
+        positive = theta > 0.0
+        t = theta[positive]
+        forward = t <= h
+        roots = np.column_stack([root_fn(t + h), root_fn(np.where(forward, t, t - h))])
+        bad = ~np.isfinite(roots)
+        if bad.any():  # the first in evaluation order, as normal_cdf reports it
+            raise DomainError(f"x must be finite, got {float(roots[bad][0])!r}")
+        cdf = ndtr(roots)
+        step = np.abs(cdf[:, 0] - cdf[:, 1])
+        out[positive] = np.where(forward, step / h, step / (2.0 * h))
+        return out
 
     return ConfidenceDensity(density, support=(lo, hi), label="corrected-root density")
 

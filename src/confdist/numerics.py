@@ -145,8 +145,7 @@ def normal_cdf(x: float) -> float:
 
 def normal_pdf(x: float) -> float:
     """Standard normal density."""
-    x = _require_finite("x", x)
-    return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+    return float(_normal_pdf_array(_require_finite("x", x)))
 
 
 def lower_regularized_gamma(k: float, x: float) -> float:
@@ -210,12 +209,9 @@ def chisq_cdf(x: float, df: float) -> float:
 
 
 def chisq_pdf(x: float, df: float) -> float:
+    """Chi-square density with ``df`` degrees of freedom; 0 at x <= 0."""
     df = _require_positive("df", df)
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
-    half = df / 2.0
-    return math.exp((half - 1.0) * math.log(x) - x / 2.0 - half * math.log(2.0) - log_gamma(half))
+    return float(_chisq_pdf_array(float(x), df))
 
 
 def t_cdf(x: float, df: float) -> float:
@@ -225,11 +221,9 @@ def t_cdf(x: float, df: float) -> float:
 
 
 def t_pdf(x: float, df: float) -> float:
+    """Student t density with ``df`` degrees of freedom."""
     df = _require_positive("df", df)
-    x = _require_finite("x", x)
-    lognum = log_gamma((df + 1.0) / 2.0) - log_gamma(df / 2.0)
-    logden = 0.5 * math.log(df * math.pi)
-    return math.exp(lognum - logden - 0.5 * (df + 1.0) * math.log1p(x * x / df))
+    return float(_t_pdf_array(_require_finite("x", x), df))
 
 
 def f_cdf(x: float, df1: float, df2: float) -> float:
@@ -245,17 +239,46 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
 
 
 def f_pdf(x: float, df1: float, df2: float) -> float:
+    """F density with (``df1``, ``df2``) degrees of freedom; 0 at x <= 0."""
     df1 = _require_positive("df1", df1)
     df2 = _require_positive("df2", df2)
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
+    return float(_f_pdf_array(float(x), df1, df2))
+
+
+# Array definitions of the densities.  The scalar functions above validate
+# their arguments and evaluate these at one point; callers with arrays
+# validate the (scalar) degrees of freedom themselves.  Per-law constants
+# are Python floats, and each expression keeps its evaluation order.  As in
+# scalar float arithmetic, an overflow to inf gives density 0 silently, and
+# x <= 0 (log of 0 or less) is masked to density 0 for chisq and F.
+
+
+def _normal_pdf_array(x):
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+
+
+def _chisq_pdf_array(x, df: float):
+    half = df / 2.0
+    with np.errstate(all="ignore"):
+        f = np.exp((half - 1.0) * np.log(x) - x / 2.0 - half * math.log(2.0) - log_gamma(half))
+    return np.where(x <= 0.0, 0.0, f)
+
+
+def _t_pdf_array(x, df: float):
+    lognum = log_gamma((df + 1.0) / 2.0) - log_gamma(df / 2.0)
+    logden = 0.5 * math.log(df * math.pi)
+    with np.errstate(over="ignore"):
+        return np.exp(lognum - logden - 0.5 * (df + 1.0) * np.log1p(x * x / df))
+
+
+def _f_pdf_array(x, df1: float, df2: float):
     h1, h2 = df1 / 2.0, df2 / 2.0
     logb = log_gamma(h1) + log_gamma(h2) - log_gamma(h1 + h2)
-    return math.exp(
-        h1 * math.log(df1) + h2 * math.log(df2) + (h1 - 1.0) * math.log(x)
-        - (h1 + h2) * math.log(df2 + df1 * x) - logb
-    )
+    with np.errstate(all="ignore"):
+        f = np.exp(h1 * math.log(df1) + h2 * math.log(df2) + (h1 - 1.0) * np.log(x)
+                   - (h1 + h2) * np.log(df2 + df1 * x) - logb)
+    return np.where(x <= 0.0, 0.0, f)
 
 
 # ---------------------------------------------------------------------------

@@ -130,17 +130,22 @@ class PivotLaw:
             return numerics.t_cdf(v, self.df[0])
         return numerics.f_cdf(v, self.df[0], self.df[1]) if v > 0 else 0.0
 
-    def pdf(self, v: float) -> float:
-        v = float(v)
-        if not math.isfinite(v):
-            return 0.0
+    def pdf(self, v):
+        """Density at a point (a float back) or at each element of an array
+        (an array back); 0 at non-finite values and off the support."""
+        v = np.asarray(v, dtype=float)
+        finite = np.isfinite(v)
+        x = np.where(finite, v, 0.0)
         if self.family in ("normal", "corrected_normal"):
-            return numerics.normal_pdf(v)
-        if self.family in ("chisq", "corrected_chisq"):
-            return numerics.chisq_pdf(v, self.df[0])
-        if self.family == "student_t":
-            return numerics.t_pdf(v, self.df[0])
-        return numerics.f_pdf(v, self.df[0], self.df[1])
+            f = numerics._normal_pdf_array(x)
+        elif self.family in ("chisq", "corrected_chisq"):
+            f = numerics._chisq_pdf_array(x, self.df[0])
+        elif self.family == "student_t":
+            f = numerics._t_pdf_array(x, self.df[0])
+        else:
+            f = numerics._f_pdf_array(x, self.df[0], self.df[1])
+        f = np.where(finite, f, 0.0)
+        return f if f.ndim else float(f)
 
     def quantile(self, p: float, tol: float = 1e-12) -> float:
         """Inverse CDF by deterministic root finding on the CDF."""
@@ -172,7 +177,10 @@ class Pivot:
     realized pivot value.  For scalar parameters, ``jacobian_fn`` gives
     |dv/dtheta| and ``monotonic`` declares the direction of v in theta,
     which is verified numerically (never silently assumed) whenever a
-    density is built on a grid.
+    density is built on a grid.  A scalar pivot's ``value_fn`` and
+    ``jacobian_fn`` also map an array of parameter points to one value per
+    point (a constant broadcasts): monotone checks and densities evaluate a
+    whole grid in one call.
     """
 
     law: PivotLaw
@@ -226,18 +234,26 @@ class ConfidenceStatement:
 
 @dataclass(frozen=True)
 class ConfidenceDensity:
-    """A pointwise-evaluable, integrable density over one parameter scale."""
+    """An integrable density over one parameter scale, evaluated on arrays.
 
-    density_fn: Callable[[float], float] = field(repr=False)
+    ``density_fn`` maps an array of points inside ``support`` to their
+    densities in one call.  Calling the density evaluates a point (a float
+    back) or a whole grid of points (an array back): 0 outside the support,
+    and negative values clipped to 0.
+    """
+
+    density_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     support: tuple[float, float] = _REAL_LINE
     label: str = "confidence density"
 
-    def __call__(self, theta: float) -> float:
+    def __call__(self, theta):
+        t = np.asarray(theta, dtype=float)
         lo, hi = self.support
-        if theta < lo or theta > hi:
-            return 0.0
-        val = float(self.density_fn(theta))
-        return max(val, 0.0)
+        inside = (t >= lo) & (t <= hi)
+        out = np.zeros(t.shape)
+        if inside.any():
+            out[inside] = np.maximum(self.density_fn(t[inside]), 0.0)
+        return out if out.ndim else float(out)
 
     def mass(self, lo: float, hi: float, tol: float = 1e-9) -> float:
         """Integrated confidence over [lo, hi] intersected with the support."""
@@ -278,15 +294,27 @@ def confidence_of(pivot: Pivot, bound: float, side: str = "<=") -> float:
     return c if side == "<=" else 1.0 - c
 
 
+def _on_points(fn, points: np.ndarray) -> np.ndarray:
+    """One call of a scalar pivot's ``fn`` on an array of points: a float per point.
+
+    Floating-point warnings are off, as in the scalar float arithmetic of a
+    pointwise call: an overflow gives inf silently, which a law density
+    maps to 0 and the jacobian check rejects.
+    """
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(np.asarray(fn(points), dtype=float), points.shape)
+
+
 def _check_monotone(pivot: Pivot, grid: RealGrid) -> None:
     """Verify the declared direction on the grid points inside the open support.
 
     Points on or outside the support carry no density and may lie where the
-    pivot is undefined (a variance of 0), so they are not evaluated.
+    pivot is undefined (a variance of 0), so they are not evaluated.  The
+    others take one call of ``value_fn``.
     """
     lo, hi = pivot.param_support
     points = grid.points[(grid.points > lo) & (grid.points < hi)]
-    values = np.array([pivot.value(float(t)) for t in points])
+    values = _on_points(pivot.value_fn, points)
     diffs = np.diff(values)
     expect_positive = pivot.monotonic == "increasing"
     bad = diffs <= 0 if expect_positive else diffs >= 0
@@ -304,7 +332,11 @@ def parameter_density(pivot: Pivot, grid: RealGrid) -> ConfidenceDensity:
 
     density(theta) = law.pdf(v(theta)) * |dv/dtheta|.  Requires a scalar
     monotone pivot with a jacobian; monotonicity is verified on ``grid``
-    before the density is returned.
+    before the density is returned.  The density evaluates an array of
+    points with one call of ``value_fn`` and one of ``jacobian_fn`` (at the
+    points of nonzero law density, where the jacobian must be positive and
+    finite); the open support's boundary and a pivot value off the law's
+    support carry density 0.
     """
     if pivot.jacobian_fn is None:
         raise UnsupportedOperationError(
@@ -314,16 +346,20 @@ def parameter_density(pivot: Pivot, grid: RealGrid) -> ConfidenceDensity:
     _check_monotone(pivot, grid)
     lo, hi = pivot.param_support
 
-    def density(theta: float) -> float:
-        if not lo < theta < hi:  # open support: boundary carries no mass
-            return 0.0
-        v = pivot.value(theta)
-        if not pivot.law.in_support(v) or not math.isfinite(v):
-            return 0.0
-        f = pivot.law.pdf(v)
-        if f == 0.0:
-            return 0.0
-        return f * pivot.jacobian(theta)
+    def density(theta: np.ndarray) -> np.ndarray:
+        out = np.zeros(theta.shape)
+        inside = (lo < theta) & (theta < hi)
+        f = pivot.law.pdf(_on_points(pivot.value_fn, theta[inside]))
+        nonzero = f != 0.0
+        t = theta[inside][nonzero]
+        jac = _on_points(pivot.jacobian_fn, t)
+        bad = ~(np.isfinite(jac) & (jac > 0))
+        if bad.any():
+            raise DomainError(f"{pivot.label}: jacobian must be positive, "
+                              f"got {float(jac[bad][0])!r}")
+        f[nonzero] *= jac
+        out[inside] = f
+        return out
 
     return ConfidenceDensity(density, support=pivot.param_support,
                              label=f"{pivot.label} confidence density")
@@ -430,6 +466,16 @@ def location_pivot(estimate: float, scale: float = 1.0) -> Pivot:
     )
 
 
+def _pointwise(fn):
+    """``fn`` of one float, made to take an array of points: one call per point."""
+
+    def on_points(eta):
+        eta = np.asarray(eta, dtype=float)
+        return np.array([fn(e) for e in eta.ravel().tolist()], dtype=float).reshape(eta.shape)
+
+    return on_points
+
+
 def reparameterized(pivot: Pivot, forward, inverse, inverse_deriv,
                     support: tuple[float, float]) -> Pivot:
     """The same pivot expressed on the scale eta = forward(theta).
@@ -437,7 +483,9 @@ def reparameterized(pivot: Pivot, forward, inverse, inverse_deriv,
     ``inverse`` maps eta back to theta, ``inverse_deriv`` is d theta/d eta,
     and ``support`` is the image of the parameter support under ``forward``.
     The jacobian picks up |inverse_deriv| per the chain rule, so confidence
-    masses are equivariant under strictly monotone smooth maps.
+    masses are equivariant under strictly monotone smooth maps.  The maps
+    may be scalar-only Python callables, so the new pivot evaluates an
+    array of points one point at a time.
     """
     center, scale = pivot.hint
     increasing_map = inverse_deriv(forward(center)) > 0
@@ -466,8 +514,8 @@ def reparameterized(pivot: Pivot, forward, inverse, inverse_deriv,
 
     return Pivot(
         law=pivot.law,
-        value_fn=value,
-        jacobian_fn=jac,
+        value_fn=_pointwise(value),
+        jacobian_fn=None if jac is None else _pointwise(jac),
         monotonic=direction,
         param_support=support,
         hint=(new_center, new_scale),

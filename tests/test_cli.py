@@ -126,6 +126,12 @@ class TestFitCommand:
         assert payload["model"] == "gamma_known_mu"
         assert payload["varphi_hat"] > 0
 
+    def test_known_mu_with_normal_model_is_usage_error(self, normal_csv, capsys):
+        code = main(["fit", "--file", str(normal_csv[0]), "--model", "normal",
+                     "--response", "y", "--design", "x1,x2", "--known-mu"])
+        assert code == 2
+        assert "--known-mu applies to --model gamma only" in capsys.readouterr().err
+
 
 class TestConfdensCommand:
     def test_normal_location_style_density(self, tmp_path, capsys):
@@ -210,6 +216,13 @@ class TestConfdensCommand:
         from_zero, from_step = density("0:8:51"), density("0.16:8:50")
         assert from_zero[0].tolist() == [0.0, 0.0]
         np.testing.assert_allclose(from_zero[1:], from_step, rtol=1e-13, atol=0.0)
+
+    def test_known_mu_with_normal_model_is_usage_error(self, normal_csv, capsys):
+        code = main(["confdens", "--file", str(normal_csv[0]), "--model", "normal",
+                     "--response", "y", "--design", "x1,x2", "--known-mu",
+                     "--target", "variance", "--grid", "0.2:4:41", "--method", "exact"])
+        assert code == 2
+        assert "--known-mu applies to --model gamma only" in capsys.readouterr().err
 
     def test_incompatible_pair_is_usage_error(self, gamma_csv, capsys):
         path = gamma_csv[0]
@@ -412,6 +425,13 @@ class TestIntervalCommand:
                     + interval_args)
         assert code == 2
         assert "does not match" in capsys.readouterr().err
+
+    def test_known_mu_with_normal_model_is_usage_error(self, normal_csv, capsys):
+        code = main(["interval", "--file", str(normal_csv[0]), "--model", "normal",
+                     "--response", "y", "--design", "x1", "--known-mu", "--target", "variance",
+                     "--level", "0.9", "--method", "exact"])
+        assert code == 2
+        assert "--known-mu applies to --model gamma only" in capsys.readouterr().err
 
     def test_matches_library_endpoint(self, normal_csv, capsys):
         path, y, x1, x2 = normal_csv

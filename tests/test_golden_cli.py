@@ -6,12 +6,14 @@ pin the exact bytes printed, so a speed-up that changes any digit (or the
 order of any float operation that reaches the output) fails here even when
 the numbers stay within the tolerances of the other CLI tests.  The
 ``confdens --model gamma --method skovgaard`` case pins today's exit 4: its
-corrected root is not monotone over the grid.
+corrected root is not monotone over the grid.  Every ``confdens`` case, and
+three more grids from 0, also runs with warnings turned into errors.
 """
 
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -92,14 +94,14 @@ CASES = {
 
 # sha256 of each case's stdout (an exit-4 case prints nothing).
 GOLDEN = {
-    "confdens_contrast_exact": "b26bd0a484afeff922efd28ab19275a9145b3a63848c6ef6f9e550256c021137",
+    "confdens_contrast_exact": "e2e1b956d1ffe795bdfb3042c616ac8a380177c89d4c58c273bca8eb90dda32b",
     "confdens_gamma_first_order":
         "cbd55e48cc37dff00ed0bd75f68fdf765c98b7eeaa34b97821abda6fb25a0b7d",
     "confdens_gamma_skovgaard": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "confdens_known_mu_first_order":
         "25ef164492cf2910dea28a4e6664c9602b646b2985532df18c963c43ec5ef86a",
     "confdens_known_mu_fraser": "8ead138ed84f8f1e8a8c41b4f0035b7a9c228a89526ba6a675fb38c670ad7486",
-    "confdens_variance_exact": "29a58205c687c28077b8ab0b8f71c5ea180700b8c143b81a160f8bffda8c32c8",
+    "confdens_variance_exact": "9faa4a5281308a51a3ec098c30c6cb39d624837fdf3a3ccecf311f170e396be5",
     "fit_gamma": "ef40742a29a37549a6e0a6b4f0c82d51092f31da20bbdef26c7ccfa104b5cd80",
     "fit_known_mu": "16b2c10201da9c454e8e1f6e1ad8cb588db19caba64305f98b131a394634edf3",
     "fit_normal": "041398803da87ed0e8a2ef41b1202808f2b9670d2e7b4e9c39b842a63c7240ad",
@@ -140,3 +142,32 @@ def test_cli_output_is_pinned(name, tmp_path, capsys):
     assert main(template.format(d=tmp_path).split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name], out[:2000]
+
+
+# confdens cases whose grid starts at 0, beside the known-mean ones in CASES
+FROM_ZERO = {
+    "confdens_variance_from_zero": (
+        f"confdens {NORMAL} --target variance --method exact --grid 0:8:51", 0),
+    "confdens_gamma_first_order_from_zero": (
+        f"confdens {GAMMA} --target precision --method first_order --grid 0:8:101", 0),
+    "confdens_gamma_skovgaard_from_zero": (
+        f"confdens {GAMMA} --target precision --method skovgaard --grid 0:8:101", 4),
+}
+CONFDENS = {name: case for name, case in {**CASES, **FROM_ZERO}.items()
+            if name.startswith("confdens")}
+
+
+@pytest.mark.parametrize("name", sorted(CONFDENS))
+def test_confdens_leaks_no_warnings(name, tmp_path, capsys):
+    """Every confdens case with warnings as errors: the pinned exit code, and
+    nothing on stderr but the mass warning or the exit-4 case's message."""
+    _data_files(tmp_path)
+    template, code = CONFDENS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(template.format(d=tmp_path).split()) == code
+    allowed = ["warning: density mass over the emitted grid"]
+    if code == 4:
+        allowed.append("numeric error: corrected root is not monotone")
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith(tuple(allowed)) for line in err), err

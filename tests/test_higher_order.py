@@ -8,11 +8,11 @@ from confdist.errors import ContractViolationError, DomainError
 from confdist.gamma import cumulant_d2, fit_irls
 from confdist.higher_order import (
     CorrectedDeviance,
-    ModifiedRoot,
     ball_confidence,
     corrected_confidence_density,
     corrected_deviance_value,
     fit_known_mean,
+    fraser_curve,
     fraser_pivot,
     fraser_root_known_mu,
     modified_root_value,
@@ -309,13 +309,11 @@ class TestSkovgaardBeta:
 
 
 class TestCorrectedDensity:
+    """corrected_confidence_density takes a root curve on arrays of precisions."""
+
     @staticmethod
     def linear_root(estimate):
-        def rf(v):
-            return ModifiedRoot(signed_root=estimate - v, correction=estimate - v,
-                                value=estimate - v)
-
-        return rf
+        return lambda v: estimate - v
 
     def test_exact_normal_case(self):
         import oracles
@@ -330,7 +328,7 @@ class TestCorrectedDensity:
         y = known_mean_sample(12)
         vh = fit_known_mean(y).varphi_hat
         grid = RealGrid(np.array(vh * np.geomspace(0.5, 2.0, 31)))
-        dens = corrected_confidence_density(lambda v: fraser_root_known_mu(y, v), grid)
+        dens = corrected_confidence_density(fraser_curve(fit_known_mean(y)).values, grid)
         assert all(dens(float(v)) >= 0.0 for v in grid.points)
 
     def test_mass_below_quantile_is_ninety_five(self):
@@ -340,7 +338,7 @@ class TestCorrectedDensity:
         vh = fit_known_mean(y).varphi_hat
         rf = lambda v: fraser_root_known_mu(y, v)
         grid = RealGrid(np.array(vh * np.geomspace(0.35, 3.5, 41)))
-        dens = corrected_confidence_density(rf, grid)
+        dens = corrected_confidence_density(fraser_curve(fit_known_mean(y)).values, grid)
         # {v : root <= q95} = [v_q, infinity); integrate over it within the grid
         v_q = find_root(lambda v: rf(v).value - NORMAL_Q95, (vh * 0.4, vh), tol=1e-12,
                         limits=(1e-6, math.inf))
@@ -359,13 +357,12 @@ class TestCorrectedDensity:
         hi = find_root(lambda v: rf(v) + 4.5, (vh, vh * 20.0), tol=1e-10,
                        limits=(1e-9, math.inf))
         grid = RealGrid(np.geomspace(lo, hi, 41))
-        dens = corrected_confidence_density(lambda v: fraser_root_known_mu(y, v), grid)
+        dens = corrected_confidence_density(fraser_curve(fit_known_mean(y)).values, grid)
         assert dens.total_mass(tol=1e-8) == pytest.approx(1.0, abs=1e-4)
 
     def test_nonmonotone_root_rejected(self):
         def bad(v):
-            val = (v - 1.0) ** 2
-            return ModifiedRoot(signed_root=val, correction=val, value=val)
+            return (v - 1.0) ** 2
 
         with pytest.raises(ContractViolationError):
             corrected_confidence_density(bad, RealGrid(np.linspace(0.0, 2.0, 11)))
