@@ -573,6 +573,8 @@ def _parse_scenarios(path: str, seed_override: int | None) -> list[tuple[str, Sc
 
 
 def cmd_coverage(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be positive, got {args.jobs}")
     scenarios = _parse_scenarios(args.scenario, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

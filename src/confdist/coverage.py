@@ -87,6 +87,13 @@ _MODEL_METHODS = {
     ),
 }
 
+# Fields a model does not use; setting one is rejected, not ignored.
+_FOREIGN_FIELDS = {
+    "normal_regression": ("varphi",),
+    "gamma_known_mu": ("phi", "beta", "p", "contrast_vector"),
+    "gamma_regression": ("phi", "contrast_vector"),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -108,6 +115,9 @@ class Scenario:
     def __post_init__(self):
         if self.model not in _MODEL_METHODS:
             raise ScenarioError(f"unknown model {self.model!r}")
+        for name in _FOREIGN_FIELDS[self.model]:
+            if getattr(self, name) is not None:
+                raise ScenarioError(f"{name} does not apply to {self.model}")
         for name in ("n", "replications"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .data import Dataset
-from .errors import ContractViolationError, DegenerateFitError, DomainError
+from .errors import ContractViolationError, ConvergenceError, DegenerateFitError, DomainError
 from .gamma import (
     _DEGENERATE_MEAN_B,
     GammaFit,
@@ -38,6 +38,7 @@ from .gamma import (
     _profile_deviance_beta_array,
     _profile_deviance_precision_array,
     _solve_precision_array,
+    _solve_rows,
     cumulant_d2,
     profile_deviance_beta,
     profile_precision_at,
@@ -220,32 +221,12 @@ def signed_precision_root(n: int, varphi_hat: float, varphi: float) -> float:
     return signed_root_curve(n, varphi_hat)(varphi)
 
 
-def _root_window_nodes(zp_fn, varphi_hat: float, scale: float):
-    """Abscissae where |z_p| hits 0.05 and 0.10, straddling the maximum."""
-    nodes = []
-    for target in (2.0 * ROOT_WINDOW, ROOT_WINDOW, -ROOT_WINDOW, -2.0 * ROOT_WINDOW):
-        delta = abs(target) * scale
-        if target > 0.0:  # z_p positive below the estimate
-            bracket = (max(varphi_hat - 2.0 * delta, varphi_hat * 0.5), varphi_hat - 0.25 * delta)
-            limits = (1e-300, varphi_hat)
-        else:
-            bracket = (varphi_hat + 0.25 * delta, varphi_hat + 2.0 * delta)
-            limits = (varphi_hat, math.inf)
-        nodes.append(find_root(lambda v: zp_fn(v) - target, bracket,
-                               tol=1e-12, limits=limits))
-    return nodes
-
-
-def _window_cubic(x_nodes, y_nodes) -> np.ndarray:
-    """Coefficients of the cubic through the four window nodes (np.polyval)."""
-    return np.polyfit(np.asarray(x_nodes), np.asarray(y_nodes), 3)
-
-
 def fraser_curve(km: KnownMeanGammaFit):
     """varphi -> :func:`fraser_root_known_mu` for the sample fitted by ``km``.
 
     Computed once per fit: the signed-root curve, sqrt(n * cumulant_d2(varphi_hat))
-    and, at the first varphi inside the window, its nodes and their cubic.
+    and, at the first varphi inside the window, its cubic: the
+    :func:`_fraser_window` coverage builds, on one row.
     The curve's ``values`` attribute maps an array of precisions to their
     corrected root values in one call, from the array kernels coverage uses;
     points inside the window take the same cubic, so their values are the
@@ -256,16 +237,14 @@ def fraser_curve(km: KnownMeanGammaFit):
     info_root = math.sqrt(n * cumulant_d2(vh))
 
     @functools.cache
-    def window_cubic() -> np.ndarray:
-        nodes = _root_window_nodes(zp_fn, vh, 1.0 / info_root)
-        return _window_cubic(nodes, [modified_root_value(zp_fn(u), info_root * (vh - u))
-                                     for u in nodes])
+    def window_cubic():
+        return _settled(_fraser_window(n, np.array([[vh]]), np.array([[info_root]])), vh)
 
     def root(varphi: float) -> ModifiedRoot:
         v = _require_precision(varphi)
         zp, m = zp_fn(v), info_root * (vh - v)
         inside = abs(zp) < ROOT_WINDOW
-        value = float(np.polyval(window_cubic(), v)) if inside else modified_root_value(zp, m)
+        value = float(window_cubic()(v)[0, 0]) if inside else modified_root_value(zp, m)
         return ModifiedRoot(signed_root=zp, correction=m, value=value, interpolated=inside)
 
     def values(varphi) -> np.ndarray:
@@ -278,7 +257,7 @@ def fraser_curve(km: KnownMeanGammaFit):
                 raise DomainError("correction and signed root must share a sign")
             value = _modified_root_values(zp, m)
         if inside.any():
-            value[inside] = np.polyval(window_cubic(), v[inside])
+            value[inside] = window_cubic()(v[inside])[0]
         return value
 
     root.values = values
@@ -297,12 +276,13 @@ def fraser_root_known_mu(sample: np.ndarray, varphi: float) -> ModifiedRoot:
     return fraser_curve(fit_known_mean(sample))(varphi)
 
 
-# Array forms of the known-mean root, for a block of samples at once.
+# The window: one Newton solver finds the precision nodes of every fit, curve
+# or block row, and one stacked solve fits every window cubic.
 
 _WINDOW_TARGETS = np.array([2.0 * ROOT_WINDOW, ROOT_WINDOW, -ROOT_WINDOW, -2.0 * ROOT_WINDOW])
 
-# Newton node solves of the array window paths: the tolerance of the scalar
-# paths' find_root calls (brentq adds 8.9e-16 relative) and a step budget.
+# Newton node solves: the step tolerance of a find_root solve at tol 1e-12
+# (brentq adds 8.9e-16 relative) and a step budget.
 _NODE_TOL = 1e-12
 _NODE_RTOL = 8.9e-16
 _NODE_STEPS = 50
@@ -325,11 +305,10 @@ def _modified_root_values(signed_root: np.ndarray, correction: np.ndarray) -> np
 def _newton_nodes(step_fn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton iterations x <- x - step_fn(x) on every element of ``x`` at once.
 
-    An element stops when its step falls to :func:`find_root`'s tolerance
-    (_NODE_TOL plus brentq's relative _NODE_RTOL) or stops shrinking (the
-    evaluation noise floor).  Returns the iterates and a mask of the
-    elements still open after _NODE_STEPS steps; a NaN step closes its
-    element at NaN.
+    An element stops when its step falls to _NODE_TOL plus _NODE_RTOL
+    relative or stops shrinking (the evaluation noise floor).  Returns the
+    iterates and a mask of the elements still open after _NODE_STEPS steps;
+    a NaN step closes its element at NaN.
     """
     last = np.full(x.shape, np.inf)
     open_ = np.ones(x.shape, dtype=bool)
@@ -344,13 +323,12 @@ def _newton_nodes(step_fn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, open_
 
 
-def _known_mean_window_nodes(n: int, varphi_hat: np.ndarray, info_root: np.ndarray) -> np.ndarray:
-    """The nodes of :func:`_root_window_nodes` for many known-mean fits at once.
+def _precision_window_nodes(n: int, varphi_hat: np.ndarray, info_root: np.ndarray) -> np.ndarray:
+    """Where the precision signed root (of both gamma models) is +-0.10, +-0.05.
 
-    ``varphi_hat`` and ``info_root`` are columns; the result has one row per
-    fit and one column per window target.  Each node is a Newton solve of
-    the closed-form signed root, started from its linear approximation
-    varphi_hat - target/info_root (see :func:`_newton_nodes`); a node that
+    ``varphi_hat`` and ``info_root`` = sqrt(n * cumulant_d2(varphi_hat)) are
+    columns; the result has one row per fit and one column per target.  Each
+    node is a Newton solve from varphi_hat - target/info_root; a node that
     does not settle, lands on the wrong side of the estimate, or misses its
     target by more than 1e-6 is NaN.
     """
@@ -368,15 +346,45 @@ def _known_mean_window_nodes(n: int, varphi_hat: np.ndarray, info_root: np.ndarr
     return np.where(settled, u, np.nan)
 
 
+def _window_cubics(x_nodes: np.ndarray, y_nodes: np.ndarray):
+    """The cubic through the four nodes of each row, as a function of x that
+    broadcasts against one column per row: one stacked 4x4 solve in the
+    abscissa centred on the nodes' mean and divided by their half range.  A
+    row with a NaN node, or a singular system, gives NaN."""
+    centre = x_nodes.mean(axis=1, keepdims=True)
+    scale = 2.0 / np.ptp(x_nodes, axis=1, keepdims=True)
+    s = (x_nodes - centre) * scale
+    coef = _solve_rows(s[:, :, None] ** np.arange(4), y_nodes)
+
+    def cubic(x) -> np.ndarray:
+        s = (x - centre) * scale
+        return ((coef[:, 3:] * s + coef[:, 2:3]) * s + coef[:, 1:2]) * s + coef[:, :1]
+
+    return cubic
+
+
+def _settled(cubic, varphi_hat: float):
+    """The window cubic of a curve (one row); raises if its nodes did not settle."""
+    if np.isnan(cubic(varphi_hat)).any():
+        raise ConvergenceError(f"window nodes did not settle at varphi_hat={varphi_hat!r}")
+    return cubic
+
+
+def _fraser_window(n: int, varphi_hat: np.ndarray, info_root: np.ndarray):
+    """The window cubic of the known-mean modified root, one row per fit
+    (columns ``varphi_hat`` and ``info_root``); NaN where a node does not settle."""
+    nodes = _precision_window_nodes(n, varphi_hat, info_root)
+    return _window_cubics(nodes, _modified_root_values(_signed_roots(n, varphi_hat, nodes),
+                                                       info_root * (varphi_hat - nodes)))
+
+
 def _known_mean_roots(Y: np.ndarray, varphi: float):
     """:func:`fraser_root_known_mu` for every row of ``Y``, as arrays.
 
     Returns (signed_root, value, interpolated).  Both roots are NaN on a
     sample the scalar function rejects (a value not finite or not positive,
     a vanishing deviance), and ``value`` is NaN on a window row whose nodes
-    did not settle.  The window nodes depend only on (n, varphi_hat), so all
-    window rows solve them together; each row then fits the scalar function's
-    cubic through its own nodes.
+    did not settle.  All window rows solve their nodes and cubics together.
     """
     v = _require_precision(varphi)
     rows, n = Y.shape
@@ -390,12 +398,7 @@ def _known_mean_roots(Y: np.ndarray, varphi: float):
     value[fit] = _modified_root_values(zp[fit], info_root * (vh - v))
     interpolated = fit & (np.abs(zp) < ROOT_WINDOW)
     w = interpolated[fit]
-    vh_w, info_w = vh[w, None], info_root[w, None]
-    nodes = _known_mean_window_nodes(n, vh_w, info_w)
-    z_nodes = _modified_root_values(_signed_roots(n, vh_w, nodes), info_w * (vh_w - nodes))
-    for i, x_nodes, y_nodes in zip(np.flatnonzero(interpolated), nodes, z_nodes):
-        settled = np.isfinite(y_nodes).all()
-        value[i] = np.polyval(_window_cubic(x_nodes, y_nodes), v) if settled else np.nan
+    value[interpolated] = _fraser_window(n, vh[w, None], info_root[w, None])(v)[:, 0]
     return zp, value, interpolated
 
 
@@ -429,27 +432,20 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     """varphi -> :func:`skovgaard_precision` for one fit.
 
     Computed once per fit: the cumulant terms at varphi_hat, the score
-    quadratic form and, at the first varphi inside the window, its nodes,
-    their factors and their cubic.  The curve's ``values`` attribute maps an
-    array of precisions to their corrected deviance values (no flags) in one
-    call, from the array kernels coverage uses; points inside the window
-    take the same cubic as the pointwise curve.
+    quadratic form and, at the first varphi inside the window, its window:
+    the :func:`_precision_window` coverage builds, on one row.  The curve's
+    ``values`` attribute maps an array of precisions to their corrected
+    deviance values (no flags) in one call, from the array kernels coverage
+    uses; points inside the window take the same cubic as the pointwise curve.
     """
     n, vh = fit.n, fit.varphi_hat
-    zp_fn = signed_root_curve(n, vh)
     deviance = _precision_deviance_curve(n, vh)
     quad = _precision_quad(data, fit)
 
     @functools.cache
-    def window_cubic() -> np.ndarray | None:
-        nodes = _root_window_nodes(zp_fn, vh, 1.0 / math.sqrt(n * cumulant_d2(vh)))
-        d_nodes = []
-        for u in nodes:
-            m_node = _precision_correction_factor(quad, fit, u)
-            if m_node is None:
-                return None
-            d_nodes.append(corrected_deviance_value(deviance(u), m_node)[0])
-        return _window_cubic(nodes, d_nodes)
+    def window():
+        cubic, unavailable = _precision_window(n, np.array([[vh]]), np.array([[quad]]))
+        return _settled(cubic, vh), bool(unavailable[0])
 
     def corrected(varphi: float) -> CorrectedDeviance:
         v = _require_precision(varphi)
@@ -461,11 +457,11 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
             return CorrectedDeviance(deviance=dp, correction=m, value=value, dims=1,
                                      sign=sign, clamped=clamped)
         # without a factor, or inside the window (then through its cubic)
-        cubic = None if m is None else window_cubic()
-        if cubic is None:
+        cubic, unavailable = (None, True) if m is None else window()
+        if unavailable:
             return CorrectedDeviance(deviance=dp, correction=math.nan, value=dp, dims=1,
                                      sign=sign, correction_unavailable=True)
-        value = float(np.polyval(cubic, v))
+        value = float(cubic(v)[0, 0])
         return CorrectedDeviance(deviance=dp, correction=m, value=max(value, 0.0), dims=1,
                                  sign=sign, interpolated=True, clamped=value < 0.0)
 
@@ -475,11 +471,11 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
             dp = _profile_deviance_precision_array(n, vh, v)
             value, unavailable, _ = _corrected_deviance_values(
                 dp, _precision_correction_factors(n, vh, quad, v))
-        window = ~unavailable & (dp < ROOT_WINDOW**2)
-        if window.any():
-            cubic = window_cubic()
-            value[window] = (dp[window] if cubic is None
-                             else np.maximum(np.polyval(cubic, v[window]), 0.0))
+        inside = ~unavailable & (dp < ROOT_WINDOW**2)
+        if inside.any():
+            cubic, node_unavailable = window()
+            value[inside] = (dp[inside] if node_unavailable
+                             else np.maximum(cubic(v[inside])[0], 0.0))
         return value
 
     corrected.values = values
@@ -535,11 +531,12 @@ def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedD
         value, clamped = corrected_deviance_value(dp_val, m)
         return value, clamped, m
 
+    unavailable = CorrectedDeviance(deviance=dp, correction=math.nan, value=dp,
+                                    dims=fit.p, correction_unavailable=True)
     if dp >= ROOT_WINDOW**2:
         out = d_direct(beta, dp)
         if out is None:
-            return CorrectedDeviance(deviance=dp, correction=math.nan, value=dp,
-                                     dims=fit.p, correction_unavailable=True)
+            return unavailable
         value, clamped, m = out
         return CorrectedDeviance(deviance=dp, correction=m, value=value, dims=fit.p,
                                  clamped=clamped)
@@ -563,32 +560,26 @@ def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedD
             )
         t_nodes.append(find_root(lambda t: dp_at(t) - target, (0.0, t_hi),
                                  tol=1e-12, limits=(0.0, t_hi)))
-    d_nodes = []
-    m_req = None
-    for t in t_nodes:
-        b_t = fit.beta_hat + t * direction
-        out = d_direct(b_t, dp_at(t))
-        if out is None:
-            return CorrectedDeviance(deviance=dp, correction=math.nan, value=dp,
-                                     dims=fit.p, correction_unavailable=True)
-        val, _, m_node = out
-        d_nodes.append(val)
-        if m_req is None:
-            m_req = m_node
-    value = float(np.polyval(_window_cubic(t_nodes, d_nodes), 1.0))
-    clamped = value < 0.0
-    return CorrectedDeviance(deviance=dp, correction=m_req, value=max(value, 0.0),
-                             dims=fit.p, interpolated=True, clamped=clamped)
+    nodes = [d_direct(fit.beta_hat + t * direction, dp_at(t)) for t in t_nodes]
+    if None in nodes:
+        return unavailable
+    cubic = _window_cubics(np.array([t_nodes]), np.array([[d for d, _, _ in nodes]]))
+    value = float(cubic(1.0)[0, 0])
+    return CorrectedDeviance(deviance=dp, correction=nodes[0][2], value=max(value, 0.0),
+                             dims=fit.p, interpolated=True, clamped=value < 0.0)
 
 
 # Array forms of the Skovgaard corrections, one row per replication of a
 # fixed design.  Products, solves and determinants are stacked per row, so
-# they round as the scalar factors' do.  Window rows solve their nodes by
-# Newton iterations instead of find_root, so their values agree with the
-# scalar functions' to the accuracy of the node solves, not bit for bit:
-# both sides place a node at the evaluation noise of the deviance, and the
-# corrected deviance's slope there, log(m) d_p' / (2 d_p^2), magnifies that
-# (measured: values within 2e-9 relative, confidences within 3e-10).
+# they round as the scalar factors' do.  Precision window rows build their
+# nodes and cubic as the scalar curve does, so they agree with it to the
+# rounding of their inputs (observed equal on every window row compared).
+# Coefficient-ray rows solve their nodes by Newton iterations where
+# skovgaard_beta uses find_root, so they agree to the accuracy of the node
+# solves, not bit for bit: both sides place a node at the evaluation noise of
+# the deviance, and the corrected deviance's slope there,
+# log(m) d_p' / (2 d_p^2), magnifies that (measured: values within 4.2e-10
+# relative, confidences within 1.8e-10).
 
 # A ray node is accepted when its profile deviance is this close to its target.
 _RAY_NODE_ACCEPT = 1e-9
@@ -643,20 +634,16 @@ def _corrected_deviance_values(deviance: np.ndarray, correction: np.ndarray):
     return np.where(clamped, 0.0, raw), unavailable, clamped
 
 
-def _window_values(x_nodes: np.ndarray, d_nodes: np.ndarray, unavailable: np.ndarray,
-                   deviance: np.ndarray, x) -> np.ndarray:
-    """Corrected deviances of window rows from their nodes, one row per row.
-
-    As in the scalar functions: a correction unavailable at any node keeps
-    the first-order deviance, otherwise the cubic through the nodes at ``x``
-    is clamped at 0.  A row with an unsettled (NaN) node is NaN.
-    """
-    settled = np.isfinite(x_nodes).all(axis=1)
-    unavailable = unavailable.any(axis=1)
-    value = np.where(settled & unavailable, deviance, np.nan)
-    for i in np.flatnonzero(settled & ~unavailable):
-        value[i] = max(np.polyval(_window_cubic(x_nodes[i], d_nodes[i]), x), 0.0)
-    return value
+def _precision_window(n: int, varphi_hat: np.ndarray, quad: np.ndarray):
+    """The window of :func:`skovgaard_precision`, one row per fit (columns
+    ``varphi_hat`` and ``quad``): the cubic through the corrected deviances at
+    the nodes, and whether the factor is unavailable at a node (the
+    first-order deviance is kept then).  Unsettled nodes give a NaN cubic."""
+    nodes = _precision_window_nodes(n, varphi_hat, np.sqrt(n * _cumulant_d2_array(varphi_hat)))
+    d_nodes, unavailable, _ = _corrected_deviance_values(
+        _profile_deviance_precision_array(n, varphi_hat, nodes),
+        _precision_correction_factors(n, varphi_hat, quad, nodes))
+    return _window_cubics(nodes, d_nodes), unavailable.any(axis=1) & ~np.isnan(nodes).any(axis=1)
 
 
 def _skovgaard_precision_values(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray,
@@ -665,10 +652,8 @@ def _skovgaard_precision_values(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray
     """The value and flag of :func:`skovgaard_precision` for every row.
 
     ``deviance`` holds the rows' precision profile deviances at ``varphi``.
-    Window rows with an available factor take the nodes of the known-mean
-    model, since the signed root is the same closed form in (n, varphi_hat);
-    only the factor's denominator changes from node to node.  A row whose
-    nodes do not settle holds NaN.
+    Window rows with an available factor take their :func:`_precision_window`;
+    a row whose nodes do not settle holds NaN.
     """
     n = X.shape[0]
     quad = _precision_quads(X, Y, mu_hat)
@@ -677,12 +662,9 @@ def _skovgaard_precision_values(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray
     window = deviance < ROOT_WINDOW**2
     rows = np.flatnonzero(window & ~unavailable)
     if rows.size:
-        vh, q = varphi_hat[rows, None], quad[rows, None]
-        nodes = _known_mean_window_nodes(n, vh, np.sqrt(n * _cumulant_d2_array(vh)))
-        d_nodes, node_unavailable, _ = _corrected_deviance_values(
-            _profile_deviance_precision_array(n, vh, nodes),
-            _precision_correction_factors(n, vh, q, nodes))
-        value[rows] = _window_values(nodes, d_nodes, node_unavailable, deviance[rows], varphi)
+        cubic, node_unavailable = _precision_window(n, varphi_hat[rows, None], quad[rows, None])
+        value[rows] = np.where(node_unavailable, deviance[rows],
+                               np.maximum(cubic(varphi)[:, 0], 0.0))
     return value, unavailable | clamped | window
 
 
@@ -756,8 +738,12 @@ def _skovgaard_beta_values(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray,
             m_t = _beta_correction_factors(
                 X, np.repeat(Y[rows], k, axis=0), mu_t.reshape(-1, X.shape[0]),
                 np.repeat(varphi_hat[rows], k), prec_t.ravel()).reshape(t.shape)
+        # as in _precision_window: a node without its factor keeps the
+        # first-order deviance, an unsettled node (NaN in t) a NaN cubic
         d_nodes, node_unavailable, _ = _corrected_deviance_values(dp_t, m_t)
-        value[rows] = _window_values(t, d_nodes, node_unavailable, deviance[rows], 1.0)
+        node_unavailable = node_unavailable.any(axis=1) & ~np.isnan(t).any(axis=1)
+        value[rows] = np.where(node_unavailable, deviance[rows],
+                               np.maximum(_window_cubics(t, d_nodes)(1.0)[:, 0], 0.0))
     return value, unavailable | clamped | window
 
 

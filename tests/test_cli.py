@@ -478,6 +478,20 @@ class TestCoverageCommand:
             outs.append((out / "det.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_not_positive_is_usage_error(self, tmp_path, capsys, jobs):
+        ini = tmp_path / "s.ini"
+        ini.write_text(
+            "[det]\nmodel = normal_regression\nn = 12\nreplications = 100\n"
+            "seed = 5\nlevels = 0.5\nmethods = variance_chisq\n"
+            "beta = 0.5, 1.0\nphi = 1.0\n"
+        )
+        out = tmp_path / "o"
+        code = main(["coverage", "--scenario", str(ini), "--out", str(out), "--jobs", jobs])
+        assert code == 2
+        assert f"--jobs must be positive, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_is_schema_error(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text(

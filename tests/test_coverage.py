@@ -28,6 +28,12 @@ def normal_scenario(**overrides):
     return Scenario(**base)
 
 
+# Overrides that turn normal_scenario into a valid scenario of a gamma model.
+KNOWN_MU = dict(model="gamma_known_mu", methods=("fraser_z",), varphi=2.0, beta=None, phi=None)
+REGRESSION = dict(model="gamma_regression", methods=("skovgaard_beta",), varphi=2.0,
+                  beta=(0.5, -0.3), phi=None)
+
+
 class TestScenarioValidation:
     def test_zero_replications_rejected(self):
         with pytest.raises(ScenarioError):
@@ -84,11 +90,25 @@ class TestScenarioValidation:
         dict(replications=2000.0),
         dict(methods=("variance_chisq", "variance_chisq")),
         dict(levels=(0.5, 0.5)),
+        dict(varphi=2.0),
+        dict(KNOWN_MU, phi=2.0),
+        dict(KNOWN_MU, beta=(1.0,)),
+        dict(KNOWN_MU, p=1),
+        dict(KNOWN_MU, contrast_vector=(1.0,)),
+        dict(REGRESSION, phi=2.0),
+        dict(REGRESSION, contrast_vector=(1.0, 0.0)),
     ], ids=["phi_nan", "phi_inf", "beta_nan", "contrast_nan", "n_fractional",
-            "replications_float", "methods_repeated", "levels_repeated"])
+            "replications_float", "methods_repeated", "levels_repeated",
+            "normal_varphi", "known_mu_phi", "known_mu_beta", "known_mu_p",
+            "known_mu_contrast", "regression_phi", "regression_contrast"])
     def test_bad_input_rejected(self, overrides):
         with pytest.raises(ScenarioError):
             normal_scenario(**overrides)
+
+    @pytest.mark.parametrize("overrides", [KNOWN_MU, REGRESSION], ids=["known_mu", "regression"])
+    def test_gamma_overrides_are_valid(self, overrides):
+        # the base of the foreign-field cases above is itself accepted
+        normal_scenario(**overrides)
 
     @pytest.mark.parametrize("model,method,beta", [
         ("gamma_known_mu", "fraser_z", None),

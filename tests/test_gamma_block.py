@@ -9,12 +9,14 @@ the public scalar API.
 The block coefficient fit is :func:`~confdist.gamma.fit_irls` row by row,
 bit for bit, so a regression row fails exactly when its scalar fit raises.
 The array transforms are not the scalar ones' floats.  They agree to
-rounding (the precision solve uses np.log), and window rows agree to the
-accuracy of their node solves: Newton iterations stopped at the scalar root
-finder's tolerance, whose nodes are accepted within 1e-6 of their target
-roots (known mean and precision windows) or 1e-9 of their target deviances
-(coefficient rays).  A hit can therefore differ from the oracle's only for
-a transform within that distance of a level; the counts have been equal on
+rounding (the precision solve uses np.log).  Known-mean and precision
+window rows build their nodes (one Newton solver, accepted within 1e-6 of
+their target roots) and cubics (one stacked solve) exactly as the scalar
+curves do, so they agree to rounding too.  Coefficient-ray rows agree to
+the accuracy of their node solves: Newton iterations stopped at the scalar
+ray search's find_root tolerance, accepted within 1e-9 of their target
+deviances.  A hit can therefore differ from the oracle's only for a
+transform within that distance of a level; the counts have been equal on
 every study compared.
 """
 
@@ -473,9 +475,11 @@ class TestSkovgaardWindowRows:
         flagged = np.zeros(len(sc.methods), dtype=np.int64)
         kept = 0
         for data, fit in rows:
-            coef = skovgaard_beta(data, fit, beta)
-            if (skovgaard_precision(data, fit, sc.varphi).interpolated
-                    or (coef.interpolated and coef.deviance > 0.0)):
+            # window rows by their deviances: the scalar precision curve
+            # solves its nodes under the same patched budget and raises
+            dp_prec = profile_deviance_precision(fit, sc.varphi).value
+            dp_beta = profile_deviance_beta(data, fit, beta).value
+            if dp_prec < ROOT_WINDOW**2 or 0.0 < dp_beta < ROOT_WINDOW**2:
                 continue
             kept += 1
             for i, (u, flag) in enumerate(oracle_transforms(sc, X, data.y).values()):

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import digamma
 
 from confdist.data import Dataset
 from confdist.errors import ContractViolationError, DomainError
 from confdist.gamma import cumulant_d2, fit_irls
 from confdist.higher_order import (
+    ROOT_WINDOW,
     CorrectedDeviance,
+    KnownMeanGammaFit,
+    _precision_window_nodes,
+    _window_cubics,
     ball_confidence,
     corrected_confidence_density,
     corrected_deviance_value,
@@ -16,6 +24,7 @@ from confdist.higher_order import (
     fraser_pivot,
     fraser_root_known_mu,
     modified_root_value,
+    signed_precision_root,
     signed_root_confidence,
     skovgaard_beta,
     skovgaard_precision,
@@ -192,6 +201,56 @@ class TestFraserRoot:
         grid = vh * np.geomspace(0.4, 2.5, 21)
         vals = [pv.value(float(v)) for v in grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+class TestWindowConstruction:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 200), varphi_hat=st.floats(0.3, 20.0))
+    def test_precision_nodes_match_brentq(self, n, varphi_hat):
+        # the Newton nodes against brentq on the scalar closed-form signed
+        # root; both stop at its evaluation noise (worst seen: 5.1e-12
+        # relative over 12,000 nodes)
+        info_root = math.sqrt(n * cumulant_d2(varphi_hat))
+        nodes = _precision_window_nodes(n, np.array([[varphi_hat]]), np.array([[info_root]]))
+        for node, target in zip(nodes[0], (2 * ROOT_WINDOW, ROOT_WINDOW,
+                                           -ROOT_WINDOW, -2 * ROOT_WINDOW)):
+            bracket = ((varphi_hat * 1e-3, varphi_hat) if target > 0
+                       else (varphi_hat, varphi_hat * 1e3))
+            want = brentq(lambda u: signed_precision_root(n, varphi_hat, u) - target,
+                          *bracket, xtol=1e-15, maxiter=200)
+            assert node == pytest.approx(want, rel=1e-10)
+
+    def test_cubics_reproduce_cubics_row_by_row(self):
+        # against np.polyval of known cubics, on nodes like the window's
+        # (clustered about an abscissa far from 0); a row with a NaN node and
+        # a singular row (a repeated node) are NaN without touching the others
+        rng = np.random.default_rng(7)
+        coef = rng.normal(size=(6, 4))
+        centre = rng.uniform(0.5, 50.0, size=(6, 1))
+        x_nodes = centre + np.sort(rng.uniform(-1.0, 1.0, size=(6, 4)), axis=1) * 0.01 * centre
+        y_nodes = np.array([np.polyval(c, x) for c, x in zip(coef, x_nodes)])
+        x_nodes[4, 2] = np.nan
+        x_nodes[5, 1] = x_nodes[5, 0]
+        x = centre + np.linspace(-0.02, 0.02, 9) * centre
+        got = _window_cubics(x_nodes, y_nodes)(x)
+        for i in range(4):
+            want = np.polyval(coef[i], x[i])
+            assert np.allclose(got[i], want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+        assert np.isnan(got[4:]).all()
+        # one column per row, or one abscissa for every row
+        assert np.array_equal(_window_cubics(x_nodes[:1], y_nodes[:1])(x[0]), got[:1])
+        assert _window_cubics(x_nodes, y_nodes)(1.0).shape == (6, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 200), varphi_hat=st.floats(0.3, 20.0))
+    def test_fraser_values_monotone_across_the_window(self, n, varphi_hat):
+        # a fine grid through the window, its nodes and beyond: the cubic
+        # inside and the formula outside join into one decreasing curve
+        km = KnownMeanGammaFit(varphi_hat=varphi_hat, n=n,
+                               mean_b=math.log(varphi_hat) - digamma(varphi_hat))
+        scale = 1.0 / math.sqrt(n * cumulant_d2(varphi_hat))
+        grid = varphi_hat + np.linspace(-3.0, 3.0, 601) * ROOT_WINDOW * scale
+        assert np.all(np.diff(fraser_curve(km).values(grid)) < 0.0)
 
 
 class TestSkovgaardPrecision:
