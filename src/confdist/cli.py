@@ -80,7 +80,7 @@ class CsvTable:
 def load_csv_table(path: str | Path) -> CsvTable:
     """Strict CSV: comma separated, mandatory header, every cell a finite number."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not a name
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
@@ -167,9 +167,12 @@ def _parse_grid(spec: str) -> RealGrid:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"--grid must be lo:hi:n with numbers, got {spec!r}") from None
-    if n < 2 or not lo < hi:
-        raise UsageError(f"--grid needs lo < hi and n >= 2, got {spec!r}")
-    return RealGrid(np.linspace(lo, hi, n))
+    if n < 2 or not lo < hi or not math.isfinite(hi - lo):
+        raise UsageError(f"--grid needs finite lo < hi and n >= 2, got {spec!r}")
+    try:
+        return RealGrid(np.linspace(lo, hi, n))
+    except MemoryError:
+        raise UsageError(f"--grid has too many points to allocate, got {spec!r}") from None
 
 
 def _parse_contrast(target: str, p: int) -> np.ndarray:
@@ -182,6 +185,8 @@ def _parse_contrast(target: str, p: int) -> np.ndarray:
         raise UsageError(f"cannot parse contrast weights {spec!r}") from None
     if b.shape != (p,):
         raise UsageError(f"contrast has {b.size} weights but the design has {p} columns")
+    if not np.all(np.isfinite(b)):
+        raise UsageError(f"contrast weights must be finite, got {spec!r}")
     return b
 
 

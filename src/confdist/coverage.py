@@ -44,7 +44,9 @@ from .data import Dataset
 from .errors import DomainError, ScenarioError
 from .gamma import (
     _DEGENERATE_MEAN_B,
+    _cumulant_arrays,
     _fit_irls_block,
+    _log_least_squares,
     _profile_deviance_beta_array,
     _profile_deviance_precision_array,
     _solve_precision_array,
@@ -275,10 +277,10 @@ def design_matrix(sc: Scenario) -> np.ndarray | None:
 class _Study:
     """What every replication of a scenario shares, computed once per study.
 
-    ``mean`` is X beta (normal) or exp(X beta) (gamma regression).  Normal
-    regression also keeps the design's thin SVD, the truth as a LinearFit
-    (true beta and variance with the design's Gram matrix), and the contrast
-    at the truth, whose ``lambda_hat`` is the true contrast value.
+    ``mean`` is X beta (normal) or exp(X beta) (gamma regression); ``svd``,
+    the design's thin SVD, gives either regression its start.  Normal
+    regression also keeps the truth as a LinearFit (true beta and variance
+    with the design's Gram matrix), and the contrast at the truth.
     """
 
     X: np.ndarray | None = None
@@ -296,7 +298,7 @@ def _study(sc: Scenario) -> _Study:
     mean = np.exp(X @ beta) if sc.model == "gamma_regression" else X @ beta
     svd = _svd_factors(Dataset(y=mean, X=X))  # SingularDesignError as in the fits
     if sc.model == "gamma_regression":
-        return _Study(X, mean)
+        return _Study(X, mean, svd)
     n, p = X.shape
     truth = LinearFit(beta_hat=beta, phi_hat_m=sc.phi, xtx=X.T @ X, df=n - p, n=n, p=p)
     con = None
@@ -390,14 +392,15 @@ def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
     X, methods, v = study.X, sc.methods, sc.varphi
     n, p = X.shape
     Y = Y[np.all(np.isfinite(Y) & (Y > 0.0), axis=1)]
-    beta_hat, mu_hat, sum_b, converged = _fit_irls_block(X, Y)
+    beta_hat, mu_hat, sum_b, converged = _fit_irls_block(X, Y, _log_least_squares(study.svd, Y))
     fitted = converged & (sum_b / n >= _DEGENERATE_MEAN_B)
     beta_hat, mu_hat, y = beta_hat[fitted], mu_hat[fitted], Y[fitted]
     vh = _solve_precision_array(sum_b[fitted] / n)
+    hat = _cumulant_arrays(vh)
     no_flags = np.zeros(len(y), dtype=bool)
     out = {}
     if "first_order_precision" in methods or "skovgaard_precision" in methods:
-        dp = _profile_deviance_precision_array(n, vh, v)
+        dp = _profile_deviance_precision_array(n, vh, v, hat)
         sign = np.sign(vh - v)
         out["first_order_precision"] = (_sf.ndtr(sign * np.sqrt(dp)), no_flags)
         if "skovgaard_precision" in methods:
@@ -409,7 +412,7 @@ def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
         vt = np.full(len(y), np.nan)  # NaN: a perfect fit at the truth
         at_truth = mean_b >= _DEGENERATE_MEAN_B
         vt[at_truth] = _solve_precision_array(mean_b[at_truth])
-        dp = _profile_deviance_beta_array(n, vh, vt)
+        dp = _profile_deviance_beta_array(n, vh, hat, vt)
         out["first_order_beta"] = (_chisq_cdf(dp, p), no_flags)
         if "skovgaard_beta" in methods:
             value, flags = _skovgaard_beta_values(X, y, beta_hat, vh, np.array(sc.beta),

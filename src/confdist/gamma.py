@@ -67,27 +67,28 @@ _ACCEPT_SCORE = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def cumulant(varphi: float) -> float:
-    """Normalizing part of the log density as a function of the precision."""
+def _require_precision(varphi: float, name: str = "precision") -> float:
     v = float(varphi)
     if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"precision must be positive, got {varphi!r}")
+        raise DomainError(f"{name} must be positive, got {varphi!r}")
+    return v
+
+
+def cumulant(varphi: float) -> float:
+    """Normalizing part of the log density as a function of the precision."""
+    v = _require_precision(varphi)
     return log_gamma(v) - v * math.log(v) + v
 
 
 def cumulant_d1(varphi: float) -> float:
     """First derivative: digamma(varphi) - log(varphi), negative and increasing."""
-    v = float(varphi)
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"precision must be positive, got {varphi!r}")
+    v = _require_precision(varphi)
     return digamma(v) - math.log(v)
 
 
 def cumulant_d2(varphi: float) -> float:
     """Second derivative: trigamma(varphi) - 1/varphi, strictly positive."""
-    v = float(varphi)
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"precision must be positive, got {varphi!r}")
+    v = _require_precision(varphi)
     return trigamma(v) - 1.0 / v
 
 
@@ -140,9 +141,7 @@ class ProfileDeviance:
 def gamma_loglik(beta: np.ndarray, varphi: float, data: Dataset) -> float:
     """Exact log-likelihood up to an additive function of the data alone."""
     data.require_positive_response()
-    v = float(varphi)
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"precision must be positive, got {varphi!r}")
+    v = _require_precision(varphi)
     mu = np.exp(data.X @ np.asarray(beta, dtype=float))
     b = unit_deviance_terms(data.y, mu)
     return float(-v * b.sum() - data.n * cumulant(v))
@@ -292,24 +291,25 @@ def _log_least_squares(svd: tuple[np.ndarray, ...], Y: np.ndarray) -> np.ndarray
     return np.matvec(vt.T @ ((1.0 / s)[:, None] * u.T), np.log(Y))
 
 
-def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray | None = None,
+def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
                     max_iter: int = _IRLS_MAX_ITER, tol: float = _IRLS_TOL,
                     trace: list | None = None) -> tuple[np.ndarray, ...]:
     """Maximum likelihood coefficients of every row of ``Y`` by Newton's method.
 
-    ``X`` must have full column rank and ``Y`` must be positive.  Rows
-    start at ``start`` or at pinv(X) log(y).  A step solves the score
-    X'(y/mu - 1) against the observed information X' diag(y/mu) X; while
-    the summed unit deviance would rise by more than its rounding slack,
-    the step is halved, and below a 1e-10 fraction the row keeps its
-    iterate.  A row converges once its deviance moves by at most ``tol``
-    relatively and its score sup-norm sits at its floating-point floor.  A
-    row whose step fell below the floor would repeat that step, so it stops
-    unconverged, as it does when ``max_iter`` steps run out.  Products and
-    solves are stacked per row, so a row's result does not depend on the
-    other rows of the block: :func:`fit_irls` is this fit on one row.  A
-    row that stopped unconverged is still accepted when its score sup-norm
-    is at most _ACCEPT_SCORE.
+    ``X`` must have full column rank and ``Y`` must be positive; rows start
+    at ``start``, such as pinv(X) log(y) from :func:`_log_least_squares`.  A
+    step solves the score X'(y/mu - 1), kept from the last accepted iterate,
+    against the observed information X' diag(y/mu) X.  Every row tries the
+    full step; while a row's summed unit deviance would rise by more than its
+    rounding slack, its step is halved, and below a 1e-10 fraction the row
+    keeps its iterate.  A row converges once its deviance moves by at most
+    ``tol`` relatively and its score sup-norm sits at its floating-point
+    floor.  A row whose step fell below the floor would repeat that step, so
+    it stops unconverged, as it does when ``max_iter`` steps run out.
+    Products and solves are stacked per row, so a row's result does not
+    depend on the other rows of the block: :func:`fit_irls` is this fit on
+    one row.  A row that stopped unconverged is still accepted when its
+    score sup-norm is at most _ACCEPT_SCORE.
 
     Returns (beta_hat, mu_hat, sum_b, converged) with each row's last
     iterate; ``converged`` marks the accepted rows, and a row whose start
@@ -324,48 +324,52 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray | None = Non
 
     def deviance_parts(B, Yr):
         mu = np.exp(np.matvec(X, B))
-        return mu, unit_deviance_terms(Yr, mu).sum(axis=1)
+        r = Yr / mu
+        return mu, r, (r - 1.0 - np.log(r)).sum(axis=1)  # unit_deviance_terms
 
-    if start is None:
-        start = _log_least_squares(np.linalg.svd(X, full_matrices=False), Y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m, d = deviance_parts(start, Y)
+        m, r, d = deviance_parts(start, Y)
         if trace is not None:
-            trace.append(d.copy())
+            trace.append(d)
         # state of the rows still iterating, and their row numbers
         idx = np.flatnonzero(np.isfinite(d))
-        y, b, m, d = Y[idx], start[idx], m[idx], d[idx]
+        y, b, m, r, d = Y[idx], start[idx], m[idx], r[idx], d[idx]
+        g = np.matvec(X.T, r - 1.0)  # the score
         for _ in range(max_iter):
             if not idx.size:
                 break
-            w = y / m  # observed-information weights
-            delta = _solve_rows(np.matmul(X.T * w[:, None, :], X), np.matvec(X.T, w - 1.0))
-            d_old = d.copy()
-            slack = 1e-11 * np.maximum(1.0, np.abs(d_old))
-            # every row still pending has been halved equally often, so one
-            # step serves them all; rows pending below the floor keep their values
-            pending, step = np.arange(idx.size), 1.0
-            while pending.size and step >= 1e-10:
+            delta = _solve_rows(np.matmul(X.T * r[:, None, :], X), g)
+            slack = 1e-11 * np.maximum(1.0, np.abs(d))
+            nb = b + delta
+            nm, nr, nd = deviance_parts(nb, y)
+            pending, step = np.flatnonzero(~(np.isfinite(nd) & (nd <= d + slack))), 0.5
+            if pending.size:  # these rows keep their iterate and halve the step together
+                nb[pending], nm[pending], nr[pending], nd[pending] = (
+                    b[pending], m[pending], r[pending], d[pending])
+            while pending.size and step >= 1e-10:  # rows pending below the floor keep theirs
                 cand = b[pending] + step * delta[pending]
-                cm, cd = deviance_parts(cand, y[pending])
-                ok = np.isfinite(cd) & (cd <= d_old[pending] + slack[pending])
+                cm, cr, cd = deviance_parts(cand, y[pending])
+                ok = np.isfinite(cd) & (cd <= d[pending] + slack[pending])
                 acc = pending[ok]
-                b[acc], m[acc], d[acc] = cand[ok], cm[ok], cd[ok]
+                nb[acc], nm[acc], nr[acc], nd[acc] = cand[ok], cm[ok], cr[ok], cd[ok]
                 pending, step = pending[~ok], step * 0.5
+            d_old, b, m, r, d = d, nb, nm, nr, nd
             if trace is not None:
-                trace.append(d.copy())
-            score_inf = np.abs(np.matvec(X.T, y / m - 1.0)).max(axis=1)
-            done = (np.abs(d_old - d) <= tol * np.maximum(1.0, np.abs(d))) & (score_inf <= score_tol)
+                trace.append(d)
+            g = np.matvec(X.T, r - 1.0)
+            done = ((np.abs(d_old - d) <= tol * np.maximum(1.0, np.abs(d)))
+                    & (np.abs(g).max(axis=1) <= score_tol))
             converged[idx[done]] = True
             done[pending] = True  # stalled: stop, unconverged
             if done.any():
                 fin, keep = idx[done], ~done
                 beta_hat[fin], mu_hat[fin], sum_b[fin] = b[done], m[done], d[done]
-                idx, y, b, m, d = idx[keep], y[keep], b[keep], m[keep], d[keep]
+                idx, y, b, m, r, d, g = (a[keep] for a in (idx, y, b, m, r, d, g))
         beta_hat[idx], mu_hat[idx], sum_b[idx] = b, m, d
         stopped = np.flatnonzero(~converged & np.isfinite(sum_b))
-        score_inf = np.abs(np.matvec(X.T, Y[stopped] / mu_hat[stopped] - 1.0)).max(axis=1)
-        converged[stopped[score_inf <= _ACCEPT_SCORE]] = True
+        if stopped.size:
+            score_inf = np.abs(np.matvec(X.T, Y[stopped] / mu_hat[stopped] - 1.0)).max(axis=1)
+            converged[stopped[score_inf <= _ACCEPT_SCORE]] = True
     return beta_hat, mu_hat, sum_b, converged
 
 
@@ -399,9 +403,7 @@ def profile_deviance_precision(fit: GammaFit, varphi: float) -> ProfileDeviance:
 
     Values inside the floating-point cancellation floor clamp to 0.
     """
-    v = float(varphi)
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"precision must be positive, got {varphi!r}")
+    v = _require_precision(varphi)
     return ProfileDeviance(_precision_deviance_curve(fit.n, fit.varphi_hat)(v), at=v, dims=1)
 
 
@@ -447,20 +449,18 @@ def profile_deviance_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> Pro
     return ProfileDeviance(value=max(raw, 0.0), at=beta, dims=fit.p)
 
 
-def _profile_deviance_precision_array(n: int, varphi_hat: np.ndarray, varphi) -> np.ndarray:
-    """:func:`profile_deviance_precision` values for arrays of estimates and precisions."""
-    c_hat, c1_hat = _cumulant_arrays(varphi_hat)
-    return np.maximum(
-        2.0 * n * ((varphi_hat - varphi) * c1_hat + _cumulant_arrays(varphi)[0] - c_hat), 0.0)
+def _profile_deviance_precision_array(n: int, varphi_hat: np.ndarray, varphi,
+                                      hat: tuple | None = None, at: tuple | None = None):
+    """:func:`profile_deviance_precision` values for arrays of estimates and
+    precisions; ``hat`` and ``at`` are their _cumulant_arrays, where held."""
+    c_hat, c1_hat = _cumulant_arrays(varphi_hat) if hat is None else hat
+    c = (_cumulant_arrays(varphi) if at is None else at)[0]
+    return np.maximum(2.0 * n * ((varphi_hat - varphi) * c1_hat + c - c_hat), 0.0)
 
 
-def _profile_deviance_beta_array(n: int, varphi_hat: np.ndarray,
+def _profile_deviance_beta_array(n: int, varphi_hat: np.ndarray, hat: tuple,
                                  varphi_at_beta: np.ndarray) -> np.ndarray:
-    """:func:`profile_deviance_beta` values from the estimates and the profile
-    precisions at the coefficient vectors."""
-
-    def g_val(v):
-        c, c1 = _cumulant_arrays(v)
-        return v * c1 - c
-
-    return np.maximum(2.0 * n * (g_val(varphi_hat) - g_val(varphi_at_beta)), 0.0)
+    """:func:`profile_deviance_beta` values from the estimates, their
+    _cumulant_arrays ``hat`` and the profile precisions at the coefficient vectors."""
+    c, c1 = _cumulant_arrays(varphi_at_beta)
+    return np.maximum(2.0 * n * ((varphi_hat * hat[1] - hat[0]) - (varphi_at_beta * c1 - c)), 0.0)

@@ -37,6 +37,7 @@ from .gamma import (
     _precision_deviance_curve,
     _profile_deviance_beta_array,
     _profile_deviance_precision_array,
+    _require_precision,
     _solve_precision_array,
     _solve_rows,
     cumulant_d2,
@@ -163,13 +164,6 @@ def fit_known_mean(sample: np.ndarray) -> KnownMeanGammaFit:
     return KnownMeanGammaFit(varphi_hat=solve_precision(mean_b), mean_b=mean_b, n=y.size)
 
 
-def _require_precision(varphi: float, name: str = "precision") -> float:
-    v = float(varphi)
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"{name} must be positive, got {varphi!r}")
-    return v
-
-
 def _require_precisions(varphi, name: str = "precision") -> np.ndarray:
     """:func:`_require_precision` on an array; the first bad element raises.
 
@@ -288,8 +282,8 @@ _NODE_RTOL = 8.9e-16
 _NODE_STEPS = 50
 
 
-def _signed_roots(n: int, varphi_hat: np.ndarray, varphi) -> np.ndarray:
-    d = _profile_deviance_precision_array(n, varphi_hat, varphi)
+def _signed_roots(n: int, varphi_hat: np.ndarray, varphi, hat=None, at=None) -> np.ndarray:
+    d = _profile_deviance_precision_array(n, varphi_hat, varphi, hat, at)
     return np.copysign(np.sqrt(d), varphi_hat - varphi)
 
 
@@ -323,27 +317,29 @@ def _newton_nodes(step_fn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, open_
 
 
-def _precision_window_nodes(n: int, varphi_hat: np.ndarray, info_root: np.ndarray) -> np.ndarray:
+def _precision_window_nodes(n: int, varphi_hat: np.ndarray, info_root: np.ndarray):
     """Where the precision signed root (of both gamma models) is +-0.10, +-0.05.
 
     ``varphi_hat`` and ``info_root`` = sqrt(n * cumulant_d2(varphi_hat)) are
-    columns; the result has one row per fit and one column per target.  Each
-    node is a Newton solve from varphi_hat - target/info_root; a node that
-    does not settle, lands on the wrong side of the estimate, or misses its
-    target by more than 1e-6 is NaN.
+    columns; returns the nodes and the profile deviances there, one row per
+    fit and one column per target.  Each node is a Newton solve from
+    varphi_hat - target/info_root; a node that does not settle, lands on the
+    wrong side of the estimate, or misses its target by more than 1e-6 is NaN.
     """
     t = _WINDOW_TARGETS
-    c1_hat = _cumulant_arrays(varphi_hat)[1]
+    hat = _cumulant_arrays(varphi_hat)
 
     def step(u):
-        zp = _signed_roots(n, varphi_hat, u)
-        return (zp - t) * zp / (n * (_cumulant_arrays(u)[1] - c1_hat))
+        at = _cumulant_arrays(u)
+        zp = _signed_roots(n, varphi_hat, u, hat, at)
+        return (zp - t) * zp / (n * (at[1] - hat[1]))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         u, open_ = _newton_nodes(step, varphi_hat - t / info_root)
+        d = _profile_deviance_precision_array(n, varphi_hat, u, hat)
         settled = (~open_ & np.isfinite(u) & ((varphi_hat - u) * t > 0.0)
-                   & (np.abs(_signed_roots(n, varphi_hat, u) - t) <= 1e-6))
-    return np.where(settled, u, np.nan)
+                   & (np.abs(np.copysign(np.sqrt(d), varphi_hat - u) - t) <= 1e-6))
+    return np.where(settled, u, np.nan), np.where(settled, d, np.nan)
 
 
 def _window_cubics(x_nodes: np.ndarray, y_nodes: np.ndarray):
@@ -373,8 +369,8 @@ def _settled(cubic, varphi_hat: float):
 def _fraser_window(n: int, varphi_hat: np.ndarray, info_root: np.ndarray):
     """The window cubic of the known-mean modified root, one row per fit
     (columns ``varphi_hat`` and ``info_root``); NaN where a node does not settle."""
-    nodes = _precision_window_nodes(n, varphi_hat, info_root)
-    return _window_cubics(nodes, _modified_root_values(_signed_roots(n, varphi_hat, nodes),
+    nodes, d = _precision_window_nodes(n, varphi_hat, info_root)
+    return _window_cubics(nodes, _modified_root_values(np.copysign(np.sqrt(d), varphi_hat - nodes),
                                                        info_root * (varphi_hat - nodes)))
 
 
@@ -441,10 +437,12 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     n, vh = fit.n, fit.varphi_hat
     deviance = _precision_deviance_curve(n, vh)
     quad = _precision_quad(data, fit)
+    c2_hat = _cumulant_d2_array(vh)
 
     @functools.cache
     def window():
-        cubic, unavailable = _precision_window(n, np.array([[vh]]), np.array([[quad]]))
+        cubic, unavailable = _precision_window(n, np.array([[vh]]), np.array([[c2_hat]]),
+                                               np.array([[quad]]))
         return _settled(cubic, vh), bool(unavailable[0])
 
     def corrected(varphi: float) -> CorrectedDeviance:
@@ -470,7 +468,7 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
         with np.errstate(all="ignore"):
             dp = _profile_deviance_precision_array(n, vh, v)
             value, unavailable, _ = _corrected_deviance_values(
-                dp, _precision_correction_factors(n, vh, quad, v))
+                dp, _precision_correction_factors(n, c2_hat, quad, v))
         inside = ~unavailable & (dp < ROOT_WINDOW**2)
         if inside.any():
             cubic, node_unavailable = window()
@@ -597,13 +595,13 @@ def _precision_quads(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray) -> np.nda
     return np.matmul(np.swapaxes(xr, 1, 2), np.linalg.solve(m_mat, xr))[:, 0, 0]
 
 
-def _precision_correction_factors(n: int, varphi_hat: np.ndarray, quad: np.ndarray,
+def _precision_correction_factors(n: int, c2_hat: np.ndarray, quad: np.ndarray,
                                   varphi) -> np.ndarray:
-    """:func:`_precision_correction_factor` from each row's quadratic form, at
-    one precision or an array of them; NaN where the scalar gives None."""
+    """:func:`_precision_correction_factor` from each row's cumulant_d2 at its
+    estimate and quadratic form, at one or many precisions; NaN for None."""
     denom = n * _cumulant_d2_array(varphi) - quad / varphi
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = n * _cumulant_d2_array(varphi_hat) / denom
+        m = n * c2_hat / denom
     return np.where((denom > 0.0) & (m > 0.0), m, np.nan)
 
 
@@ -634,15 +632,14 @@ def _corrected_deviance_values(deviance: np.ndarray, correction: np.ndarray):
     return np.where(clamped, 0.0, raw), unavailable, clamped
 
 
-def _precision_window(n: int, varphi_hat: np.ndarray, quad: np.ndarray):
+def _precision_window(n: int, varphi_hat: np.ndarray, c2_hat: np.ndarray, quad: np.ndarray):
     """The window of :func:`skovgaard_precision`, one row per fit (columns
-    ``varphi_hat`` and ``quad``): the cubic through the corrected deviances at
-    the nodes, and whether the factor is unavailable at a node (the
-    first-order deviance is kept then).  Unsettled nodes give a NaN cubic."""
-    nodes = _precision_window_nodes(n, varphi_hat, np.sqrt(n * _cumulant_d2_array(varphi_hat)))
+    ``varphi_hat``, its cumulant_d2 and ``quad``): the cubic through the
+    corrected deviances at the nodes, and whether the factor is unavailable at
+    a node (the first-order deviance is kept then).  Unsettled nodes give a NaN cubic."""
+    nodes, dp = _precision_window_nodes(n, varphi_hat, np.sqrt(n * c2_hat))
     d_nodes, unavailable, _ = _corrected_deviance_values(
-        _profile_deviance_precision_array(n, varphi_hat, nodes),
-        _precision_correction_factors(n, varphi_hat, quad, nodes))
+        dp, _precision_correction_factors(n, c2_hat, quad, nodes))
     return _window_cubics(nodes, d_nodes), unavailable.any(axis=1) & ~np.isnan(nodes).any(axis=1)
 
 
@@ -657,24 +654,26 @@ def _skovgaard_precision_values(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray
     """
     n = X.shape[0]
     quad = _precision_quads(X, Y, mu_hat)
-    m = _precision_correction_factors(n, varphi_hat, quad, varphi)
+    c2_hat = _cumulant_d2_array(varphi_hat)
+    m = _precision_correction_factors(n, c2_hat, quad, varphi)
     value, unavailable, clamped = _corrected_deviance_values(deviance, m)
     window = deviance < ROOT_WINDOW**2
     rows = np.flatnonzero(window & ~unavailable)
     if rows.size:
-        cubic, node_unavailable = _precision_window(n, varphi_hat[rows, None], quad[rows, None])
+        cubic, node_unavailable = _precision_window(n, varphi_hat[rows, None],
+                                                    c2_hat[rows, None], quad[rows, None])
         value[rows] = np.where(node_unavailable, deviance[rows],
                                np.maximum(cubic(varphi)[:, 0], 0.0))
     return value, unavailable | clamped | window
 
 
 def _along_rays(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: np.ndarray,
-                varphi_hat: np.ndarray, t: np.ndarray):
+                varphi_hat: np.ndarray, hat: tuple, t: np.ndarray):
     """Means, profile precisions and profile deviances at beta_hat + t * direction.
 
-    One row per data row and one column per node ``t``.  The precision (and
-    so the deviance) is NaN where the unit deviance vanishes or is not
-    finite, where :func:`profile_precision_at` would raise.
+    One row per data row and one column per node ``t``; ``hat`` is the
+    :func:`_cumulant_arrays` of the column ``varphi_hat``.  The precision (and
+    so the deviance) is NaN where :func:`profile_precision_at` would raise.
     """
     b = beta_hat[:, None, :] + t[:, :, None] * direction[:, None, :]
     mu = np.exp(np.matmul(X, b[..., None])[..., 0])
@@ -682,7 +681,7 @@ def _along_rays(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: n
     prec = np.full(t.shape, np.nan)
     ok = np.isfinite(mean_b) & (mean_b >= _DEGENERATE_MEAN_B)
     prec[ok] = _solve_precision_array(mean_b[ok])
-    return mu, prec, _profile_deviance_beta_array(X.shape[0], varphi_hat[:, None], prec)
+    return mu, prec, _profile_deviance_beta_array(X.shape[0], varphi_hat, hat, prec)
 
 
 def _ray_nodes(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: np.ndarray,
@@ -700,15 +699,16 @@ def _ray_nodes(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: np
     """
     target = np.array(_RAY_TARGETS)
     xd = np.matmul(X, direction[:, :, None])[:, None, :, 0]
+    vh, hat = varphi_hat[:, None], _cumulant_arrays(varphi_hat[:, None])
 
     def step(t):
-        mu, prec, dp = _along_rays(X, Y, beta_hat, direction, varphi_hat, t)
+        mu, prec, dp = _along_rays(X, Y, beta_hat, direction, vh, hat, t)
         slope = 2.0 * prec * ((1.0 - Y[:, None, :] / mu) * xd).sum(axis=2)
         return (dp - target) / slope
 
     with np.errstate(all="ignore"):
         t, open_ = _newton_nodes(step, np.sqrt(target / deviance[:, None]))
-        mu, prec, dp = _along_rays(X, Y, beta_hat, direction, varphi_hat, t)
+        mu, prec, dp = _along_rays(X, Y, beta_hat, direction, vh, hat, t)
     settled = ~open_ & (t > 0.0) & (np.abs(dp - target) <= _RAY_NODE_ACCEPT)
     return np.where(settled, t, np.nan), mu, prec, dp
 

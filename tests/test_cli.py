@@ -67,6 +67,20 @@ class TestCsvLoader:
             load_csv_table(p)
 
 
+    def test_utf8_bom_is_not_part_of_the_first_name(self, normal_csv, tmp_path, capsys):
+        # spreadsheet programs save UTF-8 CSV files with a leading BOM
+        path = normal_csv[0]
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes("\ufeff".encode() + path.read_bytes())
+        outs = []
+        for p in (path, bom):
+            code = main(["fit", "--file", str(p), "--model", "normal",
+                         "--response", "y", "--design", "x1,x2"])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
 class TestFitCommand:
     def test_normal_fit_matches_library(self, normal_csv, capsys):
         path, y, x1, x2 = normal_csv
@@ -217,6 +231,30 @@ class TestConfdensCommand:
         assert from_zero[0].tolist() == [0.0, 0.0]
         np.testing.assert_allclose(from_zero[1:], from_step, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("grid", ["0:inf:5", "-inf:1:5", "0:nan:5",
+                                      "-1e308:1e308:5"])
+    def test_non_finite_grid_is_usage_error(self, normal_csv, capsys, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["confdens", "--file", str(normal_csv[0]), "--model", "normal",
+                         "--response", "y", "--design", "x1,x2", "--target", "variance",
+                         f"--grid={grid}", "--method", "exact"])
+        assert code == 2
+        assert "--grid needs finite lo < hi" in capsys.readouterr().err
+
+    def test_unallocatable_grid_is_usage_error(self, normal_csv, capsys, monkeypatch):
+        # np.linspace stands in for an allocation that fails; no large array
+        # is requested
+        def linspace(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        code = main(["confdens", "--file", str(normal_csv[0]), "--model", "normal",
+                     "--response", "y", "--design", "x1,x2", "--target", "variance",
+                     "--grid", "1:3:100000000000", "--method", "exact"])
+        assert code == 2
+        assert "too many points" in capsys.readouterr().err
+
     def test_known_mu_with_normal_model_is_usage_error(self, normal_csv, capsys):
         code = main(["confdens", "--file", str(normal_csv[0]), "--model", "normal",
                      "--response", "y", "--design", "x1,x2", "--known-mu",
@@ -315,6 +353,16 @@ class TestIntervalCommand:
         expected = con.lambda_hat - T5_Q95 * math.sqrt(con.k * fit.phi_hat_m)
         assert payload["statement"]["lower"] == pytest.approx(expected, abs=1e-8)
         assert payload["statement"]["confidence"] == 0.95
+
+    @pytest.mark.parametrize("weights", ["0,nan", "0,inf", "-inf,1"])
+    def test_non_finite_contrast_is_usage_error(self, normal_csv, capsys, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["interval", "--file", str(normal_csv[0]), "--model", "normal",
+                         "--response", "y", "--design", "x1", "--target", f"contrast:{weights}",
+                         "--level", "0.95", "--method", "exact"])
+        assert code == 2
+        assert "contrast weights must be finite" in capsys.readouterr().err
 
     def test_median_level_returns_estimate(self, tmp_path, capsys):
         rng = np.random.default_rng(9)

@@ -22,13 +22,14 @@ every study compared.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confdist import coverage, higher_order
+from confdist import coverage, gamma, higher_order
 from confdist.coverage import Scenario, design_matrix, run_scenario
 from confdist.data import Dataset
 from confdist.errors import (
@@ -39,6 +40,7 @@ from confdist.errors import (
 )
 from confdist.gamma import (
     _fit_irls_block,
+    _log_least_squares,
     _solve_precision_array,
     fit_irls,
     profile_deviance_beta,
@@ -63,6 +65,12 @@ from streams import replication_responses, stream_blocks
 KNOWN_MU_METHODS = ("first_order_z", "fraser_z")
 REGRESSION_METHODS = ("first_order_precision", "skovgaard_precision",
                       "first_order_beta", "skovgaard_beta")
+
+
+def block_fit(X, Y, **kwargs):
+    """_fit_irls_block from the log least-squares start, as the coverage engine calls it."""
+    return _fit_irls_block(X, Y, _log_least_squares(np.linalg.svd(X, full_matrices=False), Y),
+                           **kwargs)
 
 
 def oracle_transforms(sc: Scenario, X, y) -> dict:
@@ -203,7 +211,7 @@ class TestRegressionBlock:
                       beta=(0.5, -0.3, 0.2), varphi=0.5)
         study = coverage._study(sc)
         Y = coverage._responses(sc, study, range(sc.replications))
-        beta, mu, sum_b, converged = _fit_irls_block(study.X, Y)
+        beta, mu, sum_b, converged = block_fit(study.X, Y)
         assert converged.mean() > 0.9
         for i in np.flatnonzero(converged):
             fit = fit_irls(Dataset(y=Y[i], X=study.X))
@@ -211,10 +219,10 @@ class TestRegressionBlock:
             assert sum_b[i] == fit.sum_b
         # five steps leave rows unconverged: each keeps the last iterate of
         # its one-row fit, and fit_irls raises for exactly those rows
-        short = _fit_irls_block(study.X, Y, max_iter=5)
+        short = block_fit(study.X, Y, max_iter=5)
         assert 0 < short[3].sum() < len(Y)
         for i in range(len(Y)):
-            one = _fit_irls_block(study.X, Y[i:i + 1], max_iter=5)
+            one = block_fit(study.X, Y[i:i + 1], max_iter=5)
             for got, want in zip(short, one):
                 assert np.array_equal(got[i], want[0])
             if short[3][i]:
@@ -225,12 +233,67 @@ class TestRegressionBlock:
         # with tol=-1 no row meets the convergence test; the block accepts
         # the rows whose score sup-norm is at most 1e-8, and fit_irls
         # returns them without raising
-        beta, mu, sum_b, converged = _fit_irls_block(study.X, Y, tol=-1.0)
+        beta, mu, sum_b, converged = block_fit(study.X, Y, tol=-1.0)
         score = np.abs(np.matvec(study.X.T, Y / mu - 1.0)).max(axis=1)
         assert converged.all() and (score <= 1e-8).all()
         for i in range(0, len(Y), 10):
             fit = fit_irls(Dataset(y=Y[i], X=study.X), tol=-1.0)
             assert np.array_equal(fit.beta_hat, beta[i]) and fit.sum_b == sum_b[i]
+
+    def test_random_blocks_are_one_row_fits(self):
+        # random designs and blocks, with and without a step budget, from the
+        # log least-squares start, on every other row shifted to means e or
+        # e**3 times too large: each accepted row is fit_irls on that row from
+        # the same start, bit for bit, and a row is unaccepted exactly when fit_irls
+        # raises ConvergenceError.  The first Newton step, read off
+        # _solve_rows, shows that the examples reach both the block where
+        # every row takes the full step and the block where some row halves it.
+        first_steps = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(rows=st.integers(1, 50), n=st.integers(3, 60), p=st.integers(1, 3),
+               log_varphi=st.floats(math.log(0.05), math.log(30.0)), seed=st.integers(0, 2**32),
+               max_iter=st.sampled_from([1, 2, 3, 5, 8, 200, 200, 200]),
+               shift=st.sampled_from([0.0, 0.0, 0.0, 1.0, 3.0]))
+        @example(rows=3, n=20, p=2, log_varphi=math.log(2.0), seed=0, max_iter=200, shift=0.0)
+        @example(rows=3, n=20, p=2, log_varphi=math.log(2.0), seed=0, max_iter=200, shift=3.0)
+        def check(rows, n, p, log_varphi, seed, max_iter, shift):
+            p = min(p, n - 1)
+            rng = np.random.default_rng(seed)
+            X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+            varphi = math.exp(log_varphi)
+            Y = np.exp(X @ rng.uniform(-2.0, 2.0, size=p)) * rng.gamma(
+                varphi, 1.0 / varphi, size=(rows, n))
+            Y = Y[np.all(np.isfinite(Y) & (Y > 0.0), axis=1)]
+            start = _log_least_squares(np.linalg.svd(X, full_matrices=False), Y)
+            start[::2] += shift
+            beta, mu, sum_b, converged = _fit_irls_block(X, Y, start, max_iter=max_iter)
+            for i, y in enumerate(Y):
+                try:
+                    fit = fit_irls(Dataset(y=y, X=X), init=start[i], max_iter=max_iter)
+                except ConvergenceError:
+                    assert not converged[i]
+                    continue
+                except DegenerateFitError as err:
+                    fit = err  # a perfect fit: compare its coefficients only
+                assert converged[i] and np.array_equal(beta[i], fit.beta_hat)
+                if not isinstance(fit, DegenerateFitError):
+                    assert np.array_equal(mu[i], fit.mu_hat) and sum_b[i] == fit.sum_b
+            steps = []
+
+            def recorded(H, g):
+                steps.append(solve(H, g))
+                return steps[-1]
+
+            with mock.patch.object(gamma, "_solve_rows", recorded):
+                one = _fit_irls_block(X, Y, start, max_iter=1)[0]
+            if steps:  # the rows whose start has a finite deviance took a step
+                taken = np.isfinite(one).all(axis=1)
+                first_steps.add(bool(np.all(one[taken] == start[taken] + steps[0])))
+
+        solve = gamma._solve_rows
+        check()
+        assert first_steps == {True, False}
 
     def test_window_and_unconverged_rows_match(self):
         # the benchmark's gamma_regression shape at the seed whose replication
@@ -269,7 +332,7 @@ class TestRegressionBlock:
         with pytest.raises(ConvergenceError):
             fit_irls(Dataset(y=y, X=X))
         other = np.array([0.7, 2.9, 0.4])
-        beta, mu, sum_b, converged = _fit_irls_block(X, np.array([y, other]))
+        beta, mu, sum_b, converged = block_fit(X, np.array([y, other]))
         assert converged.tolist() == [False, True]
         assert np.array_equal(beta[1], fit_irls(Dataset(y=other, X=X)).beta_hat)
 
@@ -291,7 +354,7 @@ class TestRegressionBlock:
             want.append((fit.beta_hat, fit.mu_hat, fit.sum_b))
         for size in (1, 3, 7, len(Y)):
             for start in range(0, len(Y), max(size, 1)):
-                beta, mu, sum_b, converged = _fit_irls_block(study.X, Y[start:start + size])
+                beta, mu, sum_b, converged = block_fit(study.X, Y[start:start + size])
                 assert converged.all()
                 for i, (b, m, s) in enumerate(want[start:start + size]):
                     assert np.array_equal(beta[i], b) and np.array_equal(mu[i], m)

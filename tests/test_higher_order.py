@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import digamma
 
 from confdist.data import Dataset
 from confdist.errors import ContractViolationError, DomainError
-from confdist.gamma import cumulant_d2, fit_irls
+from confdist.gamma import (
+    _cumulant_d2_array,
+    _profile_deviance_precision_array,
+    cumulant_d2,
+    fit_irls,
+)
 from confdist.higher_order import (
     ROOT_WINDOW,
     CorrectedDeviance,
@@ -211,7 +216,7 @@ class TestWindowConstruction:
         # root; both stop at its evaluation noise (worst seen: 5.1e-12
         # relative over 12,000 nodes)
         info_root = math.sqrt(n * cumulant_d2(varphi_hat))
-        nodes = _precision_window_nodes(n, np.array([[varphi_hat]]), np.array([[info_root]]))
+        nodes, _ = _precision_window_nodes(n, np.array([[varphi_hat]]), np.array([[info_root]]))
         for node, target in zip(nodes[0], (2 * ROOT_WINDOW, ROOT_WINDOW,
                                            -ROOT_WINDOW, -2 * ROOT_WINDOW)):
             bracket = ((varphi_hat * 1e-3, varphi_hat) if target > 0
@@ -219,6 +224,21 @@ class TestWindowConstruction:
             want = brentq(lambda u: signed_precision_root(n, varphi_hat, u) - target,
                           *bracket, xtol=1e-15, maxiter=200)
             assert node == pytest.approx(want, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 1000),
+           log_hats=st.lists(st.floats(-13.0, 16.0), min_size=1, max_size=6))
+    @example(n=2, log_hats=[-12.0, 0.5, 13.0])  # 2, 0 and 4 of 4 nodes unsettled
+    def test_node_deviances_are_the_profile_deviance_there(self, n, log_hats):
+        # precisions from 1e-13 to 1e16 include rows whose nodes do not all
+        # settle; their deviances are NaN exactly where their nodes are
+        varphi_hat = 10.0 ** np.array(log_hats)[:, None]
+        with np.errstate(all="ignore"):
+            info_root = np.sqrt(n * _cumulant_d2_array(varphi_hat))
+            nodes, deviances = _precision_window_nodes(n, varphi_hat, info_root)
+            want = _profile_deviance_precision_array(n, varphi_hat, nodes)
+        assert np.array_equal(np.isnan(deviances), np.isnan(nodes))
+        assert np.array_equal(deviances, want, equal_nan=True)
 
     def test_cubics_reproduce_cubics_row_by_row(self):
         # against np.polyval of known cubics, on nodes like the window's
