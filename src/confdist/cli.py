@@ -17,10 +17,11 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .coverage import Scenario, run_scenario
+from .coverage import METHODS, Method, Scenario, run_scenario
 from .data import Dataset
 from .errors import (
     AccuracyError,
@@ -33,18 +34,10 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .gamma import GammaFit, fit_irls
-from .higher_order import (
-    ModifiedRoot,
-    _root_pivot,
-    corrected_confidence_density,
-    fit_known_mean,
-    fraser_curve,
-    signed_root_curve,
-    skovgaard_precision_curve,
-)
-from .linear import LinearFit, contrast, contrast_pivot, fit_ols, variance_pivot
+from .higher_order import _root_pivot, corrected_confidence_density, fit_known_mean
+from .linear import LinearFit, fit_ols
 from .numerics import RealGrid
-from .pivots import interval_endpoint, parameter_density
+from .pivots import Pivot, interval_endpoint, parameter_density
 
 SCHEMA_VERSION = 1
 
@@ -121,16 +114,11 @@ def load_csv_table(path: str | Path) -> CsvTable:
 def build_dataset(table: CsvTable, response: str, design: list[str],
                   intercept: bool) -> Dataset:
     y = table.column(response)
-    cols = []
-    names = []
-    if intercept:
-        cols.append(np.ones(len(y)))
-        names.append("(intercept)")
+    cols = [np.ones(len(y))] if intercept else []
     for name in design:
         if name == response:
             raise UsageError(f"column {name!r} is the response; it cannot be a design column")
         cols.append(table.column(name))
-        names.append(name)
     if not cols:
         raise UsageError("no design columns: pass --design and/or --intercept")
     return Dataset(y=y, X=np.column_stack(cols))
@@ -153,6 +141,14 @@ def _add_data_options(sub: argparse.ArgumentParser, fit_json: bool = False) -> N
                      help="include an intercept column (default: yes)")
     sub.add_argument("--known-mu", action="store_true",
                      help="gamma response with known mean 1 (no design)")
+
+
+def _add_method_options(sub: argparse.ArgumentParser) -> None:
+    """--target and --method, offering what METHODS offers."""
+    offered = [m for methods in METHODS.values() for m in methods if m.cli]
+    sub.add_argument("--target", required=True,
+                     help=" | ".join(dict.fromkeys(m.target for m in offered)))
+    sub.add_argument("--method", required=True, choices=sorted({m.cli for m in offered}))
 
 
 def _design_list(args) -> list[str]:
@@ -190,31 +186,29 @@ def _parse_contrast(target: str, p: int) -> np.ndarray:
     return b
 
 
-_VALID_PAIRS = (
-    "valid target/method pairs: normal: variance|contrast:* with method exact; "
-    "gamma: precision with method first_order|skovgaard, or fraser with --known-mu"
-)
-
-
-def _require_known_mu_model(args) -> None:
-    """--known-mu describes a gamma response; it is not a flag of the normal model."""
+def _model(args) -> str:
+    """The model the flags name, as `fit` summaries and `interval` report it.
+    --known-mu describes a gamma response with mean 1, so it takes no --design."""
     if args.known_mu and args.model != "gamma":
         raise UsageError(f"--known-mu applies to --model gamma only, not {args.model!r}")
+    if args.known_mu and _design_list(args):
+        raise UsageError("--known-mu takes no --design: the mean is known to be 1")
+    return args.model + ("_known_mu" if args.known_mu else "")
 
 
-def _require_pair(model: str, target: str, method: str, known_mu: bool) -> None:
-    base = target.split(":", 1)[0]
-    if model == "normal":
-        ok = base in ("variance", "contrast") and method == "exact"
-    elif known_mu:
-        ok = base == "precision" and method in ("first_order", "fraser")
-    else:
-        ok = base == "precision" and method in ("first_order", "skovgaard")
-    if not ok:
-        raise UsageError(
-            f"target {target!r} with method {method!r} is not available for "
-            f"model {model!r}{' (known mean)' if known_mu else ''}; {_VALID_PAIRS}"
-        )
+def _method(args) -> Method:
+    """The METHODS entry of the flags' model, --target and --method."""
+    model = _model(args) + ("" if args.known_mu else "_regression")  # its METHODS key
+    base = args.target.split(":", 1)[0]
+    for m in METHODS[model]:
+        if m.cli == args.method and (m.target == args.target or m.target.startswith(base + ":")):
+            return m
+    pairs = "; ".join(
+        f"{key}: " + ", ".join(f"{m.target} with {m.cli}" for m in methods if m.cli)
+        for key, methods in METHODS.items()
+    )
+    raise UsageError(f"target {args.target!r} with method {args.method!r} is not available "
+                     f"for model {model!r}; valid target/method pairs: {pairs}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +216,7 @@ def _require_pair(model: str, target: str, method: str, known_mu: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _normal_fit_payload(fit: LinearFit, meta: dict) -> dict:
+def _normal_fit_payload(fit: LinearFit) -> dict:
     rss = fit.df * fit.phi_hat_m
     if fit.phi_hat_m > 0:
         loglik = -0.5 * fit.n * math.log(2.0 * math.pi * fit.phi_hat_m) - rss / (
@@ -231,69 +225,56 @@ def _normal_fit_payload(fit: LinearFit, meta: dict) -> dict:
     else:
         loglik = math.inf
     return {
-        "schema_version": SCHEMA_VERSION,
-        "model": "normal",
-        "n": fit.n,
-        "p": fit.p,
-        "df": fit.df,
-        "beta_hat": list(fit.beta_hat),
         "phi_hat_m": fit.phi_hat_m,
         "xtx": [list(row) for row in fit.xtx],
         "loglik": loglik,
         "degenerate": fit.phi_hat_m == 0.0,
-        **meta,
     }
 
 
-def _gamma_fit_payload(fit: GammaFit, meta: dict) -> dict:
+def _gamma_fit_payload(fit: GammaFit) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "model": "gamma",
-        "n": fit.n,
-        "p": fit.p,
-        "df": fit.n - fit.p,
-        "beta_hat": list(fit.beta_hat),
         "varphi_hat": fit.varphi_hat,
         "sum_b": fit.sum_b,
         "loglik": fit.loglik,
-        **meta,
     }
+
+
+def _fit(args, table: CsvTable):
+    """The fit of the flags' model to ``table``, and the Dataset fitted."""
+    ds = build_dataset(table, args.response, _design_list(args), args.intercept or args.known_mu)
+    if args.known_mu:  # the mean is known: the design is one column of ones
+        ds.require_positive_response()
+        return fit_known_mean(ds.y), ds
+    return (fit_ols(ds) if args.model == "normal" else fit_irls(ds)), ds
 
 
 def cmd_fit(args) -> int:
     if args.model is None or args.response is None or args.file is None:
         raise UsageError("fit needs --file, --model, and --response")
-    _require_known_mu_model(args)
-    table = load_csv_table(args.file)
-    meta = {"response": args.response, "design_columns": _design_list(args),
-            "intercept": bool(args.intercept)}
-
-    if args.model == "gamma" and args.known_mu:
-        y = table.column(args.response)
-        ds = Dataset(y=y, X=np.ones((len(y), 1)))
-        ds.require_positive_response()
-        km = fit_known_mean(y)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "model": "gamma_known_mu",
-            "n": km.n,
-            "varphi_hat": km.varphi_hat,
-            "mean_b": km.mean_b,
-            "response": args.response,
-        }
-    elif args.model == "normal":
-        ds = build_dataset(table, args.response, _design_list(args), args.intercept)
-        fit = fit_ols(ds)
-        payload = _normal_fit_payload(fit, meta)
-        if payload["degenerate"]:
-            print("warning: residual variance is zero (perfect fit); "
-                  "no confidence statements are possible", file=sys.stderr)
+    model = _model(args)
+    fit, _ = _fit(args, load_csv_table(args.file))
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "model": model,
+        "n": fit.n,
+        "response": args.response,
+    }
+    if model == "gamma_known_mu":
+        payload["varphi_hat"] = fit.varphi_hat
+        payload["mean_b"] = fit.mean_b
     else:
-        ds = build_dataset(table, args.response, _design_list(args), args.intercept)
-        ds.require_positive_response()
-        fit = fit_irls(ds)
-        payload = _gamma_fit_payload(fit, meta)
-
+        payload.update({
+            "p": fit.p,
+            "df": fit.n - fit.p,
+            "beta_hat": list(fit.beta_hat),
+            "design_columns": _design_list(args),
+            "intercept": bool(args.intercept),
+        })
+        payload.update(_normal_fit_payload(fit) if model == "normal" else _gamma_fit_payload(fit))
+    if payload.get("degenerate"):
+        print("warning: residual variance is zero (perfect fit); "
+              "no confidence statements are possible", file=sys.stderr)
     _emit(args, payload)
     return EXIT_OK
 
@@ -303,10 +284,7 @@ def _emit(args, payload: dict) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        lines = []
-        for key in sorted(payload):
-            lines.append(f"{key}: {payload[key]}")
-        text = "\n".join(lines)
+        text = "\n".join(f"{key}: {payload[key]}" for key in sorted(payload))
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text + "\n")
@@ -315,64 +293,17 @@ def _emit(args, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pivot construction shared by confdens and interval
+# statements shared by confdens and interval
 # ---------------------------------------------------------------------------
 
 
-def _normal_pivot(fit: LinearFit, target: str):
-    base = target.split(":", 1)[0]
-    if base == "variance":
-        return variance_pivot(fit), "variance"
-    b = _parse_contrast(target, fit.p)
-    return contrast_pivot(fit, contrast(fit, b)), "contrast"
-
-
-def _first_order_curve(n: int, varphi_hat: float):
-    """varphi -> the first-order signed root as an uncorrected ModifiedRoot;
-    ``values`` maps an array of precisions to their signed roots."""
-    zp_fn = signed_root_curve(n, varphi_hat)
-
-    def first_order(v: float) -> ModifiedRoot:
-        zp = zp_fn(v)
-        return ModifiedRoot(signed_root=zp, correction=zp, value=zp)
-
-    first_order.values = zp_fn.values
-    return first_order
-
-
-def _precision_root_fn(args, method: str, table: CsvTable | None):
-    """Map varphi -> ModifiedRoot for the requested gamma method, as one
-    curve of one fit (see the curve builders in :mod:`confdist.higher_order`).
-    The curve's ``values`` maps an array of precisions to their root values."""
-    if args.known_mu:
-        y = table.column(args.response)
-        Dataset(y=y, X=np.ones((len(y), 1))).require_positive_response()
-        km = fit_known_mean(y)
-        if method == "fraser":
-            return fraser_curve(km), km.varphi_hat
-        return _first_order_curve(km.n, km.varphi_hat), km.varphi_hat
-
-    ds = build_dataset(table, args.response, _design_list(args), args.intercept)
-    ds.require_positive_response()
-    fit = fit_irls(ds)
-    if method == "first_order":
-        return _first_order_curve(fit.n, fit.varphi_hat), fit.varphi_hat
-    curve = skovgaard_precision_curve(ds, fit)
-
-    def skov(v: float) -> ModifiedRoot:
-        cd = curve(v)
-        root = (cd.sign if cd.sign else 0.0) * math.sqrt(max(cd.value, 0.0))
-        return ModifiedRoot(signed_root=root, correction=cd.correction, value=root,
-                            interpolated=cd.interpolated,
-                            correction_unavailable=cd.correction_unavailable,
-                            clamped=cd.clamped)
-
-    def skov_values(v) -> np.ndarray:
-        value = curve.values(v)
-        return np.sign(fit.varphi_hat - np.asarray(v, dtype=float)) * np.sqrt(value)
-
-    skov.values = skov_values
-    return skov, fit.varphi_hat
+def _statement(args, method: Method, fit, data: Dataset | None):
+    """The method's statement for one fit: a Pivot (normal model) or a
+    precision root curve (gamma models)."""
+    if args.model == "normal":
+        weights = _parse_contrast(args.target, fit.p) if ":" in method.target else None
+        return method.build(fit, weights)
+    return method.build(fit, data)
 
 
 # ---------------------------------------------------------------------------
@@ -383,23 +314,17 @@ def _precision_root_fn(args, method: str, table: CsvTable | None):
 def cmd_confdens(args) -> int:
     if args.model is None or args.file is None or args.response is None:
         raise UsageError("confdens needs --file, --model, and --response")
-    _require_known_mu_model(args)
-    _require_pair(args.model, args.target, args.method, args.known_mu)
+    method = _method(args)
     grid = _parse_grid(args.grid)
-    table = load_csv_table(args.file)
-
-    if args.model == "normal":
-        ds = build_dataset(table, args.response, _design_list(args), args.intercept)
-        pivot, name = _normal_pivot(fit_ols(ds), args.target)
-        density = parameter_density(pivot, grid)
+    statement = _statement(args, method, *_fit(args, load_csv_table(args.file)))
+    if isinstance(statement, Pivot):
+        density = parameter_density(statement, grid)
     else:
-        root_fn, _ = _precision_root_fn(args, args.method, table)
-        density = corrected_confidence_density(root_fn.values, grid)
-        name = "precision"
+        density = corrected_confidence_density(statement.values, grid)
 
     values = density(grid.points)
     mass = float(np.trapezoid(values, grid.points))
-    lines = [f"{name},confidence_density"]
+    lines = [f"{args.target.split(':', 1)[0]},confidence_density"]
     lines += [f"{t:.17g},{c:.17g}" for t, c in zip(grid.points.tolist(), values.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -422,8 +347,8 @@ def cmd_confdens(args) -> int:
 
 def _fit_from_json(path: str, model: str):
     """The fit summary at ``path``, which must be one of ``model``: a
-    LinearFit for "normal", else the payload (enough for first-order
-    precision intervals)."""
+    LinearFit for "normal", else its sample size and precision estimate
+    (enough for first-order precision intervals)."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -432,7 +357,7 @@ def _fit_from_json(path: str, model: str):
         raise UsageError(f"--fit-json {path} holds a {payload.get('model')!r} fit, "
                          f"which does not match {model!r}")
     if model != "normal":
-        return payload
+        return SimpleNamespace(n=int(payload["n"]), varphi_hat=float(payload["varphi_hat"]))
     return LinearFit(
         beta_hat=np.array(payload["beta_hat"], dtype=float),
         phi_hat_m=float(payload["phi_hat_m"]),
@@ -449,34 +374,21 @@ def cmd_interval(args) -> int:
         raise UsageError("interval needs --file/--response or --fit-json")
     if args.model is None:
         raise UsageError("interval needs --model")
-    _require_known_mu_model(args)
-    _require_pair(args.model, args.target, args.method, args.known_mu)
+    method = _method(args)
     if not 0.0 < args.level < 1.0:
         raise UsageError(f"--level must lie in (0, 1), got {args.level}")
 
-    root_fn, flags = None, set()  # a corrected root curve; flags at its endpoints
-    if args.model == "normal":
-        if fit_json is not None:
-            fit = _fit_from_json(fit_json, "normal")
-        else:
-            table = load_csv_table(args.file)
-            ds = build_dataset(table, args.response, _design_list(args), args.intercept)
-            fit = fit_ols(ds)
-        pivot, name = _normal_pivot(fit, args.target)
+    if fit_json is None:
+        fit, data = _fit(args, load_csv_table(args.file))
+    elif method.summary:
+        fit, data = _fit_from_json(fit_json, _model(args)), None
     else:
-        name = "precision"
-        if fit_json is not None:
-            if args.method != "first_order":
-                raise UsageError(
-                    "--fit-json supports method first_order only; "
-                    "skovgaard and fraser need the data file"
-                )
-            payload = _fit_from_json(fit_json, "gamma_known_mu" if args.known_mu else "gamma")
-            n, center = int(payload["n"]), float(payload["varphi_hat"])
-            root_fn = _first_order_curve(n, center)
-        else:
-            table = load_csv_table(args.file)
-            root_fn, center = _precision_root_fn(args, args.method, table)
+        raise UsageError(f"--fit-json does not serve method {args.method!r}; "
+                         "it needs the data file")
+    pivot = _statement(args, method, fit, data)
+    root_fn, flags = None, set()  # a precision root curve; flags at its endpoints
+    if not isinstance(pivot, Pivot):
+        root_fn, center = pivot, fit.varphi_hat
         pivot = _root_pivot(root_fn, (center, 0.75 * max(center, 1e-6)))
 
     def endpoint(level: float, side: str) -> float:
@@ -491,29 +403,21 @@ def cmd_interval(args) -> int:
                      if getattr(root, f, False))
         return value
 
+    statement = {
+        "kind": f"one_sided_{args.side}" if args.sides == "one" else "two_sided_equal_tail",
+        "target": args.target.split(":", 1)[0],
+        "level": args.level,
+        "confidence": args.level,
+    }
     if args.sides == "one":
-        value = endpoint(args.level, args.side)
-        statement = {
-            "kind": f"one_sided_{args.side}",
-            "target": name,
-            "level": args.level,
-            "confidence": args.level,
-            ("lower" if args.side == "lower" else "upper"): value,
-        }
+        statement[args.side] = endpoint(args.level, args.side)
     else:
         each = 0.5 * (1.0 + args.level)
-        statement = {
-            "kind": "two_sided_equal_tail",
-            "target": name,
-            "level": args.level,
-            "confidence": args.level,
-            "lower": endpoint(each, "lower"),
-            "upper": endpoint(each, "upper"),
-            "per_side_confidence": each,
-        }
+        statement.update(lower=endpoint(each, "lower"), upper=endpoint(each, "upper"),
+                         per_side_confidence=each)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "model": args.model + ("_known_mu" if args.known_mu else ""),
+        "model": _model(args),
         "method": args.method,
         "statement": statement,
         "flags": sorted(flags),
@@ -562,7 +466,7 @@ def _parse_scenarios(path: str, seed_override: int | None) -> list[tuple[str, Sc
                 beta=tuple(float(v) for v in raw["beta"].split(",")) if "beta" in raw else None,
                 phi=float(raw["phi"]) if "phi" in raw else None,
                 varphi=float(raw["varphi"]) if "varphi" in raw else None,
-                design=raw.get("design", "gaussian"),
+                design=raw.get("design"),
                 contrast_vector=(
                     tuple(float(v) for v in raw["contrast"].split(","))
                     if "contrast" in raw
@@ -616,23 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dens = sub.add_parser("confdens", help="confidence density over a parameter grid")
     _add_data_options(p_dens)
-    p_dens.add_argument("--target", required=True,
-                        help="variance | precision | contrast:w1,w2,...")
+    _add_method_options(p_dens)
     p_dens.add_argument("--grid", required=True, help="lo:hi:n")
-    p_dens.add_argument("--method", required=True,
-                        choices=["exact", "first_order", "fraser", "skovgaard"])
     p_dens.add_argument("--out", help="write CSV here instead of stdout")
 
     p_int = sub.add_parser("interval", help="confidence interval endpoints")
     _add_data_options(p_int, fit_json=True)
-    p_int.add_argument("--target", required=True,
-                       help="variance | precision | contrast:w1,w2,...")
+    _add_method_options(p_int)
     p_int.add_argument("--level", type=float, required=True)
     p_int.add_argument("--sides", choices=["one", "two"], default="one")
     p_int.add_argument("--side", choices=["lower", "upper"], default="lower",
                        help="side of a one-sided statement")
-    p_int.add_argument("--method", required=True,
-                       choices=["exact", "first_order", "fraser", "skovgaard"])
     p_int.add_argument("--format", choices=["json", "text"], default="json")
     p_int.add_argument("--out", help="write output here instead of stdout")
 

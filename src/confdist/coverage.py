@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,12 +53,27 @@ from .gamma import (
     _solve_precision_array,
     unit_deviance_terms,
 )
-from .higher_order import _known_mean_roots, _skovgaard_beta_values, _skovgaard_precision_values
-from .linear import Contrast, LinearFit, _rss_noise_floor, _svd_factors, contrast
+from .higher_order import (
+    _known_mean_roots,
+    _skovgaard_beta_values,
+    _skovgaard_precision_values,
+    first_order_curve,
+    fraser_curve,
+    skovgaard_root_curve,
+)
+from .linear import (
+    Contrast,
+    LinearFit,
+    _rss_noise_floor,
+    _svd_factors,
+    contrast,
+    contrast_pivot,
+    variance_pivot,
+)
 from .numerics import RngStream, rng_draws
 
-__all__ = ["Scenario", "CoverageRow", "CoverageReport", "MethodComparison",
-           "run_scenario", "compare_methods", "design_matrix"]
+__all__ = ["METHODS", "Method", "Scenario", "CoverageRow", "CoverageReport",
+           "MethodComparison", "run_scenario", "compare_methods", "design_matrix"]
 
 SCHEMA_VERSION = 1
 STREAM_VERSION = 2
@@ -78,21 +94,51 @@ _MAX_REPLICATIONS = 2**32
 # a block's arrays stay in cache; it changes no output.
 _BLOCK_VALUES = 2**15
 
-_MODEL_METHODS = {
-    "normal_regression": ("variance_chisq", "contrast_t", "coefficient_f"),
-    "gamma_known_mu": ("first_order_z", "fraser_z"),
+
+@dataclass(frozen=True)
+class Method:
+    """A method: its Scenario name and, if the CLI offers it, its --target
+    (``name:w1,w2,...`` takes weights), --method and ``build``, which turns
+    one fit into a Pivot, ``build(fit, weights)`` (normal model), or into a
+    precision root curve, ``build(fit, data)`` (gamma models).  ``summary``:
+    a fit summary is enough (``interval --fit-json``; then data is None)."""
+
+    name: str
+    target: str | None = None
+    cli: str | None = None
+    build: Callable | None = None
+    summary: bool = False
+
+
+# Every method of every model, for Scenario validation, the coverage kernels
+# and the CLI.  The builders look up what they call in this module's namespace.
+METHODS = {
+    "normal_regression": (
+        Method("variance_chisq", "variance", "exact",
+               lambda fit, _: variance_pivot(fit), summary=True),
+        Method("contrast_t", "contrast:w1,w2,...", "exact",
+               lambda fit, b: contrast_pivot(fit, contrast(fit, b)), summary=True),
+        Method("coefficient_f"),
+    ),
+    "gamma_known_mu": (
+        Method("first_order_z", "precision", "first_order",
+               lambda fit, _: first_order_curve(fit), summary=True),
+        Method("fraser_z", "precision", "fraser", lambda fit, _: fraser_curve(fit)),
+    ),
     "gamma_regression": (
-        "first_order_precision",
-        "skovgaard_precision",
-        "first_order_beta",
-        "skovgaard_beta",
+        Method("first_order_precision", "precision", "first_order",
+               lambda fit, _: first_order_curve(fit), summary=True),
+        Method("skovgaard_precision", "precision", "skovgaard",
+               lambda fit, data: skovgaard_root_curve(data, fit)),
+        Method("first_order_beta"),
+        Method("skovgaard_beta"),
     ),
 }
 
 # Fields a model does not use; setting one is rejected, not ignored.
 _FOREIGN_FIELDS = {
     "normal_regression": ("varphi",),
-    "gamma_known_mu": ("phi", "beta", "p", "contrast_vector"),
+    "gamma_known_mu": ("phi", "beta", "p", "design", "contrast_vector"),
     "gamma_regression": ("phi", "contrast_vector"),
 }
 
@@ -110,12 +156,12 @@ class Scenario:
     beta: tuple[float, ...] | None = None
     phi: float | None = None  # error variance (normal model)
     varphi: float | None = None  # precision (gamma models)
-    design: str = "gaussian"  # "intercept" | "gaussian" (recipe names)
+    design: str | None = None  # "intercept" | "gaussian" (recipe names; gaussian if unset)
     p: int | None = None  # columns for recipe designs
     contrast_vector: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.model not in _MODEL_METHODS:
+        if self.model not in METHODS:
             raise ScenarioError(f"unknown model {self.model!r}")
         for name in _FOREIGN_FIELDS[self.model]:
             if getattr(self, name) is not None:
@@ -145,7 +191,7 @@ class Scenario:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ScenarioError(f"{name} repeat an entry: {values!r}")
-        allowed = _MODEL_METHODS[self.model]
+        allowed = tuple(m.name for m in METHODS[self.model])
         for m in self.methods:
             if m not in allowed:
                 raise ScenarioError(
@@ -164,6 +210,8 @@ class Scenario:
                 raise ScenarioError("gamma_regression needs beta and positive varphi")
         if self.model != "gamma_known_mu":
             width = len(self.beta)
+            if self.design is None:
+                object.__setattr__(self, "design", "gaussian")
             if self.design not in ("intercept", "gaussian"):
                 raise ScenarioError(f"unknown design recipe {self.design!r}")
             p = self.p if self.p is not None else width

@@ -60,8 +60,10 @@ __all__ = [
     "fraser_root_known_mu",
     "signed_root_curve",
     "signed_precision_root",
+    "first_order_curve",
     "skovgaard_precision_curve",
     "skovgaard_precision",
+    "skovgaard_root_curve",
     "skovgaard_beta",
     "corrected_confidence_density",
     "signed_root_confidence",
@@ -213,6 +215,20 @@ def signed_precision_root(n: int, varphi_hat: float, varphi: float) -> float:
     :func:`signed_root_curve`; build the curve to evaluate many varphi.
     """
     return signed_root_curve(n, varphi_hat)(varphi)
+
+
+def first_order_curve(fit):
+    """varphi -> the first-order signed root of ``fit`` (any fit with ``n``
+    and ``varphi_hat``, a fit summary's too) as an uncorrected ModifiedRoot;
+    ``values`` maps an array of precisions to their signed roots."""
+    zp_fn = signed_root_curve(fit.n, fit.varphi_hat)
+
+    def first_order(v: float) -> ModifiedRoot:
+        zp = zp_fn(v)
+        return ModifiedRoot(signed_root=zp, correction=zp, value=zp)
+
+    first_order.values = zp_fn.values
+    return first_order
 
 
 def fraser_curve(km: KnownMeanGammaFit):
@@ -487,6 +503,28 @@ def skovgaard_precision(data: Dataset, fit: GammaFit, varphi: float) -> Correcte
     to evaluate many varphi.
     """
     return skovgaard_precision_curve(data, fit)(varphi)
+
+
+def skovgaard_root_curve(data: Dataset, fit: GammaFit):
+    """varphi -> the :func:`skovgaard_precision_curve` of one fit as a signed
+    root, a ModifiedRoot carrying the corrected deviance's flags; ``values``
+    maps an array of precisions to their signed roots."""
+    curve = skovgaard_precision_curve(data, fit)
+
+    def skovgaard(v: float) -> ModifiedRoot:
+        cd = curve(v)
+        root = (cd.sign if cd.sign else 0.0) * math.sqrt(max(cd.value, 0.0))
+        return ModifiedRoot(signed_root=root, correction=cd.correction, value=root,
+                            interpolated=cd.interpolated,
+                            correction_unavailable=cd.correction_unavailable,
+                            clamped=cd.clamped)
+
+    def values(v) -> np.ndarray:
+        value = curve.values(v)
+        return np.sign(fit.varphi_hat - np.asarray(v, dtype=float)) * np.sqrt(value)
+
+    skovgaard.values = values
+    return skovgaard
 
 
 def _beta_correction_factor(data: Dataset, fit: GammaFit, beta: np.ndarray,

@@ -147,6 +147,60 @@ class TestFitCommand:
         assert "--known-mu applies to --model gamma only" in capsys.readouterr().err
 
 
+class TestTargetsAndKnownMean:
+    @pytest.mark.parametrize("command,data,target,method", [
+        ("interval", "gamma", "precision:zzz", "first_order"),
+        ("interval", "normal", "variance:foo", "exact"),
+        ("confdens", "gamma", "precision:1,2", "first_order"),
+        ("confdens", "known_mu", "precision:", "fraser"),
+    ])
+    def test_suffix_on_a_target_without_weights_is_usage_error(
+            self, normal_csv, gamma_csv, tmp_path, capsys, command, data, target, method):
+        argv = {
+            "normal": ["--file", str(normal_csv[0]), "--model", "normal", "--design", "x1,x2"],
+            "gamma": ["--file", str(gamma_csv[0]), "--model", "gamma", "--design", "x1"],
+            "known_mu": ["--file", str(gamma_csv[0]), "--model", "gamma", "--known-mu"],
+        }[data]
+        extra = ["--level", "0.9"] if command == "interval" else ["--grid", "0.5:5:41"]
+        code = main([command, *argv, "--response", "y", "--target", target,
+                     "--method", method, *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"target {target!r}" in err and "valid target/method pairs" in err
+
+    @pytest.mark.parametrize("command,extra", [
+        ("fit", []),
+        ("interval", ["--target", "precision", "--method", "first_order", "--level", "0.9"]),
+        ("confdens", ["--target", "precision", "--method", "fraser", "--grid", "0.5:5:41"]),
+    ])
+    def test_known_mu_with_design_is_usage_error(self, gamma_csv, capsys, command, extra):
+        code = main([command, "--file", str(gamma_csv[0]), "--model", "gamma", "--known-mu",
+                     "--response", "y", "--design", "nosuchcol", *extra])
+        assert code == 2
+        assert "--known-mu takes no --design" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("design", ["bogus", "gaussian"])
+    def test_design_in_known_mu_scenario_is_schema_error(self, tmp_path, capsys, design):
+        ini = tmp_path / "km.ini"
+        ini.write_text(
+            "[km]\nmodel = gamma_known_mu\nn = 10\nreplications = 100\nseed = 1\n"
+            f"levels = 0.5\nmethods = fraser_z\nvarphi = 2.0\ndesign = {design}\n"
+        )
+        code = main(["coverage", "--scenario", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "design does not apply to gamma_known_mu" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "km.json").exists()
+
+    def test_known_mu_report_has_no_design(self, tmp_path):
+        ini = tmp_path / "km.ini"
+        ini.write_text(
+            "[km]\nmodel = gamma_known_mu\nn = 10\nreplications = 100\nseed = 1\n"
+            "levels = 0.5\nmethods = fraser_z\nvarphi = 2.0\n"
+        )
+        assert main(["coverage", "--scenario", str(ini), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "km.json").read_text())["scenario"]["design"] is None
+
+
 class TestConfdensCommand:
     def test_normal_location_style_density(self, tmp_path, capsys):
         # unit-information fixture: single coefficient, X'X = I after scaling

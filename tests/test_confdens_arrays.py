@@ -20,13 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confdist.cli import CsvTable, _first_order_curve, _precision_root_fn
+from confdist.cli import CsvTable, _fit
+from confdist.coverage import METHODS
 from confdist.data import Dataset
 from confdist.errors import ContractViolationError, DomainError
 from confdist.gamma import cumulant_d2
 from confdist.higher_order import (
     corrected_confidence_density,
     fit_known_mean,
+    first_order_curve,
     fraser_curve,
 )
 from confdist.linear import contrast, contrast_pivot, fit_ols, variance_pivot
@@ -132,7 +134,7 @@ def _check_same_density(root, grid: RealGrid, window: bool):
 def test_known_mean_density_matches_pointwise(seed, n, grid, fraser):
     y = np.random.default_rng(seed).gamma(2.0, 0.5, size=n)
     km = fit_known_mean(y)
-    root = fraser_curve(km) if fraser else _first_order_curve(km.n, km.varphi_hat)
+    root = fraser_curve(km) if fraser else first_order_curve(km)
     _check_same_density(root, _grid(n, km.varphi_hat, *grid), window=fraser)
 
 
@@ -143,10 +145,12 @@ def test_regression_density_matches_pointwise(seed, n, grid, method):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n)
     y = np.exp(0.5 - 0.3 * x) * rng.gamma(2.0, 0.5, size=n)
-    args = argparse.Namespace(known_mu=False, response="y", design="x1", intercept=True)
-    table = CsvTable(("y", "x1"), np.column_stack([y, x]))
-    root, center = _precision_root_fn(args, method, table)
-    _check_same_density(root, _grid(n, center, *grid), window=method == "skovgaard")
+    args = argparse.Namespace(model="gamma", known_mu=False, response="y", design="x1",
+                              intercept=True)
+    fit, data = _fit(args, CsvTable(("y", "x1"), np.column_stack([y, x])))
+    build = next(m.build for m in METHODS["gamma_regression"] if m.cli == method)
+    root = build(fit, data)
+    _check_same_density(root, _grid(n, fit.varphi_hat, *grid), window=method == "skovgaard")
 
 
 def _pointwise_exact(pivot, grid: RealGrid) -> np.ndarray:

@@ -95,12 +95,15 @@ class TestScenarioValidation:
         dict(KNOWN_MU, beta=(1.0,)),
         dict(KNOWN_MU, p=1),
         dict(KNOWN_MU, contrast_vector=(1.0,)),
+        dict(KNOWN_MU, design="gaussian"),
+        dict(KNOWN_MU, design="bogus"),
         dict(REGRESSION, phi=2.0),
         dict(REGRESSION, contrast_vector=(1.0, 0.0)),
     ], ids=["phi_nan", "phi_inf", "beta_nan", "contrast_nan", "n_fractional",
             "replications_float", "methods_repeated", "levels_repeated",
             "normal_varphi", "known_mu_phi", "known_mu_beta", "known_mu_p",
-            "known_mu_contrast", "regression_phi", "regression_contrast"])
+            "known_mu_contrast", "known_mu_design", "known_mu_bogus_design",
+            "regression_phi", "regression_contrast"])
     def test_bad_input_rejected(self, overrides):
         with pytest.raises(ScenarioError):
             normal_scenario(**overrides)
@@ -119,6 +122,13 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="varphi must be finite"):
             Scenario(model=model, n=10, replications=100, seed=1, levels=(0.5,),
                      methods=(method,), beta=beta, varphi=varphi)
+
+    def test_unset_design_is_gaussian_for_regression_and_none_for_known_mu(self):
+        assert normal_scenario().design == "gaussian"
+        assert normal_scenario(**REGRESSION).design == "gaussian"
+        known_mu = normal_scenario(**KNOWN_MU)
+        assert known_mu.design is None
+        assert Scenario(**known_mu.to_dict()).to_dict() == known_mu.to_dict()
 
     def test_known_mu_needs_two_observations(self):
         with pytest.raises(ScenarioError, match="n >= 2"):
