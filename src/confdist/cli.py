@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import io
 import json
@@ -74,18 +75,19 @@ def load_csv_table(path: str | Path) -> CsvTable:
     """Strict CSV: comma separated, mandatory header, every cell a finite number."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not a name
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    header = tuple(h.strip() for h in header)
+        lines = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = tuple(h.strip() for h in lines[0])
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(lines[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):
@@ -285,11 +287,20 @@ def _emit(args, payload: dict) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         text = "\n".join(f"{key}: {payload[key]}" for key in sorted(payload))
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text + "\n")
+    if args.out:  # fit and interval both take --out
+        with _writing(args.out):
+            Path(args.out).write_text(text + "\n")
     else:
         print(text)
+
+
+@contextlib.contextmanager
+def _writing(out):
+    """Writes to the --out path ``out``: a failure is a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +339,8 @@ def cmd_confdens(args) -> int:
     lines += [f"{t:.17g},{c:.17g}" for t, c in zip(grid.points.tolist(), values.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     if abs(mass - 1.0) > 1e-3:
@@ -348,24 +360,33 @@ def cmd_confdens(args) -> int:
 def _fit_from_json(path: str, model: str):
     """The fit summary at ``path``, which must be one of ``model``: a
     LinearFit for "normal", else its sample size and precision estimate
-    (enough for first-order precision intervals)."""
+    (enough for first-order precision intervals).  A summary that cannot be
+    read as one is a data error."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read fit JSON {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"fit JSON {path} holds a {type(payload).__name__}, not a fit summary")
     if payload.get("model") != model:
         raise UsageError(f"--fit-json {path} holds a {payload.get('model')!r} fit, "
                          f"which does not match {model!r}")
-    if model != "normal":
-        return SimpleNamespace(n=int(payload["n"]), varphi_hat=float(payload["varphi_hat"]))
-    return LinearFit(
-        beta_hat=np.array(payload["beta_hat"], dtype=float),
-        phi_hat_m=float(payload["phi_hat_m"]),
-        xtx=np.array(payload["xtx"], dtype=float),
-        df=int(payload["df"]),
-        n=int(payload["n"]),
-        p=int(payload["p"]),
-    )
+    try:
+        if model != "normal":
+            return SimpleNamespace(n=int(payload["n"]), varphi_hat=float(payload["varphi_hat"]))
+        fit = LinearFit(
+            beta_hat=np.array(payload["beta_hat"], dtype=float),
+            phi_hat_m=float(payload["phi_hat_m"]),
+            xtx=np.array(payload["xtx"], dtype=float),
+            df=int(payload["df"]),
+            n=int(payload["n"]),
+            p=int(payload["p"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # a field missing or not a number
+        raise DataError(f"fit JSON {path} is not a {model} fit summary: {exc!r}") from exc
+    if fit.beta_hat.shape != (fit.p,) or fit.xtx.shape != (fit.p, fit.p):
+        raise DataError(f"fit JSON {path}: beta_hat and xtx do not match p = {fit.p}")
+    return fit
 
 
 def cmd_interval(args) -> int:
@@ -439,12 +460,15 @@ _SCENARIO_KEYS = {
 
 def _parse_scenarios(path: str, seed_override: int | None) -> list[tuple[str, Scenario]]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {section: dict(parser.items(section)) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot parse scenario file {path}: {exc}") from exc
     if not read:
         raise ScenarioError(f"cannot read scenario file {path}")
     scenarios = []
-    for section in parser.sections():
-        raw = dict(parser.items(section))
+    for section, raw in sections.items():
         unknown = set(raw) - _SCENARIO_KEYS
         if unknown:
             raise ScenarioError(
@@ -486,7 +510,8 @@ def cmd_coverage(args) -> int:
         raise UsageError(f"--jobs must be positive, got {args.jobs}")
     scenarios = _parse_scenarios(args.scenario, args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):  # before any study runs
+        out_dir.mkdir(parents=True, exist_ok=True)
     for name, sc in scenarios:
         try:
             report = run_scenario(sc, jobs=args.jobs)
@@ -494,8 +519,9 @@ def cmd_coverage(args) -> int:
             # schema problems are caught at parse time; an error here means
             # too many replications failed to fit
             raise ConvergenceError(f"[{name}]: {exc}") from exc
-        (out_dir / f"{name}.json").write_text(report.to_json() + "\n")
-        (out_dir / f"{name}.csv").write_text(report.to_csv())
+        with _writing(out_dir):
+            (out_dir / f"{name}.json").write_text(report.to_json() + "\n")
+            (out_dir / f"{name}.csv").write_text(report.to_csv())
         print(f"{name}: {len(report.rows)} rows, {report.failures} failed fits, "
               f"{report.runtime_seconds:.2f}s")
     return EXIT_OK

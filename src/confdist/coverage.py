@@ -39,7 +39,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sf
 
 from .data import Dataset
 from .errors import DomainError, ScenarioError
@@ -71,6 +70,7 @@ from .linear import (
     variance_pivot,
 )
 from .numerics import RngStream, rng_draws
+from .pivots import PivotLaw
 
 __all__ = ["METHODS", "Method", "Scenario", "CoverageRow", "CoverageReport",
            "MethodComparison", "run_scenario", "compare_methods", "design_matrix"]
@@ -387,7 +387,7 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
 
     Follows :func:`~confdist.linear.fit_ols` (coefficients from the design's
     SVD, the same noise floor on the residual sum of squares) and the
-    scalar pivots' CDF formulas.  Products are stacked per row (matvec,
+    scalar pivots' values and laws.  Products are stacked per row (matvec,
     vecdot), so each row rounds as the scalar fit and pivots do, whatever
     the block's size.  Returns each method's transforms (which carry no
     flags) over the rows with a nondegenerate fit, and the number of those
@@ -405,28 +405,23 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
     out = {}
     if "variance_chisq" in sc.methods:
         v = (df * phi_hat_m) / sc.phi
-        out["variance_chisq"] = (_sf.gammainc(df / 2.0, v / 2.0), False)
+        out["variance_chisq"] = (PivotLaw.chisq(df).cdf(v), False)
     if "contrast_t" in sc.methods:
         con = study.con
         v = (np.vecdot(beta_hat, con.b) - con.lambda_hat) / np.sqrt(con.k * phi_hat_m)
-        out["contrast_t"] = (_sf.stdtr(float(df), v), False)
+        out["contrast_t"] = (PivotLaw.student_t(df).cdf(v), False)
     if "coefficient_f" in sc.methods:
         d = beta_hat - truth.beta_hat
         v = np.vecdot(np.vecmat(d, truth.xtx), d) / (p * phi_hat_m)
-        out["coefficient_f"] = (np.where(v > 0.0, _sf.fdtr(float(p), float(df), v), 0.0), False)
+        out["coefficient_f"] = (PivotLaw.f(p, df).cdf(v), False)
     return out, int(fitted.sum())
 
 
 def _known_mu_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
     zp, value, interpolated = _known_mean_roots(Y, sc.varphi)
-    out = {"first_order_z": (_sf.ndtr(zp), np.zeros(len(Y), dtype=bool)),
-           "fraser_z": (_sf.ndtr(value), interpolated)}
+    out = {"first_order_z": (PivotLaw.normal().cdf(zp), np.zeros(len(Y), dtype=bool)),
+           "fraser_z": (PivotLaw.normal().cdf(value), interpolated)}
     return {m: out[m] for m in sc.methods}
-
-
-def _chisq_cdf(x: np.ndarray, df: int) -> np.ndarray:
-    """chisq_cdf on an array; NaN stays NaN."""
-    return np.where(x <= 0.0, 0.0, _sf.gammainc(df / 2.0, x / 2.0))
 
 
 def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
@@ -450,10 +445,10 @@ def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
     if "first_order_precision" in methods or "skovgaard_precision" in methods:
         dp = _profile_deviance_precision_array(n, vh, v, hat)
         sign = np.sign(vh - v)
-        out["first_order_precision"] = (_sf.ndtr(sign * np.sqrt(dp)), no_flags)
+        out["first_order_precision"] = (PivotLaw.normal().cdf(sign * np.sqrt(dp)), no_flags)
         if "skovgaard_precision" in methods:
             value, flags = _skovgaard_precision_values(X, y, mu_hat, vh, v, dp)
-            out["skovgaard_precision"] = (_sf.ndtr(sign * np.sqrt(value)), flags)
+            out["skovgaard_precision"] = (PivotLaw.normal().cdf(sign * np.sqrt(value)), flags)
     if "first_order_beta" in methods or "skovgaard_beta" in methods:
         with np.errstate(divide="ignore"):
             mean_b = unit_deviance_terms(y, study.mean).mean(axis=1)
@@ -461,11 +456,11 @@ def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
         at_truth = mean_b >= _DEGENERATE_MEAN_B
         vt[at_truth] = _solve_precision_array(mean_b[at_truth])
         dp = _profile_deviance_beta_array(n, vh, hat, vt)
-        out["first_order_beta"] = (_chisq_cdf(dp, p), no_flags)
+        out["first_order_beta"] = (PivotLaw.chisq(p).cdf(dp), no_flags)
         if "skovgaard_beta" in methods:
             value, flags = _skovgaard_beta_values(X, y, beta_hat, vh, np.array(sc.beta),
                                                   study.mean, vt, dp)
-            out["skovgaard_beta"] = (_chisq_cdf(value, p), flags)
+            out["skovgaard_beta"] = (PivotLaw.chisq(p).cdf(value), flags)
     return {m: out[m] for m in methods}
 
 

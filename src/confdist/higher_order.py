@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import Dataset
 from .errors import ContractViolationError, ConvergenceError, DegenerateFitError, DomainError
@@ -46,7 +45,7 @@ from .gamma import (
     solve_precision,
     unit_deviance_terms,
 )
-from .numerics import RealGrid, find_root, normal_cdf
+from .numerics import RealGrid, find_root
 from .pivots import ConfidenceDensity, Pivot, PivotLaw
 
 __all__ = [
@@ -794,13 +793,12 @@ def signed_root_confidence(corrected: CorrectedDeviance) -> float:
     """One-sided confidence Phi(sign * sqrt(value)) for a scalar parameter."""
     if corrected.sign is None:
         raise DomainError("signed confidence needs a scalar-parameter deviance")
-    return normal_cdf(corrected.sign * math.sqrt(max(corrected.value, 0.0)))
+    return PivotLaw.normal().cdf(corrected.sign * math.sqrt(max(corrected.value, 0.0)))
 
 
 def ball_confidence(corrected: CorrectedDeviance) -> float:
     """Confidence of the ball {parameter: corrected deviance <= observed}."""
-    law = PivotLaw.corrected_chisq(corrected.dims)
-    return law.cdf(corrected.value)
+    return PivotLaw.chisq(corrected.dims).cdf(corrected.value)
 
 
 def corrected_confidence_density(root_fn, grid: RealGrid) -> ConfidenceDensity:
@@ -837,9 +835,9 @@ def corrected_confidence_density(root_fn, grid: RealGrid) -> ConfidenceDensity:
         forward = t <= h
         roots = np.column_stack([root_fn(t + h), root_fn(np.where(forward, t, t - h))])
         bad = ~np.isfinite(roots)
-        if bad.any():  # the first in evaluation order, as normal_cdf reports it
+        if bad.any():  # a root that is not finite: report the first in evaluation order
             raise DomainError(f"x must be finite, got {float(roots[bad][0])!r}")
-        cdf = ndtr(roots)
+        cdf = PivotLaw.normal().cdf(roots)
         step = np.abs(cdf[:, 0] - cdf[:, 1])
         out[positive] = np.where(forward, step / h, step / (2.0 * h))
         return out
@@ -850,8 +848,8 @@ def corrected_confidence_density(root_fn, grid: RealGrid) -> ConfidenceDensity:
 def _root_pivot(root_fn, hint: tuple[float, float],
                 label: str = "corrected precision root") -> Pivot:
     """A precision curve varphi -> ModifiedRoot as a decreasing pivot on
-    (0, inf) with the (corrected) standard normal law."""
-    return Pivot(law=PivotLaw.corrected_normal(), value_fn=lambda v: root_fn(v).value,
+    (0, inf) with the standard normal law."""
+    return Pivot(law=PivotLaw.normal(), value_fn=lambda v: root_fn(v).value,
                  monotonic="decreasing", param_support=(0.0, math.inf), hint=hint, label=label)
 
 

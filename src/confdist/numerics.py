@@ -1,7 +1,8 @@
-"""Special functions, quadrature, root finding, and seedable random streams.
+"""Gamma special functions, quadrature, root finding, and seedable random streams.
 
 Everything downstream (pivot laws, model fits, corrections, the coverage
-harness) builds on this module.  Special-function evaluation is delegated to
+harness) builds on this module; the reference laws themselves are one table
+in :mod:`confdist.pivots`.  log Gamma, digamma and trigamma are delegated to
 scipy.special behind the documented contracts below; quadrature uses a single
 finite-interval adaptive kernel, with semi-infinite domains mapped onto [0, 1)
 by the substitution x = a + t/(1-t) (and its mirror image for lower tails).
@@ -22,25 +23,13 @@ from .errors import AccuracyError, BracketingError, DomainError
 __all__ = [
     "RealGrid",
     "RngStream",
-    "normal_cdf",
-    "normal_pdf",
-    "lower_regularized_gamma",
-    "upper_regularized_gamma",
     "log_gamma",
     "digamma",
     "trigamma",
-    "chisq_cdf",
-    "chisq_pdf",
-    "t_cdf",
-    "t_pdf",
-    "f_cdf",
-    "f_pdf",
     "find_root",
     "integrate",
     "rng_draws",
 ]
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -127,47 +116,8 @@ class RngStream:
 
 
 # ---------------------------------------------------------------------------
-# Special functions
+# Gamma special functions
 # ---------------------------------------------------------------------------
-
-
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal distribution function Phi(x)."""
-    return float(_sf.ndtr(_require_finite("x", x)))
-
-
-def normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    return float(_normal_pdf_array(_require_finite("x", x)))
-
-
-def lower_regularized_gamma(k: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(k, x) in [0, 1]."""
-    k = float(k)
-    if not (math.isfinite(k) and k > 0):
-        raise DomainError(f"shape k must be positive, got {k!r}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"x must be nonnegative, got {x!r}")
-    return float(_sf.gammainc(k, x))
-
-
-def upper_regularized_gamma(k: float, x: float) -> float:
-    """Regularized upper incomplete gamma function Q(k, x) = 1 - P(k, x)."""
-    k = float(k)
-    if not (math.isfinite(k) and k > 0):
-        raise DomainError(f"shape k must be positive, got {k!r}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"x must be nonnegative, got {x!r}")
-    return float(_sf.gammaincc(k, x))
 
 
 def _require_positive(name: str, x: float) -> float:
@@ -197,90 +147,6 @@ def trigamma(x: float) -> float:
     return float(_sf.zeta(2.0, _require_positive("x", x)))
 
 
-def chisq_cdf(x: float, df: float) -> float:
-    """Chi-square distribution function with ``df`` degrees of freedom."""
-    df = _require_positive("df", df)
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if x <= 0.0:
-        return 0.0
-    return lower_regularized_gamma(df / 2.0, x / 2.0)
-
-
-def chisq_pdf(x: float, df: float) -> float:
-    """Chi-square density with ``df`` degrees of freedom; 0 at x <= 0."""
-    df = _require_positive("df", df)
-    return float(_chisq_pdf_array(float(x), df))
-
-
-def t_cdf(x: float, df: float) -> float:
-    """Student t distribution function with ``df`` degrees of freedom."""
-    df = _require_positive("df", df)
-    return float(_sf.stdtr(df, _require_finite("x", x)))
-
-
-def t_pdf(x: float, df: float) -> float:
-    """Student t density with ``df`` degrees of freedom."""
-    df = _require_positive("df", df)
-    return float(_t_pdf_array(_require_finite("x", x), df))
-
-
-def f_cdf(x: float, df1: float, df2: float) -> float:
-    """F distribution function with (``df1``, ``df2``) degrees of freedom."""
-    df1 = _require_positive("df1", df1)
-    df2 = _require_positive("df2", df2)
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if x <= 0.0:
-        return 0.0
-    return float(_sf.fdtr(df1, df2, x))
-
-
-def f_pdf(x: float, df1: float, df2: float) -> float:
-    """F density with (``df1``, ``df2``) degrees of freedom; 0 at x <= 0."""
-    df1 = _require_positive("df1", df1)
-    df2 = _require_positive("df2", df2)
-    return float(_f_pdf_array(float(x), df1, df2))
-
-
-# Array definitions of the densities.  The scalar functions above validate
-# their arguments and evaluate these at one point; callers with arrays
-# validate the (scalar) degrees of freedom themselves.  Per-law constants
-# are Python floats, and each expression keeps its evaluation order.  As in
-# scalar float arithmetic, an overflow to inf gives density 0 silently, and
-# x <= 0 (log of 0 or less) is masked to density 0 for chisq and F.
-
-
-def _normal_pdf_array(x):
-    with np.errstate(over="ignore"):
-        return np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
-
-
-def _chisq_pdf_array(x, df: float):
-    half = df / 2.0
-    with np.errstate(all="ignore"):
-        f = np.exp((half - 1.0) * np.log(x) - x / 2.0 - half * math.log(2.0) - log_gamma(half))
-    return np.where(x <= 0.0, 0.0, f)
-
-
-def _t_pdf_array(x, df: float):
-    lognum = log_gamma((df + 1.0) / 2.0) - log_gamma(df / 2.0)
-    logden = 0.5 * math.log(df * math.pi)
-    with np.errstate(over="ignore"):
-        return np.exp(lognum - logden - 0.5 * (df + 1.0) * np.log1p(x * x / df))
-
-
-def _f_pdf_array(x, df1: float, df2: float):
-    h1, h2 = df1 / 2.0, df2 / 2.0
-    logb = log_gamma(h1) + log_gamma(h2) - log_gamma(h1 + h2)
-    with np.errstate(all="ignore"):
-        f = np.exp(h1 * math.log(df1) + h2 * math.log(df2) + (h1 - 1.0) * np.log(x)
-                   - (h1 + h2) * np.log(df2 + df1 * x) - logb)
-    return np.where(x <= 0.0, 0.0, f)
-
-
 # ---------------------------------------------------------------------------
 # Root finding
 # ---------------------------------------------------------------------------
@@ -308,13 +174,15 @@ def find_root(
         raise DomainError(f"invalid bracket {bracket!r}")
     lo_lim, hi_lim = (-math.inf, math.inf) if limits is None else limits
 
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     n_expand = 0
-    while flo * fhi > 0.0:
+    while True:
+        flo, fhi = f(lo), f(hi)
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+        if not flo * fhi > 0.0:  # a sign change (a NaN is left to brentq)
+            return float(_scipy_optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16))
         if n_expand >= max_expansions:
             raise BracketingError(
                 f"no sign change in [{lo:g}, {hi:g}] after {max_expansions} expansions"
@@ -327,13 +195,7 @@ def find_root(
                 f"no sign change in [{lo:g}, {hi:g}] within limits {limits!r}"
             )
         lo, hi = new_lo, new_hi
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
         n_expand += 1
-    return float(_scipy_optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16))
 
 
 # ---------------------------------------------------------------------------
@@ -351,24 +213,14 @@ def _quad_finite(f, a: float, b: float, epsabs: float) -> tuple[float, float]:
     return value, abserr
 
 
-def _map_upper_tail(f, a: float):
-    # x = a + t/(1-t) maps [0, 1) onto [a, inf); dx = dt/(1-t)^2.
+def _map_tail(f, a: float, sign: float):
+    # x = a + sign * t/(1-t) maps [0, 1) onto [a, inf) (sign 1) or onto
+    # (-inf, a] (sign -1); |dx| = dt/(1-t)^2.
     def g(t: float) -> float:
         om = 1.0 - t
         if om <= 0.0:
             return 0.0
-        return f(a + t / om) / (om * om)
-
-    return g
-
-
-def _map_lower_tail(f, b: float):
-    # x = b - t/(1-t) maps [0, 1) onto (-inf, b].
-    def g(t: float) -> float:
-        om = 1.0 - t
-        if om <= 0.0:
-            return 0.0
-        return f(b - t / om) / (om * om)
+        return f(a + sign * (t / om)) / (om * om)
 
     return g
 
@@ -392,12 +244,12 @@ def integrate(f, domain: tuple[float, float], tol: float = 1e-8) -> float:
 
     pieces = []
     if math.isinf(a) and math.isinf(b):
-        pieces.append((_map_lower_tail(f, 0.0), 0.0, 1.0))
-        pieces.append((_map_upper_tail(f, 0.0), 0.0, 1.0))
+        pieces.append((_map_tail(f, 0.0, -1.0), 0.0, 1.0))
+        pieces.append((_map_tail(f, 0.0, 1.0), 0.0, 1.0))
     elif math.isinf(b):
-        pieces.append((_map_upper_tail(f, a), 0.0, 1.0))
+        pieces.append((_map_tail(f, a, 1.0), 0.0, 1.0))
     elif math.isinf(a):
-        pieces.append((_map_lower_tail(f, b), 0.0, 1.0))
+        pieces.append((_map_tail(f, b, -1.0), 0.0, 1.0))
     else:
         pieces.append((f, a, b))
 

@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import special as _sf
 
-from . import numerics
 from .errors import (
     ContractViolationError,
     DomainError,
     NoEndpointError,
     UnsupportedOperationError,
 )
-from .numerics import RealGrid, find_root, integrate
+from .numerics import RealGrid, find_root, integrate, log_gamma
 
 __all__ = [
     "PivotLaw",
@@ -45,6 +45,7 @@ __all__ = [
 
 _REAL_LINE = (-math.inf, math.inf)
 _POSITIVE_HALF_LINE = (0.0, math.inf)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -52,29 +53,68 @@ _POSITIVE_HALF_LINE = (0.0, math.inf)
 # ---------------------------------------------------------------------------
 
 
+# Each density takes a float or an array of finite points of its support.
+# Per-law constants are Python floats, and each expression keeps its
+# evaluation order.  As in scalar float arithmetic, an overflow to inf gives
+# density 0 silently.
+
+
+def _normal_pdf(x):
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+
+
+def _chisq_pdf(x, df: float):
+    half = df / 2.0
+    with np.errstate(all="ignore"):
+        return np.exp((half - 1.0) * np.log(x) - x / 2.0 - half * math.log(2.0) - log_gamma(half))
+
+
+def _t_pdf(x, df: float):
+    lognum = log_gamma((df + 1.0) / 2.0) - log_gamma(df / 2.0)
+    logden = 0.5 * math.log(df * math.pi)
+    with np.errstate(over="ignore"):
+        return np.exp(lognum - logden - 0.5 * (df + 1.0) * np.log1p(x * x / df))
+
+
+def _f_pdf(x, df1: float, df2: float):
+    h1, h2 = df1 / 2.0, df2 / 2.0
+    logb = log_gamma(h1) + log_gamma(h2) - log_gamma(h1 + h2)
+    with np.errstate(all="ignore"):
+        return np.exp(h1 * math.log(df1) + h2 * math.log(df2) + (h1 - 1.0) * np.log(x)
+                      - (h1 + h2) * np.log(df2 + df1 * x) - logb)
+
+
+class _Family(NamedTuple):
+    dfs: int  # how many degrees of freedom the law takes
+    half_line: bool  # lives on (0, inf): PivotLaw sets cdf and pdf to 0 at x <= 0
+    cdf: Callable  # CDF at x (a float or an array), then the degrees of freedom
+    pdf: Callable  # density at x, likewise
+
+
+# P(k, x) is chisq(2k).cdf(2x): the regularized lower incomplete gamma function.
+_LAWS = {
+    "normal": _Family(0, False, _sf.ndtr, _normal_pdf),
+    "chisq": _Family(1, True, lambda x, df: _sf.gammainc(df / 2.0, x / 2.0), _chisq_pdf),
+    "student_t": _Family(1, False, lambda x, df: _sf.stdtr(df, x), _t_pdf),
+    "f": _Family(2, True, lambda x, df1, df2: _sf.fdtr(df1, df2, x), _f_pdf),
+}
+
+
 @dataclass(frozen=True)
 class PivotLaw:
-    """A fully known reference law for a pivot.
-
-    ``corrected_normal`` and ``corrected_chisq`` share the normal and
-    chi-square curves; the distinct family tag records that the pivot value
-    they are applied to is a higher-order-corrected quantity, which callers
-    surface in output flags and labels.
-    """
+    """A fully known reference law for a pivot: a ``_LAWS`` family and its df."""
 
     family: str
     df: tuple[float, ...] = ()
 
-    _FAMILIES = ("normal", "chisq", "student_t", "f", "corrected_normal", "corrected_chisq")
-
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
+        law = _LAWS.get(self.family)
+        if law is None:
             raise DomainError(f"unknown pivot law family {self.family!r}")
-        expected = {"normal": 0, "corrected_normal": 0, "chisq": 1,
-                    "student_t": 1, "corrected_chisq": 1, "f": 2}[self.family]
-        if len(self.df) != expected:
+        if len(self.df) != law.dfs:
             raise DomainError(
-                f"{self.family} law takes {expected} degree-of-freedom value(s), got {self.df!r}"
+                f"{self.family} law takes {law.dfs} degree-of-freedom value(s), got {self.df!r}"
             )
         for d in self.df:
             if not (math.isfinite(d) and d > 0):
@@ -98,53 +138,45 @@ class PivotLaw:
     def f(cls, df1: float, df2: float) -> "PivotLaw":
         return cls("f", (float(df1), float(df2)))
 
-    @classmethod
-    def corrected_normal(cls) -> "PivotLaw":
-        return cls("corrected_normal")
-
-    @classmethod
-    def corrected_chisq(cls, dims: float) -> "PivotLaw":
-        return cls("corrected_chisq", (float(dims),))
-
     # -- curves --------------------------------------------------------------
 
     @property
     def support(self) -> tuple[float, float]:
-        if self.family in ("normal", "corrected_normal", "student_t"):
-            return _REAL_LINE
-        return _POSITIVE_HALF_LINE
+        return _POSITIVE_HALF_LINE if _LAWS[self.family].half_line else _REAL_LINE
 
     def in_support(self, v: float) -> bool:
         lo, hi = self.support
         return lo <= v <= hi if lo > -math.inf else v <= hi
 
-    def cdf(self, v: float) -> float:
+    def cdf(self, v):
+        """Distribution function at a point (a float back) or at each element
+        of an array (an array back): 0 at -inf and 1 at inf, and 0 at or
+        below 0 on the half line.  A NaN point raises DomainError; a NaN
+        element stays NaN.
+
+        A point does not pass through numpy's array dispatch: quantiles
+        root-find this CDF one point at a time.
+        """
+        law = _LAWS[self.family]
+        if isinstance(v, np.ndarray) and v.ndim > 0:
+            c = law.cdf(v, *self.df)
+            return np.where(v <= 0.0, 0.0, c) if law.half_line else c
         v = float(v)
-        if math.isinf(v):
+        if not math.isfinite(v):
+            if math.isnan(v):
+                raise DomainError(f"x must be finite, got {v!r}")
             return 0.0 if v < 0 else 1.0
-        if self.family in ("normal", "corrected_normal"):
-            return numerics.normal_cdf(v)
-        if self.family in ("chisq", "corrected_chisq"):
-            return numerics.chisq_cdf(v, self.df[0]) if v > 0 else 0.0
-        if self.family == "student_t":
-            return numerics.t_cdf(v, self.df[0])
-        return numerics.f_cdf(v, self.df[0], self.df[1]) if v > 0 else 0.0
+        if law.half_line and v <= 0.0:
+            return 0.0
+        return float(law.cdf(v, *self.df))
 
     def pdf(self, v):
         """Density at a point (a float back) or at each element of an array
         (an array back); 0 at non-finite values and off the support."""
+        law = _LAWS[self.family]
         v = np.asarray(v, dtype=float)
-        finite = np.isfinite(v)
-        x = np.where(finite, v, 0.0)
-        if self.family in ("normal", "corrected_normal"):
-            f = numerics._normal_pdf_array(x)
-        elif self.family in ("chisq", "corrected_chisq"):
-            f = numerics._chisq_pdf_array(x, self.df[0])
-        elif self.family == "student_t":
-            f = numerics._t_pdf_array(x, self.df[0])
-        else:
-            f = numerics._f_pdf_array(x, self.df[0], self.df[1])
-        f = np.where(finite, f, 0.0)
+        keep = np.isfinite(v) & (v > 0.0) if law.half_line else np.isfinite(v)
+        f = np.where(keep, law.pdf(np.where(keep, v, 1.0), *self.df), 0.0)
         return f if f.ndim else float(f)
 
     def quantile(self, p: float, tol: float = 1e-12) -> float:
@@ -276,14 +308,11 @@ def extended_likelihood(pivot: Pivot, theta) -> float:
     """Reference-law density at the realized pivot value.
 
     Returns 0.0 (not an error) when the realized value falls on or outside
-    the law's support boundary; ``pivot.law.in_support`` makes the boundary
-    condition checkable by callers, since simulation draws legitimately land
-    in the tails.
+    the law's support boundary (the law's density is 0 there);
+    ``pivot.law.in_support`` makes the boundary condition checkable by
+    callers, since simulation draws legitimately land in the tails.
     """
-    v = pivot.value(theta)
-    if not pivot.law.in_support(v):
-        return 0.0
-    return pivot.law.pdf(v)
+    return pivot.law.pdf(pivot.value(theta))
 
 
 def confidence_of(pivot: Pivot, bound: float, side: str = "<=") -> float:

@@ -34,20 +34,13 @@ from confdist.linear import LinearFit, contrast, contrast_pivot, variance_pivot
 from confdist.numerics import (
     RealGrid,
     RngStream,
-    chisq_cdf,
-    chisq_pdf,
     digamma,
-    f_cdf,
     find_root,
     integrate,
-    lower_regularized_gamma,
-    normal_cdf,
-    normal_pdf,
     rng_draws,
-    t_cdf,
     trigamma,
 )
-from confdist.pivots import invert_pivot, location_pivot, parameter_density
+from confdist.pivots import PivotLaw, invert_pivot, location_pivot, parameter_density
 
 from test_higher_order import loops_det, loops_solve
 
@@ -317,32 +310,34 @@ def test_criterion_7_special_function_oracles():
     start = time.monotonic()
 
     for x in np.linspace(-6.0, 6.0, 25):
-        assert abs(normal_cdf(float(x)) - oracles.normal_cdf_oracle(float(x))) <= 1e-12
-    for k, x in [(0.7, 0.4), (1.0, 1.0), (5.0, 5.0), (9.5, 3.0)]:
+        assert abs(PivotLaw.normal().cdf(float(x)) - oracles.normal_cdf_oracle(float(x))) <= 1e-12
+    for k, x in [(0.7, 0.4), (1.0, 1.0), (5.0, 5.0), (9.5, 3.0)]:  # P(k, x) = chisq(2k) at 2x
         assert abs(
-            lower_regularized_gamma(k, x) - oracles.lower_regularized_gamma_oracle(k, x)
+            PivotLaw.chisq(2.0 * k).cdf(2.0 * x) - oracles.lower_regularized_gamma_oracle(k, x)
         ) <= 1e-10
     for x in [0.3, 1.0, 2.5, 8.0, 40.0]:
         assert abs(digamma(x) - oracles.digamma_oracle(x)) <= 1e-10
         assert abs(trigamma(x) - oracles.trigamma_oracle(x)) <= 1e-10
     for df in (1.0, 4.0, 11.5):
         for x in np.linspace(0.05, 4.0 * df, 50):
-            assert abs(chisq_cdf(float(x), df) - oracles.chisq_cdf_oracle(float(x), df)) <= 1e-9
+            assert abs(PivotLaw.chisq(df).cdf(float(x))
+                       - oracles.chisq_cdf_oracle(float(x), df)) <= 1e-9
     for df in (2.0, 5.0, 30.0):
         for x in np.linspace(-6.0, 6.0, 50):
-            assert abs(t_cdf(float(x), df) - oracles.t_cdf_oracle(float(x), df)) <= 1e-9
+            assert abs(PivotLaw.student_t(df).cdf(float(x))
+                       - oracles.t_cdf_oracle(float(x), df)) <= 1e-9
     for df1, df2 in ((2.0, 10.0), (5.0, 7.0)):
         for x in np.linspace(0.05, 12.0, 50):
             assert abs(
-                f_cdf(float(x), df1, df2) - oracles.f_cdf_oracle(float(x), df1, df2)
+                PivotLaw.f(df1, df2).cdf(float(x)) - oracles.f_cdf_oracle(float(x), df1, df2)
             ) <= 1e-9
 
     # root finding against the bisection oracle
-    q95 = find_root(lambda u: normal_cdf(u) - 0.95, (0.0, 10.0), tol=1e-12)
+    q95 = find_root(lambda u: PivotLaw.normal().cdf(u) - 0.95, (0.0, 10.0), tol=1e-12)
     assert abs(q95 - oracles.normal_quantile_oracle(0.95)) <= 1e-9
     # quadrature against closed forms and the oracle value
-    assert abs(integrate(normal_pdf, (-math.inf, math.inf), tol=1e-10) - 1.0) <= 1e-10
-    chi_mass = integrate(lambda u: chisq_pdf(u, 10.0), (0.0, 10.0), tol=1e-10)
+    assert abs(integrate(PivotLaw.normal().pdf, (-math.inf, math.inf), tol=1e-10) - 1.0) <= 1e-10
+    chi_mass = integrate(PivotLaw.chisq(10.0).pdf, (0.0, 10.0), tol=1e-10)
     assert abs(chi_mass - oracles.lower_regularized_gamma_oracle(5.0, 5.0)) <= 1e-9
 
     elapsed = time.monotonic() - start

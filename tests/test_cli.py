@@ -10,7 +10,7 @@ from confdist.data import Dataset
 from confdist.errors import DataError
 from confdist.linear import contrast, contrast_pivot, fit_ols, variance_pivot
 from confdist.numerics import RngStream, rng_draws
-from confdist.pivots import interval_endpoint
+from confdist.pivots import PivotLaw, interval_endpoint
 
 T5_Q95 = 2.0150483733330504
 
@@ -225,9 +225,8 @@ class TestConfdensCommand:
         con = contrast(fit, np.array([1.0]))
         pv = contrast_pivot(fit, con)
         se = math.sqrt(con.k * fit.phi_hat_m)
-        from confdist.numerics import t_pdf
-
-        expected = np.array([t_pdf((con.lambda_hat - g) / se, fit.df) / se for g in grid])
+        t = PivotLaw.student_t(fit.df)
+        expected = np.array([t.pdf((con.lambda_hat - g) / se) / se for g in grid])
         np.testing.assert_allclose(dens, expected, atol=1e-6)
 
     def test_variance_density_mode_matches_grid_search(self, tmp_path, capsys):
@@ -666,3 +665,120 @@ class TestCoverageCommand:
         assert main(["coverage", "--scenario", str(ini), "--out", str(b),
                      "--seed", "99"]) == 0
         assert (a / "det.csv").read_bytes() == (b / "det.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Error paths: bad input ends with a message and an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def _error_files(d):
+    """The files the ERROR_CASES templates name, written into directory ``d``."""
+    rng = np.random.default_rng(20261019)
+    x = rng.normal(size=30)
+    write_csv(d / "normal.csv", ["y", "x"], np.column_stack([1.0 + x + rng.normal(size=30), x]))
+    write_csv(d / "gamma.csv", ["y", "x"],
+              np.column_stack([np.exp(0.5 - 0.3 * x) * rng.gamma(2.0, 0.5, size=30), x]))
+    (d / "nonfinite.csv").write_text("y,x\n1,2\ninf,3\n4,5\n")
+    (d / "latin1.csv").write_bytes("y,x\n1,2\n3,4\n5,6\n# café\n".encode("latin-1"))
+    normal_fit = {"model": "normal", "beta_hat": [1.0, 0.5], "phi_hat_m": 1.0,
+                  "xtx": [[30.0, 0.0], [0.0, 30.0]], "df": 28, "n": 30, "p": 2}
+    summaries = {
+        "gamma_no_n": {"model": "gamma", "varphi_hat": 2.0},
+        "gamma_text_precision": {"model": "gamma", "n": 30, "varphi_hat": "x"},
+        "normal_no_xtx": {k: v for k, v in normal_fit.items() if k != "xtx"},
+        "normal_p3": {**normal_fit, "beta_hat": [1.0, 0.5, 0.0], "p": 3, "df": 27},
+        "list": [normal_fit],
+    }
+    for name, payload in summaries.items():
+        (d / f"{name}.json").write_text(json.dumps(payload))
+    (d / "latin1.json").write_bytes(b'{"model": "gamma", "n": 30, "varphi_hat": 2.0, "\xe9": 1}')
+    ok = ("model = normal_regression\nn = 10\nreplications = 100\nseed = 1\n"
+          "levels = 0.5\nmethods = variance_chisq\nbeta = 1.0\nphi = 1.0\n")
+    scenarios = {
+        "ok": f"[ok]\n{ok}",
+        "no_section": ok,
+        "repeated_section": f"[a]\n{ok}[a]\n{ok}",
+        "repeated_key": f"[a]\n{ok}n = 12\n",
+        "no_equals": f"[a]\n{ok}levels\n",
+    }
+    for name, text in scenarios.items():
+        (d / f"{name}.ini").write_text(text)
+
+
+NORMAL_ARGS = "--file {d}/normal.csv --model normal --response y --design x"
+FIT_JSON_PRECISION = "--model gamma --target precision --method first_order --level 0.9"
+FIT_JSON_NORMAL = "--model normal --method exact --level 0.9 --target"
+
+# name -> (argv template, exit code, a text stderr must hold).  Templates are
+# split on whitespace after {d} is replaced by a directory _error_files filled.
+# Exit codes: 2 usage or scenario, 3 data, 4 numeric.
+ERROR_CASES = {
+    "coverage_jobs_0": ("coverage --scenario {d}/ok.ini --out {d}/o --jobs 0", 2, "--jobs"),
+    "known_mu_normal_model": (
+        "fit --file {d}/normal.csv --model normal --response y --known-mu", 2, "--known-mu"),
+    "csv_non_finite_cell": (
+        "fit --file {d}/nonfinite.csv --model normal --response y --design x", 3,
+        "{d}/nonfinite.csv"),
+    "confdens_gamma_skovgaard": (
+        "confdens --file {d}/gamma.csv --model gamma --response y --design x "
+        "--target precision --method skovgaard --grid 0.3:8:101", 4, "not monotone"),
+    "csv_not_utf8": (
+        "fit --file {d}/latin1.csv --model normal --response y --design x", 3,
+        "{d}/latin1.csv"),
+    "fit_json_gamma_no_n": (
+        f"interval --fit-json {{d}}/gamma_no_n.json {FIT_JSON_PRECISION}", 3,
+        "{d}/gamma_no_n.json"),
+    "fit_json_gamma_text_precision": (
+        f"interval --fit-json {{d}}/gamma_text_precision.json {FIT_JSON_PRECISION}", 3,
+        "{d}/gamma_text_precision.json"),
+    "fit_json_list": (
+        f"interval --fit-json {{d}}/list.json {FIT_JSON_PRECISION}", 3, "{d}/list.json"),
+    "fit_json_not_utf8": (
+        f"interval --fit-json {{d}}/latin1.json {FIT_JSON_PRECISION}", 3, "{d}/latin1.json"),
+    "fit_json_normal_no_xtx": (
+        f"interval --fit-json {{d}}/normal_no_xtx.json {FIT_JSON_NORMAL} variance", 3,
+        "{d}/normal_no_xtx.json"),
+    "fit_json_normal_p_mismatch_contrast": (
+        f"interval --fit-json {{d}}/normal_p3.json {FIT_JSON_NORMAL} contrast:0,1,0", 3,
+        "{d}/normal_p3.json"),
+    "fit_json_normal_p_mismatch_variance": (
+        f"interval --fit-json {{d}}/normal_p3.json {FIT_JSON_NORMAL} variance", 3,
+        "{d}/normal_p3.json"),
+    "scenario_no_section": (
+        "coverage --scenario {d}/no_section.ini --out {d}/o", 2, "{d}/no_section.ini"),
+    "scenario_repeated_section": (
+        "coverage --scenario {d}/repeated_section.ini --out {d}/o", 2,
+        "{d}/repeated_section.ini"),
+    "scenario_repeated_key": (
+        "coverage --scenario {d}/repeated_key.ini --out {d}/o", 2, "{d}/repeated_key.ini"),
+    "scenario_line_without_equals": (
+        "coverage --scenario {d}/no_equals.ini --out {d}/o", 2, "{d}/no_equals.ini"),
+    "fit_out_in_missing_directory": (
+        f"fit {NORMAL_ARGS} --out {{d}}/missing/fit.json", 2, "{d}/missing/fit.json"),
+    "confdens_out_is_a_directory": (
+        f"confdens {NORMAL_ARGS} --target variance --method exact --grid 0.2:3:20 --out {{d}}",
+        2, "Is a directory"),
+    "coverage_out_is_a_file": (
+        "coverage --scenario {d}/ok.ini --out {d}/normal.csv", 2, "{d}/normal.csv"),
+}
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("name", sorted(ERROR_CASES))
+    def test_exits_with_its_code_and_message(self, name, tmp_path, capsys, monkeypatch):
+        template, code, message = ERROR_CASES[name]
+        _error_files(tmp_path)
+        studies = []
+        monkeypatch.setattr("confdist.cli.run_scenario", lambda *a, **k: studies.append(a))
+        assert main(template.format(d=tmp_path).split()) == code
+        captured = capsys.readouterr()
+        assert message.format(d=tmp_path) in captured.err
+        assert captured.out == "" and not studies  # no study runs, nothing is printed
+
+    def test_ok_scenario_runs(self, tmp_path, capsys):
+        # the scenario the coverage cases name is valid: only their flags fail
+        _error_files(tmp_path)
+        assert main(["coverage", "--scenario", str(tmp_path / "ok.ini"),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "ok.csv").exists()

@@ -19,7 +19,7 @@ from confdist.higher_order import (
     fraser_curve,
     signed_precision_root,
 )
-from confdist.numerics import normal_cdf
+from confdist.pivots import PivotLaw
 
 
 def _write(path, header, columns):
@@ -97,7 +97,7 @@ class TestIntervalFlags:
         # on the side the modified root's offset at the estimate points to
         km = fit_known_mean(files["y"])
         z0 = fraser_curve(km)(km.varphi_hat).value
-        side, level = ("upper" if z0 < 0 else "lower"), round(normal_cdf(abs(z0)), 3)
+        side, level = ("upper" if z0 < 0 else "lower"), round(PivotLaw.normal().cdf(abs(z0)), 3)
         assert 0.5 < level < 0.6
         code, payload = _interval(capsys, files["known_mu"], "fraser", level, side)
         assert code == 0

@@ -32,8 +32,8 @@ from confdist.higher_order import (
     fraser_curve,
 )
 from confdist.linear import contrast, contrast_pivot, fit_ols, variance_pivot
-from confdist.numerics import RealGrid, normal_cdf
-from confdist.pivots import parameter_density
+from confdist.numerics import RealGrid
+from confdist.pivots import PivotLaw, parameter_density
 
 RTOL = 1e-9
 
@@ -51,14 +51,21 @@ def pointwise_density(root, grid: RealGrid) -> np.ndarray:
             f"[{points[bad]:.6g}, {points[bad + 1]:.6g}]"
         )
     h = grid.span / 2048.0
+    normal = PivotLaw.normal()
+
+    def confidence(theta: float) -> float:
+        value = root(theta).value
+        if not math.isfinite(value):  # as the array density rejects it
+            raise DomainError(f"x must be finite, got {value!r}")
+        return normal.cdf(value)
 
     def density(theta: float) -> float:
         if theta <= 0.0:
             return 0.0
-        up = normal_cdf(root(theta + h).value)
+        up = confidence(theta + h)
         if theta <= h:
-            return abs(up - normal_cdf(root(theta).value)) / h
-        down = normal_cdf(root(theta - h).value)
+            return abs(up - confidence(theta)) / h
+        down = confidence(theta - h)
         return abs(up - down) / (2.0 * h)
 
     return np.array([density(float(t)) for t in grid.points])

@@ -18,7 +18,8 @@ from confdist.gamma import (
     solve_precision,
     unit_deviance_terms,
 )
-from confdist.numerics import RngStream, chisq_cdf, rng_draws
+from confdist.numerics import RngStream, rng_draws
+from confdist.pivots import PivotLaw
 
 # Oracle values (tests/oracles.py bisection on the series digamma):
 # solve log(phi) - digamma(phi) = 0.1
@@ -261,7 +262,7 @@ class TestChisqCalibration:
 
         for sample, df in [(dp_prec, 1.0), (dp_beta, 2.0)]:
             sample = np.sort(sample)
-            cdf = np.array([chisq_cdf(float(x), df) for x in sample])
+            cdf = np.array([PivotLaw.chisq(df).cdf(float(x)) for x in sample])
             ecdf_hi = np.arange(1, reps + 1) / reps
             ecdf_lo = np.arange(0, reps) / reps
             ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(cdf - ecdf_lo)))

@@ -59,7 +59,8 @@ from confdist.higher_order import (
     skovgaard_beta,
     skovgaard_precision,
 )
-from confdist.numerics import RngStream, chisq_cdf, normal_cdf, rng_draws
+from confdist.numerics import RngStream, rng_draws
+from confdist.pivots import PivotLaw
 from streams import replication_responses, stream_blocks
 
 KNOWN_MU_METHODS = ("first_order_z", "fraser_z")
@@ -77,8 +78,8 @@ def oracle_transforms(sc: Scenario, X, y) -> dict:
     """(transform, flagged) of each method for one replication."""
     if sc.model == "gamma_known_mu":
         root = fraser_root_known_mu(y, sc.varphi)
-        out = {"first_order_z": (normal_cdf(root.signed_root), False),
-               "fraser_z": (normal_cdf(root.value), root.interpolated)}
+        out = {"first_order_z": (PivotLaw.normal().cdf(root.signed_root), False),
+               "fraser_z": (PivotLaw.normal().cdf(root.value), root.interpolated)}
         return {m: out[m] for m in sc.methods}
     data = Dataset(y=y, X=X)
     fit = fit_irls(data)
@@ -88,13 +89,13 @@ def oracle_transforms(sc: Scenario, X, y) -> dict:
         if method == "first_order_precision":
             dp = profile_deviance_precision(fit, sc.varphi).value
             root = math.copysign(math.sqrt(dp), fit.varphi_hat - sc.varphi)
-            out[method] = (normal_cdf(root), False)
+            out[method] = (PivotLaw.normal().cdf(root), False)
         elif method == "skovgaard_precision":
             cd = skovgaard_precision(data, fit, sc.varphi)
             out[method] = (signed_root_confidence(cd), cd.flagged)
         elif method == "first_order_beta":
             dp = profile_deviance_beta(data, fit, beta)
-            out[method] = (chisq_cdf(dp.value, dp.dims), False)
+            out[method] = (PivotLaw.chisq(dp.dims).cdf(dp.value), False)
         else:
             cd = skovgaard_beta(data, fit, beta)
             out[method] = (ball_confidence(cd), cd.flagged)
@@ -452,8 +453,8 @@ class TestSkovgaardWindowRows:
                 assert flagged[i] == cd.flagged
                 assert abs(value[i] - cd.value) <= tolerance[k] * max(1.0, abs(cd.value))
                 confidence = (signed_root_confidence(cd) if k == 0 else ball_confidence(cd))
-                array_confidence = (normal_cdf(cd.sign * math.sqrt(value[i])) if k == 0
-                                    else chisq_cdf(value[i], len(beta)))
+                array_confidence = (PivotLaw.normal().cdf(cd.sign * math.sqrt(value[i])) if k == 0
+                                    else PivotLaw.chisq(len(beta)).cdf(value[i]))
                 assert abs(array_confidence - confidence) <= 1e-9
                 windows[k] += 1
         assert windows[0] >= 5

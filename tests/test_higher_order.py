@@ -34,8 +34,8 @@ from confdist.higher_order import (
     skovgaard_beta,
     skovgaard_precision,
 )
-from confdist.numerics import RealGrid, RngStream, normal_cdf, rng_draws
-from confdist.numerics import chisq_cdf, upper_regularized_gamma
+from confdist.numerics import RealGrid, RngStream, rng_draws
+from confdist.pivots import PivotLaw
 
 NORMAL_Q95 = 1.6448536269514946
 # y* solving y - 1 - log(y) = 0.1; a sample of copies has mean unit deviance 0.1
@@ -379,12 +379,13 @@ class TestSkovgaardBeta:
     def test_p1_tail_reduces_to_normal(self):
         # upper chi-square(1) tail at d equals 2 * (1 - Phi(sqrt(d)))
         for d in np.linspace(0.05, 9.0, 25):
-            upper = upper_regularized_gamma(0.5, d / 2.0)
-            assert upper == pytest.approx(2.0 * (1.0 - normal_cdf(math.sqrt(d))), abs=1e-9)
+            upper = 1.0 - PivotLaw.chisq(1.0).cdf(d)
+            assert upper == pytest.approx(2.0 * (1.0 - PivotLaw.normal().cdf(math.sqrt(d))),
+                                          abs=1e-9)
 
     def test_ball_confidence_uses_chisq_lower_tail(self):
         cd = CorrectedDeviance(deviance=3.0, correction=1.1, value=3.1, dims=2)
-        assert ball_confidence(cd) == pytest.approx(chisq_cdf(3.1, 2.0), abs=1e-14)
+        assert ball_confidence(cd) == pytest.approx(PivotLaw.chisq(2.0).cdf(3.1), abs=1e-14)
 
 
 class TestCorrectedDensity:
@@ -495,6 +496,6 @@ class TestLimitConsistency:
             y = rng_draws(RngStream(81, r), "gamma", n, shape=varphi0, scale=1.0 / varphi0)
             z = fraser_root_known_mu(y, varphi0).value
             hits += z <= qs
-        targets = np.array([normal_cdf(float(q)) for q in qs])
+        targets = np.array([PivotLaw.normal().cdf(float(q)) for q in qs])
         stderr = np.sqrt(targets * (1 - targets) / reps)
         assert np.all(np.abs(hits / reps - targets) < 3.5 * stderr + 0.004)

@@ -10,23 +10,14 @@ from confdist.errors import AccuracyError, BracketingError, DomainError
 from confdist.numerics import (
     RealGrid,
     RngStream,
-    chisq_cdf,
-    chisq_pdf,
     digamma,
-    f_cdf,
-    f_pdf,
     find_root,
     integrate,
     log_gamma,
-    lower_regularized_gamma,
-    normal_cdf,
-    normal_pdf,
     rng_draws,
-    t_cdf,
-    t_pdf,
     trigamma,
-    upper_regularized_gamma,
 )
+from confdist.pivots import PivotLaw
 
 # Frozen from the brute-force oracles in oracles.py (quadrature + bisection,
 # series with asymptotic tails).  See that module for the exact recipes.
@@ -41,58 +32,59 @@ F_2_10_Q95 = 4.102821015133365
 
 class TestNormalCdf:
     def test_symmetry_at_zero(self):
-        assert normal_cdf(0.0) == 0.5
+        assert PivotLaw.normal().cdf(0.0) == 0.5
 
     def test_saturation(self):
-        assert normal_cdf(40.0) == 1.0
-        assert normal_cdf(-40.0) == 0.0
+        assert PivotLaw.normal().cdf(40.0) == 1.0
+        assert PivotLaw.normal().cdf(-40.0) == 0.0
 
     def test_quantile_against_oracle(self):
-        assert normal_cdf(NORMAL_Q95) == pytest.approx(0.95, abs=1e-12)
+        assert PivotLaw.normal().cdf(NORMAL_Q95) == pytest.approx(0.95, abs=1e-12)
 
     def test_oracle_agreement_on_grid(self):
         for x in np.linspace(-6.0, 6.0, 25):
-            assert normal_cdf(float(x)) == pytest.approx(
+            assert PivotLaw.normal().cdf(float(x)) == pytest.approx(
                 oracles.normal_cdf_oracle(float(x)), abs=1e-12
             )
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            normal_cdf(math.inf)
-        with pytest.raises(DomainError):
-            normal_cdf(math.nan)
+            PivotLaw.normal().cdf(math.nan)
 
 
 class TestIncompleteGamma:
+    """P(k, x) is the chi-square law's CDF: chisq(2k).cdf(2x)."""
+
     def test_empty_integral(self):
-        assert lower_regularized_gamma(1.0, 0.0) == 0.0
+        assert PivotLaw.chisq(2.0).cdf(0.0) == 0.0
 
     def test_exponential_closed_form(self):
-        assert lower_regularized_gamma(1.0, 1.0) == pytest.approx(
+        assert PivotLaw.chisq(2.0).cdf(2.0) == pytest.approx(
             1.0 - math.exp(-1.0), abs=1e-14
         )
 
     def test_k5_x5_oracle(self):
-        assert lower_regularized_gamma(5.0, 5.0) == pytest.approx(GAMMA_P_5_5, abs=1e-12)
+        assert PivotLaw.chisq(10.0).cdf(10.0) == pytest.approx(GAMMA_P_5_5, abs=1e-12)
 
     def test_upper_complements_lower(self):
+        from scipy import special
+
         for k, x in [(0.5, 0.2), (2.0, 3.0), (7.5, 4.0)]:
-            assert upper_regularized_gamma(k, x) == pytest.approx(
-                1.0 - lower_regularized_gamma(k, x), abs=1e-14
+            assert float(special.gammaincc(k, x)) == pytest.approx(
+                1.0 - PivotLaw.chisq(2.0 * k).cdf(2.0 * x), abs=1e-14
             )
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 30.0, 200)
-        vals = [lower_regularized_gamma(3.3, float(x)) for x in xs]
+        vals = [PivotLaw.chisq(6.6).cdf(2.0 * float(x)) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_domain_errors(self):
+        # a shape k <= 0 is a chi-square law with df = 2k <= 0
         with pytest.raises(DomainError):
-            lower_regularized_gamma(0.0, 1.0)
+            PivotLaw.chisq(0.0)
         with pytest.raises(DomainError):
-            lower_regularized_gamma(-2.0, 1.0)
-        with pytest.raises(DomainError):
-            lower_regularized_gamma(1.0, -0.5)
+            PivotLaw.chisq(-4.0)
 
 
 class TestGammaDerivatives:
@@ -142,38 +134,40 @@ class TestGammaDerivatives:
 
 class TestDistributionCdfs:
     def test_t_symmetry(self):
-        assert t_cdf(0.0, 5.0) == 0.5
+        assert PivotLaw.student_t(5.0).cdf(0.0) == 0.5
 
     def test_chisq_equals_incomplete_gamma(self):
-        assert chisq_cdf(10.0, 10.0) == lower_regularized_gamma(5.0, 5.0)
+        from scipy import special
+
+        assert PivotLaw.chisq(10.0).cdf(10.0) == float(special.gammainc(5.0, 5.0))
 
     def test_t_quantile_oracle(self):
-        assert t_cdf(T5_Q95, 5.0) == pytest.approx(0.95, abs=1e-12)
+        assert PivotLaw.student_t(5.0).cdf(T5_Q95) == pytest.approx(0.95, abs=1e-12)
 
     def test_chisq_quantile_oracle(self):
-        assert chisq_cdf(CHI2_10_Q95, 10.0) == pytest.approx(0.95, abs=1e-11)
+        assert PivotLaw.chisq(10.0).cdf(CHI2_10_Q95) == pytest.approx(0.95, abs=1e-11)
 
     def test_f_quantile_oracle(self):
-        assert f_cdf(F_2_10_Q95, 2.0, 10.0) == pytest.approx(0.95, abs=1e-11)
+        assert PivotLaw.f(2.0, 10.0).cdf(F_2_10_Q95) == pytest.approx(0.95, abs=1e-11)
 
     @pytest.mark.parametrize("df", [1.0, 4.0, 11.5])
     def test_chisq_matches_quadrature_grid(self, df):
         for x in np.linspace(0.05, 4.0 * df, 50):
-            assert chisq_cdf(float(x), df) == pytest.approx(
+            assert PivotLaw.chisq(df).cdf(float(x)) == pytest.approx(
                 oracles.chisq_cdf_oracle(float(x), df), abs=1e-9
             )
 
     @pytest.mark.parametrize("df", [2.0, 5.0, 30.0])
     def test_t_matches_quadrature_grid(self, df):
         for x in np.linspace(-6.0, 6.0, 50):
-            assert t_cdf(float(x), df) == pytest.approx(
+            assert PivotLaw.student_t(df).cdf(float(x)) == pytest.approx(
                 oracles.t_cdf_oracle(float(x), df), abs=1e-9
             )
 
     @pytest.mark.parametrize("df1,df2", [(2.0, 10.0), (5.0, 7.0)])
     def test_f_matches_quadrature_grid(self, df1, df2):
         for x in np.linspace(0.05, 12.0, 50):
-            assert f_cdf(float(x), df1, df2) == pytest.approx(
+            assert PivotLaw.f(df1, df2).cdf(float(x)) == pytest.approx(
                 oracles.f_cdf_oracle(float(x), df1, df2), abs=1e-9
             )
 
@@ -183,24 +177,28 @@ class TestDistributionCdfs:
     )
     @settings(max_examples=150, deadline=None)
     def test_cdfs_are_valid(self, x, df):
-        for val in (chisq_cdf(x, df) if x >= 0 else 0.0, t_cdf(x, df)):
+        chisq, t = PivotLaw.chisq(df), PivotLaw.student_t(df)
+        for val in (chisq.cdf(x) if x >= 0 else 0.0, t.cdf(x)):
             assert 0.0 <= val <= 1.0
-        assert chisq_cdf(max(x, 0.0) + 0.5, df) >= chisq_cdf(max(x, 0.0), df)
-        assert t_cdf(x + 0.5, df) >= t_cdf(x, df)
+        assert chisq.cdf(max(x, 0.0) + 0.5) >= chisq.cdf(max(x, 0.0))
+        assert t.cdf(x + 0.5) >= t.cdf(x)
 
     def test_invalid_df(self):
         with pytest.raises(DomainError):
-            chisq_cdf(1.0, 0.0)
+            PivotLaw.chisq(0.0)
         with pytest.raises(DomainError):
-            t_cdf(1.0, -3.0)
+            PivotLaw.student_t(-3.0)
         with pytest.raises(DomainError):
-            f_cdf(1.0, 2.0, 0.0)
+            PivotLaw.f(2.0, 0.0)
 
     def test_pdfs_match_oracle_forms(self):
-        assert normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)
-        assert chisq_pdf(10.0, 10.0) == pytest.approx(oracles.chisq_density(10.0, 10.0), rel=1e-13)
-        assert t_pdf(0.3, 5.0) == pytest.approx(oracles.t_density(0.3, 5.0), rel=1e-13)
-        assert f_pdf(1.2, 2.0, 10.0) == pytest.approx(oracles.f_density(1.2, 2.0, 10.0), rel=1e-13)
+        assert PivotLaw.normal().pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)
+        assert PivotLaw.chisq(10.0).pdf(10.0) == pytest.approx(
+            oracles.chisq_density(10.0, 10.0), rel=1e-13)
+        assert PivotLaw.student_t(5.0).pdf(0.3) == pytest.approx(
+            oracles.t_density(0.3, 5.0), rel=1e-13)
+        assert PivotLaw.f(2.0, 10.0).pdf(1.2) == pytest.approx(
+            oracles.f_density(1.2, 2.0, 10.0), rel=1e-13)
 
 
 class TestFindRoot:
@@ -208,7 +206,7 @@ class TestFindRoot:
         assert find_root(lambda x: x - 1.0, (0.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_normal_quantile(self):
-        root = find_root(lambda x: normal_cdf(x) - 0.95, (0.0, 10.0))
+        root = find_root(lambda x: PivotLaw.normal().cdf(x) - 0.95, (0.0, 10.0))
         assert root == pytest.approx(NORMAL_Q95, abs=1e-9)
 
     def test_same_sign_raises(self):
@@ -244,11 +242,11 @@ class TestIntegrate:
         assert integrate(lambda x: 1.0, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-13)
 
     def test_normal_mass_over_real_line(self):
-        total = integrate(normal_pdf, (-math.inf, math.inf), tol=1e-10)
+        total = integrate(PivotLaw.normal().pdf, (-math.inf, math.inf), tol=1e-10)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_chisq_partial_mass(self):
-        val = integrate(lambda x: chisq_pdf(x, 10.0), (0.0, 10.0), tol=1e-10)
+        val = integrate(PivotLaw.chisq(10.0).pdf, (0.0, 10.0), tol=1e-10)
         assert val == pytest.approx(GAMMA_P_5_5, abs=1e-9)
 
     def test_semi_infinite_upper(self):
@@ -337,3 +335,16 @@ class TestRealGrid:
     def test_weight_length_mismatch(self):
         with pytest.raises(DomainError):
             RealGrid(np.array([0.0, 1.0]), weights=np.array([1.0]))
+
+
+def test_every_public_name_resolves():
+    import importlib
+    import pkgutil
+
+    import confdist
+
+    for info in pkgutil.iter_modules(confdist.__path__):
+        module = importlib.import_module(f"confdist.{info.name}")
+        for owner in (module, confdist):
+            missing = [name for name in getattr(owner, "__all__", ()) if not hasattr(owner, name)]
+            assert not missing, (owner.__name__, missing)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import oracles
 from confdist.errors import (
@@ -10,7 +11,7 @@ from confdist.errors import (
     NoEndpointError,
     UnsupportedOperationError,
 )
-from confdist.numerics import RealGrid, normal_cdf
+from confdist.numerics import RealGrid
 from confdist.pivots import (
     ConfidenceDensity,
     ConfidenceStatement,
@@ -35,6 +36,20 @@ T5_PDF_AT_0 = 0.3796066898224941
 PHI_AT_1 = 0.841344746068543
 
 
+# Negatives, 0 of both signs, tiny and huge values and the infinities.
+CDF_POINTS = np.array([-np.inf, -1e300, -40.0, -3.5, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-8,
+                       0.3, 1.0, 2.7, 40.0, 1e8, 1e300, np.inf, 0.05])
+# Each law with the array CDF the coverage engine called for it before the law table.
+LAW_TABLE_CASES = [(PivotLaw.normal(), special.ndtr)]
+for _df in (1.0, 3.0, 11.5):
+    LAW_TABLE_CASES.append((PivotLaw.chisq(_df), lambda x, df=_df: np.where(
+        x <= 0.0, 0.0, special.gammainc(df / 2.0, x / 2.0))))
+    LAW_TABLE_CASES.append((PivotLaw.student_t(_df), lambda x, df=_df: special.stdtr(df, x)))
+for _d1, _d2 in ((2.0, 7.0), (5.0, 1.5)):
+    LAW_TABLE_CASES.append((PivotLaw.f(_d1, _d2), lambda x, d1=_d1, d2=_d2: np.where(
+        x > 0.0, special.fdtr(d1, d2, x), 0.0)))
+
+
 def chisq_pivot(df=10.0, scale=10.0):
     """Variance-style pivot v(theta) = scale/theta with a chi-square law."""
     return Pivot(
@@ -57,8 +72,6 @@ class TestPivotLaw:
             PivotLaw.chisq(10.0),
             PivotLaw.student_t(5.0),
             PivotLaw.f(2.0, 10.0),
-            PivotLaw.corrected_normal(),
-            PivotLaw.corrected_chisq(3.0),
         ]
         for law in laws:
             mass = integrate(law.pdf, law.support, tol=1e-9)
@@ -79,9 +92,25 @@ class TestPivotLaw:
             q = law.quantile(p)
             assert law.cdf(q) == pytest.approx(p, abs=1e-10)
 
-    def test_corrected_families_share_curves(self):
-        assert PivotLaw.corrected_normal().cdf(1.3) == PivotLaw.normal().cdf(1.3)
-        assert PivotLaw.corrected_chisq(4.0).pdf(2.0) == PivotLaw.chisq(4.0).pdf(2.0)
+    @pytest.mark.parametrize("law, engine", LAW_TABLE_CASES,
+                             ids=[f"{law.family}{law.df}" for law, _ in LAW_TABLE_CASES])
+    def test_cdf_on_an_array_is_its_float_branch(self, law, engine):
+        # bit for bit, and the values of the engine's former array CDF
+        on_array = law.cdf(CDF_POINTS)
+        on_floats = np.array([law.cdf(float(x)) for x in CDF_POINTS])
+        assert on_array.tobytes() == on_floats.tobytes()
+        assert on_array.tobytes() == engine(CDF_POINTS).tobytes()
+        grid = CDF_POINTS.reshape(2, -1)
+        assert law.cdf(grid).tobytes() == engine(grid).tobytes()
+
+    @pytest.mark.parametrize("law", [law for law, _ in LAW_TABLE_CASES])
+    def test_nan_element_stays_nan_and_nan_point_raises(self, law):
+        got = law.cdf(np.array([np.nan, 0.7, np.nan]))
+        assert np.isnan(got[[0, 2]]).all() and got[1] == law.cdf(0.7)
+        with pytest.raises(DomainError, match="x must be finite"):
+            law.cdf(math.nan)
+        with pytest.raises(DomainError, match="x must be finite"):
+            law.cdf(np.float64("nan"))
 
     def test_bad_family_or_df(self):
         with pytest.raises(DomainError):
@@ -296,7 +325,7 @@ class TestIntervalEndpoint:
 class TestPvaluePivot:
     @staticmethod
     def shifted_normal_cdf(s, theta):
-        return normal_cdf(s - theta)
+        return PivotLaw.normal().cdf(s - theta)
 
     def test_at_the_parameter(self):
         assert pvalue_pivot(self.shifted_normal_cdf, 1.0, 1.0) == pytest.approx(0.5)
