@@ -245,7 +245,7 @@ def _gamma_fit_payload(fit: GammaFit) -> dict:
 def _fit(args, table: CsvTable):
     """The fit of the flags' model to ``table``, and the Dataset fitted."""
     ds = build_dataset(table, args.response, _design_list(args), args.intercept or args.known_mu)
-    if args.known_mu:  # the mean is known: the design is one column of ones
+    if args.known_mu:  # the mean is known to be 1: a fit with no coefficients
         ds.require_positive_response()
         return fit_known_mean(ds.y), ds
     return (fit_ols(ds) if args.model == "normal" else fit_irls(ds)), ds
@@ -263,8 +263,7 @@ def cmd_fit(args) -> int:
         "response": args.response,
     }
     if model == "gamma_known_mu":
-        payload["varphi_hat"] = fit.varphi_hat
-        payload["mean_b"] = fit.mean_b
+        payload.update(varphi_hat=fit.varphi_hat, mean_b=fit.sum_b / fit.n)
     else:
         payload.update({
             "p": fit.p,
@@ -361,7 +360,8 @@ def _fit_from_json(path: str, model: str):
     """The fit summary at ``path``, which must be one of ``model``: a
     LinearFit for "normal", else its sample size and precision estimate
     (enough for first-order precision intervals).  A summary that cannot be
-    read as one is a data error."""
+    read as one, or holds numbers `confdist fit` cannot write, is a data
+    error naming the file and the field."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -371,22 +371,41 @@ def _fit_from_json(path: str, model: str):
     if payload.get("model") != model:
         raise UsageError(f"--fit-json {path} holds a {payload.get('model')!r} fit, "
                          f"which does not match {model!r}")
+
+    def number(key, rule, ok=lambda v: True, kind=(int, float)):
+        """The field ``key``: a JSON number of ``kind`` for which ``ok`` holds."""
+        value = payload[key]
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            if isinstance(value, kind) and not isinstance(value, bool) and ok(value):
+                return value
+        raise DataError(f"fit JSON {path}: {key} must be {rule}, got {value!r}")
+
+    def array(key, shape):
+        """The field ``key``: an array of finite numbers of the given shape."""
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            value = np.array(payload[key], dtype=float)
+            if value.shape == shape and np.isfinite(value).all():
+                return value
+        raise DataError(f"fit JSON {path}: {key} must be finite numbers of shape {shape} "
+                        f"(p = {shape[0]}), got {payload[key]!r}")
+
     try:
         if model != "normal":
-            return SimpleNamespace(n=int(payload["n"]), varphi_hat=float(payload["varphi_hat"]))
-        fit = LinearFit(
-            beta_hat=np.array(payload["beta_hat"], dtype=float),
-            phi_hat_m=float(payload["phi_hat_m"]),
-            xtx=np.array(payload["xtx"], dtype=float),
-            df=int(payload["df"]),
-            n=int(payload["n"]),
-            p=int(payload["p"]),
+            n = number("n", "an integer >= 2", lambda v: v >= 2, int)
+            vh = number("varphi_hat", "finite and > 0", lambda v: math.isfinite(v) and v > 0.0)
+            return SimpleNamespace(n=n, varphi_hat=float(vh))
+        n, p = number("n", "an integer", kind=int), number("p", "an integer", kind=int)
+        return LinearFit(
+            beta_hat=array("beta_hat", (p,)),
+            phi_hat_m=float(number("phi_hat_m", "finite and >= 0",
+                                   lambda v: math.isfinite(v) and v >= 0.0)),
+            xtx=array("xtx", (p, p)),
+            df=number("df", f"the integer n - p = {n - p}, at least 1",
+                      lambda v: v == n - p >= 1, int),
+            n=n, p=p,
         )
-    except (KeyError, TypeError, ValueError) as exc:  # a field missing or not a number
+    except KeyError as exc:
         raise DataError(f"fit JSON {path} is not a {model} fit summary: {exc!r}") from exc
-    if fit.beta_hat.shape != (fit.p,) or fit.xtx.shape != (fit.p, fit.p):
-        raise DataError(f"fit JSON {path}: beta_hat and xtx do not match p = {fit.p}")
-    return fit
 
 
 def cmd_interval(args) -> int:

@@ -17,9 +17,10 @@ reproducible bit for bit across any number of workers.
 
 Replications run in compute blocks of whole stream blocks.  Every model
 fits and transforms a whole compute block as arrays, from design quantities
-computed once per study, Skovgaard and Fraser window rows included: their
-interpolation nodes are solved for all window rows of a block at once.  A
-gamma replication is used when every requested transform is finite.  Any
+computed once per study, window rows included: their interpolation nodes are
+solved for all window rows of a block at once.  Both gamma models run one
+kernel: the known-mean model is the gamma regression with no coefficients.
+A gamma replication is used when every requested transform is finite.  Any
 other is a failed replication: a sample with a value not positive or not
 finite, a coefficient fit the block fit does not accept, a perfect fit (at
 the estimate, or at the truth for the coefficient methods), or window nodes
@@ -53,7 +54,7 @@ from .gamma import (
     unit_deviance_terms,
 )
 from .higher_order import (
-    _known_mean_roots,
+    _fraser_values,
     _skovgaard_beta_values,
     _skovgaard_precision_values,
     first_order_curve,
@@ -325,8 +326,9 @@ def design_matrix(sc: Scenario) -> np.ndarray | None:
 class _Study:
     """What every replication of a scenario shares, computed once per study.
 
-    ``mean`` is X beta (normal) or exp(X beta) (gamma regression); ``svd``,
-    the design's thin SVD, gives either regression its start.  Normal
+    ``mean`` is X beta (normal) or exp(X beta) (gamma); the known-mean
+    model has a design with no columns and mean 1.  ``svd``, the design's
+    thin SVD, gives either regression its start.  Normal
     regression also keeps the truth as a LinearFit (true beta and variance
     with the design's Gram matrix), and the contrast at the truth.
     """
@@ -339,9 +341,9 @@ class _Study:
 
 
 def _study(sc: Scenario) -> _Study:
-    X = design_matrix(sc)
     if sc.model == "gamma_known_mu":
-        return _Study()
+        return _Study(np.empty((sc.n, 0)), np.ones(sc.n))
+    X = design_matrix(sc)
     beta = np.array(sc.beta)
     mean = np.exp(X @ beta) if sc.model == "gamma_regression" else X @ beta
     svd = _svd_factors(Dataset(y=mean, X=X))  # SingularDesignError as in the fits
@@ -379,7 +381,7 @@ def _responses(sc: Scenario, study: _Study, ids: range) -> np.ndarray:
     raw = np.concatenate(rows)
     if sc.model == "normal_regression":
         return study.mean + math.sqrt(sc.phi) * raw
-    return raw if sc.model == "gamma_known_mu" else study.mean * raw
+    return study.mean * raw
 
 
 def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int]:
@@ -417,38 +419,38 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
     return out, int(fitted.sum())
 
 
-def _known_mu_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
-    zp, value, interpolated = _known_mean_roots(Y, sc.varphi)
-    out = {"first_order_z": (PivotLaw.normal().cdf(zp), np.zeros(len(Y), dtype=bool)),
-           "fraser_z": (PivotLaw.normal().cdf(value), interpolated)}
-    return {m: out[m] for m in sc.methods}
-
-
-def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
-    """Gamma-regression transforms of the rows whose fit is accepted.
+def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
+    """Gamma transforms of the rows whose fit is accepted, for both models.
 
     Rows with a response not positive or not finite, a fit the block fit
     does not accept, or a perfect fit at the estimate are left out; a
     transform is NaN on a row that cannot be settled (a perfect fit at the
-    truth, Skovgaard window nodes that did not settle).
+    truth, window nodes that did not settle).
     """
     X, methods, v = study.X, sc.methods, sc.varphi
     n, p = X.shape
     Y = Y[np.all(np.isfinite(Y) & (Y > 0.0), axis=1)]
-    beta_hat, mu_hat, sum_b, converged = _fit_irls_block(X, Y, _log_least_squares(study.svd, Y))
+    if p:
+        start = _log_least_squares(study.svd, Y)
+        beta_hat, mu_hat, sum_b, converged = _fit_irls_block(X, Y, start)
+    else:  # the known-mean model: nothing to fit but the precision
+        sum_b, converged = unit_deviance_terms(Y, study.mean).sum(axis=1), True
     fitted = converged & (sum_b / n >= _DEGENERATE_MEAN_B)
-    beta_hat, mu_hat, y = beta_hat[fitted], mu_hat[fitted], Y[fitted]
+    y = Y[fitted]
     vh = _solve_precision_array(sum_b[fitted] / n)
     hat = _cumulant_arrays(vh)
     no_flags = np.zeros(len(y), dtype=bool)
-    out = {}
-    if "first_order_precision" in methods or "skovgaard_precision" in methods:
-        dp = _profile_deviance_precision_array(n, vh, v, hat)
-        sign = np.sign(vh - v)
-        out["first_order_precision"] = (PivotLaw.normal().cdf(sign * np.sqrt(dp)), no_flags)
-        if "skovgaard_precision" in methods:
-            value, flags = _skovgaard_precision_values(X, y, mu_hat, vh, v, dp)
-            out["skovgaard_precision"] = (PivotLaw.normal().cdf(sign * np.sqrt(value)), flags)
+    dp = _profile_deviance_precision_array(n, vh, v, hat)
+    sign = np.sign(vh - v)
+    zp = sign * np.sqrt(dp)
+    first_order = (PivotLaw.normal().cdf(zp), no_flags)
+    out = {"first_order_z": first_order, "first_order_precision": first_order}  # either model
+    if "fraser_z" in methods:
+        value, flags = _fraser_values(n, vh, zp, v)
+        out["fraser_z"] = (PivotLaw.normal().cdf(value), flags)
+    if "skovgaard_precision" in methods:
+        value, flags = _skovgaard_precision_values(X, y, mu_hat[fitted], vh, v, dp)
+        out["skovgaard_precision"] = (PivotLaw.normal().cdf(sign * np.sqrt(value)), flags)
     if "first_order_beta" in methods or "skovgaard_beta" in methods:
         with np.errstate(divide="ignore"):
             mean_b = unit_deviance_terms(y, study.mean).mean(axis=1)
@@ -458,7 +460,7 @@ def _regression_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
         dp = _profile_deviance_beta_array(n, vh, hat, vt)
         out["first_order_beta"] = (PivotLaw.chisq(p).cdf(dp), no_flags)
         if "skovgaard_beta" in methods:
-            value, flags = _skovgaard_beta_values(X, y, beta_hat, vh, np.array(sc.beta),
+            value, flags = _skovgaard_beta_values(X, y, beta_hat[fitted], vh, np.array(sc.beta),
                                                   study.mean, vt, dp)
             out["skovgaard_beta"] = (PivotLaw.chisq(p).cdf(value), flags)
     return {m: out[m] for m in methods}
@@ -471,8 +473,7 @@ def _gamma_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int]
     is a failed replication.  Returns each method's (transforms, flags) over
     the used rows, and their number.
     """
-    arrays = _known_mu_arrays if sc.model == "gamma_known_mu" else _regression_arrays
-    transforms = arrays(sc, study, Y)
+    transforms = _gamma_arrays(sc, study, Y)
     used = np.logical_and.reduce([np.isfinite(u) for u, _ in transforms.values()])
     return {m: (u[used], flag[used]) for m, (u, flag) in transforms.items()}, int(used.sum())
 

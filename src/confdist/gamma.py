@@ -14,7 +14,8 @@ is strictly convex in beta with observed information X' diag(y/mu) X, so
 beta is fit by Newton's method with step halving from the least-squares fit
 of log(y); the precision then solves a strictly monotone scalar score
 equation.  One definition fits a block of responses at once, and the scalar
-fit is that block fit on one row.  Only this family/link pair is supported.
+fit is that block fit on one row.  A sample whose mean is known to be 1 is
+this model with p = 0.  Only this family/link pair is supported.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "gamma_loglik",
     "solve_precision",
     "fit_irls",
+    "fit_known_mean",
     "profile_precision_at",
     "profile_deviance_precision",
     "profile_deviance_beta",
@@ -261,27 +263,33 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None,
             f"(score sup-norm {score_inf:.3e})",
             trace=trace,
         )
+    return _precision_fit(beta, mu, dev_sum, data.n)
 
-    mean_b = dev_sum / data.n
-    if mean_b < _DEGENERATE_MEAN_B:
-        err = DegenerateFitError(
-            "summed unit deviance is zero (perfect fit); the precision "
-            "estimate is unbounded"
-        )
+
+def fit_known_mean(sample: np.ndarray) -> GammaFit:
+    """The gamma regression with no coefficients (p = 0): a sample whose mean
+    is known to be 1.  Only the precision is fitted, as :func:`fit_irls` fits it."""
+    y = np.asarray(sample, dtype=float)
+    if y.ndim != 1 or y.size < 2:
+        raise DomainError("sample must be a vector with at least two values")
+    if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
+        raise DomainError("sample values must be positive and finite")
+    mu = np.ones(y.size)
+    return _precision_fit(np.empty(0), mu, float(unit_deviance_terms(y, mu).sum()), y.size)
+
+
+def _precision_fit(beta: np.ndarray, mu: np.ndarray, sum_b: float, n: int) -> GammaFit:
+    """The fit at coefficients ``beta`` (means ``mu``, summed unit deviance
+    ``sum_b``): the precision solves its score equation.  A perfect fit leaves
+    it unbounded and raises DegenerateFitError, with ``beta`` in ``beta_hat``."""
+    if sum_b / n < _DEGENERATE_MEAN_B:
+        err = DegenerateFitError("summed unit deviance is zero (perfect fit); "
+                                 "the precision estimate is unbounded")
         err.beta_hat = beta
         raise err
-
-    varphi = solve_precision(mean_b)
-    loglik = -varphi * dev_sum - data.n * cumulant(varphi)
-    return GammaFit(
-        beta_hat=beta,
-        varphi_hat=varphi,
-        mu_hat=mu,
-        loglik=loglik,
-        sum_b=dev_sum,
-        n=data.n,
-        p=data.p,
-    )
+    varphi = solve_precision(sum_b / n)
+    return GammaFit(beta_hat=beta, varphi_hat=varphi, mu_hat=mu,
+                    loglik=-varphi * sum_b - n * cumulant(varphi), sum_b=sum_b, n=n, p=beta.size)
 
 
 def _log_least_squares(svd: tuple[np.ndarray, ...], Y: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ContractViolationError, ConvergenceError, DegenerateFitError, DomainError
+from .errors import ContractViolationError, ConvergenceError, DomainError
 from .gamma import (
     _DEGENERATE_MEAN_B,
     GammaFit,
@@ -40,9 +40,9 @@ from .gamma import (
     _solve_precision_array,
     _solve_rows,
     cumulant_d2,
+    fit_known_mean,
     profile_deviance_beta,
     profile_precision_at,
-    solve_precision,
     unit_deviance_terms,
 )
 from .numerics import RealGrid, find_root
@@ -53,7 +53,6 @@ __all__ = [
     "CorrectedDeviance",
     "modified_root_value",
     "corrected_deviance_value",
-    "KnownMeanGammaFit",
     "fit_known_mean",
     "fraser_curve",
     "fraser_root_known_mu",
@@ -140,29 +139,8 @@ def corrected_deviance_value(deviance: float, correction: float) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# Known-mean gamma sample (mean fixed at 1)
+# Precision roots of both gamma models (the known-mean sample is p = 0)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KnownMeanGammaFit:
-    varphi_hat: float
-    mean_b: float
-    n: int
-
-
-def fit_known_mean(sample: np.ndarray) -> KnownMeanGammaFit:
-    """Precision fit for a gamma sample whose mean is known to be 1."""
-    y = np.asarray(sample, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise DomainError("sample must be a vector with at least two values")
-    if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
-        raise DomainError("sample values must be positive and finite")
-    b = y - 1.0 - np.log(y)
-    mean_b = float(b.mean())
-    if mean_b < 1e-13:
-        raise DegenerateFitError("sample deviance vanishes (all values equal 1)")
-    return KnownMeanGammaFit(varphi_hat=solve_precision(mean_b), mean_b=mean_b, n=y.size)
 
 
 def _require_precisions(varphi, name: str = "precision") -> np.ndarray:
@@ -230,8 +208,9 @@ def first_order_curve(fit):
     return first_order
 
 
-def fraser_curve(km: KnownMeanGammaFit):
-    """varphi -> :func:`fraser_root_known_mu` for the sample fitted by ``km``.
+def fraser_curve(fit: GammaFit):
+    """varphi -> :func:`fraser_root_known_mu` for the known-mean ``fit``
+    (p = 0, from :func:`fit_known_mean`).
 
     Computed once per fit: the signed-root curve, sqrt(n * cumulant_d2(varphi_hat))
     and, at the first varphi inside the window, its cubic: the
@@ -241,7 +220,7 @@ def fraser_curve(km: KnownMeanGammaFit):
     points inside the window take the same cubic, so their values are the
     same floats as the pointwise curve's.
     """
-    n, vh = km.n, km.varphi_hat
+    n, vh = fit.n, fit.varphi_hat
     zp_fn = signed_root_curve(n, vh)
     info_root = math.sqrt(n * cumulant_d2(vh))
 
@@ -389,28 +368,17 @@ def _fraser_window(n: int, varphi_hat: np.ndarray, info_root: np.ndarray):
                                                        info_root * (varphi_hat - nodes)))
 
 
-def _known_mean_roots(Y: np.ndarray, varphi: float):
-    """:func:`fraser_root_known_mu` for every row of ``Y``, as arrays.
-
-    Returns (signed_root, value, interpolated).  Both roots are NaN on a
-    sample the scalar function rejects (a value not finite or not positive,
-    a vanishing deviance), and ``value`` is NaN on a window row whose nodes
-    did not settle.  All window rows solve their nodes and cubics together.
-    """
-    v = _require_precision(varphi)
-    rows, n = Y.shape
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_b = (Y - 1.0 - np.log(Y)).mean(axis=1)
-    fit = np.all(np.isfinite(Y) & (Y > 0.0), axis=1) & (mean_b >= 1e-13)
-    zp, value = np.full(rows, np.nan), np.full(rows, np.nan)
-    vh = _solve_precision_array(mean_b[fit])
-    info_root = np.sqrt(n * _cumulant_d2_array(vh))
-    zp[fit] = _signed_roots(n, vh, v)
-    value[fit] = _modified_root_values(zp[fit], info_root * (vh - v))
-    interpolated = fit & (np.abs(zp) < ROOT_WINDOW)
-    w = interpolated[fit]
-    value[interpolated] = _fraser_window(n, vh[w, None], info_root[w, None])(v)[:, 0]
-    return zp, value, interpolated
+def _fraser_values(n: int, varphi_hat: np.ndarray, signed_root: np.ndarray,
+                   varphi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The value and flag of :func:`fraser_root_known_mu` for every row, from
+    the rows' estimates and their signed roots at ``varphi``.  All window rows
+    solve their nodes and cubics together; one whose nodes do not settle holds NaN."""
+    info_root = np.sqrt(n * _cumulant_d2_array(varphi_hat))
+    value = _modified_root_values(signed_root, info_root * (varphi_hat - varphi))
+    window = np.abs(signed_root) < ROOT_WINDOW
+    cubic = _fraser_window(n, varphi_hat[window, None], info_root[window, None])
+    value[window] = cubic(varphi)[:, 0]
+    return value, window
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +823,6 @@ def _root_pivot(root_fn, hint: tuple[float, float],
 
 def fraser_pivot(sample: np.ndarray) -> Pivot:
     """The modified root as a pivot: one :func:`fraser_curve` of one fit."""
-    km = fit_known_mean(sample)
-    scale = 1.0 / math.sqrt(km.n * cumulant_d2(km.varphi_hat))
-    return _root_pivot(fraser_curve(km), (km.varphi_hat, scale), "modified precision root")
+    fit = fit_known_mean(sample)
+    scale = 1.0 / math.sqrt(fit.n * cumulant_d2(fit.varphi_hat))
+    return _root_pivot(fraser_curve(fit), (fit.varphi_hat, scale), "modified precision root")

@@ -672,6 +672,32 @@ class TestCoverageCommand:
 # ---------------------------------------------------------------------------
 
 
+# A valid fit summary of each model, and summaries that differ from one in a
+# single field, holding a number `confdist fit` cannot write.
+SUMMARIES = {
+    "normal": {"model": "normal", "beta_hat": [1.0, 0.5], "phi_hat_m": 1.0,
+               "xtx": [[30.0, 0.0], [0.0, 30.0]], "df": 28, "n": 30, "p": 2},
+    "gamma": {"model": "gamma", "n": 30, "varphi_hat": 2.0},
+    "gamma_known_mu": {"model": "gamma_known_mu", "n": 30, "varphi_hat": 2.0},
+}
+BAD_NUMBERS = {
+    "normal_df_0": ("normal", {"df": 0}),
+    "normal_df_not_n_minus_p": ("normal", {"df": 5}),
+    "normal_df_fraction": ("normal", {"df": 2.5}),
+    "normal_n_fraction": ("normal", {"n": 2.5}),
+    "normal_phi_nan": ("normal", {"phi_hat_m": math.nan}),
+    "normal_phi_negative": ("normal", {"phi_hat_m": -1.0}),
+    "normal_xtx_nan": ("normal", {"xtx": [[30.0, math.nan], [0.0, 30.0]]}),
+    "normal_beta_inf": ("normal", {"beta_hat": [math.inf, 1.0]}),
+    **{f"{model}_{name}": (model, change) for model in ("gamma", "gamma_known_mu")
+       for name, change in (("precision_0", {"varphi_hat": 0.0}),
+                            ("precision_negative", {"varphi_hat": -2.0}),
+                            ("precision_nan", {"varphi_hat": math.nan}),
+                            ("n_1", {"n": 1}),
+                            ("n_fraction", {"n": 2.7}))},
+}
+
+
 def _error_files(d):
     """The files the ERROR_CASES templates name, written into directory ``d``."""
     rng = np.random.default_rng(20261019)
@@ -681,9 +707,10 @@ def _error_files(d):
               np.column_stack([np.exp(0.5 - 0.3 * x) * rng.gamma(2.0, 0.5, size=30), x]))
     (d / "nonfinite.csv").write_text("y,x\n1,2\ninf,3\n4,5\n")
     (d / "latin1.csv").write_bytes("y,x\n1,2\n3,4\n5,6\n# café\n".encode("latin-1"))
-    normal_fit = {"model": "normal", "beta_hat": [1.0, 0.5], "phi_hat_m": 1.0,
-                  "xtx": [[30.0, 0.0], [0.0, 30.0]], "df": 28, "n": 30, "p": 2}
+    normal_fit = SUMMARIES["normal"]
     summaries = {
+        **SUMMARIES,
+        **{name: {**SUMMARIES[model], **change} for name, (model, change) in BAD_NUMBERS.items()},
         "gamma_no_n": {"model": "gamma", "varphi_hat": 2.0},
         "gamma_text_precision": {"model": "gamma", "n": 30, "varphi_hat": "x"},
         "normal_no_xtx": {k: v for k, v in normal_fit.items() if k != "xtx"},
@@ -709,6 +736,8 @@ def _error_files(d):
 NORMAL_ARGS = "--file {d}/normal.csv --model normal --response y --design x"
 FIT_JSON_PRECISION = "--model gamma --target precision --method first_order --level 0.9"
 FIT_JSON_NORMAL = "--model normal --method exact --level 0.9 --target"
+FIT_JSON_FLAGS = {"normal": f"{FIT_JSON_NORMAL} contrast:0,1", "gamma": FIT_JSON_PRECISION,
+                  "gamma_known_mu": f"{FIT_JSON_PRECISION} --known-mu"}
 
 # name -> (argv template, exit code, a text stderr must hold).  Templates are
 # split on whitespace after {d} is replaced by a directory _error_files filled.
@@ -761,6 +790,10 @@ ERROR_CASES = {
         2, "Is a directory"),
     "coverage_out_is_a_file": (
         "coverage --scenario {d}/ok.ini --out {d}/normal.csv", 2, "{d}/normal.csv"),
+    # a data error naming the file and the field
+    **{f"fit_json_{name}": (f"interval --fit-json {{d}}/{name}.json {FIT_JSON_FLAGS[model]}", 3,
+                            f"{{d}}/{name}.json: {next(iter(change))}")
+       for name, (model, change) in BAD_NUMBERS.items()},
 }
 
 
@@ -775,6 +808,14 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert message.format(d=tmp_path) in captured.err
         assert captured.out == "" and not studies  # no study runs, nothing is printed
+
+    @pytest.mark.parametrize("model", sorted(SUMMARIES))
+    def test_valid_summaries_give_an_interval(self, model, tmp_path, capsys):
+        # the BAD_NUMBERS summaries fail on their one changed field
+        _error_files(tmp_path)
+        argv = f"interval --fit-json {tmp_path}/{model}.json {FIT_JSON_FLAGS[model]}"
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
 
     def test_ok_scenario_runs(self, tmp_path, capsys):
         # the scenario the coverage cases name is valid: only their flags fail

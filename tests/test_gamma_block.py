@@ -36,11 +36,13 @@ from confdist.errors import (
     ConfdistError,
     ConvergenceError,
     DegenerateFitError,
+    DomainError,
     ScenarioError,
 )
 from confdist.gamma import (
     _fit_irls_block,
     _log_least_squares,
+    _profile_deviance_precision_array,
     _solve_precision_array,
     fit_irls,
     profile_deviance_beta,
@@ -50,7 +52,7 @@ from confdist.gamma import (
 )
 from confdist.higher_order import (
     ROOT_WINDOW,
-    _known_mean_roots,
+    _fraser_values,
     _skovgaard_beta_values,
     _skovgaard_precision_values,
     ball_confidence,
@@ -115,7 +117,7 @@ def oracle_counts(sc: Scenario):
         y = replication_responses(sc, mean, r)
         try:
             transforms = oracle_transforms(sc, X, y)
-        except (ConvergenceError, DegenerateFitError):
+        except (ConvergenceError, DegenerateFitError, DomainError):  # DomainError: a y <= 0
             failures += 1
             continue
         for i, method in enumerate(sc.methods):
@@ -184,12 +186,26 @@ class TestKnownMeanBlock:
         # every row, window rows included, is settled by the array path and
         # agrees with the scalar root up to rounding and node-solve noise
         Y = coverage._responses(sc, coverage._study(sc), range(sc.replications))
-        zp, value, interpolated = _known_mean_roots(Y, varphi)
+        vh = _solve_precision_array((Y - 1.0 - np.log(Y)).mean(axis=1))
+        zp = np.sign(vh - varphi) * np.sqrt(_profile_deviance_precision_array(n, vh, varphi))
+        value, interpolated = _fraser_values(n, vh, zp, varphi)
         roots = [fraser_root_known_mu(y, varphi) for y in Y]
         assert np.isfinite(value).all()
         assert interpolated.tolist() == [r.interpolated for r in roots]
         np.testing.assert_allclose(zp, [r.signed_root for r in roots], rtol=0, atol=1e-10)
         np.testing.assert_allclose(value, [r.value for r in roots], rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("varphi,n,seed", [(0.01, 3, 2), (0.005, 5, 2), (0.002, 2, 1)])
+    def test_underflowed_draws_are_the_failures(self, varphi, n, seed):
+        # at precisions this low some gamma draws underflow to 0.0: those
+        # replications, and only those, fail
+        sc = Scenario(model="gamma_known_mu", n=n, replications=1000, seed=seed,
+                      levels=(0.05, 0.5, 0.95), methods=KNOWN_MU_METHODS, varphi=varphi)
+        Y = coverage._responses(sc, coverage._study(sc), range(sc.replications))
+        nonpositive = int(np.any(Y <= 0.0, axis=1).sum())
+        hits, flagged, used, failures = assert_counts_equal(sc)
+        assert failures == nonpositive > 0
+        assert np.all(used == sc.replications - failures)
 
     def test_precision_solve_matches_scalar(self):
         m = np.exp(np.random.default_rng(0).uniform(math.log(1e-12), math.log(1e3), 3000))
@@ -559,23 +575,26 @@ class TestRowFailures:
     SC = Scenario(model="gamma_regression", n=30, replications=100, seed=11,
                   levels=(0.05, 0.5, 0.95), methods=REGRESSION_METHODS,
                   beta=(0.5, -0.3), varphi=2.0)
+    KNOWN_MU = Scenario(model="gamma_known_mu", n=10, replications=100, seed=11,
+                        levels=(0.05, 0.5, 0.95), methods=KNOWN_MU_METHODS, varphi=2.0)
 
     def force_nan(self, monkeypatch, rows, method):
         """Make ``method``'s transform NaN on ``rows`` of every block."""
-        real = coverage._regression_arrays
+        real = coverage._gamma_arrays
 
         def arrays(sc, study, Y):
             transforms = real(sc, study, Y)
             transforms[method][0][rows] = np.nan
             return transforms
 
-        monkeypatch.setattr(coverage, "_regression_arrays", arrays)
+        monkeypatch.setattr(coverage, "_gamma_arrays", arrays)
 
-    @pytest.mark.parametrize("method", ["first_order_precision", "skovgaard_beta"])
+    @pytest.mark.parametrize("method", ["first_order_precision", "skovgaard_beta", "fraser_z"])
     def test_nan_transform_is_a_failed_replication(self, monkeypatch, method):
-        base = run_scenario(self.SC)
+        sc = self.KNOWN_MU if method == "fraser_z" else self.SC
+        base = run_scenario(sc)
         self.force_nan(monkeypatch, [3], method)
-        report = run_scenario(self.SC)
+        report = run_scenario(sc)
         assert report.failures == base.failures + 1
         for got, want in zip(report.rows, base.rows):
             assert got.replications_used == want.replications_used - 1

@@ -10,15 +10,16 @@ from scipy.special import digamma
 from confdist.data import Dataset
 from confdist.errors import ContractViolationError, DomainError
 from confdist.gamma import (
+    GammaFit,
     _cumulant_d2_array,
     _profile_deviance_precision_array,
+    cumulant,
     cumulant_d2,
     fit_irls,
 )
 from confdist.higher_order import (
     ROOT_WINDOW,
     CorrectedDeviance,
-    KnownMeanGammaFit,
     _precision_window_nodes,
     _window_cubics,
     ball_confidence,
@@ -131,6 +132,16 @@ class TestRawFormulas:
 
 
 class TestFraserRoot:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 300), shape=st.floats(0.3, 50.0), seed=st.integers(0, 2**32 - 1))
+    def test_fit_is_gamma_regression_with_no_coefficients(self, n, shape, seed):
+        y = np.random.default_rng(seed).gamma(shape, 1.0 / shape, size=n)
+        fit = fit_known_mean(y)
+        assert fit.p == 0 and fit.beta_hat.shape == (0,) and np.array_equal(fit.mu_hat, np.ones(n))
+        # the mean unit deviance the known-mean fit always had, bit for bit
+        assert fit.sum_b / n == float((y - 1 - np.log(y)).mean())
+        assert fit.loglik == -fit.varphi_hat * fit.sum_b - n * cumulant(fit.varphi_hat)
+
     def test_at_the_estimate_interpolated(self):
         # the corrected root has a finite O(1/sqrt(n)) limit at the estimate;
         # the interpolated value must stay inside the window-node range
@@ -266,11 +277,13 @@ class TestWindowConstruction:
     def test_fraser_values_monotone_across_the_window(self, n, varphi_hat):
         # a fine grid through the window, its nodes and beyond: the cubic
         # inside and the formula outside join into one decreasing curve
-        km = KnownMeanGammaFit(varphi_hat=varphi_hat, n=n,
-                               mean_b=math.log(varphi_hat) - digamma(varphi_hat))
+        sum_b = n * (math.log(varphi_hat) - digamma(varphi_hat))
+        fit = GammaFit(beta_hat=np.empty(0), varphi_hat=varphi_hat, mu_hat=np.ones(n),
+                       loglik=-varphi_hat * sum_b - n * cumulant(varphi_hat), sum_b=sum_b,
+                       n=n, p=0)
         scale = 1.0 / math.sqrt(n * cumulant_d2(varphi_hat))
         grid = varphi_hat + np.linspace(-3.0, 3.0, 601) * ROOT_WINDOW * scale
-        assert np.all(np.diff(fraser_curve(km).values(grid)) < 0.0)
+        assert np.all(np.diff(fraser_curve(fit).values(grid)) < 0.0)
 
 
 class TestSkovgaardPrecision:

@@ -90,8 +90,8 @@ class TestThrowawayEntry:
 @pytest.mark.parametrize("model", list(METHODS))
 def test_kernels_return_exactly_the_requested_names(model):
     kernel = {"normal_regression": lambda *a: coverage._normal_block(*a)[0],
-              "gamma_known_mu": coverage._known_mu_arrays,
-              "gamma_regression": coverage._regression_arrays}[model]
+              "gamma_known_mu": coverage._gamma_arrays,
+              "gamma_regression": coverage._gamma_arrays}[model]
     names = [m.name for m in METHODS[model]]
     for k in range(1, len(names) + 1):
         for methods in itertools.combinations(names, k):
