@@ -380,14 +380,15 @@ def _fit_from_json(path: str, model: str):
                 return value
         raise DataError(f"fit JSON {path}: {key} must be {rule}, got {value!r}")
 
-    def array(key, shape):
-        """The field ``key``: an array of finite numbers of the given shape."""
+    def array(key, shape, rule="", ok=lambda a: True):
+        """The field ``key``: an array of finite numbers of the given shape
+        for which ``ok`` holds."""
         with contextlib.suppress(TypeError, ValueError, OverflowError):
             value = np.array(payload[key], dtype=float)
-            if value.shape == shape and np.isfinite(value).all():
+            if value.shape == shape and np.isfinite(value).all() and ok(value):
                 return value
         raise DataError(f"fit JSON {path}: {key} must be finite numbers of shape {shape} "
-                        f"(p = {shape[0]}), got {payload[key]!r}")
+                        f"(p = {shape[0]}){rule}, got {payload[key]!r}")
 
     try:
         if model != "normal":
@@ -399,7 +400,9 @@ def _fit_from_json(path: str, model: str):
             beta_hat=array("beta_hat", (p,)),
             phi_hat_m=float(number("phi_hat_m", "finite and >= 0",
                                    lambda v: math.isfinite(v) and v >= 0.0)),
-            xtx=array("xtx", (p, p)),
+            # as fit writes X'X; no rank test: fit's SVD check accepts cond(X'X) >> 1e16
+            xtx=array("xtx", (p, p), ", exactly symmetric with a positive diagonal",
+                      lambda a: np.array_equal(a, a.T) and (np.diag(a) > 0.0).all()),
             df=number("df", f"the integer n - p = {n - p}, at least 1",
                       lambda v: v == n - p >= 1, int),
             n=n, p=p,
@@ -425,7 +428,12 @@ def cmd_interval(args) -> int:
     else:
         raise UsageError(f"--fit-json does not serve method {args.method!r}; "
                          "it needs the data file")
-    pivot = _statement(args, method, fit, data)
+    try:
+        pivot = _statement(args, method, fit, data)
+    except np.linalg.LinAlgError as exc:  # the contrast solve on a summary's singular xtx
+        if fit_json is None:
+            raise
+        raise DataError(f"fit JSON {fit_json}: xtx is singular ({exc})") from exc
     root_fn, flags = None, set()  # a precision root curve; flags at its endpoints
     if not isinstance(pivot, Pivot):
         root_fn, center = pivot, fit.varphi_hat

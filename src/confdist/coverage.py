@@ -2,9 +2,9 @@
 
 A scenario fixes a model, a true parameter, a design, sample size, nominal
 levels, and methods.  Each replication draws data from the truth, fits the
-model, and evaluates each method's one-sided confidence transform at the
-truth; the truth is covered by the level-alpha statement exactly when that
-transform is <= alpha.
+model, and takes each method's pivot value v at the truth; the level-a
+statement covers the truth exactly when its confidence, law.cdf(v), is <= a:
+counted against the law's cached cuts (:func:`~confdist.pivots.level_cuts`).
 
 The random-stream contract (version 2, reported as ``stream_version``)
 splits the replications into stream blocks of ``_STREAM_BLOCK`` = 256.
@@ -15,19 +15,19 @@ the leading rows of a full one: a replication's data depend on neither the
 study's size nor the worker count.  Reports reduce hit counts, so a run is
 reproducible bit for bit across any number of workers.
 
-Replications run in compute blocks of whole stream blocks.  Every model
-fits and transforms a whole compute block as arrays, from design quantities
-computed once per study, window rows included: their interpolation nodes are
-solved for all window rows of a block at once.  Both gamma models run one
-kernel: the known-mean model is the gamma regression with no coefficients.
-A gamma replication is used when every requested transform is finite.  Any
-other is a failed replication: a sample with a value not positive or not
-finite, a coefficient fit the block fit does not accept, a perfect fit (at
-the estimate, or at the truth for the coefficient methods), or window nodes
-that do not settle.  The scalar functions of :mod:`confdist.gamma` and
-:mod:`confdist.higher_order` are the per-replication reference for these
-transforms (tests/test_gamma_block.py), and tests/test_golden_reports.py
-pins the bundled scenarios.
+Replications run in compute blocks of whole stream blocks.  Every model fits
+a whole compute block and forms its pivot values as arrays, from design
+quantities computed once per study, window rows included: their
+interpolation nodes are solved for all window rows of a block at once.  Both
+gamma models run one kernel: the known-mean model is the gamma regression
+with no coefficients.  A gamma replication is used when no requested pivot
+value is NaN.  Any other is a failed replication: a sample with a value not
+positive or not finite, a coefficient fit the block fit does not accept, a
+perfect fit (at the estimate, or at the truth for the coefficient methods),
+or window nodes that do not settle.  The scalar functions of
+:mod:`confdist.gamma` and :mod:`confdist.higher_order` are the
+per-replication reference for these values (tests/test_gamma_block.py), and
+tests/test_golden_reports.py pins the bundled scenarios.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .linear import (
     variance_pivot,
 )
 from .numerics import RngStream, rng_draws
-from .pivots import PivotLaw
+from .pivots import PivotLaw, level_cuts
 
 __all__ = ["METHODS", "Method", "Scenario", "CoverageRow", "CoverageReport",
            "MethodComparison", "run_scenario", "compare_methods", "design_matrix"]
@@ -318,7 +318,7 @@ def design_matrix(sc: Scenario) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# Block engine (a transform value u is covered at level a iff u <= a)
+# Block engine (a pivot value v is covered at level a iff law.cdf(v) <= a)
 # ---------------------------------------------------------------------------
 
 
@@ -385,14 +385,14 @@ def _responses(sc: Scenario, study: _Study, ids: range) -> np.ndarray:
 
 
 def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int]:
-    """Exact-pivot transforms for a block of normal responses, one row each.
+    """Exact-pivot values for a block of normal responses, one row each.
 
     Follows :func:`~confdist.linear.fit_ols` (coefficients from the design's
     SVD, the same noise floor on the residual sum of squares) and the
     scalar pivots' values and laws.  Products are stacked per row (matvec,
     vecdot), so each row rounds as the scalar fit and pivots do, whatever
-    the block's size.  Returns each method's transforms (which carry no
-    flags) over the rows with a nondegenerate fit, and the number of those
+    the block's size.  Returns each method's (values, law, flags: none)
+    over the rows with a nondegenerate fit, and the number of those
     rows; a row whose residual sum of squares falls to the floor is a
     failed fit.
     """
@@ -407,24 +407,24 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
     out = {}
     if "variance_chisq" in sc.methods:
         v = (df * phi_hat_m) / sc.phi
-        out["variance_chisq"] = (PivotLaw.chisq(df).cdf(v), False)
+        out["variance_chisq"] = (v, PivotLaw.chisq(df), False)
     if "contrast_t" in sc.methods:
         con = study.con
         v = (np.vecdot(beta_hat, con.b) - con.lambda_hat) / np.sqrt(con.k * phi_hat_m)
-        out["contrast_t"] = (PivotLaw.student_t(df).cdf(v), False)
+        out["contrast_t"] = (v, PivotLaw.student_t(df), False)
     if "coefficient_f" in sc.methods:
         d = beta_hat - truth.beta_hat
         v = np.vecdot(np.vecmat(d, truth.xtx), d) / (p * phi_hat_m)
-        out["coefficient_f"] = (PivotLaw.f(p, df).cdf(v), False)
+        out["coefficient_f"] = (v, PivotLaw.f(p, df), False)
     return out, int(fitted.sum())
 
 
 def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
-    """Gamma transforms of the rows whose fit is accepted, for both models.
+    """Gamma pivot values and laws of the rows whose fit is accepted (both models).
 
     Rows with a response not positive or not finite, a fit the block fit
     does not accept, or a perfect fit at the estimate are left out; a
-    transform is NaN on a row that cannot be settled (a perfect fit at the
+    value is NaN on a row that cannot be settled (a perfect fit at the
     truth, window nodes that did not settle).
     """
     X, methods, v = study.X, sc.methods, sc.varphi
@@ -439,18 +439,18 @@ def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
     y = Y[fitted]
     vh = _solve_precision_array(sum_b[fitted] / n)
     hat = _cumulant_arrays(vh)
-    no_flags = np.zeros(len(y), dtype=bool)
+    no_flags, normal = np.zeros(len(y), dtype=bool), PivotLaw.normal()
     dp = _profile_deviance_precision_array(n, vh, v, hat)
     sign = np.sign(vh - v)
     zp = sign * np.sqrt(dp)
-    first_order = (PivotLaw.normal().cdf(zp), no_flags)
+    first_order = (zp, normal, no_flags)
     out = {"first_order_z": first_order, "first_order_precision": first_order}  # either model
     if "fraser_z" in methods:
         value, flags = _fraser_values(n, vh, zp, v)
-        out["fraser_z"] = (PivotLaw.normal().cdf(value), flags)
+        out["fraser_z"] = (value, normal, flags)
     if "skovgaard_precision" in methods:
         value, flags = _skovgaard_precision_values(X, y, mu_hat[fitted], vh, v, dp)
-        out["skovgaard_precision"] = (PivotLaw.normal().cdf(sign * np.sqrt(value)), flags)
+        out["skovgaard_precision"] = (sign * np.sqrt(value), normal, flags)
     if "first_order_beta" in methods or "skovgaard_beta" in methods:
         with np.errstate(divide="ignore"):
             mean_b = unit_deviance_terms(y, study.mean).mean(axis=1)
@@ -458,24 +458,38 @@ def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
         at_truth = mean_b >= _DEGENERATE_MEAN_B
         vt[at_truth] = _solve_precision_array(mean_b[at_truth])
         dp = _profile_deviance_beta_array(n, vh, hat, vt)
-        out["first_order_beta"] = (PivotLaw.chisq(p).cdf(dp), no_flags)
+        out["first_order_beta"] = (dp, PivotLaw.chisq(p), no_flags)
         if "skovgaard_beta" in methods:
             value, flags = _skovgaard_beta_values(X, y, beta_hat[fitted], vh, np.array(sc.beta),
                                                   study.mean, vt, dp)
-            out["skovgaard_beta"] = (PivotLaw.chisq(p).cdf(value), flags)
+            out["skovgaard_beta"] = (value, PivotLaw.chisq(p), flags)
     return {m: out[m] for m in methods}
 
 
 def _gamma_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int]:
-    """Transforms for a block of gamma responses, one row each.
+    """Pivot values for a block of gamma responses, one row each.
 
-    A row is used when every requested transform is finite; any other row
-    is a failed replication.  Returns each method's (transforms, flags) over
-    the used rows, and their number.
+    A row is used when no requested value is NaN: the rows whose confidence
+    is finite, since a law's CDF maps -inf and inf to 0 and 1 and NaN to
+    NaN.  Any other row is a failed replication.  Returns each method's
+    (values, law, flags) over the used rows, and their number.
     """
-    transforms = _gamma_arrays(sc, study, Y)
-    used = np.logical_and.reduce([np.isfinite(u) for u, _ in transforms.values()])
-    return {m: (u[used], flag[used]) for m, (u, flag) in transforms.items()}, int(used.sum())
+    values = _gamma_arrays(sc, study, Y)
+    used = np.logical_and.reduce([~np.isnan(v) for v, _, _ in values.values()])
+    return {m: (v[used], law, flag[used]) for m, (v, law, flag) in values.items()}, int(used.sum())
+
+
+def _hits(v: np.ndarray, law: PivotLaw, levels: tuple[float, ...]) -> list[int]:
+    """For each level a, how many values v have ``law.cdf(v) <= a``: those at or
+    below a's lower cut, and those in its band the CDF decides (``level_cuts``)."""
+    cuts, k = level_cuts(law, levels), len(levels)  # every lo, then every hi
+    s = np.sort(v)  # a level's band (lo, hi] is the slice of s between its two counts
+    below = np.searchsorted(s, cuts, side="right").tolist()  # how many v <= each cut
+    hits = below[:k]
+    for j in range(k):
+        if below[k + j] > hits[j]:
+            hits[j] += np.count_nonzero(law.cdf(s[hits[j]:below[k + j]]) <= levels[j])
+    return hits
 
 
 def _run_chunk(sc: Scenario, study: _Study, reps: range) -> tuple:
@@ -483,14 +497,14 @@ def _run_chunk(sc: Scenario, study: _Study, reps: range) -> tuple:
     flagged = np.zeros(len(sc.methods), dtype=np.int64)
     used = np.zeros(len(sc.methods), dtype=np.int64)
     failures = 0
-    levels = np.array(sc.levels)
+    levels = tuple(sc.levels)
     block = _normal_block if sc.model == "normal_regression" else _gamma_block
     for ids in _blocks(reps, sc.n):
-        transforms, n_used = block(sc, study, _responses(sc, study, ids))
+        values, n_used = block(sc, study, _responses(sc, study, ids))
         failures += len(ids) - n_used
         for i, method in enumerate(sc.methods):
-            u, flag = transforms[method]
-            hits[i] += (u[:, None] <= levels).sum(0)
+            v, law, flag = values[method]
+            hits[i] += _hits(v, law, levels)
             flagged[i] += np.count_nonzero(flag)
             used[i] += n_used
     return hits, flagged, used, failures
@@ -503,7 +517,7 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> CoverageReport:
     per worker process; a single chunk runs in this process.  The report is
     identical for any job count because a replication's data do not depend
     on its chunk and the reduction is an order-insensitive sum.
-    Replications whose fit or transforms fail are excluded and counted;
+    Replications whose fit or pivot values fail are excluded and counted;
     more than 1% failures aborts the scenario.
     """
     start = time.monotonic()

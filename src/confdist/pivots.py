@@ -14,6 +14,7 @@ the parameter is random.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -90,14 +91,18 @@ class _Family(NamedTuple):
     half_line: bool  # lives on (0, inf): PivotLaw sets cdf and pdf to 0 at x <= 0
     cdf: Callable  # CDF at x (a float or an array), then the degrees of freedom
     pdf: Callable  # density at x, likewise
+    inverse: Callable  # inverse CDF at levels a, likewise; it only places level_cuts
 
 
 # P(k, x) is chisq(2k).cdf(2x): the regularized lower incomplete gamma function.
 _LAWS = {
-    "normal": _Family(0, False, _sf.ndtr, _normal_pdf),
-    "chisq": _Family(1, True, lambda x, df: _sf.gammainc(df / 2.0, x / 2.0), _chisq_pdf),
-    "student_t": _Family(1, False, lambda x, df: _sf.stdtr(df, x), _t_pdf),
-    "f": _Family(2, True, lambda x, df1, df2: _sf.fdtr(df1, df2, x), _f_pdf),
+    "normal": _Family(0, False, _sf.ndtr, _normal_pdf, _sf.ndtri),
+    "chisq": _Family(1, True, lambda x, df: _sf.gammainc(df / 2.0, x / 2.0), _chisq_pdf,
+                     lambda a, df: 2.0 * _sf.gammaincinv(df / 2.0, a)),
+    "student_t": _Family(1, False, lambda x, df: _sf.stdtr(df, x), _t_pdf,
+                         lambda a, df: _sf.stdtrit(df, a)),
+    "f": _Family(2, True, lambda x, df1, df2: _sf.fdtr(df1, df2, x), _f_pdf,
+                 lambda a, df1, df2: _sf.fdtri(df1, df2, a)),
 }
 
 
@@ -193,6 +198,23 @@ class PivotLaw:
             bracket = (-2.0, 2.0)
             limits = None
         return find_root(lambda v: self.cdf(v) - p, bracket, tol=tol, limits=limits)
+
+
+@functools.lru_cache(maxsize=256)
+def level_cuts(law: PivotLaw, levels: tuple[float, ...]) -> np.ndarray:
+    """Every level's lower cut, then every level's upper cut (read-only, cached):
+    ``law.cdf(v) <= a`` for v <= lo and not for v > hi, so only a v in the band
+    (lo, hi] needs the CDF.  The band is the inverse CDF's q +/- 1e-8 max(|q|, 1),
+    kept if the CDF puts its ends on either side of a (near q the CDF need not
+    be monotone), else (-inf, inf).  The inverse moves the band, never a decision."""
+    a = np.array(levels, dtype=float)
+    q = _LAWS[law.family].inverse(a, *law.df)
+    w = 1e-8 * np.maximum(np.abs(q), 1.0)
+    lo, hi = q - w, q + w
+    ok = (law.cdf(lo) <= a) & (a < law.cdf(hi))
+    cuts = np.concatenate([np.where(ok, lo, -np.inf), np.where(ok, hi, np.inf)])
+    cuts.flags.writeable = False
+    return cuts
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from confdist.linear import (
     fit_ols,
     variance_pivot,
 )
+from confdist.pivots import PivotLaw
 from streams import replication_responses, stream_blocks
 
 EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
@@ -258,15 +259,20 @@ def test_normal_transforms_do_not_depend_on_block_size(monkeypatch, n, beta):
     study = coverage._study(sc)
     reps = range(sc.replications)
 
-    def transforms(rows_per_block):
+    def values(rows_per_block):
         monkeypatch.setattr(coverage, "_BLOCK_VALUES", rows_per_block * sc.n)
         parts = [coverage._normal_block(sc, study, coverage._responses(sc, study, ids))[0]
                  for ids in coverage._blocks(reps, sc.n)]
+        for part in parts:
+            assert {m: part[m][1] for m in sc.methods} == laws
         return {m: np.concatenate([part[m][0] for part in parts]) for m in sc.methods}
 
-    whole = transforms(sc.replications)
+    df = sc.n - p
+    laws = {"variance_chisq": PivotLaw.chisq(df), "contrast_t": PivotLaw.student_t(df),
+            "coefficient_f": PivotLaw.f(p, df)}
+    whole = values(sc.replications)
     for rows_per_block in (1, 3, 7):
-        got = transforms(rows_per_block)
+        got = values(rows_per_block)
         for m in sc.methods:
             assert np.array_equal(got[m], whole[m])
     X, b, truth = design_matrix(sc), np.array(sc.contrast_vector), np.array(beta)
@@ -276,4 +282,6 @@ def test_normal_transforms_do_not_depend_on_block_size(monkeypatch, n, beta):
                   "contrast_t": (contrast_pivot(fit, contrast(fit, b)), float(b @ truth)),
                   "coefficient_f": (coefficient_ball_pivot(fit), truth)}
         for m, (pv, at) in pivots.items():
-            assert pv.law.cdf(pv.value(at)) == whole[m][r]
+            # the same value bit for bit under the same law: the same confidence
+            assert pv.law == laws[m]
+            assert pv.value(at) == whole[m][r]

@@ -688,6 +688,11 @@ BAD_NUMBERS = {
     "normal_phi_nan": ("normal", {"phi_hat_m": math.nan}),
     "normal_phi_negative": ("normal", {"phi_hat_m": -1.0}),
     "normal_xtx_nan": ("normal", {"xtx": [[30.0, math.nan], [0.0, 30.0]]}),
+    # a Gram matrix X'X is exactly symmetric with a positive diagonal; the
+    # singular one passes those rules and fails in the contrast solve
+    "normal_xtx_zero": ("normal", {"xtx": [[0.0, 0.0], [0.0, 0.0]]}),
+    "normal_xtx_singular": ("normal", {"xtx": [[1.0, 1.0], [1.0, 1.0]]}),
+    "normal_xtx_asymmetric": ("normal", {"xtx": [[1.0, 2.0], [3.0, -4.0]]}),
     "normal_beta_inf": ("normal", {"beta_hat": [math.inf, 1.0]}),
     **{f"{model}_{name}": (model, change) for model in ("gamma", "gamma_known_mu")
        for name, change in (("precision_0", {"varphi_hat": 0.0}),
@@ -774,6 +779,9 @@ ERROR_CASES = {
     "fit_json_normal_p_mismatch_variance": (
         f"interval --fit-json {{d}}/normal_p3.json {FIT_JSON_NORMAL} variance", 3,
         "{d}/normal_p3.json"),
+    **{f"fit_json_normal_xtx_{name}_variance": (
+        f"interval --fit-json {{d}}/normal_xtx_{name}.json {FIT_JSON_NORMAL} variance", 3,
+        f"{{d}}/normal_xtx_{name}.json: xtx") for name in ("zero", "asymmetric")},
     "scenario_no_section": (
         "coverage --scenario {d}/no_section.ini --out {d}/o", 2, "{d}/no_section.ini"),
     "scenario_repeated_section": (
@@ -815,6 +823,24 @@ class TestErrorPaths:
         _error_files(tmp_path)
         argv = f"interval --fit-json {tmp_path}/{model}.json {FIT_JSON_FLAGS[model]}"
         assert main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_summary_of_an_ill_conditioned_design_is_accepted(self, tmp_path, capsys):
+        # full rank with cond(X) about 1e7: the xtx fit writes passes the
+        # summary's rules, and both exact targets give an interval
+        rng = np.random.default_rng(11)
+        x1 = rng.normal(size=40)
+        x2 = x1 + 1e-6 * rng.normal(size=40)
+        X = np.column_stack([np.ones(40), x1, x2])
+        assert 1e6 < np.linalg.cond(X) < 1e8
+        write_csv(tmp_path / "ill.csv", ["y", "x1", "x2"],
+                  np.column_stack([1.0 + x1 + rng.normal(size=40), x1, x2]))
+        assert main(["fit", "--file", str(tmp_path / "ill.csv"), "--model", "normal",
+                     "--response", "y", "--design", "x1,x2",
+                     "--out", str(tmp_path / "ill.json")]) == 0
+        for target in ("contrast:0,1,-1", "variance"):
+            assert main(["interval", "--fit-json", str(tmp_path / "ill.json"),
+                         *FIT_JSON_NORMAL.split(), target]) == 0
         assert capsys.readouterr().err == ""
 
     def test_ok_scenario_runs(self, tmp_path, capsys):

@@ -185,6 +185,12 @@ class TestRunScenario:
             covs = [report.coverage(method, lv) for lv in sc.levels]
             assert all(b >= a for a, b in zip(covs, covs[1:]))
 
+    def test_levels_given_as_a_list_run(self):
+        # the engine's cut cache is keyed on a tuple of the levels
+        as_list = run_scenario(normal_scenario(replications=300, levels=[0.05, 0.5, 0.95]))
+        as_tuple = run_scenario(normal_scenario(replications=300))
+        assert as_list.to_csv() == as_tuple.to_csv()
+
     def test_hit_counts_exact(self):
         sc = normal_scenario(replications=500)
         report = run_scenario(sc)

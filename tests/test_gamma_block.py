@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confdist import coverage, gamma, higher_order
+from confdist import coverage, gamma, higher_order, pivots
 from confdist.coverage import Scenario, design_matrix, run_scenario
 from confdist.data import Dataset
 from confdist.errors import (
@@ -598,6 +598,44 @@ class TestRowFailures:
         assert report.failures == base.failures + 1
         for got, want in zip(report.rows, base.rows):
             assert got.replications_used == want.replications_used - 1
+
+    def test_values_at_the_cuts_count_as_the_cdf(self, monkeypatch):
+        # values on, next to and inside each level's cuts, the infinities and
+        # a NaN on the first rows: -inf is a hit at every level, inf a miss,
+        # and a NaN row a failed replication; every count is the CDF's
+        real, seen = coverage._gamma_arrays, []
+
+        def arrays(sc, study, Y):
+            values = real(sc, study, Y)
+            for m in ("first_order_precision", "first_order_beta"):  # normal and chisq(2) laws
+                v, law, _ = values[m]
+                edges = [-np.inf, np.inf, 0.0]
+                cuts, k = pivots.level_cuts(law, sc.levels), len(sc.levels)
+                for lo, hi in zip(cuts[:k], cuts[k:]):
+                    edges += [np.nextafter(lo, -np.inf), lo, np.nextafter(lo, np.inf),
+                              0.5 * (lo + hi), np.nextafter(hi, -np.inf), hi,
+                              np.nextafter(hi, np.inf)]
+                v[:len(edges)] = edges
+            values["skovgaard_beta"][0][len(edges)] = np.nan
+            seen.append({m: tuple(np.copy(x) for x in values[m]) for m in sc.methods})
+            return values
+
+        monkeypatch.setattr(coverage, "_gamma_arrays", arrays)
+        sc = self.SC
+        got = coverage._run_chunk(sc, coverage._study(sc), range(sc.replications))
+        (values,) = seen
+        used = np.logical_and.reduce([~np.isnan(v) for v, _, _ in values.values()])
+        laws = dict(zip(REGRESSION_METHODS, [PivotLaw.normal()] * 2 + [PivotLaw.chisq(2)] * 2))
+        hits = [(laws[m].cdf(values[m][0][used])[:, None] <= np.array(sc.levels)).sum(0)
+                for m in sc.methods]
+        want = (np.array(hits), np.array([np.count_nonzero(values[m][2][used]) for m in sc.methods]),
+                np.full(len(sc.methods), used.sum()), sc.replications - used.sum())
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert got[3] >= 1
+        for m in ("first_order_precision", "first_order_beta"):
+            assert values[m][0][0] == -np.inf and values[m][0][1] == np.inf and used[:2].all()
+            assert np.array_equal(coverage._hits(values[m][0][:2], laws[m], sc.levels), [1, 1, 1])
 
     def test_more_than_one_percent_still_aborts(self, monkeypatch):
         self.force_nan(monkeypatch, [3, 40], "skovgaard_beta")
