@@ -72,11 +72,31 @@ class CsvTable:
 
 
 def load_csv_table(path: str | Path) -> CsvTable:
-    """Strict CSV: comma separated, mandatory header, every cell a finite number."""
+    """Strict CSV: comma separated, mandatory header, every cell a finite number.
+
+    A plain numeric table (no quote, CR or NUL, no line beyond the csv field
+    limit) is converted by numpy in one call, which parses each cell as
+    ``float`` does; anything else, and any table that conversion rejects, goes
+    to the per-cell reader, which gives the same table or names the error."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not a name
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = text.split("\n")
+    if lines[0] and not any(c in text for c in '"\r\x00') \
+            and max(map(len, lines)) <= csv.field_size_limit():
+        header = tuple(h.strip() for h in lines[0].split(","))
+        with contextlib.suppress(ValueError):
+            rows = np.array([line.split(",") for line in lines[1:] if line], dtype=float)
+            if rows.ndim == 2 and rows.shape[1] == len(header) == len(set(header)) \
+                    and np.isfinite(rows).all():
+                return CsvTable(header=header, rows=rows)
+    return _strict_csv_table(path, text)
+
+
+def _strict_csv_table(path: str | Path, text: str) -> CsvTable:
+    """The table ``text`` (read from ``path``) holds, cell by cell, or the
+    DataError naming the first fault."""
     try:
         lines = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
@@ -400,9 +420,15 @@ def _fit_from_json(path: str, model: str):
             beta_hat=array("beta_hat", (p,)),
             phi_hat_m=float(number("phi_hat_m", "finite and >= 0",
                                    lambda v: math.isfinite(v) and v >= 0.0)),
-            # as fit writes X'X; no rank test: fit's SVD check accepts cond(X'X) >> 1e16
-            xtx=array("xtx", (p, p), ", exactly symmetric with a positive diagonal",
-                      lambda a: np.array_equal(a, a.T) and (np.diag(a) > 0.0).all()),
+            # as fit writes X'X: a computed X'X errs by at most (n eps / 2) |X|'|X|,
+            # which moves no eigenvalue by more than (n eps / 2) trace <= n p (eps / 2)
+            # lambda_max; the floor is 4 times that, to cover the eigensolver's own
+            # O(p eps lambda_max).  No rank test: fit's SVD check accepts cond >> 1e16
+            xtx=array("xtx", (p, p), ", exactly symmetric with a positive diagonal and "
+                      "no eigenvalue below -2 n p eps times the largest",
+                      lambda a: np.array_equal(a, a.T) and (np.diag(a) > 0.0).all()
+                      and np.all((e := np.linalg.eigvalsh(a))
+                                 >= -2.0 * n * p * np.finfo(float).eps * e.max(initial=0.0))),
             df=number("df", f"the integer n - p = {n - p}, at least 1",
                       lambda v: v == n - p >= 1, int),
             n=n, p=p,

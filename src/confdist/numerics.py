@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
-from scipy import optimize as _scipy_optimize
 from scipy import special as _sf
 
 from .errors import AccuracyError, BracketingError, DomainError
@@ -167,6 +165,8 @@ def find_root(
     with :class:`BracketingError`.  The returned abscissa is deterministic
     and satisfies a bracket width <= ``tol`` (or an exact zero of f).
     """
+    import scipy.optimize  # on first use: a CLI call that solves nothing never loads it
+
     lo, hi = (float(bracket[0]), float(bracket[1]))
     if lo > hi:
         lo, hi = hi, lo
@@ -182,7 +182,7 @@ def find_root(
         if fhi == 0.0:
             return hi
         if not flo * fhi > 0.0:  # a sign change (a NaN is left to brentq)
-            return float(_scipy_optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16))
+            return float(scipy.optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16))
         if n_expand >= max_expansions:
             raise BracketingError(
                 f"no sign change in [{lo:g}, {hi:g}] after {max_expansions} expansions"
@@ -204,7 +204,9 @@ def find_root(
 
 
 def _quad_finite(f, a: float, b: float, epsabs: float) -> tuple[float, float]:
-    out = _scipy_integrate.quad(f, a, b, epsabs=epsabs, epsrel=1e-12, limit=200, full_output=1)
+    import scipy.integrate  # on first use, as scipy.optimize in find_root
+
+    out = scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=1e-12, limit=200, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3:  # warning message present: refinement did not converge
         raise AccuracyError(

@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from confdist.cli import load_csv_table, main
+from confdist.cli import _fit_from_json, _strict_csv_table, load_csv_table, main
 from confdist.data import Dataset
 from confdist.errors import DataError
 from confdist.linear import contrast, contrast_pivot, fit_ols, variance_pivot
@@ -79,6 +86,89 @@ class TestCsvLoader:
             assert code == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_line_beyond_the_csv_field_limit_keeps_its_error(self, tmp_path):
+        # float() reads a 131,073-digit cell; the csv reader refuses it
+        p = tmp_path / "long.csv"
+        p.write_text("a\n" + "0" * 131072 + "1\n")
+        with pytest.raises(DataError, match="field larger than field limit"):
+            load_csv_table(p)
+
+
+# Cells and names for generated texts: numbers float() reads (with
+# underscores, padding, Arabic-Indic digits), non-finite and unreadable
+# cells, quotes, NUL and a BOM inside a cell.
+GOOD_CELLS = st.sampled_from(["1", "-2.5", "3e-2", "-0", "1_0", " 2 ", "\u0661\u0662", "7.25e+300"])
+ANY_CELLS = st.sampled_from(["", " ", "x", "1__0", "inf", "nAn", "1e999", '"4"', "5\x00",
+                             "\ufeff6", "7 8", "\t9"])
+NAMES = st.sampled_from(["y", "x", " x ", "z", "", '"y"', "y\x00"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text: mostly a plain numeric table, with the faults the strict
+    reader names mixed in."""
+    width = draw(st.integers(1, 3))
+    names = st.one_of(st.permutations(["y", " x ", "\u0445"]).map(lambda names: names[:width]),
+                      st.lists(NAMES, min_size=width, max_size=width))
+    lines = [",".join(draw(names))]
+    cell = st.one_of(*[GOOD_CELLS] * 12, ANY_CELLS)
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.sampled_from([width] * 12 + [width - 1, width + 1]))
+        line = ",".join(draw(st.lists(cell, min_size=n, max_size=n)))
+        lines.append(draw(st.sampled_from([line] * 12 + [line + ",", "", "  "])))
+    first = draw(st.sampled_from([""] * 6 + ["\ufeff", "\n", "\ufeff\n"]))
+    return first + "".join(line + draw(LINE_ENDS) for line in lines)[:-1] \
+        + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _table_or_error(loader, path):
+    try:
+        table = loader(path)
+    except DataError as exc:
+        return str(exc)
+    return table.header, table.rows.shape, table.rows.dtype, table.rows.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=csv_texts())
+def test_loader_gives_the_strict_readers_table_or_error(text):
+    # the numpy conversion returns a table only when the per-cell reader
+    # returns the same one, bit for bit; otherwise the per-cell reader runs
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        strict = _table_or_error(
+            lambda p: _strict_csv_table(p, p.read_text(encoding="utf-8-sig")), path)
+        assert _table_or_error(load_csv_table, path) == strict
+
+
+def test_import_and_light_calls_load_no_solver_or_quadrature(tmp_path):
+    # scipy.optimize and scipy.integrate are imported on first use: a CLI
+    # call that neither solves nor integrates never pays for them
+    rng = np.random.default_rng(3)
+    write_csv(tmp_path / "g.csv", ["y"], rng.gamma(2.0, 0.5, size=(20, 1)))
+    write_csv(tmp_path / "n.csv", ["y", "x"], rng.normal(size=(20, 2)))
+    script = f"""
+import contextlib, io, sys
+import confdist.cli as cli
+heavy = ("scipy.optimize", "scipy.integrate")
+loaded = [sorted(set(heavy) & set(sys.modules))]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["fit", "--file", {str(tmp_path / "n.csv")!r}, "--model", "normal",
+                     "--response", "y", "--design", "x"]) == 0
+    loaded.append(sorted(set(heavy) & set(sys.modules)))
+    assert cli.main(["confdens", "--file", {str(tmp_path / "g.csv")!r}, "--model", "gamma",
+                     "--known-mu", "--response", "y", "--target", "precision",
+                     "--method", "fraser", "--grid", "0.3:8:50"]) == 0
+    loaded.append(sorted(set(heavy) & set(sys.modules)))
+print(loaded)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[[], [], []]"
 
 
 class TestFitCommand:
@@ -688,11 +778,13 @@ BAD_NUMBERS = {
     "normal_phi_nan": ("normal", {"phi_hat_m": math.nan}),
     "normal_phi_negative": ("normal", {"phi_hat_m": -1.0}),
     "normal_xtx_nan": ("normal", {"xtx": [[30.0, math.nan], [0.0, 30.0]]}),
-    # a Gram matrix X'X is exactly symmetric with a positive diagonal; the
-    # singular one passes those rules and fails in the contrast solve
+    # a Gram matrix X'X is exactly symmetric with a positive diagonal, and
+    # positive semidefinite up to rounding; the singular one passes those
+    # rules and fails in the contrast solve
     "normal_xtx_zero": ("normal", {"xtx": [[0.0, 0.0], [0.0, 0.0]]}),
     "normal_xtx_singular": ("normal", {"xtx": [[1.0, 1.0], [1.0, 1.0]]}),
     "normal_xtx_asymmetric": ("normal", {"xtx": [[1.0, 2.0], [3.0, -4.0]]}),
+    "normal_xtx_indefinite": ("normal", {"xtx": [[1.0, 2.0], [2.0, 1.0]]}),
     "normal_beta_inf": ("normal", {"beta_hat": [math.inf, 1.0]}),
     **{f"{model}_{name}": (model, change) for model in ("gamma", "gamma_known_mu")
        for name, change in (("precision_0", {"varphi_hat": 0.0}),
@@ -781,7 +873,10 @@ ERROR_CASES = {
         "{d}/normal_p3.json"),
     **{f"fit_json_normal_xtx_{name}_variance": (
         f"interval --fit-json {{d}}/normal_xtx_{name}.json {FIT_JSON_NORMAL} variance", 3,
-        f"{{d}}/normal_xtx_{name}.json: xtx") for name in ("zero", "asymmetric")},
+        f"{{d}}/normal_xtx_{name}.json: xtx") for name in ("zero", "asymmetric", "indefinite")},
+    "fit_json_normal_xtx_indefinite_contrast_1_1": (
+        f"interval --fit-json {{d}}/normal_xtx_indefinite.json {FIT_JSON_NORMAL} contrast:1,1", 3,
+        "{d}/normal_xtx_indefinite.json: xtx"),
     "scenario_no_section": (
         "coverage --scenario {d}/no_section.ini --out {d}/o", 2, "{d}/no_section.ini"),
     "scenario_repeated_section": (
@@ -841,6 +936,27 @@ class TestErrorPaths:
         for target in ("contrast:0,1,-1", "variance"):
             assert main(["interval", "--fit-json", str(tmp_path / "ill.json"),
                          *FIT_JSON_NORMAL.split(), target]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_summary_of_a_design_at_the_rank_limit_is_accepted(self, tmp_path, capsys):
+        # s_min / s_max within 10 times fit's rank tolerance eps n: the X'X
+        # fit writes has a negative eigenvalue from rounding alone, above the
+        # summary's floor -2 n p eps lambda_max
+        rng = np.random.default_rng(4)
+        x1 = rng.normal(size=40)
+        x2 = x1 + 1e-13 * rng.normal(size=40)
+        s = np.linalg.svd(np.column_stack([np.ones(40), x1, x2]), compute_uv=False)
+        assert s[-1] / s[0] < 10 * np.finfo(float).eps * 40
+        write_csv(tmp_path / "edge.csv", ["y", "x1", "x2"],
+                  np.column_stack([1.0 + x1 + rng.normal(size=40), x1, x2]))
+        assert main(["fit", "--file", str(tmp_path / "edge.csv"), "--model", "normal",
+                     "--response", "y", "--design", "x1,x2",
+                     "--out", str(tmp_path / "edge.json")]) == 0
+        xtx = np.array(json.loads((tmp_path / "edge.json").read_text())["xtx"])
+        assert np.linalg.eigvalsh(xtx)[0] < 0.0
+        assert _fit_from_json(str(tmp_path / "edge.json"), "normal").p == 3
+        assert main(["interval", "--fit-json", str(tmp_path / "edge.json"),
+                     *FIT_JSON_NORMAL.split(), "variance"]) == 0
         assert capsys.readouterr().err == ""
 
     def test_ok_scenario_runs(self, tmp_path, capsys):

@@ -106,28 +106,28 @@ GOLDEN = {
     "fit_known_mu": "16b2c10201da9c454e8e1f6e1ad8cb588db19caba64305f98b131a394634edf3",
     "fit_normal": "041398803da87ed0e8a2ef41b1202808f2b9670d2e7b4e9c39b842a63c7240ad",
     "fit_normal_text": "59f4a001af6e2845da2bb4002481187c9ecfa98e9c6a408ba3c68061f2a32d08",
-    "interval_contrast_one": "28dde613d4369d882d79cb089b3aa4fd2ddfac50e90c298250750317f7041b40",
-    "interval_contrast_two": "7323582259fbdb6d9525b2f28caad88cab9a72303a4571893bfb0e86c53a085b",
+    "interval_contrast_one": "6609e1e26a46c1dae30e9aea2428d4680ceff25d17a357de851ab59788ff636d",
+    "interval_contrast_two": "fd6031c26bbb57bcd7073af356df04320d3528255adc546e6e3c97003844f9a9",
     "interval_gamma_first_order_one":
-        "adb9d6de64c599b3f701340d05481852524190f2876dd67a655dbc36dda809e8",
+        "2400cce13e81be77d209f35d546697b93c60d18a62309320bf0fe7267cbe90ce",
     "interval_gamma_first_order_two":
-        "a3d1544896db3b2e552be2fe5438cce9093a1be632bbafbbf7214b618c1f6e30",
-    "interval_gamma_fit_json": "a3d1544896db3b2e552be2fe5438cce9093a1be632bbafbbf7214b618c1f6e30",
+        "edb8e3711fcbb425693dc71701c0c8c274f2b11a4fdc238b0a9ef5588cb0b08d",
+    "interval_gamma_fit_json": "edb8e3711fcbb425693dc71701c0c8c274f2b11a4fdc238b0a9ef5588cb0b08d",
     "interval_gamma_skovgaard_one":
-        "9bbe0f70f09b6a797b751d714e71a81e66d230c46c7a5200238907ae70eede86",
+        "8c5b60397754709837777146a19400b3dff14e6377c6cb39072319581a804183",
     "interval_gamma_skovgaard_two":
-        "2d921c1f267456fec4edf5380ca6e716937124f9c25c156cee2f1f4899cd8022",
+        "57fad35e8ae8685a252a73695e8be979f59f466512e73c4884797a9b265706a8",
     "interval_known_mu_first_order_one":
-        "43c6195b2233ff71d050f4da9dbca3532b7b73daa40276b5d9ac60d79f2bea18",
+        "9084975bde05702b1e61364f1b94a9afcf0261d3a7a41349949ed2106220667a",
     "interval_known_mu_first_order_two":
-        "985bd3e9e754c7169bd06782a1b0666021071eed1813ca73567a2271fb5aab48",
+        "4677b0d2b17ea4e7bf796faafa08cfccee25023a859d89e57e28523049fac711",
     "interval_known_mu_fraser_one":
-        "d1638f8bf7bb8c9dcfda9198c5ff5c4b1ef19e18dff8d0e6099ebf761e540ce9",
+        "2a5c1192932964506f97f6029c17a628288031a19e1e0a6459eaa52eaab22230",
     "interval_known_mu_fraser_two":
-        "ee067b45834e67f76674d1e3efe9a6c71362cad12168878355bc4eb3db481491",
-    "interval_normal_fit_json": "b53dec1a9d705d55e0d873dc7bb03befb2ce03fbad7b2c639d41f1d14f5c194c",
+        "d994cb050e0f04cb1ea5106601681bf24f1cc380ab68589a131cf86df60eb805",
+    "interval_normal_fit_json": "5a92768b0bb55f1166d8837a1de2dd1f6d1289572628cbb7ac1022fbad4972dc",
     "interval_variance_one": "1ef52ed555c40ec2d764706ae93e2f3bc1981432710b5a58278cc74e2dcf4300",
-    "interval_variance_two": "b53dec1a9d705d55e0d873dc7bb03befb2ce03fbad7b2c639d41f1d14f5c194c",
+    "interval_variance_two": "5a92768b0bb55f1166d8837a1de2dd1f6d1289572628cbb7ac1022fbad4972dc",
 }
 
 
