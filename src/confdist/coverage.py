@@ -211,6 +211,8 @@ class Scenario:
                 raise ScenarioError("gamma_regression needs beta and positive varphi")
         if self.model != "gamma_known_mu":
             width = len(self.beta)
+            if width == 0:
+                raise ScenarioError("beta must have at least one entry")
             if self.design is None:
                 object.__setattr__(self, "design", "gaussian")
             if self.design not in ("intercept", "gaussian"):
@@ -460,9 +462,9 @@ def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
         dp = _profile_deviance_beta_array(n, vh, hat, vt)
         out["first_order_beta"] = (dp, PivotLaw.chisq(p), no_flags)
         if "skovgaard_beta" in methods:
-            value, flags = _skovgaard_beta_values(X, y, beta_hat[fitted], vh, np.array(sc.beta),
-                                                  study.mean, vt, dp)
-            out["skovgaard_beta"] = (value, PivotLaw.chisq(p), flags)
+            value, _, *flags = _skovgaard_beta_values(X, y, beta_hat[fitted], vh,
+                                                      np.array(sc.beta), study.mean, vt, dp)
+            out["skovgaard_beta"] = (value, PivotLaw.chisq(p), np.logical_or.reduce(flags))
     return {m: out[m] for m in methods}
 
 

@@ -447,14 +447,10 @@ def profile_deviance_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> Pro
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (fit.p,):
         raise DomainError(f"beta must have length {fit.p}, got shape {beta.shape}")
-    vt = profile_precision_at(data, beta)
     vh = fit.varphi_hat
-
-    def g_val(v: float) -> float:
-        return v * cumulant_d1(v) - cumulant(v)
-
-    raw = 2.0 * fit.n * (g_val(vh) - g_val(vt))
-    return ProfileDeviance(value=max(raw, 0.0), at=beta, dims=fit.p)
+    value = _profile_deviance_beta_array(fit.n, vh, _cumulant_arrays(vh),
+                                         profile_precision_at(data, beta))
+    return ProfileDeviance(value=float(value), at=beta, dims=fit.p)
 
 
 def _profile_deviance_precision_array(n: int, varphi_hat: np.ndarray, varphi,

@@ -45,7 +45,7 @@ from .gamma import (
     profile_precision_at,
     unit_deviance_terms,
 )
-from .numerics import RealGrid, find_root
+from .numerics import RealGrid
 from .pivots import ConfidenceDensity, Pivot, PivotLaw
 
 __all__ = [
@@ -494,95 +494,40 @@ def skovgaard_root_curve(data: Dataset, fit: GammaFit):
     return skovgaard
 
 
-def _beta_correction_factor(data: Dataset, fit: GammaFit, beta: np.ndarray,
-                            profile_prec: float) -> float | None:
-    """Determinant-ratio m for the coefficient vector (None if nonpositive)."""
-    mu = np.exp(data.X @ beta)
-    resid = data.y / mu - 1.0
-    xr = data.X.T @ resid
-    weighted = data.X.T @ (data.X * (data.y / mu)[:, None])
-    denom_mat = profile_prec * weighted - np.outer(xr, xr) / (data.n * cumulant_d2(profile_prec))
-    sign_num, logdet_num = np.linalg.slogdet(fit.varphi_hat * (data.X.T @ data.X))
-    sign_den, logdet_den = np.linalg.slogdet(denom_mat)
-    if sign_num <= 0.0 or sign_den <= 0.0:
-        return None
-    return math.exp(logdet_num - logdet_den)
-
-
 def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedDeviance:
     """Corrected deviance for the coefficient vector, chi-square(p) reference.
 
     Ball confidence statements use the chi-square(p) lower tail at the
     corrected value.  Near the estimate the correction is interpolated along
-    the evaluation ray from the estimate through ``beta``.
+    the evaluation ray from the estimate through ``beta``.  One row of
+    :func:`_skovgaard_beta_values`; raises ConvergenceError if the ray nodes
+    do not settle.
     """
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (fit.p,):
-        raise DomainError(f"beta must have length {fit.p}, got shape {beta.shape}")
     dp = profile_deviance_beta(data, fit, beta).value
-
-    if dp == 0.0:  # exactly at the estimate: no ray to interpolate along
-        return CorrectedDeviance(deviance=0.0, correction=1.0, value=0.0,
-                                 dims=fit.p, interpolated=True)
-
-    def d_direct(b_vec: np.ndarray, dp_val: float):
-        """(corrected value, clamped, m) at one point, or None if unavailable."""
-        prec = profile_precision_at(data, b_vec)
-        m = _beta_correction_factor(data, fit, b_vec, prec)
-        if m is None:
-            return None
-        value, clamped = corrected_deviance_value(dp_val, m)
-        return value, clamped, m
-
-    unavailable = CorrectedDeviance(deviance=dp, correction=math.nan, value=dp,
-                                    dims=fit.p, correction_unavailable=True)
-    if dp >= ROOT_WINDOW**2:
-        out = d_direct(beta, dp)
-        if out is None:
-            return unavailable
-        value, clamped, m = out
-        return CorrectedDeviance(deviance=dp, correction=m, value=value, dims=fit.p,
-                                 clamped=clamped)
-
-    # interpolate along the ray estimate + t * (beta - estimate)
-    direction = beta - fit.beta_hat
-
-    def dp_at(t: float) -> float:
-        return profile_deviance_beta(data, fit, fit.beta_hat + t * direction).value
-
-    t_nodes = []
-    t_hi = 1.0
-    for target in _RAY_TARGETS:
-        for _ in range(60):
-            if dp_at(t_hi) >= target:
-                break
-            t_hi *= 2.0
-        else:
-            raise ContractViolationError(
-                "profile deviance did not reach the interpolation node along the ray"
-            )
-        t_nodes.append(find_root(lambda t: dp_at(t) - target, (0.0, t_hi),
-                                 tol=1e-12, limits=(0.0, t_hi)))
-    nodes = [d_direct(fit.beta_hat + t * direction, dp_at(t)) for t in t_nodes]
-    if None in nodes:
-        return unavailable
-    cubic = _window_cubics(np.array([t_nodes]), np.array([[d for d, _, _ in nodes]]))
-    value = float(cubic(1.0)[0, 0])
-    return CorrectedDeviance(deviance=dp, correction=nodes[0][2], value=max(value, 0.0),
-                             dims=fit.p, interpolated=True, clamped=value < 0.0)
+    prec = profile_precision_at(data, beta)
+    value, correction, interpolated, unavailable, clamped = _skovgaard_beta_values(
+        data.X, data.y[None], fit.beta_hat[None], np.array([fit.varphi_hat]), beta,
+        np.exp(data.X @ beta)[None], np.array([prec]), np.array([dp]))
+    if np.isnan(value[0]):
+        raise ConvergenceError(f"ray nodes did not settle at beta={beta!r}")
+    return CorrectedDeviance(deviance=dp, correction=float(correction[0]),
+                             value=float(value[0]), dims=fit.p,
+                             interpolated=bool(interpolated[0]),
+                             correction_unavailable=bool(unavailable[0]),
+                             clamped=bool(clamped[0]))
 
 
 # Array forms of the Skovgaard corrections, one row per replication of a
-# fixed design.  Products, solves and determinants are stacked per row, so
-# they round as the scalar factors' do.  Precision window rows build their
+# fixed design.  Products, solves and determinants are stacked per row, so a
+# row rounds alike in a block of any size.  Precision window rows build their
 # nodes and cubic as the scalar curve does, so they agree with it to the
 # rounding of their inputs (observed equal on every window row compared).
-# Coefficient-ray rows solve their nodes by Newton iterations where
-# skovgaard_beta uses find_root, so they agree to the accuracy of the node
-# solves, not bit for bit: both sides place a node at the evaluation noise of
-# the deviance, and the corrected deviance's slope there,
-# log(m) d_p' / (2 d_p^2), magnifies that (measured: values within 4.2e-10
-# relative, confidences within 1.8e-10).
+# skovgaard_beta is one row of _skovgaard_beta_values.  Its ray nodes are
+# Newton iterates placed at the evaluation noise of the deviance; the
+# corrected deviance's slope there, log(m) d_p' / (2 d_p^2), magnifies that
+# noise, so a bracketing root search for the same nodes gives window values
+# that differ by up to about 2e-9 relative.
 
 # A ray node is accepted when its profile deviance is this close to its target.
 _RAY_NODE_ACCEPT = 1e-9
@@ -612,8 +557,8 @@ def _precision_correction_factors(n: int, c2_hat: np.ndarray, quad: np.ndarray,
 
 def _beta_correction_factors(X: np.ndarray, Y: np.ndarray, mu: np.ndarray,
                              varphi_hat: np.ndarray, profile_prec: np.ndarray) -> np.ndarray:
-    """:func:`_beta_correction_factor` for every row at one coefficient vector
-    (mean ``mu``); NaN where it is None."""
+    """The determinant-ratio m of the coefficient vector for every row at one
+    coefficient vector (mean ``mu``); NaN where a determinant is not positive."""
     n = X.shape[0]
     xr, weighted = _residual_gram(X, Y, mu)
     prec = profile_prec[:, None, None]
@@ -720,21 +665,26 @@ def _ray_nodes(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: np
 
 def _skovgaard_beta_values(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray,
                            varphi_hat: np.ndarray, beta: np.ndarray, mu: np.ndarray,
-                           profile_prec: np.ndarray,
-                           deviance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The value and flag of :func:`skovgaard_beta` for every row.
+                           profile_prec: np.ndarray, deviance: np.ndarray):
+    """The fields of :func:`skovgaard_beta` for every row: value, correction,
+    and the flags interpolated, correction_unavailable and clamped.
 
     ``mu``, ``profile_prec`` and ``deviance`` are the rows' mean, profile
     precision and profile deviance at ``beta``.  A window row at its
-    estimate (deviance 0) has value 0; the others find their ray nodes
-    together (:func:`_ray_nodes`) and evaluate the correction there.  A row
-    whose nodes do not settle holds NaN.
+    estimate (deviance 0) has value 0 and correction 1; the others find their
+    ray nodes together (:func:`_ray_nodes`) and take the correction at the
+    first node.  As in :func:`_precision_window`, a window row without the
+    factor at a node keeps the first-order deviance and is flagged
+    correction_unavailable only; a row whose nodes do not settle holds NaN.
     """
-    m = _beta_correction_factors(X, Y, mu, varphi_hat, profile_prec)
-    value, unavailable, clamped = _corrected_deviance_values(deviance, m)
-    window = deviance < ROOT_WINDOW**2
-    value[deviance == 0.0] = 0.0
-    rows = np.flatnonzero(window & (deviance > 0.0))
+    correction = _beta_correction_factors(X, Y, mu, varphi_hat, profile_prec)
+    value, unavailable, clamped = _corrected_deviance_values(deviance, correction)
+    interpolated = deviance < ROOT_WINDOW**2
+    unavailable &= ~interpolated
+    clamped &= ~interpolated
+    at_hat = deviance == 0.0
+    value[at_hat], correction[at_hat] = 0.0, 1.0
+    rows = np.flatnonzero(interpolated & ~at_hat)
     if rows.size:
         t, mu_t, prec_t, dp_t = _ray_nodes(X, Y[rows], beta_hat[rows], beta - beta_hat[rows],
                                            varphi_hat[rows], deviance[rows])
@@ -743,13 +693,15 @@ def _skovgaard_beta_values(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray,
             m_t = _beta_correction_factors(
                 X, np.repeat(Y[rows], k, axis=0), mu_t.reshape(-1, X.shape[0]),
                 np.repeat(varphi_hat[rows], k), prec_t.ravel()).reshape(t.shape)
-        # as in _precision_window: a node without its factor keeps the
-        # first-order deviance, an unsettled node (NaN in t) a NaN cubic
         d_nodes, node_unavailable, _ = _corrected_deviance_values(dp_t, m_t)
         node_unavailable = node_unavailable.any(axis=1) & ~np.isnan(t).any(axis=1)
-        value[rows] = np.where(node_unavailable, deviance[rows],
-                               np.maximum(_window_cubics(t, d_nodes)(1.0)[:, 0], 0.0))
-    return value, unavailable | clamped | window
+        cubic = _window_cubics(t, d_nodes)(1.0)[:, 0]
+        value[rows] = np.where(node_unavailable, deviance[rows], np.maximum(cubic, 0.0))
+        correction[rows] = np.where(node_unavailable, np.nan, m_t[:, 0])
+        interpolated[rows] = ~node_unavailable
+        unavailable[rows] = node_unavailable
+        clamped[rows] = ~node_unavailable & (cubic < 0.0)
+    return value, correction, interpolated, unavailable, clamped
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,14 @@ class TestScenarioValidation:
         dict(KNOWN_MU, design="bogus"),
         dict(REGRESSION, phi=2.0),
         dict(REGRESSION, contrast_vector=(1.0, 0.0)),
+        dict(REGRESSION, beta=()),
+        dict(beta=()),
     ], ids=["phi_nan", "phi_inf", "beta_nan", "contrast_nan", "n_fractional",
             "replications_float", "methods_repeated", "levels_repeated",
             "normal_varphi", "known_mu_phi", "known_mu_beta", "known_mu_p",
             "known_mu_contrast", "known_mu_design", "known_mu_bogus_design",
-            "regression_phi", "regression_contrast"])
+            "regression_phi", "regression_contrast", "regression_empty_beta",
+            "normal_empty_beta"])
     def test_bad_input_rejected(self, overrides):
         with pytest.raises(ScenarioError):
             normal_scenario(**overrides)

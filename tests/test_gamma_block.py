@@ -12,12 +12,14 @@ The array transforms are not the scalar ones' floats.  They agree to
 rounding (the precision solve uses np.log).  Known-mean and precision
 window rows build their nodes (one Newton solver, accepted within 1e-6 of
 their target roots) and cubics (one stacked solve) exactly as the scalar
-curves do, so they agree to rounding too.  Coefficient-ray rows agree to
-the accuracy of their node solves: Newton iterations stopped at the scalar
-ray search's find_root tolerance, accepted within 1e-9 of their target
-deviances.  A hit can therefore differ from the oracle's only for a
-transform within that distance of a level; the counts have been equal on
-every study compared.
+curves do, so they agree to rounding too.  :func:`skovgaard_beta` is one
+row of the block kernel, bit for bit, so its coefficient-ray window rows are
+checked against :func:`ray_search_oracle` instead: a doubling bracket and a
+brentq solve per node, with the determinant-ratio factor by slogdet.  They
+agree to the accuracy of their node solves: Newton iterations stopped at
+brentq's tolerance, accepted within 1e-9 of their target deviances.  A hit
+can therefore differ from a scalar oracle's only for a transform within that
+distance of a level; the counts have been equal on every study compared.
 """
 
 import math
@@ -28,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from confdist import coverage, gamma, higher_order, pivots
 from confdist.coverage import Scenario, design_matrix, run_scenario
@@ -44,6 +47,7 @@ from confdist.gamma import (
     _log_least_squares,
     _profile_deviance_precision_array,
     _solve_precision_array,
+    cumulant_d2,
     fit_irls,
     profile_deviance_beta,
     profile_deviance_precision,
@@ -56,6 +60,7 @@ from confdist.higher_order import (
     _skovgaard_beta_values,
     _skovgaard_precision_values,
     ball_confidence,
+    corrected_deviance_value,
     fraser_root_known_mu,
     signed_root_confidence,
     skovgaard_beta,
@@ -426,7 +431,10 @@ def scalar_fits(sc: Scenario):
 
 
 def array_window_values(X, rows, varphi: float, beta: np.ndarray):
-    """(value, flagged, deviance) of both array Skovgaard paths for every row."""
+    """Both array Skovgaard paths for every row, from the rows' scalar fits:
+    (value, flagged, deviance) of the precision, and (value, correction,
+    interpolated, correction_unavailable, clamped, deviance) of the
+    coefficient vector."""
     y = np.array([data.y for data, _ in rows])
     vh = np.array([fit.varphi_hat for _, fit in rows])
     dp_prec = np.array([profile_deviance_precision(fit, varphi).value for _, fit in rows])
@@ -438,6 +446,60 @@ def array_window_values(X, rows, varphi: float, beta: np.ndarray):
     mean = np.tile(np.exp(X @ beta), (len(rows), 1))
     coef = _skovgaard_beta_values(X, y, beta_hat, vh, beta, mean, vt, dp_beta)
     return (*prec, dp_prec), (*coef, dp_beta)
+
+
+def determinant_factor(data: Dataset, fit, beta: np.ndarray) -> float | None:
+    """The determinant-ratio correction factor of the coefficient vector at
+    ``beta``, by slogdet of the p x p matrices; None if a determinant is not positive."""
+    prec = profile_precision_at(data, beta)
+    mu = np.exp(data.X @ beta)
+    xr = data.X.T @ (data.y / mu - 1.0)
+    weighted = data.X.T @ (data.X * (data.y / mu)[:, None])
+    sign_num, logdet_num = np.linalg.slogdet(fit.varphi_hat * (data.X.T @ data.X))
+    sign_den, logdet_den = np.linalg.slogdet(
+        prec * weighted - np.outer(xr, xr) / (data.n * cumulant_d2(prec)))
+    return math.exp(logdet_num - logdet_den) if sign_num > 0.0 and sign_den > 0.0 else None
+
+
+def ray_search_oracle(data: Dataset, fit, beta: np.ndarray):
+    """(value, correction, interpolated, correction_unavailable, clamped) of a
+    coefficient-ray window row (0 < d_p < ROOT_WINDOW**2) by a bracketing search.
+
+    Node k lies on the ray beta_hat + t (beta - beta_hat) where the profile
+    deviance reaches (k ROOT_WINDOW)^2, k = 1..4: t is bracketed by doubling
+    from 1, then solved by brentq at xtol 1e-12.  The corrected deviances at
+    the nodes are interpolated at t = 1 by Lagrange's formula.
+    """
+    direction = beta - fit.beta_hat
+
+    def dp_at(t: float) -> float:
+        return profile_deviance_beta(data, fit, fit.beta_hat + t * direction).value
+
+    t_nodes, d_nodes, factors = [], [], []
+    t_hi = 1.0
+    for k in (1, 2, 3, 4):
+        target = (k * ROOT_WINDOW) ** 2
+        while dp_at(t_hi) < target:
+            t_hi *= 2.0
+        t = brentq(lambda t: dp_at(t) - target, 0.0, t_hi, xtol=1e-12, rtol=8.9e-16)
+        m = determinant_factor(data, fit, fit.beta_hat + t * direction)
+        if m is None:
+            dp = profile_deviance_beta(data, fit, beta).value
+            return dp, math.nan, False, True, False
+        t_nodes.append(t)
+        d_nodes.append(corrected_deviance_value(dp_at(t), m)[0])
+        factors.append(m)
+    value = sum(d * math.prod((1.0 - s) / (t - s) for s in t_nodes if s != t)
+                for t, d in zip(t_nodes, d_nodes))
+    return max(value, 0.0), factors[0], True, False, value < 0.0
+
+
+def window_point(data: Dataset, fit, direction: np.ndarray, scale: float) -> np.ndarray:
+    """beta_hat plus ``direction``, scaled to a quadratic profile deviance of
+    (scale * ROOT_WINDOW)^2 under the observed information at the fit."""
+    xd = data.X @ direction
+    return fit.beta_hat + direction * scale * ROOT_WINDOW / math.sqrt(
+        fit.varphi_hat * np.sum(data.y / fit.mu_hat * xd**2))
 
 
 WINDOW_STUDIES = [
@@ -454,28 +516,38 @@ class TestSkovgaardWindowRows:
                       levels=(0.5,), methods=REGRESSION_METHODS, **shape)
         X, rows = scalar_fits(sc)
         beta = np.array(sc.beta)
-        paths = array_window_values(X, rows, sc.varphi, beta)
+        (value, flagged, dp), b_fields = array_window_values(X, rows, sc.varphi, beta)
         # both sides place their nodes at the evaluation noise of the
         # deviance, which at large precisions is ~1e-9 of the precision
         # deviance; the corrected value's slope at the nodes,
         # log(m) d_p'/(2 d_p^2), magnifies that, hence the looser bound
-        tolerance = (1e-8, 1e-9)
-        windows = [0, 0]
-        for k, (value, flagged, dp) in enumerate(paths):
-            for i in np.flatnonzero(dp < ROOT_WINDOW**2):
-                data, fit = rows[i]
-                cd = (skovgaard_precision(data, fit, sc.varphi) if k == 0
-                      else skovgaard_beta(data, fit, beta))
-                assert flagged[i] == cd.flagged
-                assert abs(value[i] - cd.value) <= tolerance[k] * max(1.0, abs(cd.value))
-                confidence = (signed_root_confidence(cd) if k == 0 else ball_confidence(cd))
-                array_confidence = (PivotLaw.normal().cdf(cd.sign * math.sqrt(value[i])) if k == 0
-                                    else PivotLaw.chisq(len(beta)).cdf(value[i]))
-                assert abs(array_confidence - confidence) <= 1e-9
-                windows[k] += 1
-        assert windows[0] >= 5
+        windows = 0
+        for i in np.flatnonzero(dp < ROOT_WINDOW**2):
+            cd = skovgaard_precision(*rows[i], sc.varphi)
+            assert flagged[i] == cd.flagged
+            assert abs(value[i] - cd.value) <= 1e-8 * max(1.0, abs(cd.value))
+            array_confidence = PivotLaw.normal().cdf(cd.sign * math.sqrt(value[i]))
+            assert abs(array_confidence - signed_root_confidence(cd)) <= 1e-9
+            windows += 1
+        assert windows >= 5
+        # coefficient-ray window rows: at the truth (rare unless p = 1), and
+        # next to each of the first estimates in a block of five rows
+        checks = [(rows[i], beta, [f[i] for f in b_fields])
+                  for i in np.flatnonzero(b_fields[-1] < ROOT_WINDOW**2)]
+        for i, row in enumerate(rows[:5]):
+            point = window_point(*row, np.ones(len(beta)), 0.5)
+            fields = array_window_values(X, rows[:5], sc.varphi, point)[1]
+            checks.append((row, point, [f[i] for f in fields]))
+        chisq = PivotLaw.chisq(len(beta))
+        for row, point, (got, correction, *flags, dp) in checks:
+            assert 0.0 < dp < ROOT_WINDOW**2
+            want, want_correction, *want_flags = ray_search_oracle(*row, point)
+            assert [bool(f) for f in flags] == want_flags
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            assert abs(correction - want_correction) <= 1e-9 * want_correction
+            assert abs(chisq.cdf(got) - chisq.cdf(want)) <= 1e-9
         if len(beta) == 1:
-            assert windows[1] >= 5
+            assert len(checks) >= 10
 
     def test_zero_deviance_rows(self):
         sc = Scenario(model="gamma_regression", n=30, replications=100, seed=3,
@@ -483,11 +555,12 @@ class TestSkovgaardWindowRows:
         X, rows = scalar_fits(sc)
         for data, fit in rows[:5]:
             # at the estimate itself both deviances vanish
-            (pv, pf, pdp), (bv, bf, bdp) = array_window_values(X, [(data, fit)], fit.varphi_hat,
-                                                               fit.beta_hat)
+            (pv, pf, pdp), (*fields, bdp) = array_window_values(
+                X, [(data, fit)], fit.varphi_hat, fit.beta_hat)
             assert pdp[0] == bdp[0] == 0.0
             cd = skovgaard_beta(data, fit, fit.beta_hat)
-            assert bv[0] == cd.value == 0.0 and bf[0] and cd.flagged
+            assert [f[0] for f in fields] == [0.0, 1.0, True, False, False] == [
+                cd.value, cd.correction, cd.interpolated, cd.correction_unavailable, cd.clamped]
             cd = skovgaard_precision(data, fit, fit.varphi_hat)
             assert pf[0] and cd.flagged
             assert abs(pv[0] - cd.value) <= 1e-9 * max(1.0, abs(cd.value))
@@ -506,20 +579,28 @@ class TestSkovgaardWindowRows:
         monkeypatch.setattr(higher_order, "_precision_correction_factors",
                             lambda n, vh, q, v: real_ps(n, vh, q, v) + np.where(
                                 np.equal(v, sc.varphi), 0.0, np.nan))
-        monkeypatch.setattr(higher_order, "_beta_correction_factor",
-                            lambda d, f, b, prec: None)
         monkeypatch.setattr(higher_order, "_beta_correction_factors",
                             lambda *a: np.full(len(a[1]), np.nan))
+        (value, flagged, dp), _ = array_window_values(X, rows, sc.varphi, beta)
         windows = 0
-        for k, (value, flagged, dp) in enumerate(array_window_values(X, rows, sc.varphi, beta)):
-            for i in np.flatnonzero((dp < ROOT_WINDOW**2) & (dp > 0.0)):
-                data, fit = rows[i]
-                cd = (skovgaard_precision(data, fit, sc.varphi) if k == 0
-                      else skovgaard_beta(data, fit, beta))
-                assert cd.correction_unavailable and flagged[i]
-                assert value[i] == cd.value == dp[i]
-                windows += 1
+        for i in np.flatnonzero((dp < ROOT_WINDOW**2) & (dp > 0.0)):
+            cd = skovgaard_precision(*rows[i], sc.varphi)
+            assert cd.correction_unavailable and flagged[i]
+            assert not (cd.interpolated or cd.clamped)
+            assert value[i] == cd.value == dp[i]
+            windows += 1
         assert windows >= 5
+        # the truth is rarely a window row of the coefficient vector at p = 2:
+        # take a point next to each of the first estimates instead
+        for i, (data, fit) in enumerate(rows[:5]):
+            point = window_point(data, fit, np.array([1.0, -1.0]), 0.5)
+            _, (value, _, interpolated, unavailable, clamped, dp) = array_window_values(
+                X, rows[:5], sc.varphi, point)
+            cd = skovgaard_beta(data, fit, point)
+            assert cd.correction_unavailable and unavailable[i]
+            assert not (cd.interpolated or cd.clamped or interpolated[i] or clamped[i])
+            assert 0.0 < dp[i] < ROOT_WINDOW**2
+            assert value[i] == cd.value == dp[i]
 
     @settings(max_examples=8, deadline=None)
     @given(sc=regression_scenarios(), replications=st.integers(300, 400),
@@ -569,6 +650,47 @@ class TestSkovgaardWindowRows:
         want = hits, flagged, np.full(len(sc.methods), kept), sc.replications - kept
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+class TestOneRowOfTheKernel:
+    """skovgaard_beta is one row of _skovgaard_beta_values: every field on one
+    row equals that row of a call on several rows, bit for bit."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(sc=regression_scenarios(), scale=st.floats(0.1, 0.9), seed=seeds)
+    def test_one_row_equals_a_block_row(self, sc, scale, seed):
+        X, rows = scalar_fits(sc)
+        rows = rows[:6]
+        direction = np.random.default_rng(seed).normal(size=X.shape[1])
+        window = window_point(*rows[0], direction, scale)
+        assert 0.0 < profile_deviance_beta(*rows[0], window).value < ROOT_WINDOW**2
+        estimate = rows[1][1].beta_hat
+        assert profile_deviance_beta(*rows[1], estimate).value == 0.0
+        for beta in (np.array(sc.beta), window, estimate):
+            value, correction, *flags, dp = array_window_values(X, rows, sc.varphi, beta)[1]
+            for i, (data, fit) in enumerate(rows):
+                try:
+                    cd = skovgaard_beta(data, fit, beta)
+                except ConvergenceError:
+                    assert np.isnan(value[i])
+                    continue
+                assert np.array_equal([cd.deviance, cd.value, cd.correction],
+                                      [dp[i], value[i], correction[i]], equal_nan=True)
+                assert [cd.interpolated, cd.correction_unavailable, cd.clamped] == [
+                    bool(f[i]) for f in flags]
+
+    def test_unsettled_ray_nodes_raise(self, monkeypatch):
+        sc = Scenario(model="gamma_regression", n=30, replications=100, seed=3,
+                      levels=(0.5,), methods=REGRESSION_METHODS, beta=(0.5, -0.3), varphi=2.0)
+        _, rows = scalar_fits(sc)
+        data, fit = rows[0]
+        beta = window_point(data, fit, np.array([1.0, -1.0]), 0.5)
+        assert 0.0 < profile_deviance_beta(data, fit, beta).value < ROOT_WINDOW**2
+        assert skovgaard_beta(data, fit, beta).interpolated
+        monkeypatch.setattr(higher_order, "_NODE_STEPS", 1)  # one Newton step settles no node
+        with pytest.raises(ConvergenceError, match="ray nodes did not settle"):
+            skovgaard_beta(data, fit, beta)
+        assert not skovgaard_beta(data, fit, np.array(sc.beta)).interpolated
 
 
 class TestRowFailures:
