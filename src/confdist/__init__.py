@@ -15,7 +15,6 @@ from .gamma import GammaFit, fit_irls, gamma_loglik
 from .higher_order import (
     CorrectedDeviance,
     ModifiedRoot,
-    corrected_confidence_density,
     fraser_root_known_mu,
     skovgaard_beta,
     skovgaard_precision,
@@ -56,7 +55,6 @@ __all__ = [
     "confidence_of",
     "contrast",
     "contrast_pivot",
-    "corrected_confidence_density",
     "extended_likelihood",
     "fit_irls",
     "fit_ols",

@@ -35,10 +35,10 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .gamma import GammaFit, fit_irls
-from .higher_order import _root_pivot, corrected_confidence_density, fit_known_mean
+from .higher_order import fit_known_mean
 from .linear import LinearFit, fit_ols
 from .numerics import RealGrid
-from .pivots import Pivot, interval_endpoint, parameter_density
+from .pivots import interval_endpoint, parameter_density
 
 SCHEMA_VERSION = 1
 
@@ -328,8 +328,7 @@ def _writing(out):
 
 
 def _statement(args, method: Method, fit, data: Dataset | None):
-    """The method's statement for one fit: a Pivot (normal model) or a
-    precision root curve (gamma models)."""
+    """The method's Pivot for one fit."""
     if args.model == "normal":
         weights = _parse_contrast(args.target, fit.p) if ":" in method.target else None
         return method.build(fit, weights)
@@ -346,14 +345,9 @@ def cmd_confdens(args) -> int:
         raise UsageError("confdens needs --file, --model, and --response")
     method = _method(args)
     grid = _parse_grid(args.grid)
-    statement = _statement(args, method, *_fit(args, load_csv_table(args.file)))
-    if isinstance(statement, Pivot):
-        density = parameter_density(statement, grid)
-    else:
-        density = corrected_confidence_density(statement.values, grid)
-
-    values = density(grid.points)
-    mass = float(np.trapezoid(values, grid.points))
+    pivot = _statement(args, method, *_fit(args, load_csv_table(args.file)))
+    values = parameter_density(pivot, grid)(grid.points)
+    mass = _grid_confidence(pivot, grid)
     lines = [f"{args.target.split(':', 1)[0]},confidence_density"]
     lines += [f"{t:.17g},{c:.17g}" for t, c in zip(grid.points.tolist(), values.tolist())]
     text = "\n".join(lines) + "\n"
@@ -369,6 +363,19 @@ def cmd_confdens(args) -> int:
             file=sys.stderr,
         )
     return EXIT_OK
+
+
+def _grid_confidence(pivot, grid: RealGrid) -> float:
+    """C(hi) - C(lo) of the pivot's confidence distribution at the grid's
+    ends; an end at or beyond the open support takes the limit 0 or 1."""
+    ends = grid.points[[0, -1]]
+    lo, hi = pivot.param_support
+    inside = (lo < ends) & (ends < hi)
+    with np.errstate(all="ignore"):
+        f = pivot.law.cdf(np.asarray(pivot.value_fn(ends[inside]), dtype=float))
+    c = np.where(ends <= lo, 0.0, 1.0)
+    c[inside] = 1.0 - f if pivot.monotonic == "decreasing" else f
+    return float(c[1] - c[0])
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +467,7 @@ def cmd_interval(args) -> int:
         if fit_json is None:
             raise
         raise DataError(f"fit JSON {fit_json}: xtx is singular ({exc})") from exc
-    root_fn, flags = None, set()  # a precision root curve; flags at its endpoints
-    if not isinstance(pivot, Pivot):
-        root_fn, center = pivot, fit.varphi_hat
-        pivot = _root_pivot(root_fn, (center, 0.75 * max(center, 1e-6)))
+    flags = set()  # of the pivot's values at the endpoints
 
     def endpoint(level: float, side: str) -> float:
         try:
@@ -472,7 +476,7 @@ def cmd_interval(args) -> int:
             raise BracketingError(
                 f"endpoint inversion failed for level {level} side {side}: {exc}"
             ) from exc
-        root = root_fn(value) if root_fn else None
+        root = pivot.value_fn(value)
         flags.update(f for f in ("interpolated", "correction_unavailable", "clamped")
                      if getattr(root, f, False))
         return value
@@ -600,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens = sub.add_parser("confdens", help="confidence density over a parameter grid")
     _add_data_options(p_dens)
     _add_method_options(p_dens)
-    p_dens.add_argument("--grid", required=True, help="lo:hi:n")
+    p_dens.add_argument("--grid", required=True,
+                        help="lo:hi:n; a negative lo needs the = form, as in --grid=-1:3:5")
     p_dens.add_argument("--out", help="write CSV here instead of stdout")
 
     p_int = sub.add_parser("interval", help="confidence interval endpoints")

@@ -55,10 +55,11 @@ from .gamma import (
 )
 from .higher_order import (
     _fraser_values,
+    _root_pivot,
     _skovgaard_beta_values,
     _skovgaard_precision_values,
-    first_order_curve,
     fraser_curve,
+    signed_root_curve,
     skovgaard_root_curve,
 )
 from .linear import (
@@ -71,7 +72,7 @@ from .linear import (
     variance_pivot,
 )
 from .numerics import RngStream, rng_draws
-from .pivots import PivotLaw, level_cuts
+from .pivots import Pivot, PivotLaw, level_cuts
 
 __all__ = ["METHODS", "Method", "Scenario", "CoverageRow", "CoverageReport",
            "MethodComparison", "run_scenario", "compare_methods", "design_matrix"]
@@ -100,15 +101,22 @@ _BLOCK_VALUES = 2**15
 class Method:
     """A method: its Scenario name and, if the CLI offers it, its --target
     (``name:w1,w2,...`` takes weights), --method and ``build``, which turns
-    one fit into a Pivot, ``build(fit, weights)`` (normal model), or into a
-    precision root curve, ``build(fit, data)`` (gamma models).  ``summary``:
-    a fit summary is enough (``interval --fit-json``; then data is None)."""
+    one fit into a Pivot: ``build(fit, weights)`` (normal model) or
+    ``build(fit, data)`` (gamma models).  ``summary``: a fit summary is
+    enough (``interval --fit-json``; then data is None)."""
 
     name: str
     target: str | None = None
     cli: str | None = None
     build: Callable | None = None
     summary: bool = False
+
+
+def _precision_pivot(fit, curve=None) -> Pivot:
+    """A precision curve of ``fit`` (by default its first-order signed root)
+    as the CLI's pivot, brackets starting from varphi_hat +/- 0.75 varphi_hat."""
+    vh = fit.varphi_hat
+    return _root_pivot(curve or signed_root_curve(fit.n, vh), (vh, 0.75 * max(vh, 1e-6)))
 
 
 # Every method of every model, for Scenario validation, the coverage kernels
@@ -123,14 +131,15 @@ METHODS = {
     ),
     "gamma_known_mu": (
         Method("first_order_z", "precision", "first_order",
-               lambda fit, _: first_order_curve(fit), summary=True),
-        Method("fraser_z", "precision", "fraser", lambda fit, _: fraser_curve(fit)),
+               lambda fit, _: _precision_pivot(fit), summary=True),
+        Method("fraser_z", "precision", "fraser",
+               lambda fit, _: _precision_pivot(fit, fraser_curve(fit))),
     ),
     "gamma_regression": (
         Method("first_order_precision", "precision", "first_order",
-               lambda fit, _: first_order_curve(fit), summary=True),
+               lambda fit, _: _precision_pivot(fit), summary=True),
         Method("skovgaard_precision", "precision", "skovgaard",
-               lambda fit, data: skovgaard_root_curve(data, fit)),
+               lambda fit, data: _precision_pivot(fit, skovgaard_root_curve(data, fit))),
         Method("first_order_beta"),
         Method("skovgaard_beta"),
     ),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ContractViolationError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .gamma import (
     _DEGENERATE_MEAN_B,
     GammaFit,
@@ -45,8 +45,7 @@ from .gamma import (
     profile_precision_at,
     unit_deviance_terms,
 )
-from .numerics import RealGrid
-from .pivots import ConfidenceDensity, Pivot, PivotLaw
+from .pivots import Pivot, PivotLaw
 
 __all__ = [
     "ModifiedRoot",
@@ -58,12 +57,10 @@ __all__ = [
     "fraser_root_known_mu",
     "signed_root_curve",
     "signed_precision_root",
-    "first_order_curve",
     "skovgaard_precision_curve",
     "skovgaard_precision",
     "skovgaard_root_curve",
     "skovgaard_beta",
-    "corrected_confidence_density",
     "signed_root_confidence",
     "ball_confidence",
     "fraser_pivot",
@@ -78,7 +75,8 @@ _RAY_TARGETS = tuple((k * ROOT_WINDOW) ** 2 for k in (1.0, 2.0, 3.0, 4.0))
 
 @dataclass(frozen=True)
 class ModifiedRoot:
-    """Signed root, correction factor, corrected root (normal reference), flags."""
+    """Signed root, correction factor, corrected root (normal reference), flags;
+    ``float()`` of it is the corrected root, as a Pivot's ``value`` reads it."""
 
     signed_root: float
     correction: float
@@ -86,6 +84,9 @@ class ModifiedRoot:
     interpolated: bool = False
     correction_unavailable: bool = False
     clamped: bool = False
+
+    def __float__(self) -> float:
+        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -192,20 +193,6 @@ def signed_precision_root(n: int, varphi_hat: float, varphi: float) -> float:
     :func:`signed_root_curve`; build the curve to evaluate many varphi.
     """
     return signed_root_curve(n, varphi_hat)(varphi)
-
-
-def first_order_curve(fit):
-    """varphi -> the first-order signed root of ``fit`` (any fit with ``n``
-    and ``varphi_hat``, a fit summary's too) as an uncorrected ModifiedRoot;
-    ``values`` maps an array of precisions to their signed roots."""
-    zp_fn = signed_root_curve(fit.n, fit.varphi_hat)
-
-    def first_order(v: float) -> ModifiedRoot:
-        zp = zp_fn(v)
-        return ModifiedRoot(signed_root=zp, correction=zp, value=zp)
-
-    first_order.values = zp_fn.values
-    return first_order
 
 
 def fraser_curve(fit: GammaFit):
@@ -705,7 +692,7 @@ def _skovgaard_beta_values(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Tail confidences and densities for corrected pivots
+# Tail confidences and pivots of corrected roots
 # ---------------------------------------------------------------------------
 
 
@@ -721,56 +708,16 @@ def ball_confidence(corrected: CorrectedDeviance) -> float:
     return PivotLaw.chisq(corrected.dims).cdf(corrected.value)
 
 
-def corrected_confidence_density(root_fn, grid: RealGrid) -> ConfidenceDensity:
-    """Confidence density from a corrected root curve by finite differences.
+def _root_pivot(curve, hint: tuple[float, float], label: str = "corrected root") -> Pivot:
+    """A precision curve as a decreasing pivot on (0, inf) with the standard
+    normal law: its ``values`` on an array, and on a float the pointwise curve
+    (a root or a flagged ModifiedRoot), which costs a fraction of an array call."""
 
-    ``root_fn`` maps an array of precisions to the array of their corrected
-    root values, such as the ``values`` of a :func:`fraser_curve`, which
-    computes its per-fit constants and window cubic once.  It is called once
-    on the grid points inside (0, inf), to verify that the root is strictly
-    monotone there, and each evaluation of the density calls it twice more,
-    on theta + h and on theta - h (theta itself where theta <= h).  The
-    density is the central difference of Phi(root(theta)) with step
-    h = span/2048.  Points at or below 0 carry density 0 and are not
-    evaluated; a point within one step of 0 takes the forward difference.
-    The finite-difference construction limits normalization accuracy to
-    about 1e-4 over a grid spanning the bulk of the mass.
-    """
-    points = grid.points[grid.points > 0.0]
-    values = np.asarray(root_fn(points), dtype=float)
-    diffs = np.diff(values)
-    if not (np.all(diffs < 0) or np.all(diffs > 0)):
-        bad = int(np.argmax(diffs * np.sign(diffs[0]) <= 0))
-        raise ContractViolationError(
-            "corrected root is not monotone over the grid near "
-            f"[{points[bad]:.6g}, {points[bad + 1]:.6g}]"
-        )
-    h = grid.span / 2048.0
-    lo, hi = float(grid.points[0]), float(grid.points[-1])
+    def value(varphi):
+        return curve.values(varphi) if isinstance(varphi, np.ndarray) else curve(varphi)
 
-    def density(theta: np.ndarray) -> np.ndarray:
-        out = np.zeros(theta.shape)
-        positive = theta > 0.0
-        t = theta[positive]
-        forward = t <= h
-        roots = np.column_stack([root_fn(t + h), root_fn(np.where(forward, t, t - h))])
-        bad = ~np.isfinite(roots)
-        if bad.any():  # a root that is not finite: report the first in evaluation order
-            raise DomainError(f"x must be finite, got {float(roots[bad][0])!r}")
-        cdf = PivotLaw.normal().cdf(roots)
-        step = np.abs(cdf[:, 0] - cdf[:, 1])
-        out[positive] = np.where(forward, step / h, step / (2.0 * h))
-        return out
-
-    return ConfidenceDensity(density, support=(lo, hi), label="corrected-root density")
-
-
-def _root_pivot(root_fn, hint: tuple[float, float],
-                label: str = "corrected precision root") -> Pivot:
-    """A precision curve varphi -> ModifiedRoot as a decreasing pivot on
-    (0, inf) with the standard normal law."""
-    return Pivot(law=PivotLaw.normal(), value_fn=lambda v: root_fn(v).value,
-                 monotonic="decreasing", param_support=(0.0, math.inf), hint=hint, label=label)
+    return Pivot(law=PivotLaw.normal(), value_fn=value, monotonic="decreasing",
+                 param_support=(0.0, math.inf), hint=hint, label=label)
 
 
 def fraser_pivot(sample: np.ndarray) -> Pivot:

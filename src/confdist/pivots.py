@@ -357,59 +357,80 @@ def _check_monotone(pivot: Pivot, grid: RealGrid) -> None:
 
     Points on or outside the support carry no density and may lie where the
     pivot is undefined (a variance of 0), so they are not evaluated.  The
-    others take one call of ``value_fn``.
+    others take one call of ``value_fn``; a NaN value has no direction and
+    fails the check.
     """
     lo, hi = pivot.param_support
     points = grid.points[(grid.points > lo) & (grid.points < hi)]
     values = _on_points(pivot.value_fn, points)
-    diffs = np.diff(values)
-    expect_positive = pivot.monotonic == "increasing"
-    bad = diffs <= 0 if expect_positive else diffs >= 0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        diffs = np.diff(values)
+    bad = diffs <= 0 if pivot.monotonic == "increasing" else diffs >= 0
+    bad |= np.isnan(values[1:]) | np.isnan(values[:-1])
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ContractViolationError(
-            f"{pivot.label}: declared {pivot.monotonic} but pivot value moved from "
-            f"{values[i]:.6g} to {values[i + 1]:.6g} on "
-            f"[{points[i]:.6g}, {points[i + 1]:.6g}]"
+            f"{pivot.label} is not monotone over the grid near "
+            f"[{points[i]:.6g}, {points[i + 1]:.6g}]: declared {pivot.monotonic}, "
+            f"its value moved from {values[i]:.6g} to {values[i + 1]:.6g}"
         )
 
 
 def parameter_density(pivot: Pivot, grid: RealGrid) -> ConfidenceDensity:
-    """Confidence density on the parameter scale via the transformation rule.
+    """Confidence density on the parameter scale of a scalar monotone pivot,
+    whose direction is verified on ``grid`` first.  An array of points inside
+    the open support takes one call of each function; the boundary carries 0.
 
-    density(theta) = law.pdf(v(theta)) * |dv/dtheta|.  Requires a scalar
-    monotone pivot with a jacobian; monotonicity is verified on ``grid``
-    before the density is returned.  The density evaluates an array of
-    points with one call of ``value_fn`` and one of ``jacobian_fn`` (at the
-    points of nonzero law density, where the jacobian must be positive and
-    finite); the open support's boundary and a pivot value off the law's
-    support carry density 0.
+    With a jacobian it is the transformation rule law.pdf(v) * |dv/dtheta| on
+    the pivot's support (the jacobian is evaluated, and must be positive and
+    finite, where the law's density is not 0).  Without one it is the
+    derivative of the confidence distribution law.cdf(v), on the grid's
+    range: the central difference with step h = span/2048 (forward within h
+    of the support's lower end) of finite values, which limits normalization
+    accuracy to about 1e-4 over a grid spanning the bulk of the mass.
     """
-    if pivot.jacobian_fn is None:
+    if pivot.monotonic == "none":
         raise UnsupportedOperationError(
-            f"{pivot.label}: parameter-scale density needs a jacobian; "
+            f"{pivot.label}: parameter-scale density needs a monotone pivot; "
             "only pivot-ball confidence statements are available"
         )
     _check_monotone(pivot, grid)
     lo, hi = pivot.param_support
+    h = grid.span / 2048.0
 
-    def density(theta: np.ndarray) -> np.ndarray:
-        out = np.zeros(theta.shape)
-        inside = (lo < theta) & (theta < hi)
-        f = pivot.law.pdf(_on_points(pivot.value_fn, theta[inside]))
+    def transformed(t: np.ndarray) -> np.ndarray:
+        f = pivot.law.pdf(_on_points(pivot.value_fn, t))
         nonzero = f != 0.0
-        t = theta[inside][nonzero]
-        jac = _on_points(pivot.jacobian_fn, t)
+        jac = _on_points(pivot.jacobian_fn, t[nonzero])
         bad = ~(np.isfinite(jac) & (jac > 0))
         if bad.any():
             raise DomainError(f"{pivot.label}: jacobian must be positive, "
                               f"got {float(jac[bad][0])!r}")
         f[nonzero] *= jac
-        out[inside] = f
+        return f
+
+    def differenced(t: np.ndarray) -> np.ndarray:
+        forward = t - h <= lo
+        values = np.column_stack([_on_points(pivot.value_fn, t + h),
+                                  _on_points(pivot.value_fn, np.where(forward, t, t - h))])
+        bad = ~np.isfinite(values)
+        if bad.any():  # a value that is not finite: report the first in evaluation order
+            raise DomainError(f"x must be finite, got {float(values[bad][0])!r}")
+        cdf = pivot.law.cdf(values)
+        step = np.abs(cdf[:, 0] - cdf[:, 1])
+        return np.where(forward, step / h, step / (2.0 * h))
+
+    inner = differenced if pivot.jacobian_fn is None else transformed
+
+    def density(theta: np.ndarray) -> np.ndarray:
+        out = np.zeros(theta.shape)
+        inside = (lo < theta) & (theta < hi)
+        out[inside] = inner(theta[inside])
         return out
 
-    return ConfidenceDensity(density, support=pivot.param_support,
-                             label=f"{pivot.label} confidence density")
+    support = (float(grid.points[0]), float(grid.points[-1])) if inner is differenced \
+        else pivot.param_support
+    return ConfidenceDensity(density, support=support, label=f"{pivot.label} confidence density")
 
 
 def _support_transform(support: tuple[float, float]):

@@ -358,6 +358,44 @@ class TestConfdensCommand:
         assert code == 0
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0:2.2:4", "0.5:1.7:3"])
+    def test_grid_mass_is_the_confidence_between_its_ends(self, tmp_path, capsys, grid):
+        # a coarse grid: the warning reads C(hi) - C(lo) from the t law, where
+        # a trapezoid over four or three points read 0.52 and 1.25
+        rng = np.random.default_rng(3)
+        x1, x2 = rng.normal(size=25), rng.normal(size=25)
+        y = 1.0 + x1 + rng.normal(size=25)
+        p = tmp_path / "coarse.csv"
+        write_csv(p, ["y", "x1", "x2"], np.column_stack([y, x1, x2]))
+        assert main(["confdens", "--file", str(p), "--model", "normal", "--response", "y",
+                     "--design", "x1,x2", "--target", "contrast:0,1,0", "--grid", grid,
+                     "--method", "exact"]) == 0
+        fit = fit_ols(Dataset(y=y, X=np.column_stack([np.ones(25), x1, x2])))
+        con = contrast(fit, np.array([0.0, 1.0, 0.0]))
+        se = math.sqrt(con.k * fit.phi_hat_m)
+        lo, hi = (float(v) for v in grid.split(":")[:2])
+        t = PivotLaw.student_t(fit.df)
+        confidence = t.cdf((con.lambda_hat - lo) / se) - t.cdf((con.lambda_hat - hi) / se)
+        err = capsys.readouterr().err
+        if grid == "0:2.2:4":  # the grid holds the confidence: no warning
+            assert confidence == pytest.approx(1.0, abs=1e-4) and err == ""
+        else:
+            assert float(err.split(" is ")[1].split(";")[0]) == pytest.approx(confidence,
+                                                                               abs=2e-6)
+
+    def test_grid_below_zero_takes_the_equals_form(self, normal_csv, capsys):
+        # argparse reads "-1:3:5" after a space as an option; --help says so
+        argv = ["confdens", "--file", str(normal_csv[0]), "--model", "normal",
+                "--response", "y", "--design", "x1,x2", "--target", "contrast:0,1,0",
+                "--method", "exact"]
+        assert main([*argv, "--grid=-1:3:5"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [-1.0, 0.0, 1.0, 2.0, 3.0]
+        assert main([*argv, "--grid", "-1:3:5"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(["confdens", "--help"]) == 0
+        assert "--grid=-1:3:5" in capsys.readouterr().out
+
     def test_variance_grid_from_zero(self, normal_csv, capsys):
         # phi = 0 is outside the open support: density 0 there, and the
         # rest as on the same grid without that point

@@ -1,13 +1,15 @@
 """Array confidence densities against the pointwise construction they replace.
 
-``confdens`` evaluates a whole grid in one array pass.  The oracle here is
-the per-point construction it replaced, kept only in this file: the
-corrected density as the finite difference of Phi(root(theta)) through the
-unchanged scalar curves (one ``ModifiedRoot`` per evaluation), and the exact
-densities as ``law.pdf(v) * jacobian`` at one point at a time.  Window
-points take the curve's cached cubic on both sides, so their root values
-and their densities must be the same floats; elsewhere np.log and math.log
-may round apart, and the densities must agree to 1e-9 relative.
+``confdens`` evaluates a whole grid in one array pass of
+``parameter_density``.  The oracle here is the per-point construction it
+replaced, kept only in this file: the density of a gamma precision pivot
+(which has no jacobian) as the finite difference of Phi(root(theta)) through
+the pivot's ``value`` at one point, which reads the unchanged scalar
+curves, and the exact densities as ``law.pdf(v) * jacobian`` at one point
+at a time.  Window points take the curve's cached cubic on both sides, so
+their root values and their densities must be the same floats; elsewhere
+np.log and math.log may round apart, and the densities must agree to 1e-9
+relative.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from confdist.coverage import METHODS
 from confdist.data import Dataset
 from confdist.errors import ContractViolationError, DomainError
 from confdist.gamma import cumulant_d2
-from confdist.higher_order import (
-    corrected_confidence_density,
-    fit_known_mean,
-    first_order_curve,
-    fraser_curve,
-)
+from confdist.higher_order import fit_known_mean
 from confdist.linear import contrast, contrast_pivot, fit_ols, variance_pivot
 from confdist.numerics import RealGrid
 from confdist.pivots import PivotLaw, parameter_density
@@ -38,23 +35,25 @@ from confdist.pivots import PivotLaw, parameter_density
 RTOL = 1e-9
 
 
-def pointwise_density(root, grid: RealGrid) -> np.ndarray:
-    """The per-point corrected density: monotone check, then a central
-    difference with step span/2048 (forward within one step of 0)."""
+def pointwise_density(pivot, grid: RealGrid) -> np.ndarray:
+    """The per-point density of a decreasing precision pivot with no
+    jacobian: monotone check, then a central difference with step span/2048
+    (forward within one step of 0)."""
     points = grid.points[grid.points > 0.0]
-    values = [root(float(t)).value for t in points]
-    diffs = np.diff(values)
-    if not (np.all(diffs < 0) or np.all(diffs > 0)):
-        bad = int(np.argmax(diffs * np.sign(diffs[0]) <= 0))
-        raise ContractViolationError(
-            "corrected root is not monotone over the grid near "
-            f"[{points[bad]:.6g}, {points[bad + 1]:.6g}]"
-        )
+    values = [pivot.value(float(t)) for t in points]
+    for i in range(len(points) - 1):
+        step = values[i + 1] - values[i]  # inf - inf is NaN, and passes
+        if step >= 0.0 or math.isnan(values[i]) or math.isnan(values[i + 1]):
+            raise ContractViolationError(
+                f"{pivot.label} is not monotone over the grid near "
+                f"[{points[i]:.6g}, {points[i + 1]:.6g}]: declared decreasing, "
+                f"its value moved from {values[i]:.6g} to {values[i + 1]:.6g}"
+            )
     h = grid.span / 2048.0
     normal = PivotLaw.normal()
 
     def confidence(theta: float) -> float:
-        value = root(theta).value
+        value = pivot.value(theta)
         if not math.isfinite(value):  # as the array density rejects it
             raise DomainError(f"x must be finite, got {value!r}")
         return normal.cdf(value)
@@ -96,11 +95,12 @@ GRIDS = st.tuples(st.sampled_from(["from0", "near0", "window"]), st.integers(2, 
                   st.floats(0.0, 1.0))
 
 
-def _check_same_density(root, grid: RealGrid, window: bool):
-    """The array density of ``root.values`` against the pointwise density of
-    ``root``: the same error (a root not monotone over the grid, or at an
+def _check_same_density(pivot, grid: RealGrid, window: bool):
+    """The array density of a gamma precision ``pivot`` against its pointwise
+    density: the same error (a root not monotone over the grid, or at an
     extreme precision not finite or of the wrong sign), or the same
-    difference quotients.
+    difference quotients.  ``value_fn`` on a float is the pointwise curve,
+    and on an array the curve's ``values``.
 
     The roots at every evaluation point theta + h and theta - h (theta where
     theta <= h) agree to RTOL, relative above 1 and absolute below: near the
@@ -111,21 +111,21 @@ def _check_same_density(root, grid: RealGrid, window: bool):
     densities are the same floats.
     """
     try:
-        want = pointwise_density(root, grid)
+        want = pointwise_density(pivot, grid)
     except (ContractViolationError, DomainError) as exc:
         with pytest.raises(type(exc)) as got:
-            corrected_confidence_density(root.values, grid)(grid.points)
+            parameter_density(pivot, grid)(grid.points)
         assert str(got.value) == str(exc)
         return
-    got = corrected_confidence_density(root.values, grid)(grid.points)
+    got = parameter_density(pivot, grid)(grid.points)
     positive = grid.points > 0.0
     assert np.all(got[~positive] == 0.0) and np.all(want[~positive] == 0.0)
     h = grid.span / 2048.0
     t = grid.points[positive]
     ends = np.column_stack([t + h, np.where(t <= h, t, t - h)])
-    scalar = [[root(e) for e in row] for row in ends.tolist()]
-    scalar_values = np.array([[r.value for r in row] for row in scalar])
-    array_values = np.column_stack([root.values(ends[:, 0]), root.values(ends[:, 1])])
+    scalar = [[pivot.value_fn(e) for e in row] for row in ends.tolist()]
+    scalar_values = np.array([[float(r) for r in row] for row in scalar])
+    array_values = np.column_stack([pivot.value_fn(ends[:, 0]), pivot.value_fn(ends[:, 1])])
     np.testing.assert_allclose(array_values, scalar_values, rtol=RTOL, atol=RTOL)
     slack = 0.4 * np.abs(array_values - scalar_values).sum(axis=1) / (ends[:, 0] - ends[:, 1])
     assert np.all(np.abs(got[positive] - want[positive]) <= RTOL * want[positive] + slack)
@@ -141,8 +141,9 @@ def _check_same_density(root, grid: RealGrid, window: bool):
 def test_known_mean_density_matches_pointwise(seed, n, grid, fraser):
     y = np.random.default_rng(seed).gamma(2.0, 0.5, size=n)
     km = fit_known_mean(y)
-    root = fraser_curve(km) if fraser else first_order_curve(km)
-    _check_same_density(root, _grid(n, km.varphi_hat, *grid), window=fraser)
+    method = "fraser" if fraser else "first_order"
+    build = next(m.build for m in METHODS["gamma_known_mu"] if m.cli == method)
+    _check_same_density(build(km, None), _grid(n, km.varphi_hat, *grid), window=fraser)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,8 +157,8 @@ def test_regression_density_matches_pointwise(seed, n, grid, method):
                               intercept=True)
     fit, data = _fit(args, CsvTable(("y", "x1"), np.column_stack([y, x])))
     build = next(m.build for m in METHODS["gamma_regression"] if m.cli == method)
-    root = build(fit, data)
-    _check_same_density(root, _grid(n, fit.varphi_hat, *grid), window=method == "skovgaard")
+    _check_same_density(build(fit, data), _grid(n, fit.varphi_hat, *grid),
+                        window=method == "skovgaard")
 
 
 def _pointwise_exact(pivot, grid: RealGrid) -> np.ndarray:

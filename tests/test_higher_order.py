@@ -23,7 +23,6 @@ from confdist.higher_order import (
     _precision_window_nodes,
     _window_cubics,
     ball_confidence,
-    corrected_confidence_density,
     corrected_deviance_value,
     fit_known_mean,
     fraser_curve,
@@ -36,7 +35,7 @@ from confdist.higher_order import (
     skovgaard_precision,
 )
 from confdist.numerics import RealGrid, RngStream, rng_draws
-from confdist.pivots import PivotLaw
+from confdist.pivots import Pivot, PivotLaw, parameter_density
 
 NORMAL_Q95 = 1.6448536269514946
 # y* solving y - 1 - log(y) = 0.1; a sample of copies has mean unit deviance 0.1
@@ -402,18 +401,18 @@ class TestSkovgaardBeta:
 
 
 class TestCorrectedDensity:
-    """corrected_confidence_density takes a root curve on arrays of precisions."""
+    """parameter_density differences the confidence distribution of a
+    precision pivot with no jacobian."""
 
     @staticmethod
-    def linear_root(estimate):
-        return lambda v: estimate - v
+    def precision_pivot(value_fn):
+        return Pivot(law=PivotLaw.normal(), value_fn=value_fn, param_support=(0.0, math.inf))
 
     def test_exact_normal_case(self):
         import oracles
 
-        rf = self.linear_root(2.0)
         grid = RealGrid(np.linspace(-1.0, 5.0, 61))
-        dens = corrected_confidence_density(rf, grid)
+        dens = parameter_density(self.precision_pivot(lambda v: 2.0 - v), grid)
         for v in [0.5, 1.5, 2.0, 3.3]:
             assert dens(v) == pytest.approx(oracles.normal_density(2.0 - v), abs=1e-6)
 
@@ -421,7 +420,7 @@ class TestCorrectedDensity:
         y = known_mean_sample(12)
         vh = fit_known_mean(y).varphi_hat
         grid = RealGrid(np.array(vh * np.geomspace(0.5, 2.0, 31)))
-        dens = corrected_confidence_density(fraser_curve(fit_known_mean(y)).values, grid)
+        dens = parameter_density(fraser_pivot(y), grid)
         assert all(dens(float(v)) >= 0.0 for v in grid.points)
 
     def test_mass_below_quantile_is_ninety_five(self):
@@ -431,7 +430,7 @@ class TestCorrectedDensity:
         vh = fit_known_mean(y).varphi_hat
         rf = lambda v: fraser_root_known_mu(y, v)
         grid = RealGrid(np.array(vh * np.geomspace(0.35, 3.5, 41)))
-        dens = corrected_confidence_density(fraser_curve(fit_known_mean(y)).values, grid)
+        dens = parameter_density(fraser_pivot(y), grid)
         # {v : root <= q95} = [v_q, infinity); integrate over it within the grid
         v_q = find_root(lambda v: rf(v).value - NORMAL_Q95, (vh * 0.4, vh), tol=1e-12,
                         limits=(1e-6, math.inf))
@@ -450,7 +449,7 @@ class TestCorrectedDensity:
         hi = find_root(lambda v: rf(v) + 4.5, (vh, vh * 20.0), tol=1e-10,
                        limits=(1e-9, math.inf))
         grid = RealGrid(np.geomspace(lo, hi, 41))
-        dens = corrected_confidence_density(fraser_curve(fit_known_mean(y)).values, grid)
+        dens = parameter_density(fraser_pivot(y), grid)
         assert dens.total_mass(tol=1e-8) == pytest.approx(1.0, abs=1e-4)
 
     def test_nonmonotone_root_rejected(self):
@@ -458,7 +457,7 @@ class TestCorrectedDensity:
             return (v - 1.0) ** 2
 
         with pytest.raises(ContractViolationError):
-            corrected_confidence_density(bad, RealGrid(np.linspace(0.0, 2.0, 11)))
+            parameter_density(self.precision_pivot(bad), RealGrid(np.linspace(0.0, 2.0, 11)))
 
 
 class TestLimitConsistency:

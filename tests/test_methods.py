@@ -17,6 +17,11 @@ import pytest
 
 from confdist import cli, coverage
 from confdist.coverage import METHODS, Method, Scenario
+from confdist.data import Dataset
+from confdist.gamma import fit_irls
+from confdist.higher_order import fit_known_mean
+from confdist.linear import fit_ols
+from confdist.pivots import Pivot
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -99,6 +104,26 @@ def test_kernels_return_exactly_the_requested_names(model):
             study = coverage._study(sc)
             out = kernel(sc, study, coverage._responses(sc, study, range(sc.replications)))
             assert set(out) == set(methods)
+
+
+def test_every_cli_method_builds_a_pivot():
+    # one statement type: the CLI states every method through a monotone Pivot
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=30)
+    X = np.column_stack([np.ones(30), x])
+    gamma = Dataset(y=np.exp(0.5 - 0.3 * x) * rng.gamma(2.0, 0.5, size=30), X=X)
+    fits = {"normal_regression": (fit_ols(Dataset(y=1.0 + x + rng.normal(size=30), X=X)),
+                                  np.array([0.0, 1.0])),
+            "gamma_known_mu": (fit_known_mean(rng.gamma(2.0, 0.5, size=20)), None),
+            "gamma_regression": (fit_irls(gamma), gamma)}
+    built = 0
+    for model, methods in METHODS.items():
+        for m in (m for m in methods if m.cli):
+            pivot = m.build(*fits[model])
+            assert isinstance(pivot, Pivot) and pivot.monotonic == "decreasing", m.name
+            assert np.isfinite(pivot.value(sum(pivot.hint))), m.name
+            built += 1
+    assert built == 6
 
 
 def test_readme_names_every_method_and_cli_pair():

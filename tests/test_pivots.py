@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -335,6 +336,31 @@ class TestParameterDensity:
         )
         with pytest.raises(ContractViolationError):
             parameter_density(pv, RealGrid(np.linspace(-1.0, 1.0, 9)))
+
+    def test_nan_value_detected(self):
+        # a NaN has no direction: the check rejects it wherever it falls
+        pv = Pivot(law=PivotLaw.normal(), value_fn=lambda t: np.where(t > 0.5, np.nan, -t))
+        with pytest.raises(ContractViolationError, match=r"near \[0.5, 0.75\]"):
+            parameter_density(pv, RealGrid(np.linspace(-1.0, 1.0, 9)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(estimate=st.floats(-50.0, 50.0), scale=st.floats(0.01, 100.0),
+           width=st.floats(2.0, 8.0), k=st.integers(2, 201))
+    def test_location_without_jacobian_is_differenced(self, estimate, scale, width, k):
+        # the central difference of the law's CDF, step h = span/2048: off by
+        # h^2/6 max|phi''| / scale^3, where max|phi''| = phi(0), with 1% for
+        # the higher orders; plus the rounding of the two CDFs and of
+        # theta +/- h, divided by 2h
+        pv = replace(location_pivot(estimate, scale), jacobian_fn=None)
+        grid = RealGrid(np.linspace(estimate - width * scale, estimate + width * scale, k))
+        dens = parameter_density(pv, grid)
+        assert dens.support == (grid.points[0], grid.points[-1])
+        h = grid.span / 2048.0
+        want = INV_SQRT_2PI * np.exp(-0.5 * ((estimate - grid.points) / scale) ** 2) / scale
+        eps = np.finfo(float).eps
+        bound = 1.01 * INV_SQRT_2PI * h * h / (6.0 * scale**3) \
+            + 2.0 * eps * (1.0 + (np.abs(grid.points) + abs(estimate) + h) / scale) / h
+        assert np.all(np.abs(dens(grid.points) - want) <= bound)
 
     def test_reparameterization_equivariance(self):
         pv = chisq_pivot()
