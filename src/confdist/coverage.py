@@ -55,12 +55,11 @@ from .gamma import (
 )
 from .higher_order import (
     _fraser_values,
-    _root_pivot,
+    _precision_pivot,
     _skovgaard_beta_values,
     _skovgaard_precision_values,
     fraser_curve,
-    signed_root_curve,
-    skovgaard_root_curve,
+    skovgaard_precision_curve,
 )
 from .linear import (
     Contrast,
@@ -72,7 +71,7 @@ from .linear import (
     variance_pivot,
 )
 from .numerics import RngStream, rng_draws
-from .pivots import Pivot, PivotLaw, level_cuts
+from .pivots import PivotLaw, level_cuts
 
 __all__ = ["METHODS", "Method", "Scenario", "CoverageRow", "CoverageReport",
            "MethodComparison", "run_scenario", "compare_methods", "design_matrix"]
@@ -112,13 +111,6 @@ class Method:
     summary: bool = False
 
 
-def _precision_pivot(fit, curve=None) -> Pivot:
-    """A precision curve of ``fit`` (by default its first-order signed root)
-    as the CLI's pivot, brackets starting from varphi_hat +/- 0.75 varphi_hat."""
-    vh = fit.varphi_hat
-    return _root_pivot(curve or signed_root_curve(fit.n, vh), (vh, 0.75 * max(vh, 1e-6)))
-
-
 # Every method of every model, for Scenario validation, the coverage kernels
 # and the CLI.  The builders look up what they call in this module's namespace.
 METHODS = {
@@ -139,7 +131,7 @@ METHODS = {
         Method("first_order_precision", "precision", "first_order",
                lambda fit, _: _precision_pivot(fit), summary=True),
         Method("skovgaard_precision", "precision", "skovgaard",
-               lambda fit, data: _precision_pivot(fit, skovgaard_root_curve(data, fit))),
+               lambda fit, data: _precision_pivot(fit, skovgaard_precision_curve(data, fit))),
         Method("first_order_beta"),
         Method("skovgaard_beta"),
     ),

@@ -29,7 +29,7 @@ from scipy import special as _sf
 from .data import Dataset
 from .errors import ConvergenceError, DegenerateFitError, DomainError
 from .linear import _svd_factors
-from .numerics import digamma, find_root, log_gamma, trigamma
+from .numerics import digamma, log_gamma, trigamma
 
 __all__ = [
     "GammaFit",
@@ -51,9 +51,8 @@ __all__ = [
 # precision estimate would exceed ~5e12, far outside float-stable territory.
 _DEGENERATE_MEAN_B = 1e-13
 
-# Iteration settings shared by the scalar and array precision solves (the
-# array solve hands elements still open to the scalar one) and by the
-# coefficient fit.
+# Iteration settings shared by the scalar and array precision solves and by
+# the coefficient fit.
 _PRECISION_TOL = 1e-15
 _PRECISION_STEPS = 40
 _IRLS_TOL = 1e-12
@@ -149,27 +148,31 @@ def gamma_loglik(beta: np.ndarray, varphi: float, data: Dataset) -> float:
     return float(-v * b.sum() - data.n * cumulant(v))
 
 
-def solve_precision(mean_b: float, tol: float = _PRECISION_TOL) -> float:
+def solve_precision(mean_b: float) -> float:
     """Precision solving cumulant_d1(varphi) = -mean_b, for mean_b > 0.
 
     The score function log(varphi) - digamma(varphi) - mean_b is strictly
-    decreasing from +inf to 0, so the root is unique.  A damped Newton
-    iteration from the classical shape-estimate starting point converges in
-    a few steps; if it stalls, a geometric bracket expansion around
-    1/(2*mean_b) (the large-precision inverse of the score) finishes the job.
+    decreasing from +inf to 0 and convex, so the root is unique and Newton's
+    method, after at most one overshoot, converges to it monotonically.  It
+    starts from the classical shape estimate, which cancels to 0 from
+    mean_b ~ 1e18 up; there it starts from 1/mean_b (the root is about
+    1/(mean_b + log mean_b)).  Steps that would leave the domain are damped.
     The root is polished to the evaluation noise floor of the score: profile
     deviance identities amplify a residual by 2*n*varphi, so 1e-13 is not
-    small enough downstream.
+    small enough downstream.  Raises ConvergenceError if the root is still
+    open after 40 steps.
     """
     m = float(mean_b)
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"mean unit deviance must be positive, got {mean_b!r}")
 
-    phi = (3.0 - m + math.sqrt((m - 3.0) ** 2 + 24.0 * m)) / (12.0 * m)
+    # the start is 0 from m ~ 1e18 up, long before (m - 3)^2 overflows near 1e154
+    phi = (3.0 - m + math.sqrt((m - 3.0) ** 2 + 24.0 * m)) / (12.0 * m) if m < 1e150 else 0.0
+    if phi == 0.0:
+        phi = 1.0 / m
     for _ in range(_PRECISION_STEPS):
         g = math.log(phi) - digamma(phi) - m
-        tol_eff = max(tol, 8e-16 * (1.0 + abs(math.log(phi)) + m))
-        if abs(g) <= tol_eff:
+        if abs(g) <= max(_PRECISION_TOL, 8e-16 * (1.0 + abs(math.log(phi)) + m)):
             return phi
         gp = 1.0 / phi - trigamma(phi)  # strictly negative
         step = g / gp
@@ -180,15 +183,8 @@ def solve_precision(mean_b: float, tol: float = _PRECISION_TOL) -> float:
         if new == phi:
             return phi
         phi = new
-    if abs(math.log(phi) - digamma(phi) - m) <= 1e-9:
-        return phi
-    start = 1.0 / (2.0 * m)
-    return find_root(
-        lambda v: math.log(v) - digamma(v) - m,
-        (start / 8.0, start * 8.0),
-        tol=1e-13,
-        limits=(1e-300, math.inf),
-    )
+    raise ConvergenceError(f"precision solve for mean unit deviance {m!r} "
+                           f"still open after {_PRECISION_STEPS} steps")
 
 
 def _solve_precision_array(mean_b: np.ndarray) -> np.ndarray:
@@ -196,12 +192,13 @@ def _solve_precision_array(mean_b: np.ndarray) -> np.ndarray:
 
     Each element follows the scalar iteration: the same start, tolerance
     rule, domain damping, stalled-step stop and 40-step budget.  An element
-    still open after the budget is finished by the scalar function.  np.log
-    and math.log can differ in the last bit, so an element may differ from
-    the scalar solve by rounding.
+    still open after the budget is NaN.  np.log and math.log can differ in
+    the last bit, so an element may differ from the scalar solve by rounding.
     """
     m = np.asarray(mean_b, dtype=float)
-    phi = (3.0 - m + np.sqrt((m - 3.0) ** 2 + 24.0 * m)) / (12.0 * m)
+    s = np.minimum(m, 1e150)  # (s - 3)^2 stays finite, and the start is 0 from 1e18 up
+    phi = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    phi = np.where(phi == 0.0, 1.0 / m, phi)
     open_ = np.arange(m.size)
     for _ in range(_PRECISION_STEPS):
         ph, mo = phi[open_], m[open_]
@@ -218,8 +215,7 @@ def _solve_precision_array(mean_b: np.ndarray) -> np.ndarray:
             new[overshoot] = ph[overshoot] - step[overshoot]
         phi[open_] = new
         open_ = open_[new != ph]
-    for i in open_:
-        phi[i] = solve_precision(m[i])
+    phi[open_] = np.nan
     return phi
 
 

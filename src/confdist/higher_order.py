@@ -59,7 +59,6 @@ __all__ = [
     "signed_precision_root",
     "skovgaard_precision_curve",
     "skovgaard_precision",
-    "skovgaard_root_curve",
     "skovgaard_beta",
     "signed_root_confidence",
     "ball_confidence",
@@ -97,6 +96,8 @@ class CorrectedDeviance:
     parameters (None for vector balls).  Flags record interpolation near the
     maximum likelihood point, unavailable corrections (nonpositive factor,
     first-order fallback), and clamping of a negative corrected value.
+    ``float()`` of it is the pivot value: the signed root of the corrected
+    deviance for a scalar parameter, the corrected deviance for a ball.
     """
 
     deviance: float
@@ -111,6 +112,11 @@ class CorrectedDeviance:
     @property
     def flagged(self) -> bool:
         return self.interpolated or self.correction_unavailable or self.clamped
+
+    def __float__(self) -> float:
+        if self.sign is None:
+            return float(self.value)
+        return self.sign * math.sqrt(max(self.value, 0.0))
 
 
 def modified_root_value(signed_root: float, correction: float) -> float:
@@ -373,19 +379,9 @@ def _fraser_values(n: int, varphi_hat: np.ndarray, signed_root: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _precision_quad(data: Dataset, fit: GammaFit) -> float:
-    """The score quadratic form of the precision correction factor.  At the
-    exact estimate the score X'((y - mu)/mu) vanishes, so the form is
-    analytically zero there, but it is evaluated literally."""
-    resid = data.y / fit.mu_hat - 1.0
-    xr = data.X.T @ resid
-    m_mat = data.X.T @ (data.X * (data.y / fit.mu_hat)[:, None])
-    return float(xr @ np.linalg.solve(m_mat, xr))
-
-
 def _precision_correction_factor(quad: float, fit: GammaFit, varphi: float) -> float | None:
     """m for the precision, an information ratio with a score-form adjustment
-    from the fit's :func:`_precision_quad`; None if m or its denominator is <= 0."""
+    from the fit's :func:`_precision_quads` row; None if m or its denominator is <= 0."""
     n, vh = fit.n, fit.varphi_hat
     denom = n * cumulant_d2(varphi) - quad / varphi
     if denom <= 0.0:
@@ -400,13 +396,14 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     Computed once per fit: the cumulant terms at varphi_hat, the score
     quadratic form and, at the first varphi inside the window, its window:
     the :func:`_precision_window` coverage builds, on one row.  The curve's
-    ``values`` attribute maps an array of precisions to their corrected
-    deviance values (no flags) in one call, from the array kernels coverage
-    uses; points inside the window take the same cubic as the pointwise curve.
+    ``values`` attribute maps an array of precisions to the signed roots of
+    their corrected deviances (``float()`` of the pointwise results) in one
+    call, from the array kernels coverage uses; points inside the window take
+    the same cubic as the pointwise curve.
     """
     n, vh = fit.n, fit.varphi_hat
     deviance = _precision_deviance_curve(n, vh)
-    quad = _precision_quad(data, fit)
+    quad = float(_precision_quads(data.X, data.y[None], fit.mu_hat[None])[0])
     c2_hat = _cumulant_d2_array(vh)
 
     @functools.cache
@@ -444,7 +441,7 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
             cubic, node_unavailable = window()
             value[inside] = (dp[inside] if node_unavailable
                              else np.maximum(cubic(v[inside])[0], 0.0))
-        return value
+        return np.sign(vh - v) * np.sqrt(value)
 
     corrected.values = values
     return corrected
@@ -457,28 +454,6 @@ def skovgaard_precision(data: Dataset, fit: GammaFit, varphi: float) -> Correcte
     to evaluate many varphi.
     """
     return skovgaard_precision_curve(data, fit)(varphi)
-
-
-def skovgaard_root_curve(data: Dataset, fit: GammaFit):
-    """varphi -> the :func:`skovgaard_precision_curve` of one fit as a signed
-    root, a ModifiedRoot carrying the corrected deviance's flags; ``values``
-    maps an array of precisions to their signed roots."""
-    curve = skovgaard_precision_curve(data, fit)
-
-    def skovgaard(v: float) -> ModifiedRoot:
-        cd = curve(v)
-        root = (cd.sign if cd.sign else 0.0) * math.sqrt(max(cd.value, 0.0))
-        return ModifiedRoot(signed_root=root, correction=cd.correction, value=root,
-                            interpolated=cd.interpolated,
-                            correction_unavailable=cd.correction_unavailable,
-                            clamped=cd.clamped)
-
-    def values(v) -> np.ndarray:
-        value = curve.values(v)
-        return np.sign(fit.varphi_hat - np.asarray(v, dtype=float)) * np.sqrt(value)
-
-    skovgaard.values = values
-    return skovgaard
 
 
 def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedDeviance:
@@ -527,7 +502,10 @@ def _residual_gram(X: np.ndarray, Y: np.ndarray, mu: np.ndarray):
 
 
 def _precision_quads(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
-    """:func:`_precision_quad` for every row."""
+    """The score quadratic form of the precision correction factor for every
+    row: r'M^-1 r with r = X'(y/mu - 1) and M = X' diag(y/mu) X.  At the exact
+    estimate the score vanishes, so the form is analytically zero there, but
+    it is evaluated literally."""
     xr, m_mat = _residual_gram(X, Y, mu_hat)
     return np.matmul(np.swapaxes(xr, 1, 2), np.linalg.solve(m_mat, xr))[:, 0, 0]
 
@@ -700,7 +678,7 @@ def signed_root_confidence(corrected: CorrectedDeviance) -> float:
     """One-sided confidence Phi(sign * sqrt(value)) for a scalar parameter."""
     if corrected.sign is None:
         raise DomainError("signed confidence needs a scalar-parameter deviance")
-    return PivotLaw.normal().cdf(corrected.sign * math.sqrt(max(corrected.value, 0.0)))
+    return PivotLaw.normal().cdf(float(corrected))
 
 
 def ball_confidence(corrected: CorrectedDeviance) -> float:
@@ -708,20 +686,24 @@ def ball_confidence(corrected: CorrectedDeviance) -> float:
     return PivotLaw.chisq(corrected.dims).cdf(corrected.value)
 
 
-def _root_pivot(curve, hint: tuple[float, float], label: str = "corrected root") -> Pivot:
-    """A precision curve as a decreasing pivot on (0, inf) with the standard
-    normal law: its ``values`` on an array, and on a float the pointwise curve
-    (a root or a flagged ModifiedRoot), which costs a fraction of an array call."""
+def _precision_pivot(fit: GammaFit, curve=None) -> Pivot:
+    """A precision curve of ``fit`` (by default its first-order signed root)
+    as a decreasing pivot on (0, inf) with the standard normal law, brackets
+    starting from varphi_hat +/- 0.75 varphi_hat.  Its value is the curve's
+    ``values`` on an array, and on a float the pointwise curve (a float or a
+    flagged result), which costs a fraction of an array call."""
+    vh = fit.varphi_hat
+    curve = curve or signed_root_curve(fit.n, vh)
 
     def value(varphi):
         return curve.values(varphi) if isinstance(varphi, np.ndarray) else curve(varphi)
 
     return Pivot(law=PivotLaw.normal(), value_fn=value, monotonic="decreasing",
-                 param_support=(0.0, math.inf), hint=hint, label=label)
+                 param_support=(0.0, math.inf), hint=(vh, 0.75 * max(vh, 1e-6)),
+                 label="corrected root")
 
 
 def fraser_pivot(sample: np.ndarray) -> Pivot:
     """The modified root as a pivot: one :func:`fraser_curve` of one fit."""
     fit = fit_known_mean(sample)
-    scale = 1.0 / math.sqrt(fit.n * cumulant_d2(fit.varphi_hat))
-    return _root_pivot(fraser_curve(fit), (fit.varphi_hat, scale), "modified precision root")
+    return _precision_pivot(fit, fraser_curve(fit))

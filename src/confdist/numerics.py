@@ -37,14 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RealGrid:
-    """Ordered real abscissae with optional quadrature weights.
-
-    Points must be strictly increasing and finite; weights, when present,
-    must match the points in length and be finite.
-    """
+    """Ordered real abscissae: strictly increasing and finite."""
 
     points: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -55,13 +50,6 @@ class RealGrid:
         if not np.all(np.diff(pts) > 0):
             raise DomainError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != pts.shape:
-                raise DomainError("weights must match points in length")
-            if not np.all(np.isfinite(w)):
-                raise DomainError("weights must be finite")
-            object.__setattr__(self, "weights", w)
 
     @property
     def span(self) -> float:

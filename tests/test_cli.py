@@ -230,6 +230,20 @@ class TestFitCommand:
         assert payload["model"] == "gamma_known_mu"
         assert payload["varphi_hat"] > 0
 
+    def test_known_mu_extreme_sample_fits(self, tmp_path):
+        # mean unit deviance ~3.3e19: the classical precision start cancels to
+        # 0 there, so the solve starts from 1/m, next to the root
+        p = tmp_path / "extreme.csv"
+        p.write_text("y\n1e20\n1\n2\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        run = subprocess.run([sys.executable, "-m", "confdist.cli", "fit", "--file", str(p),
+                              "--model", "gamma", "--response", "y", "--known-mu"],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert "Traceback" not in run.stderr
+        m = sum(y - 1.0 - math.log(y) for y in (1e20, 1.0, 2.0)) / 3.0
+        assert json.loads(run.stdout)["varphi_hat"] == pytest.approx(1.0 / m, rel=1e-12)
+
     def test_known_mu_with_normal_model_is_usage_error(self, normal_csv, capsys):
         code = main(["fit", "--file", str(normal_csv[0]), "--model", "normal",
                      "--response", "y", "--design", "x1,x2", "--known-mu"])

@@ -4,7 +4,9 @@ A curve computes its per-fit constants once and its window cubic at the
 first varphi inside the |z_p| < 0.05 window.  These tests evaluate one curve
 over a shuffled grid, with the window points first or last, and compare
 every result with a fresh curve per point (the scalar functions), so the
-cache cannot depend on the order of evaluation.
+cache cannot depend on the order of evaluation.  They also compare the
+curve's ``values`` on the whole grid with ``float()`` of its pointwise
+results, the pivot values either gives.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +51,19 @@ def _grid(n: int, varphi_hat: float, order: list[int], window_first: bool) -> li
     return window + outside if window_first else outside + window
 
 
+def _values_match(curve, points: list[float]) -> None:
+    """``curve.values`` on the grid in one call is ``float()`` of each pointwise
+    result: the same float where the point takes the window cubic, within
+    1e-9 relative elsewhere (array and scalar arithmetic round apart)."""
+    values = curve.values(np.array(points))
+    for v, got in zip(points, values, strict=True):
+        result = curve(v)
+        if getattr(result, "interpolated", False):
+            assert got == float(result), v
+        else:
+            assert got == pytest.approx(float(result), rel=1e-9), v
+
+
 ORDERS = st.permutations(range(20))
 
 
@@ -58,9 +74,12 @@ def test_known_mean_curves_do_not_depend_on_evaluation_order(seed, n, order, win
     y = np.random.default_rng(seed).gamma(2.0, 0.5, size=n)
     km = fit_known_mean(y)
     fraser, signed_root = fraser_curve(km), signed_root_curve(km.n, km.varphi_hat)
-    for v in _grid(km.n, km.varphi_hat, order, window_first):
+    points = _grid(km.n, km.varphi_hat, order, window_first)
+    for v in points:
         assert _same(fraser(v), fraser_root_known_mu(y, v)), v
         assert signed_root(v) == signed_precision_root(km.n, km.varphi_hat, v)
+    _values_match(fraser, points)
+    _values_match(signed_root, points)
 
 
 @settings(max_examples=15, deadline=None)
@@ -74,7 +93,9 @@ def test_skovgaard_curve_does_not_depend_on_evaluation_order(seed, n, order, win
     fit = fit_irls(data)
     curve = skovgaard_precision_curve(data, fit)
     results = []
-    for v in _grid(fit.n, fit.varphi_hat, order, window_first):
+    points = _grid(fit.n, fit.varphi_hat, order, window_first)
+    for v in points:
         results.append(curve(v))
         assert _same(results[-1], skovgaard_precision(data, fit, v)), v
     assert any(r.interpolated or r.correction_unavailable for r in results)
+    _values_match(curve, points)

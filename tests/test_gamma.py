@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy import special
 
+from confdist import gamma
 from confdist.data import Dataset
 from confdist.errors import ConvergenceError, DataError, DegenerateFitError, DomainError
 from confdist.gamma import (
@@ -104,11 +106,26 @@ class TestSolvePrecision:
     def test_frozen_oracle_value(self):
         assert solve_precision(0.1) == pytest.approx(PRECISION_AT_MEAN_B_01, abs=1e-8)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inverts_score_over_range(self):
-        for m in [1e-4, 0.01, 0.5, 3.0, 20.0]:
-            phi = solve_precision(m)
-            assert math.log(phi) - math.log(phi) == 0.0
-            assert cumulant_d1(phi) == pytest.approx(-m, abs=1e-11 * max(1.0, m))
+        # both solvers, from mean unit deviances where the classical start
+        # holds to ones where it cancels to 0 (from ~1e18) and its square
+        # overflows (~1e154): the score log(phi) - digamma(phi) - m vanishes
+        # to its evaluation noise
+        m = np.logspace(-13, 300, 2000)
+        for phi in (np.array([solve_precision(v) for v in m]), gamma._solve_precision_array(m)):
+            assert np.all(phi > 0.0)
+            noise = np.maximum(1e-15, 8e-16 * (1.0 + np.abs(np.log(phi)) + m))
+            assert np.all(np.abs(np.log(phi) - special.psi(phi) - m) <= 2.0 * noise)
+        for v in [1e-4, 0.01, 0.5, 3.0, 20.0]:
+            assert cumulant_d1(solve_precision(v)) == pytest.approx(-v, abs=1e-11 * max(1.0, v))
+
+    def test_open_after_the_budget_is_a_named_failure(self, monkeypatch):
+        monkeypatch.setattr(gamma, "_PRECISION_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="still open after 1 steps"):
+            solve_precision(0.1)
+        got = gamma._solve_precision_array(np.array([0.1, 1e300]))
+        assert np.isnan(got[0]) and got[1] == 1e-300
 
     def test_invalid_mean(self):
         with pytest.raises(DomainError):

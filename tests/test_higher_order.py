@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import digamma
 
+from confdist.coverage import METHODS
 from confdist.data import Dataset
 from confdist.errors import ContractViolationError, DomainError
 from confdist.gamma import (
@@ -35,7 +36,7 @@ from confdist.higher_order import (
     skovgaard_precision,
 )
 from confdist.numerics import RealGrid, RngStream, rng_draws
-from confdist.pivots import Pivot, PivotLaw, parameter_density
+from confdist.pivots import Pivot, PivotLaw, interval_endpoint, parameter_density
 
 NORMAL_Q95 = 1.6448536269514946
 # y* solving y - 1 - log(y) = 0.1; a sample of copies has mean unit deviance 0.1
@@ -217,6 +218,18 @@ class TestFraserRoot:
         vals = [pv.value(float(v)) for v in grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_pivot_is_the_cli_fraser_pivot(self):
+        # one constructor: the library pivot has the CLI method's hint and
+        # label, so it states the same endpoints
+        y = rng_draws(RngStream(54, 0), "gamma", 15, shape=2.0, scale=0.5)
+        fit = fit_known_mean(y)
+        method = next(m for m in METHODS["gamma_known_mu"] if m.cli == "fraser")
+        pv, cli_pv = fraser_pivot(y), method.build(fit, None)
+        assert pv.hint == cli_pv.hint == (fit.varphi_hat, 0.75 * fit.varphi_hat)
+        assert pv.label == cli_pv.label == "corrected root"
+        for side in ("lower", "upper"):
+            assert interval_endpoint(pv, 0.95, side) == interval_endpoint(cli_pv, 0.95, side)
+
 
 class TestWindowConstruction:
     @settings(max_examples=60, deadline=None)
@@ -342,6 +355,17 @@ class TestSkovgaardPrecision:
         low = signed_root_confidence(skovgaard_precision(ds, fit, fit.varphi_hat * 3.0))
         high = signed_root_confidence(skovgaard_precision(ds, fit, fit.varphi_hat / 3.0))
         assert low < 0.5 < high
+
+    def test_float_is_the_pivot_value(self):
+        # float() of a scalar result is its signed corrected root, the value
+        # its pivot refers to N(0, 1); of a ball result, the corrected deviance
+        ds = simulate_gamma(63, 25, [0.4, -0.3], 2.0)
+        fit = fit_irls(ds)
+        vh = fit.varphi_hat
+        for v in (vh / 3.0, vh, vh * 3.0):
+            cd = skovgaard_precision(ds, fit, v)
+            assert float(cd) == (math.copysign(math.sqrt(cd.value), vh - v) if v != vh else 0.0)
+        assert float(CorrectedDeviance(deviance=3.0, correction=1.1, value=3.1, dims=2)) == 3.1
 
 
 class TestSkovgaardBeta:

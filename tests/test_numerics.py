@@ -332,10 +332,6 @@ class TestRealGrid:
         with pytest.raises(DomainError):
             RealGrid(np.array([0.0, np.inf]))
 
-    def test_weight_length_mismatch(self):
-        with pytest.raises(DomainError):
-            RealGrid(np.array([0.0, 1.0]), weights=np.array([1.0]))
-
 
 def test_every_public_name_resolves():
     import importlib
