@@ -20,12 +20,15 @@ a whole compute block and forms its pivot values as arrays, from design
 quantities computed once per study, window rows included: their
 interpolation nodes are solved for all window rows of a block at once.  Both
 gamma models run one kernel: the known-mean model is the gamma regression
-with no coefficients.  A gamma replication is used when no requested pivot
-value is NaN.  Any other is a failed replication: a sample with a value not
-positive or not finite, a coefficient fit the block fit does not accept, a
-perfect fit (at the estimate, or at the truth for the coefficient methods),
-or window nodes that do not settle.  The scalar functions of
-:mod:`confdist.gamma` and :mod:`confdist.higher_order` are the
+with no coefficients.  A gamma precision method's values are one call of its
+array kernel in :mod:`confdist.higher_order` on the block's rows at the true
+precision, with the window cubics of its window rows; a curve's ``values``
+calls the same kernel on one row.  A gamma replication is used when no
+requested pivot value is NaN.  Any other is a failed replication: a sample
+with a value not positive or not finite, a coefficient fit the block fit
+does not accept, a perfect fit (at the estimate, or at the truth for the
+coefficient methods), or window nodes that do not settle.  The scalar
+functions of :mod:`confdist.gamma` and :mod:`confdist.higher_order` are the
 per-replication reference for these values (tests/test_gamma_block.py), and
 tests/test_golden_reports.py pins the bundled scenarios.
 """
@@ -46,18 +49,22 @@ from .errors import DomainError, ScenarioError
 from .gamma import (
     _DEGENERATE_MEAN_B,
     _cumulant_arrays,
+    _cumulant_d2_array,
     _fit_irls_block,
     _log_least_squares,
     _profile_deviance_beta_array,
-    _profile_deviance_precision_array,
     _solve_precision_array,
     unit_deviance_terms,
 )
 from .higher_order import (
-    _fraser_values,
+    _fraser_roots,
+    _fraser_window,
     _precision_pivot,
+    _precision_quads,
+    _precision_window,
+    _signed_roots,
     _skovgaard_beta_values,
-    _skovgaard_precision_values,
+    _skovgaard_roots,
     fraser_curve,
     skovgaard_precision_curve,
 )
@@ -443,17 +450,20 @@ def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
     vh = _solve_precision_array(sum_b[fitted] / n)
     hat = _cumulant_arrays(vh)
     no_flags, normal = np.zeros(len(y), dtype=bool), PivotLaw.normal()
-    dp = _profile_deviance_precision_array(n, vh, v, hat)
-    sign = np.sign(vh - v)
-    zp = sign * np.sqrt(dp)
+    zp = _signed_roots(n, vh, v, hat)
     first_order = (zp, normal, no_flags)
     out = {"first_order_z": first_order, "first_order_precision": first_order}  # either model
+    col = vh[:, None]  # the corrected kernels take fits as rows, here at one point: varphi
     if "fraser_z" in methods:
-        value, flags = _fraser_values(n, vh, zp, v)
-        out["fraser_z"] = (value, normal, flags)
+        info_root = np.sqrt(n * _cumulant_d2_array(col))
+        value, flags = _fraser_roots(col, info_root, v, zp[:, None],
+                                     lambda rows: _fraser_window(n, col[rows], info_root[rows]))
+        out["fraser_z"] = (value[:, 0], normal, flags[:, 0])
     if "skovgaard_precision" in methods:
-        value, flags = _skovgaard_precision_values(X, y, mu_hat[fitted], vh, v, dp)
-        out["skovgaard_precision"] = (sign * np.sqrt(value), normal, flags)
+        c2_hat, quad = _cumulant_d2_array(col), _precision_quads(X, y, mu_hat[fitted])[:, None]
+        value, flags = _skovgaard_roots(n, col, c2_hat, quad, v, lambda rows: _precision_window(
+            n, col[rows], c2_hat[rows], quad[rows]))
+        out["skovgaard_precision"] = (value[:, 0], normal, flags[:, 0])
     if "first_order_beta" in methods or "skovgaard_beta" in methods:
         with np.errstate(divide="ignore"):
             mean_b = unit_deviance_terms(y, study.mean).mean(axis=1)

@@ -171,7 +171,8 @@ def signed_root_curve(n: int, varphi_hat: float):
     cumulant terms at varphi_hat are computed once, not per varphi.
 
     The curve's ``values`` attribute maps an array of precisions to their
-    signed roots in one call (the array kernel coverage uses).
+    signed roots in one call of :func:`_signed_roots`, the array kernel
+    coverage uses.
     """
     if n < 2:
         raise DomainError("need at least two observations")
@@ -209,9 +210,9 @@ def fraser_curve(fit: GammaFit):
     and, at the first varphi inside the window, its cubic: the
     :func:`_fraser_window` coverage builds, on one row.
     The curve's ``values`` attribute maps an array of precisions to their
-    corrected root values in one call, from the array kernels coverage uses;
-    points inside the window take the same cubic, so their values are the
-    same floats as the pointwise curve's.
+    corrected root values in one call of :func:`_fraser_roots`, the array
+    kernel coverage uses, on one row; points inside the window take the same
+    cubic, so their values are the same floats as the pointwise curve's.
     """
     n, vh = fit.n, fit.varphi_hat
     zp_fn = signed_root_curve(n, vh)
@@ -230,16 +231,14 @@ def fraser_curve(fit: GammaFit):
 
     def values(varphi) -> np.ndarray:
         v = _require_precisions(varphi)
+        points = v.reshape(1, -1)
         with np.errstate(all="ignore"):
-            zp = _signed_roots(n, vh, v)
-            m = info_root * (vh - v)
-            inside = np.abs(zp) < ROOT_WINDOW
-            if np.any(~inside & (m / zp <= 0.0)):  # where modified_root_value raises
+            zp = _signed_roots(n, vh, points)
+            # where modified_root_value raises
+            if np.any(~(np.abs(zp) < ROOT_WINDOW) & (info_root * (vh - points) / zp <= 0.0)):
                 raise DomainError("correction and signed root must share a sign")
-            value = _modified_root_values(zp, m)
-        if inside.any():
-            value[inside] = window_cubic()(v[inside])[0]
-        return value
+            value, _ = _fraser_roots(vh, info_root, points, zp, lambda rows: window_cubic())
+        return value.reshape(v.shape)
 
     root.values = values
     return root
@@ -361,17 +360,20 @@ def _fraser_window(n: int, varphi_hat: np.ndarray, info_root: np.ndarray):
                                                        info_root * (varphi_hat - nodes)))
 
 
-def _fraser_values(n: int, varphi_hat: np.ndarray, signed_root: np.ndarray,
-                   varphi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The value and flag of :func:`fraser_root_known_mu` for every row, from
-    the rows' estimates and their signed roots at ``varphi``.  All window rows
-    solve their nodes and cubics together; one whose nodes do not settle holds NaN."""
-    info_root = np.sqrt(n * _cumulant_d2_array(varphi_hat))
+def _fraser_roots(varphi_hat, info_root, varphi, signed_root, window):
+    """The value and window flag of :func:`fraser_root_known_mu` for fits
+    (rows) x precisions (points) by broadcasting: columns ``varphi_hat`` and
+    ``info_root`` = sqrt(n * cumulant_d2(varphi_hat)) (floats for one fit),
+    ``varphi`` a float or a row of points all fits share, and ``signed_root``
+    the signed roots there.  ``window(rows)`` gives the :func:`_fraser_window`
+    cubic of the rows (a mask) with a point inside the window.  NaN where
+    :func:`modified_root_value` raises or a cubic's nodes did not settle."""
     value = _modified_root_values(signed_root, info_root * (varphi_hat - varphi))
-    window = np.abs(signed_root) < ROOT_WINDOW
-    cubic = _fraser_window(n, varphi_hat[window, None], info_root[window, None])
-    value[window] = cubic(varphi)[:, 0]
-    return value, window
+    inside = np.abs(signed_root) < ROOT_WINDOW
+    rows = inside.any(axis=1)
+    if rows.any():
+        value[inside] = window(rows)(varphi)[inside[rows]]
+    return value, inside
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +400,8 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     the :func:`_precision_window` coverage builds, on one row.  The curve's
     ``values`` attribute maps an array of precisions to the signed roots of
     their corrected deviances (``float()`` of the pointwise results) in one
-    call, from the array kernels coverage uses; points inside the window take
-    the same cubic as the pointwise curve.
+    call of :func:`_skovgaard_roots`, the array kernel coverage uses, on one
+    row; points inside the window take the same cubic as the pointwise curve.
     """
     n, vh = fit.n, fit.varphi_hat
     deviance = _precision_deviance_curve(n, vh)
@@ -410,7 +412,7 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     def window():
         cubic, unavailable = _precision_window(n, np.array([[vh]]), np.array([[c2_hat]]),
                                                np.array([[quad]]))
-        return _settled(cubic, vh), bool(unavailable[0])
+        return _settled(cubic, vh), unavailable
 
     def corrected(varphi: float) -> CorrectedDeviance:
         v = _require_precision(varphi)
@@ -423,7 +425,7 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
                                      sign=sign, clamped=clamped)
         # without a factor, or inside the window (then through its cubic)
         cubic, unavailable = (None, True) if m is None else window()
-        if unavailable:
+        if unavailable:  # here, or at a node (a one-element array)
             return CorrectedDeviance(deviance=dp, correction=math.nan, value=dp, dims=1,
                                      sign=sign, correction_unavailable=True)
         value = float(cubic(v)[0, 0])
@@ -433,15 +435,9 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     def values(varphi) -> np.ndarray:
         v = _require_precisions(varphi)
         with np.errstate(all="ignore"):
-            dp = _profile_deviance_precision_array(n, vh, v)
-            value, unavailable, _ = _corrected_deviance_values(
-                dp, _precision_correction_factors(n, c2_hat, quad, v))
-        inside = ~unavailable & (dp < ROOT_WINDOW**2)
-        if inside.any():
-            cubic, node_unavailable = window()
-            value[inside] = (dp[inside] if node_unavailable
-                             else np.maximum(cubic(v[inside])[0], 0.0))
-        return np.sign(vh - v) * np.sqrt(value)
+            value, _ = _skovgaard_roots(n, vh, c2_hat, quad, v.reshape(1, -1),
+                                        lambda rows: window())
+        return value.reshape(v.shape)
 
     corrected.values = values
     return corrected
@@ -558,28 +554,25 @@ def _precision_window(n: int, varphi_hat: np.ndarray, c2_hat: np.ndarray, quad: 
     return _window_cubics(nodes, d_nodes), unavailable.any(axis=1) & ~np.isnan(nodes).any(axis=1)
 
 
-def _skovgaard_precision_values(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray,
-                                varphi_hat: np.ndarray, varphi: float,
-                                deviance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The value and flag of :func:`skovgaard_precision` for every row.
-
-    ``deviance`` holds the rows' precision profile deviances at ``varphi``.
-    Window rows with an available factor take their :func:`_precision_window`;
-    a row whose nodes do not settle holds NaN.
-    """
-    n = X.shape[0]
-    quad = _precision_quads(X, Y, mu_hat)
-    c2_hat = _cumulant_d2_array(varphi_hat)
-    m = _precision_correction_factors(n, c2_hat, quad, varphi)
-    value, unavailable, clamped = _corrected_deviance_values(deviance, m)
-    window = deviance < ROOT_WINDOW**2
-    rows = np.flatnonzero(window & ~unavailable)
-    if rows.size:
-        cubic, node_unavailable = _precision_window(n, varphi_hat[rows, None],
-                                                    c2_hat[rows, None], quad[rows, None])
-        value[rows] = np.where(node_unavailable, deviance[rows],
-                               np.maximum(cubic(varphi)[:, 0], 0.0))
-    return value, unavailable | clamped | window
+def _skovgaard_roots(n: int, varphi_hat, c2_hat, quad, varphi, window):
+    """The signed root of :func:`skovgaard_precision`'s corrected deviance
+    (``float()`` of it) and its flag, for fits (rows) x precisions (points)
+    by broadcasting: columns ``varphi_hat``, its cumulant_d2 ``c2_hat`` and
+    the :func:`_precision_quads` ``quad`` (floats for one fit), and ``varphi``
+    a float or a row of points all fits share.  ``window(rows)`` gives the
+    :func:`_precision_window` of the rows (a mask) with an available factor
+    at a point inside the window.  NaN where a cubic's nodes did not settle."""
+    dp = _profile_deviance_precision_array(n, varphi_hat, varphi)
+    value, unavailable, clamped = _corrected_deviance_values(
+        dp, _precision_correction_factors(n, c2_hat, quad, varphi))
+    near = dp < ROOT_WINDOW**2
+    inside = near & ~unavailable
+    rows = inside.any(axis=1)
+    if rows.any():
+        cubic, node_unavailable = window(rows)
+        interpolated = np.where(node_unavailable[:, None], dp[rows], np.maximum(cubic(varphi), 0.0))
+        value[inside] = interpolated[inside[rows]]
+    return np.sign(varphi_hat - varphi) * np.sqrt(value), unavailable | clamped | near
 
 
 def _along_rays(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: np.ndarray,
@@ -699,7 +692,7 @@ def _precision_pivot(fit: GammaFit, curve=None) -> Pivot:
         return curve.values(varphi) if isinstance(varphi, np.ndarray) else curve(varphi)
 
     return Pivot(law=PivotLaw.normal(), value_fn=value, monotonic="decreasing",
-                 param_support=(0.0, math.inf), hint=(vh, 0.75 * max(vh, 1e-6)),
+                 param_support=(0.0, math.inf), hint=(vh, 0.75 * vh),
                  label="corrected root")
 
 

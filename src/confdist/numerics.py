@@ -138,18 +138,20 @@ def trigamma(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+_MAX_EXPANSIONS = 60  # bracket doublings before find_root gives up
+
+
 def find_root(
     f,
     bracket: tuple[float, float],
     tol: float = 1e-10,
     limits: tuple[float, float] | None = None,
-    max_expansions: int = 60,
 ) -> float:
     """Root of a continuous monotone function inside (an expansion of) ``bracket``.
 
     The bracket may be given in either order.  If f has the same sign at both
     ends, the bracket is widened geometrically (doubling the width each step,
-    clipped to ``limits``) up to ``max_expansions`` times before giving up
+    clipped to ``limits``) up to _MAX_EXPANSIONS times before giving up
     with :class:`BracketingError`.  The returned abscissa is deterministic
     and satisfies a bracket width <= ``tol`` (or an exact zero of f).
     """
@@ -171,9 +173,9 @@ def find_root(
             return hi
         if not flo * fhi > 0.0:  # a sign change (a NaN is left to brentq)
             return float(scipy.optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16))
-        if n_expand >= max_expansions:
+        if n_expand >= _MAX_EXPANSIONS:
             raise BracketingError(
-                f"no sign change in [{lo:g}, {hi:g}] after {max_expansions} expansions"
+                f"no sign change in [{lo:g}, {hi:g}] after {_MAX_EXPANSIONS} expansions"
             )
         width = hi - lo
         new_lo = max(lo - width, lo_lim)

@@ -157,23 +157,15 @@ class PivotLaw:
         """Distribution function at a point (a float back) or at each element
         of an array (an array back): 0 at -inf and 1 at inf, and 0 at or
         below 0 on the half line.  A NaN point raises DomainError; a NaN
-        element stays NaN.
-
-        A point stays off numpy's array dispatch: the scalar confidence
-        functions call it one point at a time.
-        """
+        element stays NaN."""
         law = _LAWS[self.family]
-        if isinstance(v, np.ndarray) and v.ndim > 0:
-            c = law.cdf(v, *self.df)
-            return np.where(v <= 0.0, 0.0, c) if law.half_line else c
-        v = float(v)
-        if not math.isfinite(v):
-            if math.isnan(v):
-                raise DomainError(f"x must be finite, got {v!r}")
-            return 0.0 if v < 0 else 1.0
-        if law.half_line and v <= 0.0:
-            return 0.0
-        return float(law.cdf(v, *self.df))
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 0 and math.isnan(v):
+            raise DomainError(f"x must be finite, got {float(v)!r}")
+        c = law.cdf(v, *self.df)
+        if law.half_line:
+            c = np.where(v <= 0.0, 0.0, c)
+        return c if c.ndim else float(c)
 
     def pdf(self, v):
         """Density at a point (a float back) or at each element of an array
@@ -443,26 +435,26 @@ def _support_transform(support: tuple[float, float]):
     raise UnsupportedOperationError(f"unsupported parameter support {support!r}")
 
 
-def invert_pivot(pivot: Pivot, target: float, tol: float = 1e-10) -> float:
+def invert_pivot(pivot: Pivot, target: float) -> float:
     """Solve v(theta) = target for theta inside the pivot's support.
 
     Brackets by geometric expansion on a transformed axis (identity for the
     real line, log for the positive half line), doubling the half width up
     to 60 times from the pivot's hint; raises :class:`NoEndpointError` when
-    the schedule never straddles the target.
+    the schedule never straddles the target.  On the log axis the starting
+    half width is the hint's scale relative to its centre, at least 0.25.
     """
     to_theta, to_u = _support_transform(pivot.param_support)
     center, scale = pivot.hint
-    u0 = to_u(center if pivot.param_support[0] != 0.0 else max(center, 1e-300))
-    half = max(abs(scale), 1e-8)
-    if pivot.param_support[0] == 0.0:
-        half = max(half / max(center, 1e-300), 0.25)
+    log_axis = pivot.param_support[0] == 0.0
+    u0 = to_u(max(center, 1e-300) if log_axis else center)
+    half = max(abs(scale) / max(center, 1e-300), 0.25) if log_axis else max(abs(scale), 1e-8)
 
     def g(u: float) -> float:
         return pivot.value(to_theta(u)) - target
 
     try:
-        u = find_root(g, (u0 - half, u0 + half), tol=tol)
+        u = find_root(g, (u0 - half, u0 + half))
     except ArithmeticError as exc:
         raise NoEndpointError(
             f"{pivot.label}: could not bracket pivot value {target:.6g} "
@@ -471,7 +463,7 @@ def invert_pivot(pivot: Pivot, target: float, tol: float = 1e-10) -> float:
     return to_theta(u)
 
 
-def interval_endpoint(pivot: Pivot, level: float, side: str, tol: float = 1e-10) -> float:
+def interval_endpoint(pivot: Pivot, level: float, side: str) -> float:
     """Parameter endpoint of a one-sided statement carrying ``level`` confidence.
 
     ``side="lower"`` returns t with C(theta >= t; y) = level, ``side="upper"``
@@ -489,7 +481,7 @@ def interval_endpoint(pivot: Pivot, level: float, side: str, tol: float = 1e-10)
         )
     wants_cdf_at_level = (side == "lower") == (pivot.monotonic == "decreasing")
     q = pivot.law.quantile(level if wants_cdf_at_level else 1.0 - level)
-    return invert_pivot(pivot, q, tol=tol)
+    return invert_pivot(pivot, q)
 
 
 def one_sided_statement(pivot: Pivot, level: float, side: str) -> ConfidenceStatement:

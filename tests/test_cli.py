@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from confdist.cli import _fit_from_json, _strict_csv_table, load_csv_table, main
 from confdist.data import Dataset
 from confdist.errors import DataError
+from confdist.higher_order import _precision_pivot, fit_known_mean, fraser_pivot
 from confdist.linear import contrast, contrast_pivot, fit_ols, variance_pivot
 from confdist.numerics import RngStream, rng_draws
 from confdist.pivots import PivotLaw, interval_endpoint
@@ -675,6 +676,24 @@ class TestIntervalCommand:
                      "--level", "0.9", "--method", "exact"])
         assert code == 2
         assert "--known-mu applies to --model gamma only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["first_order", "fraser"])
+    def test_known_mu_extreme_sample_interval(self, tmp_path, capsys, method):
+        # varphi_hat ~3e-20: the bracket starts at a half width of 0.75 on the
+        # log axis; an absolute floor on the hint's scale made it underflow to 0
+        path = tmp_path / "extreme.csv"
+        path.write_text("y\n1e20\n1\n2\n")
+        assert main(["interval", "--file", str(path), "--model", "gamma", "--known-mu",
+                     "--response", "y", "--target", "precision", "--method", method,
+                     "--level", "0.95", "--sides", "two"]) == 0
+        statement = json.loads(capsys.readouterr().out)["statement"]
+        sample = np.array([1e20, 1.0, 2.0])
+        fit = fit_known_mean(sample)
+        pv = fraser_pivot(sample) if method == "fraser" else _precision_pivot(fit)
+        assert 0.0 < statement["lower"] < fit.varphi_hat < statement["upper"]
+        q = PivotLaw.normal().quantile(0.975)
+        assert pv.value(statement["lower"]) == pytest.approx(q, abs=1e-8)
+        assert pv.value(statement["upper"]) == pytest.approx(-q, abs=1e-8)
 
     def test_matches_library_endpoint(self, normal_csv, capsys):
         path, y, x1, x2 = normal_csv

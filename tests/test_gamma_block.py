@@ -43,6 +43,9 @@ from confdist.errors import (
     ScenarioError,
 )
 from confdist.gamma import (
+    _DEGENERATE_MEAN_B,
+    GammaFit,
+    _cumulant_d2_array,
     _fit_irls_block,
     _log_least_squares,
     _profile_deviance_precision_array,
@@ -56,15 +59,21 @@ from confdist.gamma import (
 )
 from confdist.higher_order import (
     ROOT_WINDOW,
-    _fraser_values,
+    _fraser_roots,
+    _fraser_window,
+    _precision_quads,
+    _precision_window,
     _skovgaard_beta_values,
-    _skovgaard_precision_values,
+    _skovgaard_roots,
     ball_confidence,
     corrected_deviance_value,
+    fraser_curve,
     fraser_root_known_mu,
     signed_root_confidence,
+    signed_root_curve,
     skovgaard_beta,
     skovgaard_precision,
+    skovgaard_precision_curve,
 )
 from confdist.numerics import RngStream, rng_draws
 from confdist.pivots import PivotLaw
@@ -193,7 +202,11 @@ class TestKnownMeanBlock:
         Y = coverage._responses(sc, coverage._study(sc), range(sc.replications))
         vh = _solve_precision_array((Y - 1.0 - np.log(Y)).mean(axis=1))
         zp = np.sign(vh - varphi) * np.sqrt(_profile_deviance_precision_array(n, vh, varphi))
-        value, interpolated = _fraser_values(n, vh, zp, varphi)
+        col = vh[:, None]
+        info_root = np.sqrt(n * _cumulant_d2_array(col))
+        value, interpolated = (a[:, 0] for a in _fraser_roots(
+            col, info_root, varphi, zp[:, None],
+            lambda rows: _fraser_window(n, col[rows], info_root[rows])))
         roots = [fraser_root_known_mu(y, varphi) for y in Y]
         assert np.isfinite(value).all()
         assert interpolated.tolist() == [r.interpolated for r in roots]
@@ -432,14 +445,18 @@ def scalar_fits(sc: Scenario):
 
 def array_window_values(X, rows, varphi: float, beta: np.ndarray):
     """Both array Skovgaard paths for every row, from the rows' scalar fits:
-    (value, flagged, deviance) of the precision, and (value, correction,
+    (signed root, flagged, deviance) of the precision, and (value, correction,
     interpolated, correction_unavailable, clamped, deviance) of the
     coefficient vector."""
     y = np.array([data.y for data, _ in rows])
     vh = np.array([fit.varphi_hat for _, fit in rows])
     dp_prec = np.array([profile_deviance_precision(fit, varphi).value for _, fit in rows])
     mu_hat = np.array([fit.mu_hat for _, fit in rows])
-    prec = _skovgaard_precision_values(X, y, mu_hat, vh, varphi, dp_prec)
+    col = vh[:, None]
+    c2_hat, quad = _cumulant_d2_array(col), _precision_quads(X, y, mu_hat)[:, None]
+    prec = (a[:, 0] for a in _skovgaard_roots(
+        X.shape[0], col, c2_hat, quad, varphi,
+        lambda rows: _precision_window(X.shape[0], col[rows], c2_hat[rows], quad[rows])))
     vt = np.array([profile_precision_at(data, beta) for data, _ in rows])
     dp_beta = np.array([profile_deviance_beta(data, fit, beta).value for data, fit in rows])
     beta_hat = np.array([fit.beta_hat for _, fit in rows])
@@ -516,7 +533,7 @@ class TestSkovgaardWindowRows:
                       levels=(0.5,), methods=REGRESSION_METHODS, **shape)
         X, rows = scalar_fits(sc)
         beta = np.array(sc.beta)
-        (value, flagged, dp), b_fields = array_window_values(X, rows, sc.varphi, beta)
+        (root, flagged, dp), b_fields = array_window_values(X, rows, sc.varphi, beta)
         # both sides place their nodes at the evaluation noise of the
         # deviance, which at large precisions is ~1e-9 of the precision
         # deviance; the corrected value's slope at the nodes,
@@ -525,8 +542,8 @@ class TestSkovgaardWindowRows:
         for i in np.flatnonzero(dp < ROOT_WINDOW**2):
             cd = skovgaard_precision(*rows[i], sc.varphi)
             assert flagged[i] == cd.flagged
-            assert abs(value[i] - cd.value) <= 1e-8 * max(1.0, abs(cd.value))
-            array_confidence = PivotLaw.normal().cdf(cd.sign * math.sqrt(value[i]))
+            assert abs(root[i] ** 2 - cd.value) <= 1e-8 * max(1.0, abs(cd.value))
+            array_confidence = PivotLaw.normal().cdf(root[i])
             assert abs(array_confidence - signed_root_confidence(cd)) <= 1e-9
             windows += 1
         assert windows >= 5
@@ -561,9 +578,10 @@ class TestSkovgaardWindowRows:
             cd = skovgaard_beta(data, fit, fit.beta_hat)
             assert [f[0] for f in fields] == [0.0, 1.0, True, False, False] == [
                 cd.value, cd.correction, cd.interpolated, cd.correction_unavailable, cd.clamped]
+            # the signed root is 0 there, whatever the window cubic gives
             cd = skovgaard_precision(data, fit, fit.varphi_hat)
             assert pf[0] and cd.flagged
-            assert abs(pv[0] - cd.value) <= 1e-9 * max(1.0, abs(cd.value))
+            assert pv[0] == float(cd) == 0.0
 
     def test_factor_unavailable_at_a_node(self, monkeypatch):
         # declare the corrections unavailable away from the truth, that is
@@ -581,13 +599,14 @@ class TestSkovgaardWindowRows:
                                 np.equal(v, sc.varphi), 0.0, np.nan))
         monkeypatch.setattr(higher_order, "_beta_correction_factors",
                             lambda *a: np.full(len(a[1]), np.nan))
-        (value, flagged, dp), _ = array_window_values(X, rows, sc.varphi, beta)
+        (root, flagged, dp), _ = array_window_values(X, rows, sc.varphi, beta)
         windows = 0
         for i in np.flatnonzero((dp < ROOT_WINDOW**2) & (dp > 0.0)):
             cd = skovgaard_precision(*rows[i], sc.varphi)
             assert cd.correction_unavailable and flagged[i]
             assert not (cd.interpolated or cd.clamped)
-            assert value[i] == cd.value == dp[i]
+            assert cd.value == dp[i]
+            assert root[i] == float(cd) == cd.sign * math.sqrt(dp[i])
             windows += 1
         assert windows >= 5
         # the truth is rarely a window row of the coefficient vector at p = 2:
@@ -691,6 +710,50 @@ class TestOneRowOfTheKernel:
         with pytest.raises(ConvergenceError, match="ray nodes did not settle"):
             skovgaard_beta(data, fit, beta)
         assert not skovgaard_beta(data, fit, np.array(sc.beta)).interpolated
+
+
+class TestBlockRowsAreCurveValues:
+    """A row of the coverage kernel is the ``values`` of that fit's curve at
+    the true precision, bit for bit, window rows included: both call one
+    array kernel per method, the curve on one row."""
+
+    @pytest.mark.parametrize("sc", [
+        Scenario(model="gamma_known_mu", n=10, replications=2000, seed=5, levels=(0.5,),
+                 methods=KNOWN_MU_METHODS, varphi=2.0),
+        Scenario(model="gamma_regression", n=30, replications=1500, seed=11, levels=(0.5,),
+                 methods=("first_order_precision", "skovgaard_precision"),
+                 beta=(0.5, -0.3), varphi=2.0),
+    ], ids=["known_mu", "regression"])
+    def test_block_row_is_the_curve_at_the_truth(self, sc):
+        study = coverage._study(sc)
+        X, v = study.X, np.array([sc.varphi])
+        n, p = X.shape
+        Y = coverage._responses(sc, study, range(sc.replications))
+        values = coverage._gamma_arrays(sc, study, Y)
+        # the rows the kernel keeps, and their estimates, as it forms them
+        Y = Y[np.all(np.isfinite(Y) & (Y > 0.0), axis=1)]
+        if p:
+            beta_hat, mu_hat, sum_b, converged = _fit_irls_block(
+                X, Y, _log_least_squares(study.svd, Y))
+        else:
+            sum_b, converged = gamma.unit_deviance_terms(Y, study.mean).sum(axis=1), True
+            beta_hat, mu_hat = np.empty((len(Y), 0)), np.ones(Y.shape)
+        fitted = converged & (sum_b / n >= _DEGENERATE_MEAN_B)
+        vh = _solve_precision_array(sum_b[fitted] / n)
+        curves = {m: [] for m in sc.methods}
+        for y, b, mu, varphi_hat, s in zip(Y[fitted], beta_hat[fitted], mu_hat[fitted], vh,
+                                           sum_b[fitted]):
+            fit = GammaFit(beta_hat=b, varphi_hat=float(varphi_hat), mu_hat=mu,
+                           loglik=math.nan, sum_b=float(s), n=n, p=p)
+            for m, curve in zip(sc.methods, (
+                    signed_root_curve(n, fit.varphi_hat),
+                    fraser_curve(fit) if p == 0 else skovgaard_precision_curve(
+                        Dataset(y=y, X=X), fit))):
+                curves[m].append(curve.values(v)[0])
+        corrected = sc.methods[1]
+        assert values[corrected][2].sum() >= 50  # window rows
+        for m in sc.methods:
+            assert np.array(curves[m]).tobytes() == values[m][0].tobytes()
 
 
 class TestRowFailures:

@@ -35,11 +35,14 @@ def _data_files(tmp_path):
     _write(tmp_path / "gamma.csv", ["y", "x1"],
            [np.exp(0.5 - 0.3 * x) * rng.gamma(2.0, 0.5, size=30), x])
     _write(tmp_path / "known_mu.csv", ["y"], [rng.gamma(2.0, 0.5, size=20)])
+    _write(tmp_path / "extreme_mu.csv", ["y"], [np.array([1e20, 1.0, 2.0])])
 
 
 NORMAL = "--file {d}/normal.csv --model normal --response y --design x1,x2"
 GAMMA = "--file {d}/gamma.csv --model gamma --response y --design x1"
 KNOWN_MU = "--file {d}/known_mu.csv --model gamma --known-mu --response y"
+# varphi_hat ~3e-20: the precision brackets start at a width relative to it
+EXTREME_MU = "--file {d}/extreme_mu.csv --model gamma --known-mu --response y"
 ONE, TWO = "--level 0.95", "--level 0.9 --sides two"
 UPPER = "--level 0.8 --side upper"
 
@@ -64,6 +67,8 @@ CASES = {
         f"interval {GAMMA} --target precision --method skovgaard {ONE}", 0),
     "interval_gamma_skovgaard_two": (
         f"interval {GAMMA} --target precision --method skovgaard {TWO}", 0),
+    "interval_known_mu_extreme_first_order_two":
+        "b27e006810895cc554b9fbf7a7a55b41bedd83e6f94738075b05480d4abb6c31",
     "interval_known_mu_first_order_one": (
         f"interval {KNOWN_MU} --target precision --method first_order {ONE}", 0),
     "interval_known_mu_first_order_two": (
@@ -72,6 +77,8 @@ CASES = {
         f"interval {KNOWN_MU} --target precision --method fraser {UPPER}", 0),
     "interval_known_mu_fraser_two": (
         f"interval {KNOWN_MU} --target precision --method fraser {TWO}", 0),
+    "interval_known_mu_extreme_first_order_two": (
+        f"interval {EXTREME_MU} --target precision --method first_order {TWO}", 0),
     "interval_normal_fit_json": (
         "interval --fit-json {d}/normal.json --model normal --target variance "
         f"--method exact {TWO}", 0),
@@ -117,6 +124,8 @@ GOLDEN = {
         "8c5b60397754709837777146a19400b3dff14e6377c6cb39072319581a804183",
     "interval_gamma_skovgaard_two":
         "57fad35e8ae8685a252a73695e8be979f59f466512e73c4884797a9b265706a8",
+    "interval_known_mu_extreme_first_order_two":
+        "b27e006810895cc554b9fbf7a7a55b41bedd83e6f94738075b05480d4abb6c31",
     "interval_known_mu_first_order_one":
         "9084975bde05702b1e61364f1b94a9afcf0261d3a7a41349949ed2106220667a",
     "interval_known_mu_first_order_two":
