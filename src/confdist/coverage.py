@@ -22,8 +22,8 @@ interpolation nodes are solved for all window rows of a block at once.  Both
 gamma models run one kernel: the known-mean model is the gamma regression
 with no coefficients.  A gamma precision method's values are one call of its
 array kernel in :mod:`confdist.higher_order` on the block's rows at the true
-precision, with the window cubics of its window rows; a curve's ``values``
-calls the same kernel on one row.  A gamma replication is used when no
+precision; the kernel builds the window cubics of its own window rows.  A
+curve's ``values`` calls the same kernel on one row with its cached cubic.  A gamma replication is used when no
 requested pivot value is NaN.  Any other is a failed replication: a sample
 with a value not positive or not finite, a coefficient fit the block fit
 does not accept, a perfect fit (at the estimate, or at the truth for the
@@ -49,7 +49,6 @@ from .errors import DomainError, ScenarioError
 from .gamma import (
     _DEGENERATE_MEAN_B,
     _cumulant_arrays,
-    _cumulant_d2_array,
     _fit_irls_block,
     _log_least_squares,
     _profile_deviance_beta_array,
@@ -58,10 +57,8 @@ from .gamma import (
 )
 from .higher_order import (
     _fraser_roots,
-    _fraser_window,
     _precision_pivot,
     _precision_quads,
-    _precision_window,
     _signed_roots,
     _skovgaard_beta_values,
     _skovgaard_roots,
@@ -455,14 +452,11 @@ def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
     out = {"first_order_z": first_order, "first_order_precision": first_order}  # either model
     col = vh[:, None]  # the corrected kernels take fits as rows, here at one point: varphi
     if "fraser_z" in methods:
-        info_root = np.sqrt(n * _cumulant_d2_array(col))
-        value, flags = _fraser_roots(col, info_root, v, zp[:, None],
-                                     lambda rows: _fraser_window(n, col[rows], info_root[rows]))
+        value, flags = _fraser_roots(n, col, v, zp[:, None])
         out["fraser_z"] = (value[:, 0], normal, flags[:, 0])
     if "skovgaard_precision" in methods:
-        c2_hat, quad = _cumulant_d2_array(col), _precision_quads(X, y, mu_hat[fitted])[:, None]
-        value, flags = _skovgaard_roots(n, col, c2_hat, quad, v, lambda rows: _precision_window(
-            n, col[rows], c2_hat[rows], quad[rows]))
+        quad = _precision_quads(X, y, mu_hat[fitted])[:, None]
+        value, flags = _skovgaard_roots(n, col, quad, v)
         out["skovgaard_precision"] = (value[:, 0], normal, flags[:, 0])
     if "first_order_beta" in methods or "skovgaard_beta" in methods:
         with np.errstate(divide="ignore"):

@@ -220,7 +220,7 @@ def _solve_precision_array(mean_b: np.ndarray) -> np.ndarray:
 
 
 def fit_irls(data: Dataset, init: np.ndarray | None = None,
-             max_iter: int = _IRLS_MAX_ITER, tol: float = _IRLS_TOL) -> GammaFit:
+             max_iter: int = _IRLS_MAX_ITER) -> GammaFit:
     """Maximum likelihood fit: Newton's method on the coefficients, then the precision.
 
     This is :func:`_fit_irls_block` on one row.  Coefficients start at
@@ -247,7 +247,7 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None,
         if start.shape != (1, data.p):
             raise DomainError(f"init must have length {data.p}")
     deviances = []
-    beta, mu, sum_b, converged = _fit_irls_block(data.X, Y, start, max_iter, tol, deviances)
+    beta, mu, sum_b, converged = _fit_irls_block(data.X, Y, start, max_iter, deviances)
     trace = [float(d[0]) for d in deviances]
     beta, mu, dev_sum = beta[0], mu[0], float(sum_b[0])
     if not math.isfinite(dev_sum):
@@ -296,7 +296,7 @@ def _log_least_squares(svd: tuple[np.ndarray, ...], Y: np.ndarray) -> np.ndarray
 
 
 def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
-                    max_iter: int = _IRLS_MAX_ITER, tol: float = _IRLS_TOL,
+                    max_iter: int = _IRLS_MAX_ITER,
                     trace: list | None = None) -> tuple[np.ndarray, ...]:
     """Maximum likelihood coefficients of every row of ``Y`` by Newton's method.
 
@@ -307,7 +307,7 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
     full step; while a row's summed unit deviance would rise by more than its
     rounding slack, its step is halved, and below a 1e-10 fraction the row
     keeps its iterate.  A row converges once its deviance moves by at most
-    ``tol`` relatively and its score sup-norm sits at its floating-point
+    _IRLS_TOL relatively and its score sup-norm sits at its floating-point
     floor.  A row whose step fell below the floor would repeat that step, so
     it stops unconverged, as it does when ``max_iter`` steps run out.
     Products and solves are stacked per row, so a row's result does not
@@ -361,7 +361,7 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
             if trace is not None:
                 trace.append(d)
             g = np.matvec(X.T, r - 1.0)
-            done = ((np.abs(d_old - d) <= tol * np.maximum(1.0, np.abs(d)))
+            done = ((np.abs(d_old - d) <= _IRLS_TOL * np.maximum(1.0, np.abs(d)))
                     & (np.abs(g).max(axis=1) <= score_tol))
             converged[idx[done]] = True
             done[pending] = True  # stalled: stop, unconverged

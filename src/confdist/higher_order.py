@@ -81,8 +81,6 @@ class ModifiedRoot:
     correction: float
     value: float
     interpolated: bool = False
-    correction_unavailable: bool = False
-    clamped: bool = False
 
     def __float__(self) -> float:
         return float(self.value)
@@ -208,11 +206,12 @@ def fraser_curve(fit: GammaFit):
 
     Computed once per fit: the signed-root curve, sqrt(n * cumulant_d2(varphi_hat))
     and, at the first varphi inside the window, its cubic: the
-    :func:`_fraser_window` coverage builds, on one row.
-    The curve's ``values`` attribute maps an array of precisions to their
-    corrected root values in one call of :func:`_fraser_roots`, the array
-    kernel coverage uses, on one row; points inside the window take the same
-    cubic, so their values are the same floats as the pointwise curve's.
+    :func:`_fraser_window` the kernel builds for a block's window rows, on
+    one row.  The curve's ``values`` attribute maps an array of precisions to
+    their corrected root values in one call of :func:`_fraser_roots`, the
+    array kernel coverage uses, on one row with this cached cubic; points
+    inside the window take the same cubic, so their values are the same
+    floats as the pointwise curve's.
     """
     n, vh = fit.n, fit.varphi_hat
     zp_fn = signed_root_curve(n, vh)
@@ -237,7 +236,7 @@ def fraser_curve(fit: GammaFit):
             # where modified_root_value raises
             if np.any(~(np.abs(zp) < ROOT_WINDOW) & (info_root * (vh - points) / zp <= 0.0)):
                 raise DomainError("correction and signed root must share a sign")
-            value, _ = _fraser_roots(vh, info_root, points, zp, lambda rows: window_cubic())
+            value, _ = _fraser_roots(n, vh, points, zp, window_cubic)
         return value.reshape(v.shape)
 
     root.values = values
@@ -360,19 +359,21 @@ def _fraser_window(n: int, varphi_hat: np.ndarray, info_root: np.ndarray):
                                                        info_root * (varphi_hat - nodes)))
 
 
-def _fraser_roots(varphi_hat, info_root, varphi, signed_root, window):
+def _fraser_roots(n: int, varphi_hat, varphi, signed_root, window=None):
     """The value and window flag of :func:`fraser_root_known_mu` for fits
-    (rows) x precisions (points) by broadcasting: columns ``varphi_hat`` and
-    ``info_root`` = sqrt(n * cumulant_d2(varphi_hat)) (floats for one fit),
-    ``varphi`` a float or a row of points all fits share, and ``signed_root``
-    the signed roots there.  ``window(rows)`` gives the :func:`_fraser_window`
-    cubic of the rows (a mask) with a point inside the window.  NaN where
+    (rows) x precisions (points) by broadcasting: the column ``varphi_hat``
+    (a float for one fit), ``varphi`` a float or a row of points all fits
+    share, and ``signed_root`` the signed roots there.  The rows with a point
+    inside the window take their :func:`_fraser_window` cubic, built here, or
+    ``window()``, a curve's cached cubic of its one row.  NaN where
     :func:`modified_root_value` raises or a cubic's nodes did not settle."""
+    info_root = np.sqrt(n * _cumulant_d2_array(varphi_hat))
     value = _modified_root_values(signed_root, info_root * (varphi_hat - varphi))
     inside = np.abs(signed_root) < ROOT_WINDOW
     rows = inside.any(axis=1)
     if rows.any():
-        value[inside] = window(rows)(varphi)[inside[rows]]
+        cubic = window() if window else _fraser_window(n, varphi_hat[rows], info_root[rows])
+        value[inside] = cubic(varphi)[inside[rows]]
     return value, inside
 
 
@@ -397,20 +398,21 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
 
     Computed once per fit: the cumulant terms at varphi_hat, the score
     quadratic form and, at the first varphi inside the window, its window:
-    the :func:`_precision_window` coverage builds, on one row.  The curve's
-    ``values`` attribute maps an array of precisions to the signed roots of
-    their corrected deviances (``float()`` of the pointwise results) in one
-    call of :func:`_skovgaard_roots`, the array kernel coverage uses, on one
-    row; points inside the window take the same cubic as the pointwise curve.
+    the :func:`_precision_window` the kernel builds for a block's window
+    rows, on one row.  The curve's ``values`` attribute maps an array of
+    precisions to the signed roots of their corrected deviances (``float()``
+    of the pointwise results) in one call of :func:`_skovgaard_roots`, the
+    array kernel coverage uses, on one row with this cached window; points
+    inside the window take the same cubic as the pointwise curve.
     """
     n, vh = fit.n, fit.varphi_hat
     deviance = _precision_deviance_curve(n, vh)
     quad = float(_precision_quads(data.X, data.y[None], fit.mu_hat[None])[0])
-    c2_hat = _cumulant_d2_array(vh)
 
     @functools.cache
     def window():
-        cubic, unavailable = _precision_window(n, np.array([[vh]]), np.array([[c2_hat]]),
+        col = np.array([[vh]])
+        cubic, unavailable = _precision_window(n, col, _cumulant_d2_array(col),
                                                np.array([[quad]]))
         return _settled(cubic, vh), unavailable
 
@@ -435,8 +437,7 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     def values(varphi) -> np.ndarray:
         v = _require_precisions(varphi)
         with np.errstate(all="ignore"):
-            value, _ = _skovgaard_roots(n, vh, c2_hat, quad, v.reshape(1, -1),
-                                        lambda rows: window())
+            value, _ = _skovgaard_roots(n, vh, quad, v.reshape(1, -1), window)
         return value.reshape(v.shape)
 
     corrected.values = values
@@ -554,14 +555,16 @@ def _precision_window(n: int, varphi_hat: np.ndarray, c2_hat: np.ndarray, quad: 
     return _window_cubics(nodes, d_nodes), unavailable.any(axis=1) & ~np.isnan(nodes).any(axis=1)
 
 
-def _skovgaard_roots(n: int, varphi_hat, c2_hat, quad, varphi, window):
+def _skovgaard_roots(n: int, varphi_hat, quad, varphi, window=None):
     """The signed root of :func:`skovgaard_precision`'s corrected deviance
     (``float()`` of it) and its flag, for fits (rows) x precisions (points)
-    by broadcasting: columns ``varphi_hat``, its cumulant_d2 ``c2_hat`` and
-    the :func:`_precision_quads` ``quad`` (floats for one fit), and ``varphi``
-    a float or a row of points all fits share.  ``window(rows)`` gives the
-    :func:`_precision_window` of the rows (a mask) with an available factor
-    at a point inside the window.  NaN where a cubic's nodes did not settle."""
+    by broadcasting: columns ``varphi_hat`` and the :func:`_precision_quads`
+    ``quad`` (floats for one fit), and ``varphi`` a float or a row of points
+    all fits share.  The rows with an available factor at a point inside the
+    window take their :func:`_precision_window`, built here, or ``window()``,
+    a curve's cached window of its one row.  NaN where a cubic's nodes did
+    not settle."""
+    c2_hat = _cumulant_d2_array(varphi_hat)
     dp = _profile_deviance_precision_array(n, varphi_hat, varphi)
     value, unavailable, clamped = _corrected_deviance_values(
         dp, _precision_correction_factors(n, c2_hat, quad, varphi))
@@ -569,7 +572,8 @@ def _skovgaard_roots(n: int, varphi_hat, c2_hat, quad, varphi, window):
     inside = near & ~unavailable
     rows = inside.any(axis=1)
     if rows.any():
-        cubic, node_unavailable = window(rows)
+        cubic, node_unavailable = window() if window else _precision_window(
+            n, varphi_hat[rows], c2_hat[rows], quad[rows])
         interpolated = np.where(node_unavailable[:, None], dp[rows], np.maximum(cubic(varphi), 0.0))
         value[inside] = interpolated[inside[rows]]
     return np.sign(varphi_hat - varphi) * np.sqrt(value), unavailable | clamped | near

@@ -3,9 +3,9 @@
 Everything downstream (pivot laws, model fits, corrections, the coverage
 harness) builds on this module; the reference laws themselves are one table
 in :mod:`confdist.pivots`.  log Gamma, digamma and trigamma are delegated to
-scipy.special behind the documented contracts below; quadrature uses a single
-finite-interval adaptive kernel, with semi-infinite domains mapped onto [0, 1)
-by the substitution x = a + t/(1-t) (and its mirror image for lower tails).
+scipy.special behind the documented contracts below; quadrature is one call
+of QUADPACK's adaptive ``quad``, which maps infinite ranges onto finite ones
+itself.
 """
 
 from __future__ import annotations
@@ -193,67 +193,30 @@ def find_root(
 # ---------------------------------------------------------------------------
 
 
-def _quad_finite(f, a: float, b: float, epsabs: float) -> tuple[float, float]:
-    import scipy.integrate  # on first use, as scipy.optimize in find_root
-
-    out = scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=1e-12, limit=200, full_output=1)
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # warning message present: refinement did not converge
-        raise AccuracyError(
-            f"quadrature on [{a:g}, {b:g}] did not converge: {out[3]}", achieved=abserr
-        )
-    return value, abserr
-
-
-def _map_tail(f, a: float, sign: float):
-    # x = a + sign * t/(1-t) maps [0, 1) onto [a, inf) (sign 1) or onto
-    # (-inf, a] (sign -1); |dx| = dt/(1-t)^2.
-    def g(t: float) -> float:
-        om = 1.0 - t
-        if om <= 0.0:
-            return 0.0
-        return f(a + sign * (t / om)) / (om * om)
-
-    return g
-
-
 def integrate(f, domain: tuple[float, float], tol: float = 1e-8) -> float:
     """Definite integral of ``f`` over ``domain`` to absolute tolerance ``tol``.
 
-    ``domain`` endpoints may be ``-inf``/``+inf``; infinite tails are folded
-    onto [0, 1) by the substitution x = a + t/(1-t), so a single adaptive
-    finite-interval kernel serves every case.  Raises :class:`AccuracyError`
-    (carrying the achieved error estimate) when refinement cannot certify
-    the requested tolerance.
+    One call of QUADPACK's adaptive ``quad``, which serves finite, infinite
+    (``-inf``/``+inf``) and reversed limits itself.  Raises
+    :class:`AccuracyError` (carrying the achieved error estimate) when
+    refinement cannot certify the requested tolerance.
     """
     a, b = float(domain[0]), float(domain[1])
     if math.isnan(a) or math.isnan(b):
         raise DomainError("domain endpoints must not be NaN")
     if a == b:
         return 0.0
-    if a > b:
-        return -integrate(f, (b, a), tol)
+    import scipy.integrate  # on first use, as scipy.optimize in find_root
 
-    pieces = []
-    if math.isinf(a) and math.isinf(b):
-        pieces.append((_map_tail(f, 0.0, -1.0), 0.0, 1.0))
-        pieces.append((_map_tail(f, 0.0, 1.0), 0.0, 1.0))
-    elif math.isinf(b):
-        pieces.append((_map_tail(f, a, 1.0), 0.0, 1.0))
-    elif math.isinf(a):
-        pieces.append((_map_tail(f, b, -1.0), 0.0, 1.0))
-    else:
-        pieces.append((f, a, b))
-
-    epsabs = tol / (2.0 * len(pieces))
-    total, err = 0.0, 0.0
-    for g, lo, hi in pieces:
-        value, abserr = _quad_finite(g, lo, hi, epsabs)
-        total += value
-        err += abserr
-    if err > tol:
-        raise AccuracyError(f"requested tol {tol:g}, achieved {err:g}", achieved=err)
-    return total
+    out = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=1e-12, limit=200, full_output=1)
+    value, abserr = out[0], out[1]
+    if len(out) > 3:  # warning message present: refinement did not converge
+        raise AccuracyError(
+            f"quadrature on [{a:g}, {b:g}] did not converge: {out[3]}", achieved=abserr
+        )
+    if abserr > tol:
+        raise AccuracyError(f"requested tol {tol:g}, achieved {abserr:g}", achieved=abserr)
+    return value
 
 
 # ---------------------------------------------------------------------------

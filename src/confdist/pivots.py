@@ -526,16 +526,6 @@ def location_pivot(estimate: float, scale: float = 1.0) -> Pivot:
     )
 
 
-def _pointwise(fn):
-    """``fn`` of one float, made to take an array of points: one call per point."""
-
-    def on_points(eta):
-        eta = np.asarray(eta, dtype=float)
-        return np.array([fn(e) for e in eta.ravel().tolist()], dtype=float).reshape(eta.shape)
-
-    return on_points
-
-
 def reparameterized(pivot: Pivot, forward, inverse, inverse_deriv,
                     support: tuple[float, float]) -> Pivot:
     """The same pivot expressed on the scale eta = forward(theta).
@@ -574,8 +564,8 @@ def reparameterized(pivot: Pivot, forward, inverse, inverse_deriv,
 
     return Pivot(
         law=pivot.law,
-        value_fn=_pointwise(value),
-        jacobian_fn=None if jac is None else _pointwise(jac),
+        value_fn=np.vectorize(value, otypes=[float]),
+        jacobian_fn=None if jac is None else np.vectorize(jac, otypes=[float]),
         monotonic=direction,
         param_support=support,
         hint=(new_center, new_scale),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confdist import higher_order, numerics
 from confdist.cli import _fit_from_json, _strict_csv_table, load_csv_table, main
 from confdist.data import Dataset
 from confdist.errors import DataError
@@ -875,6 +876,7 @@ def _error_files(d):
               np.column_stack([np.exp(0.5 - 0.3 * x) * rng.gamma(2.0, 0.5, size=30), x]))
     (d / "nonfinite.csv").write_text("y,x\n1,2\ninf,3\n4,5\n")
     (d / "latin1.csv").write_bytes("y,x\n1,2\n3,4\n5,6\n# café\n".encode("latin-1"))
+    (d / "empty.csv").write_text("")
     normal_fit = SUMMARIES["normal"]
     summaries = {
         **SUMMARIES,
@@ -896,6 +898,8 @@ def _error_files(d):
         "repeated_section": f"[a]\n{ok}[a]\n{ok}",
         "repeated_key": f"[a]\n{ok}n = 12\n",
         "no_equals": f"[a]\n{ok}levels\n",
+        "missing_fields": "[a]\nmodel = normal_regression\nn = 10\n",
+        "only_comment": "# no scenarios here\n",
     }
     for name, text in scenarios.items():
         (d / f"{name}.ini").write_text(text)
@@ -964,6 +968,49 @@ ERROR_CASES = {
         2, "Is a directory"),
     "coverage_out_is_a_file": (
         "coverage --scenario {d}/ok.ini --out {d}/normal.csv", 2, "{d}/normal.csv"),
+    "grid_without_n": (
+        f"confdens {NORMAL_ARGS} --target variance --method exact --grid 0.2:3", 2,
+        "--grid must be lo:hi:n"),
+    "grid_not_numbers": (
+        f"confdens {NORMAL_ARGS} --target variance --method exact --grid a:b:c", 2,
+        "with numbers"),
+    "contrast_without_weights": (
+        f"interval {NORMAL_ARGS} --method exact --level 0.9 --target contrast:", 2,
+        "contrast target must be"),
+    "contrast_weight_not_a_number": (
+        f"interval {NORMAL_ARGS} --method exact --level 0.9 --target contrast:0,x", 2,
+        "cannot parse contrast weights"),
+    "contrast_weights_too_many": (
+        f"interval {NORMAL_ARGS} --method exact --level 0.9 --target contrast:0,1,1", 2,
+        "contrast has 3 weights"),
+    "design_is_the_response": (
+        "fit --file {d}/normal.csv --model normal --response y --design y", 2,
+        "is the response"),
+    "no_design_columns": (
+        "fit --file {d}/normal.csv --model normal --response y --no-intercept", 2,
+        "no design columns"),
+    "confdens_without_file": (
+        "confdens --model normal --response y --design x --target variance --method exact "
+        "--grid 0.2:3:20", 2, "confdens needs --file"),
+    "interval_without_model": (
+        "interval --file {d}/normal.csv --response y --design x --target variance "
+        "--method exact --level 0.9", 2, "interval needs --model"),
+    "interval_without_data": (
+        "interval --model normal --target variance --method exact --level 0.9", 2,
+        "interval needs --file/--response or --fit-json"),
+    "interval_level_above_1": (
+        f"interval {NORMAL_ARGS} --target variance --method exact --level 1.5", 2,
+        "--level must lie in (0, 1)"),
+    "csv_empty": (
+        "fit --file {d}/empty.csv --model normal --response y --design x", 3,
+        "{d}/empty.csv: empty file"),
+    "scenario_missing_fields": (
+        "coverage --scenario {d}/missing_fields.ini --out {d}/o", 2, "is missing field(s)"),
+    "scenario_only_comment": (
+        "coverage --scenario {d}/only_comment.ini --out {d}/o", 2,
+        "no scenario sections found"),
+    "scenario_file_missing": (
+        "coverage --scenario {d}/absent.ini --out {d}/o", 2, "cannot read scenario file"),
     # a data error naming the file and the field
     **{f"fit_json_{name}": (f"interval --fit-json {{d}}/{name}.json {FIT_JSON_FLAGS[model]}", 3,
                             f"{{d}}/{name}.json: {next(iter(change))}")
@@ -982,6 +1029,40 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert message.format(d=tmp_path) in captured.err
         assert captured.out == "" and not studies  # no study runs, nothing is printed
+
+    def test_window_nodes_that_do_not_settle_exit_5(self, tmp_path, capsys, monkeypatch):
+        # one Newton step settles no window node; the grid's middle point is
+        # varphi_hat, inside the window
+        _error_files(tmp_path)
+        vh = fit_known_mean(load_csv_table(tmp_path / "gamma.csv").column("y")).varphi_hat
+        monkeypatch.setattr(higher_order, "_NODE_STEPS", 1)
+        assert main(f"confdens --file {tmp_path}/gamma.csv --model gamma --known-mu "
+                    f"--response y --target precision --method fraser "
+                    f"--grid {0.5 * vh}:{1.5 * vh}:11".split()) == 5
+        captured = capsys.readouterr()
+        assert "window nodes did not settle at varphi_hat=" in captured.err
+        assert captured.out == ""
+
+    def test_a_study_with_too_many_failed_fits_exits_5(self, tmp_path, capsys):
+        # at n = 2 and varphi 0.002, 73 of the 200 samples hold a draw that
+        # underflows to 0, and a sample with a value not positive is a failed fit
+        (tmp_path / "km.ini").write_text(
+            "[km]\nmodel = gamma_known_mu\nn = 2\nreplications = 200\nseed = 1\n"
+            "levels = 0.5\nmethods = first_order_z, fraser_z\nvarphi = 0.002\n")
+        assert main(["coverage", "--scenario", str(tmp_path / "km.ini"),
+                     "--out", str(tmp_path / "o")]) == 5
+        captured = capsys.readouterr()
+        assert "73 of 200 replications failed to fit (> 1%)" in captured.err
+        assert captured.out == ""
+
+    def test_an_endpoint_without_a_bracket_exits_4(self, tmp_path, capsys, monkeypatch):
+        _error_files(tmp_path)
+        monkeypatch.setattr(numerics, "_MAX_EXPANSIONS", 0)
+        assert main(f"interval {NORMAL_ARGS.format(d=tmp_path)} --target variance "
+                    "--method exact --level 0.999999".split()) == 4
+        captured = capsys.readouterr()
+        assert "endpoint inversion failed for level 0.999999 side lower" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("model", sorted(SUMMARIES))
     def test_valid_summaries_give_an_interval(self, model, tmp_path, capsys):

@@ -45,7 +45,6 @@ from confdist.errors import (
 from confdist.gamma import (
     _DEGENERATE_MEAN_B,
     GammaFit,
-    _cumulant_d2_array,
     _fit_irls_block,
     _log_least_squares,
     _profile_deviance_precision_array,
@@ -60,9 +59,7 @@ from confdist.gamma import (
 from confdist.higher_order import (
     ROOT_WINDOW,
     _fraser_roots,
-    _fraser_window,
     _precision_quads,
-    _precision_window,
     _skovgaard_beta_values,
     _skovgaard_roots,
     ball_confidence,
@@ -202,11 +199,8 @@ class TestKnownMeanBlock:
         Y = coverage._responses(sc, coverage._study(sc), range(sc.replications))
         vh = _solve_precision_array((Y - 1.0 - np.log(Y)).mean(axis=1))
         zp = np.sign(vh - varphi) * np.sqrt(_profile_deviance_precision_array(n, vh, varphi))
-        col = vh[:, None]
-        info_root = np.sqrt(n * _cumulant_d2_array(col))
-        value, interpolated = (a[:, 0] for a in _fraser_roots(
-            col, info_root, varphi, zp[:, None],
-            lambda rows: _fraser_window(n, col[rows], info_root[rows])))
+        value, interpolated = (a[:, 0] for a in _fraser_roots(n, vh[:, None], varphi,
+                                                              zp[:, None]))
         roots = [fraser_root_known_mu(y, varphi) for y in Y]
         assert np.isfinite(value).all()
         assert interpolated.tolist() == [r.interpolated for r in roots]
@@ -265,15 +259,16 @@ class TestRegressionBlock:
             else:
                 with pytest.raises(ConvergenceError, match="did not converge in 5 of 5"):
                     fit_irls(Dataset(y=Y[i], X=study.X), max_iter=5)
-        # with tol=-1 no row meets the convergence test; the block accepts
-        # the rows whose score sup-norm is at most 1e-8, and fit_irls
+        # with a tolerance of -1 no row meets the convergence test; the block
+        # accepts the rows whose score sup-norm is at most 1e-8, and fit_irls
         # returns them without raising
-        beta, mu, sum_b, converged = block_fit(study.X, Y, tol=-1.0)
-        score = np.abs(np.matvec(study.X.T, Y / mu - 1.0)).max(axis=1)
-        assert converged.all() and (score <= 1e-8).all()
-        for i in range(0, len(Y), 10):
-            fit = fit_irls(Dataset(y=Y[i], X=study.X), tol=-1.0)
-            assert np.array_equal(fit.beta_hat, beta[i]) and fit.sum_b == sum_b[i]
+        with mock.patch.object(gamma, "_IRLS_TOL", -1.0):
+            beta, mu, sum_b, converged = block_fit(study.X, Y)
+            score = np.abs(np.matvec(study.X.T, Y / mu - 1.0)).max(axis=1)
+            assert converged.all() and (score <= 1e-8).all()
+            for i in range(0, len(Y), 10):
+                fit = fit_irls(Dataset(y=Y[i], X=study.X))
+                assert np.array_equal(fit.beta_hat, beta[i]) and fit.sum_b == sum_b[i]
 
     def test_random_blocks_are_one_row_fits(self):
         # random designs and blocks, with and without a step budget, from the
@@ -452,11 +447,8 @@ def array_window_values(X, rows, varphi: float, beta: np.ndarray):
     vh = np.array([fit.varphi_hat for _, fit in rows])
     dp_prec = np.array([profile_deviance_precision(fit, varphi).value for _, fit in rows])
     mu_hat = np.array([fit.mu_hat for _, fit in rows])
-    col = vh[:, None]
-    c2_hat, quad = _cumulant_d2_array(col), _precision_quads(X, y, mu_hat)[:, None]
     prec = (a[:, 0] for a in _skovgaard_roots(
-        X.shape[0], col, c2_hat, quad, varphi,
-        lambda rows: _precision_window(X.shape[0], col[rows], c2_hat[rows], quad[rows])))
+        X.shape[0], vh[:, None], _precision_quads(X, y, mu_hat)[:, None], varphi))
     vt = np.array([profile_precision_at(data, beta) for data, _ in rows])
     dp_beta = np.array([profile_deviance_beta(data, fit, beta).value for data, fit in rows])
     beta_hat = np.array([fit.beta_hat for _, fit in rows])
