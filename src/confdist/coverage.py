@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
 from .errors import DomainError, ScenarioError
 from .gamma import (
     _DEGENERATE_MEAN_B,
@@ -353,7 +352,7 @@ def _study(sc: Scenario) -> _Study:
     X = design_matrix(sc)
     beta = np.array(sc.beta)
     mean = np.exp(X @ beta) if sc.model == "gamma_regression" else X @ beta
-    svd = _svd_factors(Dataset(y=mean, X=X))  # SingularDesignError as in the fits
+    svd = _svd_factors(X)  # SingularDesignError as in the fits
     if sc.model == "gamma_regression":
         return _Study(X, mean, svd)
     n, p = X.shape

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SingularDesignError
+from .errors import DataError
 
 __all__ = ["Dataset"]
 
@@ -58,8 +58,3 @@ class Dataset:
                 f"gamma responses must be positive; first offending row index {bad[0]}"
             )
 
-    def raise_rank_deficient(self, rank: int, tol: float) -> None:
-        raise SingularDesignError(
-            f"design matrix has rank {rank} < p={self.p} at singular-value "
-            f"tolerance {tol:.3e}"
-        )

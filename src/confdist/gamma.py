@@ -29,7 +29,7 @@ from scipy import special as _sf
 from .data import Dataset
 from .errors import ConvergenceError, DegenerateFitError, DomainError
 from .linear import _svd_factors
-from .numerics import digamma, log_gamma, trigamma
+from .numerics import _require_positive, digamma, log_gamma, trigamma
 
 __all__ = [
     "GammaFit",
@@ -68,28 +68,21 @@ _ACCEPT_SCORE = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _require_precision(varphi: float, name: str = "precision") -> float:
-    v = float(varphi)
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError(f"{name} must be positive, got {varphi!r}")
-    return v
-
-
 def cumulant(varphi: float) -> float:
     """Normalizing part of the log density as a function of the precision."""
-    v = _require_precision(varphi)
+    v = _require_positive("precision", varphi)
     return log_gamma(v) - v * math.log(v) + v
 
 
 def cumulant_d1(varphi: float) -> float:
     """First derivative: digamma(varphi) - log(varphi), negative and increasing."""
-    v = _require_precision(varphi)
+    v = _require_positive("precision", varphi)
     return digamma(v) - math.log(v)
 
 
 def cumulant_d2(varphi: float) -> float:
     """Second derivative: trigamma(varphi) - 1/varphi, strictly positive."""
-    v = _require_precision(varphi)
+    v = _require_positive("precision", varphi)
     return trigamma(v) - 1.0 / v
 
 
@@ -142,7 +135,7 @@ class ProfileDeviance:
 def gamma_loglik(beta: np.ndarray, varphi: float, data: Dataset) -> float:
     """Exact log-likelihood up to an additive function of the data alone."""
     data.require_positive_response()
-    v = _require_precision(varphi)
+    v = _require_positive("precision", varphi)
     mu = np.exp(data.X @ np.asarray(beta, dtype=float))
     b = unit_deviance_terms(data.y, mu)
     return float(-v * b.sum() - data.n * cumulant(v))
@@ -219,18 +212,17 @@ def _solve_precision_array(mean_b: np.ndarray) -> np.ndarray:
     return phi
 
 
-def fit_irls(data: Dataset, init: np.ndarray | None = None,
-             max_iter: int = _IRLS_MAX_ITER) -> GammaFit:
+def fit_irls(data: Dataset) -> GammaFit:
     """Maximum likelihood fit: Newton's method on the coefficients, then the precision.
 
-    This is :func:`_fit_irls_block` on one row.  Coefficients start at
-    ``init`` or at the least-squares fit of log(y) on X (exact for
-    noise-free data); each Newton step solves the score against the
-    observed information and is halved while it raises the summed unit
-    deviance.  That deviance is strictly convex in the coefficients, so on a
-    full-rank design the iteration converges from any start in exact
-    arithmetic, and in about five steps from the least-squares start on
-    sampled data.  Afterwards the precision solves its own score equation.
+    This is :func:`_fit_irls_block` on one row, at most _IRLS_MAX_ITER
+    steps from the least-squares fit of log(y) on X (exact for noise-free
+    data).  Each Newton step solves the score against the observed
+    information and is halved while it raises the summed unit deviance.
+    That deviance is strictly convex in the coefficients, so on a full-rank
+    design the iteration converges from any start in exact arithmetic, and
+    in about five steps from the least-squares start on sampled data.
+    Afterwards the precision solves its own score equation.
 
     Raises :class:`ConvergenceError` (with the deviance trace attached) when
     the block fit does not accept the row, and :class:`DegenerateFitError`
@@ -238,16 +230,10 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None,
     error carries the converged coefficients in ``beta_hat``.
     """
     data.require_positive_response()
-    svd = _svd_factors(data)  # SingularDesignError on a rank-deficient design
     Y = data.y[None]
-    if init is None:
-        start = _log_least_squares(svd, Y)
-    else:
-        start = np.asarray(init, dtype=float)[None]
-        if start.shape != (1, data.p):
-            raise DomainError(f"init must have length {data.p}")
+    start = _log_least_squares(_svd_factors(data.X), Y)  # SingularDesignError if rank-deficient
     deviances = []
-    beta, mu, sum_b, converged = _fit_irls_block(data.X, Y, start, max_iter, deviances)
+    beta, mu, sum_b, converged = _fit_irls_block(data.X, Y, start, deviances)
     trace = [float(d[0]) for d in deviances]
     beta, mu, dev_sum = beta[0], mu[0], float(sum_b[0])
     if not math.isfinite(dev_sum):
@@ -255,7 +241,7 @@ def fit_irls(data: Dataset, init: np.ndarray | None = None,
     if not converged[0]:
         score_inf = float(np.max(np.abs(data.X.T @ (data.y / mu - 1.0))))
         raise ConvergenceError(
-            f"IRLS did not converge in {len(trace) - 1} of {max_iter} iterations "
+            f"IRLS did not converge in {len(trace) - 1} of {_IRLS_MAX_ITER} iterations "
             f"(score sup-norm {score_inf:.3e})",
             trace=trace,
         )
@@ -296,7 +282,6 @@ def _log_least_squares(svd: tuple[np.ndarray, ...], Y: np.ndarray) -> np.ndarray
 
 
 def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
-                    max_iter: int = _IRLS_MAX_ITER,
                     trace: list | None = None) -> tuple[np.ndarray, ...]:
     """Maximum likelihood coefficients of every row of ``Y`` by Newton's method.
 
@@ -309,7 +294,7 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
     keeps its iterate.  A row converges once its deviance moves by at most
     _IRLS_TOL relatively and its score sup-norm sits at its floating-point
     floor.  A row whose step fell below the floor would repeat that step, so
-    it stops unconverged, as it does when ``max_iter`` steps run out.
+    it stops unconverged, as it does when _IRLS_MAX_ITER steps run out.
     Products and solves are stacked per row, so a row's result does not
     depend on the other rows of the block: :func:`fit_irls` is this fit on
     one row.  A row that stopped unconverged is still accepted when its
@@ -339,7 +324,7 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
         idx = np.flatnonzero(np.isfinite(d))
         y, b, m, r, d = Y[idx], start[idx], m[idx], r[idx], d[idx]
         g = np.matvec(X.T, r - 1.0)  # the score
-        for _ in range(max_iter):
+        for _ in range(_IRLS_MAX_ITER):
             if not idx.size:
                 break
             delta = _solve_rows(np.matmul(X.T * r[:, None, :], X), g)
@@ -407,7 +392,7 @@ def profile_deviance_precision(fit: GammaFit, varphi: float) -> ProfileDeviance:
 
     Values inside the floating-point cancellation floor clamp to 0.
     """
-    v = _require_precision(varphi)
+    v = _require_positive("precision", varphi)
     return ProfileDeviance(_precision_deviance_curve(fit.n, fit.varphi_hat)(v), at=v, dims=1)
 
 
@@ -420,7 +405,10 @@ def _precision_deviance_curve(n: int, varphi_hat: float):
 
 def profile_precision_at(data: Dataset, beta: np.ndarray) -> float:
     """Precision maximizing the likelihood at a fixed coefficient vector."""
-    mu = np.exp(data.X @ np.asarray(beta, dtype=float))
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (data.p,):
+        raise DomainError(f"beta must have length {data.p}, got shape {beta.shape}")
+    mu = np.exp(data.X @ beta)
     mean_b = float(unit_deviance_terms(data.y, mu).mean())
     if mean_b < _DEGENERATE_MEAN_B:
         raise DegenerateFitError(
@@ -441,8 +429,6 @@ def profile_deviance_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> Pro
     exceeds the maximum likelihood precision.
     """
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (fit.p,):
-        raise DomainError(f"beta must have length {fit.p}, got shape {beta.shape}")
     vh = fit.varphi_hat
     value = _profile_deviance_beta_array(fit.n, vh, _cumulant_arrays(vh),
                                          profile_precision_at(data, beta))

@@ -36,15 +36,14 @@ from .gamma import (
     _precision_deviance_curve,
     _profile_deviance_beta_array,
     _profile_deviance_precision_array,
-    _require_precision,
     _solve_precision_array,
     _solve_rows,
     cumulant_d2,
     fit_known_mean,
-    profile_deviance_beta,
     profile_precision_at,
     unit_deviance_terms,
 )
+from .numerics import _require_positive
 from .pivots import Pivot, PivotLaw
 
 __all__ = [
@@ -149,7 +148,7 @@ def corrected_deviance_value(deviance: float, correction: float) -> tuple[float,
 
 
 def _require_precisions(varphi, name: str = "precision") -> np.ndarray:
-    """:func:`_require_precision` on an array; the first bad element raises.
+    """:func:`_require_positive` on an array; the first bad element raises.
 
     The array forms of the curves then evaluate with floating-point warnings
     off: at extreme precisions their terms overflow to inf or NaN silently,
@@ -160,7 +159,7 @@ def _require_precisions(varphi, name: str = "precision") -> np.ndarray:
     v = np.asarray(varphi, dtype=float)
     bad = ~(np.isfinite(v) & (v > 0))
     if bad.any():
-        _require_precision(float(v[bad][0]), name)
+        _require_positive(name, v[bad][0])
     return v
 
 
@@ -174,11 +173,11 @@ def signed_root_curve(n: int, varphi_hat: float):
     """
     if n < 2:
         raise DomainError("need at least two observations")
-    vh = _require_precision(varphi_hat, "varphi_hat")
+    vh = _require_positive("varphi_hat", varphi_hat)
     deviance = _precision_deviance_curve(n, vh)
 
     def signed_root(varphi: float) -> float:
-        v = _require_precision(varphi, "varphi")
+        v = _require_positive("varphi", varphi)
         return math.copysign(math.sqrt(deviance(v)), vh - v)
 
     def values(varphi) -> np.ndarray:
@@ -211,8 +210,10 @@ def fraser_curve(fit: GammaFit):
     their corrected root values in one call of :func:`_fraser_roots`, the
     array kernel coverage uses, on one row with this cached cubic; points
     inside the window take the same cubic, so their values are the same
-    floats as the pointwise curve's.
+    floats as the pointwise curve's.  A regression fit raises DomainError.
     """
+    if fit.p:
+        raise DomainError(f"the Fraser root needs a known-mean fit (p = 0), got p={fit.p}")
     n, vh = fit.n, fit.varphi_hat
     zp_fn = signed_root_curve(n, vh)
     info_root = math.sqrt(n * cumulant_d2(vh))
@@ -222,7 +223,7 @@ def fraser_curve(fit: GammaFit):
         return _settled(_fraser_window(n, np.array([[vh]]), np.array([[info_root]])), vh)
 
     def root(varphi: float) -> ModifiedRoot:
-        v = _require_precision(varphi)
+        v = _require_positive("precision", varphi)
         zp, m = zp_fn(v), info_root * (vh - v)
         inside = abs(zp) < ROOT_WINDOW
         value = float(window_cubic()(v)[0, 0]) if inside else modified_root_value(zp, m)
@@ -251,7 +252,7 @@ def fraser_root_known_mu(sample: np.ndarray, varphi: float) -> ModifiedRoot:
     confidence of the result is read from the standard normal law.  One
     point of a fresh :func:`fraser_curve`; build the curve for many varphi.
     """
-    _require_precision(varphi)
+    _require_positive("precision", varphi)
     return fraser_curve(fit_known_mean(sample))(varphi)
 
 
@@ -403,8 +404,11 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     precisions to the signed roots of their corrected deviances (``float()``
     of the pointwise results) in one call of :func:`_skovgaard_roots`, the
     array kernel coverage uses, on one row with this cached window; points
-    inside the window take the same cubic as the pointwise curve.
+    inside the window take the same cubic as the pointwise curve.  A fit of
+    another (n, p) than ``data`` raises DomainError.
     """
+    if (fit.n, fit.p) != (data.n, data.p):
+        raise DomainError(f"fit (n, p) = {fit.n, fit.p} differs from the data's {data.n, data.p}")
     n, vh = fit.n, fit.varphi_hat
     deviance = _precision_deviance_curve(n, vh)
     quad = float(_precision_quads(data.X, data.y[None], fit.mu_hat[None])[0])
@@ -417,7 +421,7 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
         return _settled(cubic, vh), unavailable
 
     def corrected(varphi: float) -> CorrectedDeviance:
-        v = _require_precision(varphi)
+        v = _require_positive("precision", varphi)
         dp = deviance(v)
         sign = math.copysign(1.0, vh - v) if v != vh else 0.0
         m = _precision_correction_factor(quad, fit, v)
@@ -463,10 +467,11 @@ def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedD
     do not settle.
     """
     beta = np.asarray(beta, dtype=float)
-    dp = profile_deviance_beta(data, fit, beta).value
     prec = profile_precision_at(data, beta)
+    vh = fit.varphi_hat
+    dp = float(_profile_deviance_beta_array(fit.n, vh, _cumulant_arrays(vh), prec))
     value, correction, interpolated, unavailable, clamped = _skovgaard_beta_values(
-        data.X, data.y[None], fit.beta_hat[None], np.array([fit.varphi_hat]), beta,
+        data.X, data.y[None], fit.beta_hat[None], np.array([vh]), beta,
         np.exp(data.X @ beta)[None], np.array([prec]), np.array([dp]))
     if np.isnan(value[0]):
         raise ConvergenceError(f"ray nodes did not settle at beta={beta!r}")

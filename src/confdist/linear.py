@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateFitError, DomainError
+from .errors import DegenerateFitError, DomainError, SingularDesignError
 from .pivots import Pivot, PivotLaw
 
 __all__ = ["LinearFit", "Contrast", "fit_ols", "contrast", "variance_pivot",
@@ -52,15 +52,16 @@ class Contrast:
             raise DomainError(f"contrast quadratic form must be positive, got {self.k!r}")
 
 
-def _svd_factors(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (u, s, vt) of the design, after the rank check of :func:`fit_ols`."""
-    X = data.X
+def _svd_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) of the design X, for every fit and the coverage engine;
+    a singular value <= eps * max(n, p) * s_max raises SingularDesignError."""
     n, p = X.shape
     u, s, vt = np.linalg.svd(X, full_matrices=False)
     rank_tol = np.finfo(float).eps * max(n, p) * s[0]
     rank = int(np.sum(s > rank_tol))
     if rank < p:
-        data.raise_rank_deficient(rank, rank_tol)
+        raise SingularDesignError(
+            f"design matrix has rank {rank} < p={p} at singular-value tolerance {rank_tol:.3e}")
     return u, s, vt
 
 
@@ -77,12 +78,11 @@ def _rss_noise_floor(n: int, p: int, y_norm):
 def fit_ols(data: Dataset) -> LinearFit:
     """Least-squares fit via an orthogonal decomposition of the design.
 
-    Rank is detected from the singular values of X: anything below
-    eps * max(n, p) * s_max declares the design deficient.
+    A rank-deficient design raises SingularDesignError (see :func:`_svd_factors`).
     """
     X, y = data.X, data.y
     n, p = X.shape
-    u, s, vt = _svd_factors(data)
+    u, s, vt = _svd_factors(X)
     beta = vt.T @ ((u.T @ y) / s)
     resid = y - X @ beta
     rss = float(resid @ resid)

@@ -11,7 +11,7 @@ itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sf
@@ -69,35 +69,25 @@ def _require_u64(name: str, v) -> int:
 class RngStream:
     """Immutable descriptor for a reproducible random stream.
 
-    The same (seed, stream_id, offset) triple always reproduces the same
-    draws; distinct stream_ids give statistically independent sequences.
-    Coverage studies key one stream per block of replications (see
-    :mod:`confdist.coverage`) and draw the whole block in one call.  Drawing
-    never mutates the descriptor: to continue a sequence functionally, use
-    :meth:`advanced` and draw again from the returned descriptor.
+    The same (seed, stream_id) pair always reproduces the same draws;
+    distinct stream_ids give statistically independent sequences.  Coverage
+    studies key one stream per block of replications (see
+    :mod:`confdist.coverage`) and draw the whole block in one call, so
+    drawing never needs to continue a sequence.
     """
 
     seed: int
     stream_id: int = 0
-    offset: int = 0
 
     def __post_init__(self):
         _require_u64("seed", self.seed)
         _require_u64("stream_id", self.stream_id)
-        if not isinstance(self.offset, (int, np.integer)) or self.offset < 0:
-            raise DomainError("offset must be a nonnegative integer")
-
-    def advanced(self, steps: int = 1) -> "RngStream":
-        """Descriptor for the draws following ``steps`` completed calls."""
-        if steps < 0:
-            raise DomainError("steps must be nonnegative")
-        return replace(self, offset=self.offset + steps)
 
     def generator(self) -> np.random.Generator:
-        # Philox is counter based; keying the seed sequence on the full
-        # descriptor makes every (seed, stream_id, offset) an independent,
-        # order-insensitive stream.
-        seq = np.random.SeedSequence([self.seed, self.stream_id, self.offset])
+        # Philox is counter based, so every (seed, stream_id) key gives an
+        # independent, order-insensitive stream.  The third word, 0, keeps
+        # the key that every report's draws were made with.
+        seq = np.random.SeedSequence([self.seed, self.stream_id, 0])
         return np.random.Generator(np.random.Philox(seq))
 
 
@@ -236,7 +226,7 @@ def rng_draws(
     Supported laws: ``"uniform"`` on [0, 1), ``"normal"`` (standard), and
     ``"gamma"`` with keyword ``shape``/``scale``.  The call is pure: the same
     descriptor always returns the same vector, and shared state is never
-    mutated (continue a sequence via ``stream.advanced()``).  The generator
+    mutated.  The generator
     fills its output in order, so the first k of ``n`` draws equal a call
     for k draws.
     """

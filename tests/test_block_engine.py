@@ -16,6 +16,7 @@ from confdist import coverage
 from confdist.coverage import Scenario, design_matrix, run_scenario
 from confdist.data import Dataset
 from confdist.errors import DegenerateFitError, SingularDesignError
+from confdist.gamma import fit_irls
 from confdist.linear import (
     coefficient_ball_pivot,
     contrast,
@@ -197,17 +198,24 @@ class TestNormalBlockTransforms:
             assert not hits.any() and not used.any() and failures == 100
 
     def test_rank_deficient_design_raises_like_fit_ols(self, monkeypatch):
-        sc = Scenario(model="normal_regression", n=10, replications=100, seed=3,
-                      levels=(0.5,), methods=("variance_chisq", "contrast_t"),
-                      beta=(1.0, 0.5, 0.5), phi=1.0)
-        X = design_matrix(sc)
-        X[:, 2] = X[:, 1]
-        monkeypatch.setattr(coverage, "design_matrix", lambda _: X)
-        with pytest.raises(SingularDesignError) as raised:
-            run_scenario(sc)
-        with pytest.raises(SingularDesignError) as direct:
-            fit_ols(Dataset(y=np.ones(10), X=X))
-        assert str(raised.value) == str(direct.value)
+        # each regression model's study raises before any replication runs,
+        # with the text of its own fit
+        normal = Scenario(model="normal_regression", n=10, replications=100, seed=3,
+                          levels=(0.5,), methods=("variance_chisq", "contrast_t"),
+                          beta=(1.0, 0.5, 0.5), phi=1.0)
+        gamma = Scenario(model="gamma_regression", n=10, replications=100, seed=3,
+                         levels=(0.5,), methods=("first_order_precision", "skovgaard_beta"),
+                         beta=(0.5, -0.3, 0.2), varphi=2.0)
+        for sc, fit in ((normal, fit_ols), (gamma, fit_irls)):
+            X = design_matrix(sc)
+            X[:, 2] = X[:, 1]
+            monkeypatch.setattr(coverage, "design_matrix", lambda _: X)
+            with pytest.raises(SingularDesignError) as raised:
+                run_scenario(sc)
+            with pytest.raises(SingularDesignError) as direct:
+                fit(Dataset(y=np.ones(10), X=X))
+            assert str(raised.value) == str(direct.value)
+            assert str(raised.value).startswith("design matrix has rank 2 < p=3 at singular-value")
 
 
 def test_jobs_give_identical_bytes_off_block_multiples():

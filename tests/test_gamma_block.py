@@ -81,10 +81,9 @@ REGRESSION_METHODS = ("first_order_precision", "skovgaard_precision",
                       "first_order_beta", "skovgaard_beta")
 
 
-def block_fit(X, Y, **kwargs):
+def block_fit(X, Y):
     """_fit_irls_block from the log least-squares start, as the coverage engine calls it."""
-    return _fit_irls_block(X, Y, _log_least_squares(np.linalg.svd(X, full_matrices=False), Y),
-                           **kwargs)
+    return _fit_irls_block(X, Y, _log_least_squares(np.linalg.svd(X, full_matrices=False), Y))
 
 
 def oracle_transforms(sc: Scenario, X, y) -> dict:
@@ -248,17 +247,18 @@ class TestRegressionBlock:
             assert sum_b[i] == fit.sum_b
         # five steps leave rows unconverged: each keeps the last iterate of
         # its one-row fit, and fit_irls raises for exactly those rows
-        short = block_fit(study.X, Y, max_iter=5)
-        assert 0 < short[3].sum() < len(Y)
-        for i in range(len(Y)):
-            one = block_fit(study.X, Y[i:i + 1], max_iter=5)
-            for got, want in zip(short, one):
-                assert np.array_equal(got[i], want[0])
-            if short[3][i]:
-                assert fit_irls(Dataset(y=Y[i], X=study.X), max_iter=5).sum_b == short[2][i]
-            else:
-                with pytest.raises(ConvergenceError, match="did not converge in 5 of 5"):
-                    fit_irls(Dataset(y=Y[i], X=study.X), max_iter=5)
+        with mock.patch.object(gamma, "_IRLS_MAX_ITER", 5):
+            short = block_fit(study.X, Y)
+            assert 0 < short[3].sum() < len(Y)
+            for i in range(len(Y)):
+                one = block_fit(study.X, Y[i:i + 1])
+                for got, want in zip(short, one):
+                    assert np.array_equal(got[i], want[0])
+                if short[3][i]:
+                    assert fit_irls(Dataset(y=Y[i], X=study.X)).sum_b == short[2][i]
+                else:
+                    with pytest.raises(ConvergenceError, match="did not converge in 5 of 5"):
+                        fit_irls(Dataset(y=Y[i], X=study.X))
         # with a tolerance of -1 no row meets the convergence test; the block
         # accepts the rows whose score sup-norm is at most 1e-8, and fit_irls
         # returns them without raising
@@ -297,10 +297,14 @@ class TestRegressionBlock:
             Y = Y[np.all(np.isfinite(Y) & (Y > 0.0), axis=1)]
             start = _log_least_squares(np.linalg.svd(X, full_matrices=False), Y)
             start[::2] += shift
-            beta, mu, sum_b, converged = _fit_irls_block(X, Y, start, max_iter=max_iter)
+            with mock.patch.object(gamma, "_IRLS_MAX_ITER", max_iter):
+                beta, mu, sum_b, converged = _fit_irls_block(X, Y, start)
             for i, y in enumerate(Y):
                 try:
-                    fit = fit_irls(Dataset(y=y, X=X), init=start[i], max_iter=max_iter)
+                    with (mock.patch.object(gamma, "_IRLS_MAX_ITER", max_iter),
+                          mock.patch.object(gamma, "_log_least_squares",
+                                            lambda svd, Y: start[i:i + 1])):
+                        fit = fit_irls(Dataset(y=y, X=X))
                 except ConvergenceError:
                     assert not converged[i]
                     continue
@@ -315,8 +319,9 @@ class TestRegressionBlock:
                 steps.append(solve(H, g))
                 return steps[-1]
 
-            with mock.patch.object(gamma, "_solve_rows", recorded):
-                one = _fit_irls_block(X, Y, start, max_iter=1)[0]
+            with (mock.patch.object(gamma, "_solve_rows", recorded),
+                  mock.patch.object(gamma, "_IRLS_MAX_ITER", 1)):
+                one = _fit_irls_block(X, Y, start)[0]
             if steps:  # the rows whose start has a finite deviance took a step
                 taken = np.isfinite(one).all(axis=1)
                 first_steps.add(bool(np.all(one[taken] == start[taken] + steps[0])))

@@ -34,6 +34,7 @@ from confdist.higher_order import (
     signed_root_confidence,
     skovgaard_beta,
     skovgaard_precision,
+    skovgaard_precision_curve,
 )
 from confdist.numerics import RealGrid, RngStream, rng_draws
 from confdist.pivots import Pivot, PivotLaw, interval_endpoint, parameter_density
@@ -141,6 +142,16 @@ class TestFraserRoot:
         # the mean unit deviance the known-mean fit always had, bit for bit
         assert fit.sum_b / n == float((y - 1 - np.log(y)).mean())
         assert fit.loglik == -fit.varphi_hat * fit.sum_b - n * cumulant(fit.varphi_hat)
+
+    def test_regression_fit_rejected(self):
+        # the closed-form correction holds only with the mean known (p = 0);
+        # a regression fit must not return a modified root
+        rng = np.random.default_rng(3)
+        x1 = rng.normal(size=30)
+        y = np.exp(0.5 - 0.3 * x1) * rng.gamma(2.0, 0.5, size=30)
+        fit = fit_irls(Dataset(y=y, X=np.column_stack([np.ones(30), x1])))
+        with pytest.raises(DomainError, match="known-mean fit"):
+            fraser_curve(fit)
 
     def test_at_the_estimate_interpolated(self):
         # the corrected root has a finite O(1/sqrt(n)) limit at the estimate;
@@ -355,6 +366,15 @@ class TestSkovgaardPrecision:
         low = signed_root_confidence(skovgaard_precision(ds, fit, fit.varphi_hat * 3.0))
         high = signed_root_confidence(skovgaard_precision(ds, fit, fit.varphi_hat / 3.0))
         assert low < 0.5 < high
+
+    def test_fit_of_other_data_rejected(self):
+        # a known-mean fit (p = 0) with a one-column dataset, and a fit of
+        # fewer rows: the correction would mix the fit's (n, p) with the data's
+        ds = simulate_gamma(64, 25, [0.4, -0.3], 2.0)
+        for data, fit in ((Dataset(y=ds.y, X=ds.X[:, :1]), fit_known_mean(ds.y)),
+                          (ds, fit_irls(Dataset(y=ds.y[:20], X=ds.X[:20])))):
+            with pytest.raises(DomainError, match="differs from the data's"):
+                skovgaard_precision_curve(data, fit)
 
     def test_float_is_the_pivot_value(self):
         # float() of a scalar result is its signed corrected root, the value

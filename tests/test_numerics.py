@@ -285,13 +285,6 @@ class TestRngStreams:
         t = RngStream(seed=123, stream_id=8)
         assert not np.array_equal(rng_draws(s, "uniform", 50), rng_draws(t, "uniform", 50))
 
-    def test_advanced_descriptor_differs(self):
-        s = RngStream(seed=9, stream_id=0)
-        a = rng_draws(s, "uniform", 50)
-        b = rng_draws(s.advanced(), "uniform", 50)
-        assert not np.array_equal(a, b)
-        assert s.advanced().offset == 1
-
     def test_uniform_mean_clt_bound(self):
         draws = rng_draws(RngStream(seed=2024, stream_id=0), "uniform", 10**6)
         # 3 sigma with sigma = (1/sqrt(12))/1e3
