@@ -235,6 +235,13 @@ class Scenario:
                     )
                 if not any(self.contrast_vector):
                     raise ScenarioError("contrast vector must be nonzero")
+            gamma = self.model == "gamma_regression"
+            with np.errstate(all="ignore"):  # an overflowing mean is what this rejects
+                eta = design_matrix(self) @ np.array(self.beta)
+                mean = np.exp(eta) if gamma else eta
+            if not (np.all(np.isfinite(mean)) and (not gamma or np.all(mean > 0.0))):
+                need = "finite and positive" if gamma else "finite"
+                raise ScenarioError(f"the true mean must be {need}, got beta={self.beta!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -147,46 +147,63 @@ def corrected_deviance_value(deviance: float, correction: float) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
-def _require_precisions(varphi, name: str = "precision") -> np.ndarray:
-    """:func:`_require_positive` on an array; the first bad element raises.
+def _curve(pointwise, kernel, name: str):
+    """A precision curve from its two forms: a float goes to ``pointwise``;
+    an array, and the curve's ``values`` attribute, go to ``kernel`` on one
+    row of the points, and the result takes the array's shape.
 
-    The array forms of the curves then evaluate with floating-point warnings
-    off: at extreme precisions their terms overflow to inf or NaN silently,
-    as in the scalar float arithmetic of the pointwise curves, and the
-    checks that follow (a modified root's sign, the monotone check, a
-    finite root) decide.
+    Both paths check positivity as :func:`_require_positive` does (the first
+    bad element of an array raises, under ``name``).  Arrays are evaluated
+    with floating-point warnings off: at extreme precisions the kernel terms
+    overflow to inf or NaN silently, as in the scalar float arithmetic of the
+    pointwise form, and the checks that follow (a modified root's sign, the
+    monotone check, a finite root) decide.
     """
-    v = np.asarray(varphi, dtype=float)
-    bad = ~(np.isfinite(v) & (v > 0))
-    if bad.any():
-        _require_positive(name, v[bad][0])
-    return v
+    def values(varphi) -> np.ndarray:
+        v = np.asarray(varphi, dtype=float)
+        bad = ~(np.isfinite(v) & (v > 0))
+        if bad.any():
+            _require_positive(name, v[bad][0])
+        with np.errstate(all="ignore"):
+            return kernel(v.reshape(1, -1)).reshape(v.shape)
+
+    def curve(varphi):
+        if isinstance(varphi, np.ndarray):
+            return values(varphi)
+        return pointwise(_require_positive(name, varphi))
+
+    curve.values = values
+    return curve
+
+
+def _lazy_window(varphi_hat: float, build):
+    """A curve's window thunk: ``build()`` gives the (cubic, unavailable)
+    window of the curve's one row, built at the first call (the first varphi
+    inside the window) and cached.  Raises ConvergenceError, and caches
+    nothing, if the nodes did not settle."""
+    @functools.cache
+    def window():
+        cubic, unavailable = build()
+        if np.isnan(cubic(varphi_hat)).any():
+            raise ConvergenceError(f"window nodes did not settle at varphi_hat={varphi_hat!r}")
+        return cubic, unavailable
+
+    return window
 
 
 def signed_root_curve(n: int, varphi_hat: float):
     """varphi -> :func:`signed_precision_root` for one (n, varphi_hat); the
     cumulant terms at varphi_hat are computed once, not per varphi.
 
-    The curve's ``values`` attribute maps an array of precisions to their
-    signed roots in one call of :func:`_signed_roots`, the array kernel
-    coverage uses.
+    On an array, and through ``values``, the curve is one call of
+    :func:`_signed_roots`, the array kernel coverage uses (see :func:`_curve`).
     """
     if n < 2:
         raise DomainError("need at least two observations")
     vh = _require_positive("varphi_hat", varphi_hat)
     deviance = _precision_deviance_curve(n, vh)
-
-    def signed_root(varphi: float) -> float:
-        v = _require_positive("varphi", varphi)
-        return math.copysign(math.sqrt(deviance(v)), vh - v)
-
-    def values(varphi) -> np.ndarray:
-        v = _require_precisions(varphi, "varphi")
-        with np.errstate(all="ignore"):  # see _require_precisions
-            return _signed_roots(n, vh, v)
-
-    signed_root.values = values
-    return signed_root
+    return _curve(lambda v: math.copysign(math.sqrt(deviance(v)), vh - v),
+                  lambda points: _signed_roots(n, vh, points), "varphi")
 
 
 def signed_precision_root(n: int, varphi_hat: float, varphi: float) -> float:
@@ -206,42 +223,34 @@ def fraser_curve(fit: GammaFit):
     Computed once per fit: the signed-root curve, sqrt(n * cumulant_d2(varphi_hat))
     and, at the first varphi inside the window, its cubic: the
     :func:`_fraser_window` the kernel builds for a block's window rows, on
-    one row.  The curve's ``values`` attribute maps an array of precisions to
-    their corrected root values in one call of :func:`_fraser_roots`, the
-    array kernel coverage uses, on one row with this cached cubic; points
-    inside the window take the same cubic, so their values are the same
-    floats as the pointwise curve's.  A regression fit raises DomainError.
+    one row (see :func:`_lazy_window`).  On an array, and through ``values``,
+    the curve is one call of :func:`_fraser_roots`, the array kernel coverage
+    uses, with this cached cubic; points inside the window take the same
+    cubic, so their values are the same floats as the pointwise curve's.  A
+    regression fit raises DomainError.
     """
     if fit.p:
         raise DomainError(f"the Fraser root needs a known-mean fit (p = 0), got p={fit.p}")
     n, vh = fit.n, fit.varphi_hat
     zp_fn = signed_root_curve(n, vh)
     info_root = math.sqrt(n * cumulant_d2(vh))
+    window = _lazy_window(vh, lambda: (
+        _fraser_window(n, np.array([[vh]]), np.array([[info_root]])), None))
 
-    @functools.cache
-    def window_cubic():
-        return _settled(_fraser_window(n, np.array([[vh]]), np.array([[info_root]])), vh)
-
-    def root(varphi: float) -> ModifiedRoot:
-        v = _require_positive("precision", varphi)
+    def root(v: float) -> ModifiedRoot:
         zp, m = zp_fn(v), info_root * (vh - v)
         inside = abs(zp) < ROOT_WINDOW
-        value = float(window_cubic()(v)[0, 0]) if inside else modified_root_value(zp, m)
+        value = float(window()[0](v)[0, 0]) if inside else modified_root_value(zp, m)
         return ModifiedRoot(signed_root=zp, correction=m, value=value, interpolated=inside)
 
-    def values(varphi) -> np.ndarray:
-        v = _require_precisions(varphi)
-        points = v.reshape(1, -1)
-        with np.errstate(all="ignore"):
-            zp = _signed_roots(n, vh, points)
-            # where modified_root_value raises
-            if np.any(~(np.abs(zp) < ROOT_WINDOW) & (info_root * (vh - points) / zp <= 0.0)):
-                raise DomainError("correction and signed root must share a sign")
-            value, _ = _fraser_roots(n, vh, points, zp, window_cubic)
-        return value.reshape(v.shape)
+    def kernel(points: np.ndarray) -> np.ndarray:
+        zp = _signed_roots(n, vh, points)
+        # where modified_root_value raises
+        if np.any(~(np.abs(zp) < ROOT_WINDOW) & (info_root * (vh - points) / zp <= 0.0)):
+            raise DomainError("correction and signed root must share a sign")
+        return _fraser_roots(n, vh, points, zp, window)[0]
 
-    root.values = values
-    return root
+    return _curve(root, kernel, "precision")
 
 
 def fraser_root_known_mu(sample: np.ndarray, varphi: float) -> ModifiedRoot:
@@ -345,13 +354,6 @@ def _window_cubics(x_nodes: np.ndarray, y_nodes: np.ndarray):
     return cubic
 
 
-def _settled(cubic, varphi_hat: float):
-    """The window cubic of a curve (one row); raises if its nodes did not settle."""
-    if np.isnan(cubic(varphi_hat)).any():
-        raise ConvergenceError(f"window nodes did not settle at varphi_hat={varphi_hat!r}")
-    return cubic
-
-
 def _fraser_window(n: int, varphi_hat: np.ndarray, info_root: np.ndarray):
     """The window cubic of the known-mean modified root, one row per fit
     (columns ``varphi_hat`` and ``info_root``); NaN where a node does not settle."""
@@ -365,15 +367,16 @@ def _fraser_roots(n: int, varphi_hat, varphi, signed_root, window=None):
     (rows) x precisions (points) by broadcasting: the column ``varphi_hat``
     (a float for one fit), ``varphi`` a float or a row of points all fits
     share, and ``signed_root`` the signed roots there.  The rows with a point
-    inside the window take their :func:`_fraser_window` cubic, built here, or
-    ``window()``, a curve's cached cubic of its one row.  NaN where
+    inside the window take their :func:`_fraser_window` cubic, built here
+    (``window`` None, from coverage), or the cubic of ``window()``, a curve's
+    :func:`_lazy_window` thunk for its one row.  NaN where
     :func:`modified_root_value` raises or a cubic's nodes did not settle."""
     info_root = np.sqrt(n * _cumulant_d2_array(varphi_hat))
     value = _modified_root_values(signed_root, info_root * (varphi_hat - varphi))
     inside = np.abs(signed_root) < ROOT_WINDOW
     rows = inside.any(axis=1)
     if rows.any():
-        cubic = window() if window else _fraser_window(n, varphi_hat[rows], info_root[rows])
+        cubic = window()[0] if window else _fraser_window(n, varphi_hat[rows], info_root[rows])
         value[inside] = cubic(varphi)[inside[rows]]
     return value, inside
 
@@ -400,28 +403,23 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     Computed once per fit: the cumulant terms at varphi_hat, the score
     quadratic form and, at the first varphi inside the window, its window:
     the :func:`_precision_window` the kernel builds for a block's window
-    rows, on one row.  The curve's ``values`` attribute maps an array of
-    precisions to the signed roots of their corrected deviances (``float()``
-    of the pointwise results) in one call of :func:`_skovgaard_roots`, the
-    array kernel coverage uses, on one row with this cached window; points
-    inside the window take the same cubic as the pointwise curve.  A fit of
-    another (n, p) than ``data`` raises DomainError.
+    rows, on one row (see :func:`_lazy_window`).  On an array, and through
+    ``values``, the curve gives the signed roots of the corrected deviances
+    (``float()`` of the pointwise results) in one call of
+    :func:`_skovgaard_roots`, the array kernel coverage uses, with this
+    cached window; points inside the window take the same cubic as the
+    pointwise curve.  A fit of another (n, p) than ``data`` raises DomainError.
     """
     if (fit.n, fit.p) != (data.n, data.p):
         raise DomainError(f"fit (n, p) = {fit.n, fit.p} differs from the data's {data.n, data.p}")
     n, vh = fit.n, fit.varphi_hat
     deviance = _precision_deviance_curve(n, vh)
     quad = float(_precision_quads(data.X, data.y[None], fit.mu_hat[None])[0])
+    col = np.array([[vh]])
+    window = _lazy_window(vh, lambda: _precision_window(n, col, _cumulant_d2_array(col),
+                                                        np.array([[quad]])))
 
-    @functools.cache
-    def window():
-        col = np.array([[vh]])
-        cubic, unavailable = _precision_window(n, col, _cumulant_d2_array(col),
-                                               np.array([[quad]]))
-        return _settled(cubic, vh), unavailable
-
-    def corrected(varphi: float) -> CorrectedDeviance:
-        v = _require_positive("precision", varphi)
+    def corrected(v: float) -> CorrectedDeviance:
         dp = deviance(v)
         sign = math.copysign(1.0, vh - v) if v != vh else 0.0
         m = _precision_correction_factor(quad, fit, v)
@@ -438,14 +436,8 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
         return CorrectedDeviance(deviance=dp, correction=m, value=max(value, 0.0), dims=1,
                                  sign=sign, interpolated=True, clamped=value < 0.0)
 
-    def values(varphi) -> np.ndarray:
-        v = _require_precisions(varphi)
-        with np.errstate(all="ignore"):
-            value, _ = _skovgaard_roots(n, vh, quad, v.reshape(1, -1), window)
-        return value.reshape(v.shape)
-
-    corrected.values = values
-    return corrected
+    return _curve(corrected, lambda points: _skovgaard_roots(n, vh, quad, points, window)[0],
+                  "precision")
 
 
 def skovgaard_precision(data: Dataset, fit: GammaFit, varphi: float) -> CorrectedDeviance:
@@ -566,9 +558,9 @@ def _skovgaard_roots(n: int, varphi_hat, quad, varphi, window=None):
     by broadcasting: columns ``varphi_hat`` and the :func:`_precision_quads`
     ``quad`` (floats for one fit), and ``varphi`` a float or a row of points
     all fits share.  The rows with an available factor at a point inside the
-    window take their :func:`_precision_window`, built here, or ``window()``,
-    a curve's cached window of its one row.  NaN where a cubic's nodes did
-    not settle."""
+    window take their :func:`_precision_window`, built here (``window`` None,
+    from coverage), or ``window()``, a curve's :func:`_lazy_window` thunk for
+    its one row.  NaN where a cubic's nodes did not settle."""
     c2_hat = _cumulant_d2_array(varphi_hat)
     dp = _profile_deviance_precision_array(n, varphi_hat, varphi)
     value, unavailable, clamped = _corrected_deviance_values(
@@ -691,17 +683,13 @@ def ball_confidence(corrected: CorrectedDeviance) -> float:
 def _precision_pivot(fit: GammaFit, curve=None) -> Pivot:
     """A precision curve of ``fit`` (by default its first-order signed root)
     as a decreasing pivot on (0, inf) with the standard normal law, brackets
-    starting from varphi_hat +/- 0.75 varphi_hat.  Its value is the curve's
-    ``values`` on an array, and on a float the pointwise curve (a float or a
-    flagged result), which costs a fraction of an array call."""
+    starting from varphi_hat +/- 0.75 varphi_hat.  The curve itself is the
+    value: :func:`_curve` sends an array to its kernel and a float to the
+    pointwise form (a float or a flagged result), which costs a fraction of
+    a kernel call."""
     vh = fit.varphi_hat
-    curve = curve or signed_root_curve(fit.n, vh)
-
-    def value(varphi):
-        return curve.values(varphi) if isinstance(varphi, np.ndarray) else curve(varphi)
-
-    return Pivot(law=PivotLaw.normal(), value_fn=value, monotonic="decreasing",
-                 param_support=(0.0, math.inf), hint=(vh, 0.75 * vh),
+    return Pivot(law=PivotLaw.normal(), value_fn=curve or signed_root_curve(fit.n, vh),
+                 monotonic="decreasing", param_support=(0.0, math.inf), hint=(vh, 0.75 * vh),
                  label="corrected root")
 
 

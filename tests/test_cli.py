@@ -900,6 +900,9 @@ def _error_files(d):
         "no_equals": f"[a]\n{ok}levels\n",
         "missing_fields": "[a]\nmodel = normal_regression\nn = 10\n",
         "only_comment": "# no scenarios here\n",
+        "overflow": ("[overflow]\nmodel = gamma_regression\nn = 10\nreplications = 100\n"
+                     "seed = 1\nlevels = 0.5\nmethods = first_order_precision\n"
+                     "beta = 800, 0\nvarphi = 2\n"),
     }
     for name, text in scenarios.items():
         (d / f"{name}.ini").write_text(text)
@@ -1011,6 +1014,10 @@ ERROR_CASES = {
         "no scenario sections found"),
     "scenario_file_missing": (
         "coverage --scenario {d}/absent.ini --out {d}/o", 2, "cannot read scenario file"),
+    "scenario_true_mean_overflows": (
+        "coverage --scenario {d}/overflow.ini --out {d}/o", 2,
+        "scenario error: [overflow]: the true mean must be finite and positive, "
+        "got beta=(800.0, 0.0)"),
     # a data error naming the file and the field
     **{f"fit_json_{name}": (f"interval --fit-json {{d}}/{name}.json {FIT_JSON_FLAGS[model]}", 3,
                             f"{{d}}/{name}.json: {next(iter(change))}")

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confdist.cli import CsvTable, _fit
@@ -138,6 +138,9 @@ def _check_same_density(pivot, grid: RealGrid, window: bool):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 200), grid=GRIDS,
        fraser=st.booleans())
+# at the grid's first points the signed root is +inf: the pointwise curve and
+# the array kernel both raise "correction and signed root must share a sign"
+@example(seed=0, n=5, grid=("near0", 2, 1.1125369292536007e-308), fraser=True)
 def test_known_mean_density_matches_pointwise(seed, n, grid, fraser):
     y = np.random.default_rng(seed).gamma(2.0, 0.5, size=n)
     km = fit_known_mean(y)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,19 @@ class TestScenarioValidation:
                 model="gamma_known_mu", n=1, replications=1000, seed=1,
                 levels=(0.5,), methods=("fraser_z",), varphi=2.0,
             )
+
+    @pytest.mark.parametrize("overrides,need", [
+        (dict(REGRESSION, beta=(800.0, 0.0)), "finite and positive"),
+        (dict(REGRESSION, beta=(-800.0,), design="intercept"), "finite and positive"),
+        (dict(beta=(1e308, 1e308), methods=("variance_chisq",)), "finite"),
+    ], ids=["gamma_overflow", "gamma_intercept_underflow", "normal_overflow"])
+    def test_overflowing_true_mean_rejected(self, overrides, need):
+        # rejected when built, without a leaked RuntimeWarning, where the
+        # study used to draw every replication and fail them all
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match=f"true mean must be {need}, got beta="):
+                normal_scenario(**overrides)
 
 
 class TestDesignMatrix:
