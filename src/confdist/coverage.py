@@ -450,7 +450,15 @@ def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
         sum_b, converged = unit_deviance_terms(Y, study.mean).sum(axis=1), True
     fitted = converged & (sum_b / n >= _DEGENERATE_MEAN_B)
     y = Y[fitted]
-    vh = _solve_precision_array(sum_b[fitted] / n)
+    mean_b = sum_b[fitted] / n
+    beta_methods = "first_order_beta" in methods or "skovgaard_beta" in methods
+    if beta_methods:  # one solve for the estimates and the profile precisions at the truth
+        with np.errstate(divide="ignore"):
+            mean_b_truth = unit_deviance_terms(y, study.mean).mean(axis=1)
+        at_truth = mean_b_truth >= _DEGENERATE_MEAN_B  # else NaN: a perfect fit at the truth
+        mean_b = np.concatenate((mean_b, mean_b_truth[at_truth]))
+    solved = _solve_precision_array(mean_b)
+    vh = solved[:len(y)]
     hat = _cumulant_arrays(vh)
     no_flags, normal = np.zeros(len(y), dtype=bool), PivotLaw.normal()
     zp = _signed_roots(n, vh, v, hat)
@@ -462,14 +470,11 @@ def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
         out["fraser_z"] = (value[:, 0], normal, flags[:, 0])
     if "skovgaard_precision" in methods:
         quad = _precision_quads(X, y, mu_hat[fitted])[:, None]
-        value, flags = _skovgaard_roots(n, col, quad, v)
+        value, flags = _skovgaard_roots(n, col, quad, v, hat=[h[:, None] for h in hat])
         out["skovgaard_precision"] = (value[:, 0], normal, flags[:, 0])
-    if "first_order_beta" in methods or "skovgaard_beta" in methods:
-        with np.errstate(divide="ignore"):
-            mean_b = unit_deviance_terms(y, study.mean).mean(axis=1)
-        vt = np.full(len(y), np.nan)  # NaN: a perfect fit at the truth
-        at_truth = mean_b >= _DEGENERATE_MEAN_B
-        vt[at_truth] = _solve_precision_array(mean_b[at_truth])
+    if beta_methods:
+        vt = np.full(len(y), np.nan)
+        vt[at_truth] = solved[len(y):]
         dp = _profile_deviance_beta_array(n, vh, hat, vt)
         out["first_order_beta"] = (dp, PivotLaw.chisq(p), no_flags)
         if "skovgaard_beta" in methods:
@@ -559,18 +564,18 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> CoverageReport:
         )
 
     rows = []
+    hits, flagged, used = hits.tolist(), flagged.tolist(), used.tolist()
     for i, method in enumerate(sc.methods):
         for j, level in enumerate(sc.levels):
-            n_used = int(used[i])
             rows.append(
                 CoverageRow(
                     method=method,
                     level=level,
-                    hit_count=int(hits[i, j]),
-                    replications_used=n_used,
-                    empirical_coverage=int(hits[i, j]) / n_used,
-                    mc_stderr=math.sqrt(level * (1.0 - level) / n_used),
-                    flagged_count=int(flagged[i]),
+                    hit_count=hits[i][j],
+                    replications_used=used[i],
+                    empirical_coverage=hits[i][j] / used[i],
+                    mc_stderr=math.sqrt(level * (1.0 - level) / used[i]),
+                    flagged_count=flagged[i],
                 )
             )
     return CoverageReport(

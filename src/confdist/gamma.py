@@ -12,10 +12,18 @@ unit deviance term and cumulant(varphi) = log Gamma(varphi)
 The summed unit deviance, sum_i (y_i exp(-eta_i) + eta_i) up to a constant,
 is strictly convex in beta with observed information X' diag(y/mu) X, so
 beta is fit by Newton's method with step halving from the least-squares fit
-of log(y); the precision then solves a strictly monotone scalar score
-equation.  One definition fits a block of responses at once, and the scalar
-fit is that block fit on one row.  A sample whose mean is known to be 1 is
-this model with p = 0.  Only this family/link pair is supported.
+of log(y).  The iteration works in log form, on e = log(y) - X beta with
+y/mu = exp(e) and summed unit deviance sum(exp(e) - 1 - e).  The
+information is formed from its p(p+1)/2 distinct entries, and for p <= 3
+each step is solved in closed form (adjugate over determinant), with a
+stacked LAPACK solve for a row whose determinant is not finite and
+positive and for p > 3.  On exit mu_hat = exp(X beta_hat) and the summed
+unit deviance are formed again in the classic form of
+:func:`unit_deviance_terms`.  The precision then solves a strictly
+monotone scalar score equation.  One definition fits a block of responses
+at once, and the scalar fit is that block fit on one row.  A sample whose
+mean is known to be 1 is this model with p = 0.  Only this family/link pair
+is supported.
 """
 
 from __future__ import annotations
@@ -286,10 +294,16 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
     """Maximum likelihood coefficients of every row of ``Y`` by Newton's method.
 
     ``X`` must have full column rank and ``Y`` must be positive; rows start
-    at ``start``, such as pinv(X) log(y) from :func:`_log_least_squares`.  A
-    step solves the score X'(y/mu - 1), kept from the last accepted iterate,
-    against the observed information X' diag(y/mu) X.  Every row tries the
-    full step; while a row's summed unit deviance would rise by more than its
+    at ``start``, such as pinv(X) log(y) from :func:`_log_least_squares`.
+    The iteration works in log form: with e = log(y) - X beta (log y taken
+    once) and r = exp(e) = y/mu, the summed unit deviance is sum(r - 1 - e)
+    and the score is X'(r - 1), kept from the last accepted iterate.  A step
+    solves the score against the observed information X' diag(r) X, formed
+    from its p(p+1)/2 distinct entries (:func:`_column_products`).  For
+    p <= 3 the step is solved in closed form, the adjugate over the
+    determinant; a row whose determinant is not finite and positive, and
+    every row when p > 3, goes to :func:`_solve_rows`
+    (:func:`_solve_information`).  Every row tries the full step; while a row's deviance would rise by more than its
     rounding slack, its step is halved, and below a 1e-10 fraction the row
     keeps its iterate.  A row converges once its deviance moves by at most
     _IRLS_TOL relatively and its score sup-norm sits at its floating-point
@@ -301,65 +315,122 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
     score sup-norm is at most _ACCEPT_SCORE.
 
     Returns (beta_hat, mu_hat, sum_b, converged) with each row's last
-    iterate; ``converged`` marks the accepted rows, and a row whose start
-    gives a non-finite deviance holds NaN.  A ``trace`` list receives the
-    summed deviances of the start and, after each step, of the rows still
-    iterating.
+    iterate; mu_hat = exp(X beta_hat) and sum_b, the summed
+    :func:`unit_deviance_terms` at mu_hat, are formed from beta_hat on exit,
+    so the profile deviances vanish exactly at the estimate.  ``converged``
+    marks the accepted rows, and a row whose start gives a non-finite
+    deviance holds NaN.  A ``trace`` list receives the summed (log-form)
+    deviances of the start and, after each step, of the rows still iterating.
     """
-    rows = len(Y)
-    beta_hat, mu_hat = np.full((rows, X.shape[1]), np.nan), np.full(Y.shape, np.nan)
-    sum_b, converged = np.full(rows, np.nan), np.zeros(rows, dtype=bool)
+    beta_hat, converged = np.full(start.shape, np.nan), np.zeros(len(Y), dtype=bool)
     score_tol = 1e-12 * X.shape[0] * max(1.0, float(np.max(np.abs(X))))
+    products = _column_products(X)
 
-    def deviance_parts(B, Yr):
-        mu = np.exp(np.matvec(X, B))
-        r = Yr / mu
-        return mu, r, (r - 1.0 - np.log(r)).sum(axis=1)  # unit_deviance_terms
+    def deviance_parts(B, log_y):
+        e = log_y - np.matvec(X, B)
+        r = np.exp(e)
+        return r, (r - 1.0 - e).sum(axis=1)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m, r, d = deviance_parts(start, Y)
+        log_y = np.log(Y)
+        r, d = deviance_parts(start, log_y)
         if trace is not None:
             trace.append(d)
         # state of the rows still iterating, and their row numbers
-        idx = np.flatnonzero(np.isfinite(d))
-        y, b, m, r, d = Y[idx], start[idx], m[idx], r[idx], d[idx]
-        g = np.matvec(X.T, r - 1.0)  # the score
+        idx = np.isfinite(d).nonzero()[0]
+        ly, b, r, d = log_y[idx], start[idx], r[idx], d[idx]
+        scale, g = np.maximum(1.0, np.abs(d)), np.matvec(X.T, r - 1.0)  # g: the score
         for _ in range(_IRLS_MAX_ITER):
             if not idx.size:
                 break
-            delta = _solve_rows(np.matmul(X.T * r[:, None, :], X), g)
-            slack = 1e-11 * np.maximum(1.0, np.abs(d))
+            delta = _solve_information(np.matvec(products, r), g)
+            slack = 1e-11 * scale
             nb = b + delta
-            nm, nr, nd = deviance_parts(nb, y)
-            pending, step = np.flatnonzero(~(np.isfinite(nd) & (nd <= d + slack))), 0.5
+            nr, nd = deviance_parts(nb, ly)
+            pending, step = (~(np.isfinite(nd) & (nd <= d + slack))).nonzero()[0], 0.5
             if pending.size:  # these rows keep their iterate and halve the step together
-                nb[pending], nm[pending], nr[pending], nd[pending] = (
-                    b[pending], m[pending], r[pending], d[pending])
+                nb[pending], nr[pending], nd[pending] = b[pending], r[pending], d[pending]
             while pending.size and step >= 1e-10:  # rows pending below the floor keep theirs
                 cand = b[pending] + step * delta[pending]
-                cm, cr, cd = deviance_parts(cand, y[pending])
+                cr, cd = deviance_parts(cand, ly[pending])
                 ok = np.isfinite(cd) & (cd <= d[pending] + slack[pending])
                 acc = pending[ok]
-                nb[acc], nm[acc], nr[acc], nd[acc] = cand[ok], cm[ok], cr[ok], cd[ok]
+                nb[acc], nr[acc], nd[acc] = cand[ok], cr[ok], cd[ok]
                 pending, step = pending[~ok], step * 0.5
-            d_old, b, m, r, d = d, nb, nm, nr, nd
+            d_old, b, r, d = d, nb, nr, nd
             if trace is not None:
                 trace.append(d)
-            g = np.matvec(X.T, r - 1.0)
-            done = ((np.abs(d_old - d) <= _IRLS_TOL * np.maximum(1.0, np.abs(d)))
-                    & (np.abs(g).max(axis=1) <= score_tol))
+            scale, g = np.maximum(1.0, np.abs(d)), np.matvec(X.T, r - 1.0)
+            done = (np.abs(d_old - d) <= _IRLS_TOL * scale) & (np.abs(g).max(axis=1) <= score_tol)
             converged[idx[done]] = True
             done[pending] = True  # stalled: stop, unconverged
             if done.any():
-                fin, keep = idx[done], ~done
-                beta_hat[fin], mu_hat[fin], sum_b[fin] = b[done], m[done], d[done]
-                idx, y, b, m, r, d, g = (a[keep] for a in (idx, y, b, m, r, d, g))
-        beta_hat[idx], mu_hat[idx], sum_b[idx] = b, m, d
-        stopped = np.flatnonzero(~converged & np.isfinite(sum_b))
+                beta_hat[idx[done]], keep = b[done], ~done
+                idx, ly, b, r, d, scale, g = (a[keep] for a in (idx, ly, b, r, d, scale, g))
+        beta_hat[idx] = b
+        mu_hat = np.exp(np.matvec(X, beta_hat))
+        ratio = Y / mu_hat
+        sum_b = (ratio - 1.0 - np.log(ratio)).sum(axis=1)  # unit_deviance_terms
+        stopped = (~converged & np.isfinite(sum_b)).nonzero()[0]
         if stopped.size:
-            score_inf = np.abs(np.matvec(X.T, Y[stopped] / mu_hat[stopped] - 1.0)).max(axis=1)
+            score_inf = np.abs(np.matvec(X.T, ratio[stopped] - 1.0)).max(axis=1)
             converged[stopped[score_inf <= _ACCEPT_SCORE]] = True
     return beta_hat, mu_hat, sum_b, converged
+
+
+# The distinct entries of a symmetric p x p matrix, row by row (j <= k), as
+# (j, k) index tuples for p <= 3; np.triu_indices gives the same order.
+_UPPER = {1: ((0,), (0,)), 2: ((0, 0, 1), (0, 1, 1)), 3: ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2))}
+# The adjugate of such a matrix from its distinct entries u, row-major: for
+# p = 2, u[_ADJ2] * _ADJ2_SIGN; for p = 3 its distinct entries are
+# u[L] * u[R] - u[L'] * u[R'], with _ADJ3 = (L, L') and (R, R') stacked, and
+# _FULL3 spreads them over the matrix.
+_ADJ2, _ADJ2_SIGN = np.array([2, 1, 1, 0]), np.array([1.0, -1.0, -1.0, 1.0])
+_ADJ3 = (np.array([3, 2, 1, 0, 1, 0, 4, 1, 2, 2, 0, 1]), np.array([5, 4, 4, 5, 2, 3, 4, 5, 3, 2, 4, 1]))
+_FULL3 = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+
+
+def _column_products(X: np.ndarray) -> np.ndarray:
+    """The products x_j * x_k (j <= k) of the design's columns, one per row,
+    so that np.matvec(products, w) holds the distinct entries of
+    X' diag(w) X: a matrix-vector product per row, rounded alike in a block
+    of any size."""
+    j, k = _UPPER.get(X.shape[1]) or np.triu_indices(X.shape[1])
+    return X.T[j, :] * X.T[k, :]
+
+
+def _solve_information(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x with H[i] x[i] = g[i] for every row i, where H[i] is the symmetric
+    matrix with distinct entries h[i] (in :func:`_column_products` order).
+
+    For p <= 3, x is the adjugate times g over the determinant.  A row whose
+    determinant is not finite and positive, and every row when p > 3, is
+    solved by :func:`_solve_rows` (NaN where H[i] is singular)."""
+    p = g.shape[1]
+    if p == 1:
+        det, x = h[:, 0], g / h
+    elif p <= 3:
+        if p == 2:
+            adj = np.take(h, _ADJ2, axis=1) * _ADJ2_SIGN
+        else:
+            prod = np.take(h, _ADJ3[0], axis=1) * np.take(h, _ADJ3[1], axis=1)
+            adj = np.take(prod[:, :6] - prod[:, 6:], _FULL3, axis=1)
+        det = np.vecdot(h[:, :p], adj[:, :p])
+        x = np.matvec(adj.reshape(-1, p, p), g) / det[:, None]
+    else:
+        return _solve_rows(_symmetric_matrices(h, p), g)
+    bad = ~((det > 0.0) & (det < np.inf))
+    if bad.any():
+        x[bad] = _solve_rows(_symmetric_matrices(h[bad], p), g[bad])
+    return x
+
+
+def _symmetric_matrices(h: np.ndarray, p: int) -> np.ndarray:
+    """The symmetric p x p matrices with distinct entries h, one per row."""
+    j, k = np.triu_indices(p)
+    full = np.empty((p, p), dtype=np.intp)
+    full[j, k] = full[k, j] = np.arange(j.size)
+    return np.take(h, full, axis=1)
 
 
 def _solve_rows(H: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -31,11 +31,13 @@ from .errors import ConvergenceError, DomainError
 from .gamma import (
     _DEGENERATE_MEAN_B,
     GammaFit,
+    _column_products,
     _cumulant_arrays,
     _cumulant_d2_array,
     _precision_deviance_curve,
     _profile_deviance_beta_array,
     _profile_deviance_precision_array,
+    _solve_information,
     _solve_precision_array,
     _solve_rows,
     cumulant_d2,
@@ -489,19 +491,17 @@ def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedD
 _RAY_NODE_ACCEPT = 1e-9
 
 
-def _residual_gram(X: np.ndarray, Y: np.ndarray, mu: np.ndarray):
-    """X'(y/mu - 1) as columns and X' diag(y/mu) X, for every row."""
-    ratio = Y / mu
-    return np.matmul(X.T, (ratio - 1.0)[:, :, None]), np.matmul(X.T, X * ratio[:, :, None])
-
-
 def _precision_quads(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
     """The score quadratic form of the precision correction factor for every
-    row: r'M^-1 r with r = X'(y/mu - 1) and M = X' diag(y/mu) X.  At the exact
-    estimate the score vanishes, so the form is analytically zero there, but
-    it is evaluated literally."""
-    xr, m_mat = _residual_gram(X, Y, mu_hat)
-    return np.matmul(np.swapaxes(xr, 1, 2), np.linalg.solve(m_mat, xr))[:, 0, 0]
+    row: r'M^-1 r with r = X'(y/mu - 1) and M = X' diag(y/mu) X, M formed
+    from its distinct entries and solved as the coefficient fit solves its
+    steps (NaN where M is singular).  At the exact estimate the score
+    vanishes, so the form is analytically zero there, but it is evaluated
+    literally."""
+    ratio = Y / mu_hat
+    r = np.matvec(X.T, ratio - 1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.vecdot(r, _solve_information(np.matvec(_column_products(X), ratio), r))
 
 
 def _precision_correction_factors(n: int, c2_hat: np.ndarray, quad: np.ndarray,
@@ -519,7 +519,9 @@ def _beta_correction_factors(X: np.ndarray, Y: np.ndarray, mu: np.ndarray,
     """The determinant-ratio m of the coefficient vector for every row at one
     coefficient vector (mean ``mu``); NaN where a determinant is not positive."""
     n = X.shape[0]
-    xr, weighted = _residual_gram(X, Y, mu)
+    ratio = Y / mu
+    xr = np.matmul(X.T, (ratio - 1.0)[:, :, None])  # the scores, as columns
+    weighted = np.matmul(X.T, X * ratio[:, :, None])  # X' diag(y/mu) X
     prec = profile_prec[:, None, None]
     denom_mat = prec * weighted - xr * np.swapaxes(xr, 1, 2) / (n * _cumulant_d2_array(prec))
     sign_num, logdet_num = np.linalg.slogdet(varphi_hat[:, None, None] * (X.T @ X))
@@ -552,17 +554,18 @@ def _precision_window(n: int, varphi_hat: np.ndarray, c2_hat: np.ndarray, quad: 
     return _window_cubics(nodes, d_nodes), unavailable.any(axis=1) & ~np.isnan(nodes).any(axis=1)
 
 
-def _skovgaard_roots(n: int, varphi_hat, quad, varphi, window=None):
+def _skovgaard_roots(n: int, varphi_hat, quad, varphi, window=None, hat=None):
     """The signed root of :func:`skovgaard_precision`'s corrected deviance
     (``float()`` of it) and its flag, for fits (rows) x precisions (points)
     by broadcasting: columns ``varphi_hat`` and the :func:`_precision_quads`
     ``quad`` (floats for one fit), and ``varphi`` a float or a row of points
-    all fits share.  The rows with an available factor at a point inside the
+    all fits share; ``hat`` is the :func:`_cumulant_arrays` of ``varphi_hat``,
+    where held.  The rows with an available factor at a point inside the
     window take their :func:`_precision_window`, built here (``window`` None,
     from coverage), or ``window()``, a curve's :func:`_lazy_window` thunk for
     its one row.  NaN where a cubic's nodes did not settle."""
     c2_hat = _cumulant_d2_array(varphi_hat)
-    dp = _profile_deviance_precision_array(n, varphi_hat, varphi)
+    dp = _profile_deviance_precision_array(n, varphi_hat, varphi, hat)
     value, unavailable, clamped = _corrected_deviance_values(
         dp, _precision_correction_factors(n, c2_hat, quad, varphi))
     near = dp < ROOT_WINDOW**2

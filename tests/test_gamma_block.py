@@ -55,6 +55,7 @@ from confdist.gamma import (
     profile_deviance_precision,
     profile_precision_at,
     solve_precision,
+    unit_deviance_terms,
 )
 from confdist.higher_order import (
     ROOT_WINDOW,
@@ -276,7 +277,7 @@ class TestRegressionBlock:
         # e**3 times too large: each accepted row is fit_irls on that row from
         # the same start, bit for bit, and a row is unaccepted exactly when fit_irls
         # raises ConvergenceError.  The first Newton step, read off
-        # _solve_rows, shows that the examples reach both the block where
+        # _solve_information, shows that the examples reach both the block where
         # every row takes the full step and the block where some row halves it.
         first_steps = set()
 
@@ -315,18 +316,18 @@ class TestRegressionBlock:
                     assert np.array_equal(mu[i], fit.mu_hat) and sum_b[i] == fit.sum_b
             steps = []
 
-            def recorded(H, g):
-                steps.append(solve(H, g))
+            def recorded(h, g):
+                steps.append(solve(h, g))
                 return steps[-1]
 
-            with (mock.patch.object(gamma, "_solve_rows", recorded),
+            with (mock.patch.object(gamma, "_solve_information", recorded),
                   mock.patch.object(gamma, "_IRLS_MAX_ITER", 1)):
                 one = _fit_irls_block(X, Y, start)[0]
             if steps:  # the rows whose start has a finite deviance took a step
                 taken = np.isfinite(one).all(axis=1)
                 first_steps.add(bool(np.all(one[taken] == start[taken] + steps[0])))
 
-        solve = gamma._solve_rows
+        solve = gamma._solve_information
         check()
         assert first_steps == {True, False}
 
@@ -411,6 +412,55 @@ class TestRegressionBlock:
             with stream_blocks(sc, 1):
                 assert run_scenario(sc).failures == 0
             assert run_scenario(sc).failures == 0
+
+
+class TestNewtonKernel:
+    """What the coefficient fit returns, and how it solves its steps."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.integers(1, 30), n=st.integers(4, 40), p=st.integers(1, 3),
+           log_varphi=st.floats(math.log(0.1), math.log(30.0)), seed=seeds)
+    def test_estimates_are_in_classic_form(self, rows, n, p, log_varphi, seed):
+        # the iteration works in log form, but every row returns
+        # mu_hat = exp(X beta_hat) and the summed unit_deviance_terms there
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        varphi = math.exp(log_varphi)
+        Y = np.exp(X @ rng.uniform(-2.0, 2.0, size=p)) * rng.gamma(
+            varphi, 1.0 / varphi, size=(rows, n))
+        Y = Y[np.all(np.isfinite(Y) & (Y > 0.0), axis=1)]
+        beta, mu, sum_b, converged = block_fit(X, Y)
+        assert converged.any()
+        with np.errstate(all="ignore"):
+            assert np.array_equal(sum_b, unit_deviance_terms(Y, mu).sum(axis=1), equal_nan=True)
+        for i in np.flatnonzero(converged):
+            assert np.array_equal(mu[i], np.exp(X @ beta[i]))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_steps_match_lapack(self, p):
+        # closed form (adjugate over determinant) for p <= 3, within a few
+        # ulps of the row's largest entry on well-conditioned SPD matrices;
+        # p > 3 is the stacked LAPACK solve itself
+        rng = np.random.default_rng(p)
+        A = rng.normal(size=(500, p, p))
+        H = A @ np.swapaxes(A, 1, 2) + p * np.eye(p)  # condition numbers below 10
+        g = rng.normal(size=(500, p))
+        j, k = np.triu_indices(p)
+        got = gamma._solve_information(H[:, j, k], g)
+        want = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+        ulp = np.spacing(np.abs(want).max(axis=1))[:, None]
+        assert np.all(np.abs(got - want) <= (16 if p <= 3 else 0) * ulp)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_singular_row_is_nan(self, p):
+        j, k = np.triu_indices(p)
+        h = np.stack([np.eye(p)[j, k], np.ones(j.size)])  # the identity, then all ones
+        if p == 1:
+            h[1] = 0.0
+        g = np.ones((2, p))
+        with np.errstate(all="ignore"):
+            got = gamma._solve_information(h, g)
+        assert np.array_equal(got[0], g[0]) and np.isnan(got[1]).all()
 
 
 @pytest.mark.parametrize("model", ["gamma_known_mu", "gamma_regression"])
