@@ -299,12 +299,12 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
     once) and r = exp(e) = y/mu, the summed unit deviance is sum(r - 1 - e)
     and the score is X'(r - 1), kept from the last accepted iterate.  A step
     solves the score against the observed information X' diag(r) X, formed
-    from its p(p+1)/2 distinct entries (:func:`_column_products`).  For
-    p <= 3 the step is solved in closed form, the adjugate over the
-    determinant; a row whose determinant is not finite and positive, and
-    every row when p > 3, goes to :func:`_solve_rows`
-    (:func:`_solve_information`).  Every row tries the full step; while a row's deviance would rise by more than its
-    rounding slack, its step is halved, and below a 1e-10 fraction the row
+    from its p(p+1)/2 distinct entries (:func:`_column_products`), and
+    :func:`_solve_information` solves it: in closed form for p <= 3, the
+    adjugate over the determinant, and by :func:`_solve_rows` for a row whose
+    determinant is not finite and positive and for every row when p > 3.
+    Every row tries the full step; while a row's deviance would rise by more
+    than its rounding slack, its step is halved, and below a 1e-10 fraction the row
     keeps its iterate.  A row converges once its deviance moves by at most
     _IRLS_TOL relatively and its score sup-norm sits at its floating-point
     floor.  A row whose step fell below the floor would repeat that step, so
@@ -378,9 +378,9 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
     return beta_hat, mu_hat, sum_b, converged
 
 
-# The distinct entries of a symmetric p x p matrix, row by row (j <= k), as
-# (j, k) index tuples for p <= 3; np.triu_indices gives the same order.
-_UPPER = {1: ((0,), (0,)), 2: ((0, 0, 1), (0, 1, 1)), 3: ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2))}
+# The distinct entries (j, k), j <= k, of a symmetric p x p matrix, row by
+# row, held for p <= 3.
+_UPPER = {p: np.triu_indices(p) for p in (1, 2, 3)}
 # The adjugate of such a matrix from its distinct entries u, row-major: for
 # p = 2, u[_ADJ2] * _ADJ2_SIGN; for p = 3 its distinct entries are
 # u[L] * u[R] - u[L'] * u[R'], with _ADJ3 = (L, L') and (R, R') stacked, and
