@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -43,12 +43,15 @@ PHI_AT_1 = 0.841344746068543
 # Negatives, 0 of both signs, tiny and huge values and the infinities.
 CDF_POINTS = np.array([-np.inf, -1e300, -40.0, -3.5, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-8,
                        0.3, 1.0, 2.7, 40.0, 1e8, 1e300, np.inf, 0.05])
-# Each law with the array CDF the coverage engine called for it before the law table.
+# Each law with the array CDF the coverage engine called for it before the law
+# table, except the t law at df = 1 (Cauchy), whose closed form replaced scipy's
+# stdtr there.
 LAW_TABLE_CASES = [(PivotLaw.normal(), special.ndtr)]
 for _df in (1.0, 3.0, 11.5):
     LAW_TABLE_CASES.append((PivotLaw.chisq(_df), lambda x, df=_df: np.where(
         x <= 0.0, 0.0, special.gammainc(df / 2.0, x / 2.0))))
-    LAW_TABLE_CASES.append((PivotLaw.student_t(_df), lambda x, df=_df: special.stdtr(df, x)))
+    LAW_TABLE_CASES.append((PivotLaw.student_t(_df), lambda x, df=_df: (
+        np.arctan2(1.0, -x) / np.pi if df == 1.0 else special.stdtr(df, x))))
 for _d1, _d2 in ((2.0, 7.0), (5.0, 1.5)):
     LAW_TABLE_CASES.append((PivotLaw.f(_d1, _d2), lambda x, d1=_d1, d2=_d2: np.where(
         x > 0.0, special.fdtr(d1, d2, x), 0.0)))
@@ -106,6 +109,13 @@ class TestPivotLaw:
         assert on_array.tobytes() == engine(CDF_POINTS).tobytes()
         grid = CDF_POINTS.reshape(2, -1)
         assert law.cdf(grid).tobytes() == engine(grid).tobytes()
+
+    def test_t_cdf_at_one_df_is_the_cauchy_form(self):
+        # scipy's stdtr at df = 1 is 1.6e-9 off at x = 1e-8, where the CDF is
+        # 1/2 + x/pi up to x^3/(3 pi)
+        law = PivotLaw.student_t(1.0)
+        assert law.cdf(1e-8) == 0.5 + 1e-8 / math.pi
+        assert law.cdf(-1.0) == 0.25 and law.cdf(-0.0) == law.cdf(0.0) == 0.5
 
     @pytest.mark.parametrize("law", [law for law, _ in LAW_TABLE_CASES])
     def test_nan_element_stays_nan_and_nan_point_raises(self, law):
@@ -178,6 +188,7 @@ FAMILIES = st.sampled_from(["normal", "chisq", "student_t", "f"])
 class TestExactQuantiles:
     @settings(max_examples=400, deadline=None)
     @given(family=FAMILIES, df=DFS, p=LEVELS)
+    @example(family="student_t", df=[1.0, 1.0], p=0.49931308468890356)  # stdtr: 81 ulps off
     def test_cdf_of_quantile_is_the_level(self, family, df, p):
         law = _law(family, tuple(df))
         q = law.quantile(p)
