@@ -470,7 +470,7 @@ def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
         out["fraser_z"] = (value[:, 0], normal, flags[:, 0])
     if "skovgaard_precision" in methods:
         quad = _precision_quads(X, y, mu_hat[fitted])[:, None]
-        value, flags = _skovgaard_roots(n, col, quad, v, hat=[h[:, None] for h in hat])
+        value, flags = _skovgaard_roots(n, col, quad, v)
         out["skovgaard_precision"] = (value[:, 0], normal, flags[:, 0])
     if beta_methods:
         vt = np.full(len(y), np.nan)

@@ -14,10 +14,10 @@ is strictly convex in beta with observed information X' diag(y/mu) X, so
 beta is fit by Newton's method with step halving from the least-squares fit
 of log(y).  The iteration works in log form, on e = log(y) - X beta with
 y/mu = exp(e) and summed unit deviance sum(exp(e) - 1 - e).  The
-information is formed from its p(p+1)/2 distinct entries, and for p <= 3
+information is formed from its p(p+1)/2 distinct entries, and for p = 2
 each step is solved in closed form (adjugate over determinant), with a
 stacked LAPACK solve for a row whose determinant is not finite and
-positive and for p > 3.  On exit mu_hat = exp(X beta_hat) and the summed
+positive and for every other p.  On exit mu_hat = exp(X beta_hat) and the summed
 unit deviance are formed again in the classic form of
 :func:`unit_deviance_terms`.  The precision then solves a strictly
 monotone scalar score equation.  One definition fits a block of responses
@@ -244,8 +244,11 @@ def fit_irls(data: Dataset) -> GammaFit:
     beta, mu, sum_b, converged = _fit_irls_block(data.X, Y, start, deviances)
     trace = [float(d[0]) for d in deviances]
     beta, mu, dev_sum = beta[0], mu[0], float(sum_b[0])
-    if not math.isfinite(dev_sum):
+    if not math.isfinite(trace[0]):
         raise ConvergenceError("starting values give a non-finite deviance", trace=trace)
+    if not math.isfinite(dev_sum):
+        raise ConvergenceError("the fitted means exp(X beta_hat) leave the floating-point range",
+                               trace=trace)
     if not converged[0]:
         score_inf = float(np.max(np.abs(data.X.T @ (data.y / mu - 1.0))))
         raise ConvergenceError(
@@ -300,9 +303,9 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
     and the score is X'(r - 1), kept from the last accepted iterate.  A step
     solves the score against the observed information X' diag(r) X, formed
     from its p(p+1)/2 distinct entries (:func:`_column_products`), and
-    :func:`_solve_information` solves it: in closed form for p <= 3, the
+    :func:`_solve_information` solves it: in closed form for p = 2, the
     adjugate over the determinant, and by :func:`_solve_rows` for a row whose
-    determinant is not finite and positive and for every row when p > 3.
+    determinant is not finite and positive and for every row when p != 2.
     Every row tries the full step; while a row's deviance would rise by more
     than its rounding slack, its step is halved, and below a 1e-10 fraction the row
     keeps its iterate.  A row converges once its deviance moves by at most
@@ -318,8 +321,9 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
     iterate; mu_hat = exp(X beta_hat) and sum_b, the summed
     :func:`unit_deviance_terms` at mu_hat, are formed from beta_hat on exit,
     so the profile deviances vanish exactly at the estimate.  ``converged``
-    marks the accepted rows, and a row whose start gives a non-finite
-    deviance holds NaN.  A ``trace`` list receives the summed (log-form)
+    marks the accepted rows, none with a sum_b that is not finite (where
+    exp(X beta_hat) leaves the float range), and a row whose start gives a
+    non-finite deviance holds NaN.  A ``trace`` list receives the summed (log-form)
     deviances of the start and, after each step, of the rows still iterating.
     """
     beta_hat, converged = np.full(start.shape, np.nan), np.zeros(len(Y), dtype=bool)
@@ -371,6 +375,7 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
         mu_hat = np.exp(np.matvec(X, beta_hat))
         ratio = Y / mu_hat
         sum_b = (ratio - 1.0 - np.log(ratio)).sum(axis=1)  # unit_deviance_terms
+        converged &= np.isfinite(sum_b)  # exp(X beta_hat) may leave the float range
         stopped = (~converged & np.isfinite(sum_b)).nonzero()[0]
         if stopped.size:
             score_inf = np.abs(np.matvec(X.T, ratio[stopped] - 1.0)).max(axis=1)
@@ -378,16 +383,10 @@ def _fit_irls_block(X: np.ndarray, Y: np.ndarray, start: np.ndarray,
     return beta_hat, mu_hat, sum_b, converged
 
 
-# The distinct entries (j, k), j <= k, of a symmetric p x p matrix, row by
-# row, held for p <= 3.
-_UPPER = {p: np.triu_indices(p) for p in (1, 2, 3)}
-# The adjugate of such a matrix from its distinct entries u, row-major: for
-# p = 2, u[_ADJ2] * _ADJ2_SIGN; for p = 3 its distinct entries are
-# u[L] * u[R] - u[L'] * u[R'], with _ADJ3 = (L, L') and (R, R') stacked, and
-# _FULL3 spreads them over the matrix.
+# The distinct entries (j, k), j <= k, of a symmetric 2 x 2 matrix, and its
+# adjugate from them, u[_ADJ2] * _ADJ2_SIGN, row-major.
+_UPPER2 = np.triu_indices(2)
 _ADJ2, _ADJ2_SIGN = np.array([2, 1, 1, 0]), np.array([1.0, -1.0, -1.0, 1.0])
-_ADJ3 = (np.array([3, 2, 1, 0, 1, 0, 4, 1, 2, 2, 0, 1]), np.array([5, 4, 4, 5, 2, 3, 4, 5, 3, 2, 4, 1]))
-_FULL3 = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
 def _column_products(X: np.ndarray) -> np.ndarray:
@@ -395,7 +394,7 @@ def _column_products(X: np.ndarray) -> np.ndarray:
     so that np.matvec(products, w) holds the distinct entries of
     X' diag(w) X: a matrix-vector product per row, rounded alike in a block
     of any size."""
-    j, k = _UPPER.get(X.shape[1]) or np.triu_indices(X.shape[1])
+    j, k = _UPPER2 if X.shape[1] == 2 else np.triu_indices(X.shape[1])
     return X.T[j, :] * X.T[k, :]
 
 
@@ -403,22 +402,15 @@ def _solve_information(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """x with H[i] x[i] = g[i] for every row i, where H[i] is the symmetric
     matrix with distinct entries h[i] (in :func:`_column_products` order).
 
-    For p <= 3, x is the adjugate times g over the determinant.  A row whose
-    determinant is not finite and positive, and every row when p > 3, is
+    For p = 2, x is the adjugate times g over the determinant.  A row whose
+    determinant is not finite and positive, and every row when p != 2, is
     solved by :func:`_solve_rows` (NaN where H[i] is singular)."""
     p = g.shape[1]
-    if p == 1:
-        det, x = h[:, 0], g / h
-    elif p <= 3:
-        if p == 2:
-            adj = np.take(h, _ADJ2, axis=1) * _ADJ2_SIGN
-        else:
-            prod = np.take(h, _ADJ3[0], axis=1) * np.take(h, _ADJ3[1], axis=1)
-            adj = np.take(prod[:, :6] - prod[:, 6:], _FULL3, axis=1)
-        det = np.vecdot(h[:, :p], adj[:, :p])
-        x = np.matvec(adj.reshape(-1, p, p), g) / det[:, None]
-    else:
+    if p != 2:
         return _solve_rows(_symmetric_matrices(h, p), g)
+    adj = np.take(h, _ADJ2, axis=1) * _ADJ2_SIGN
+    det = np.vecdot(h[:, :2], adj[:, :2])
+    x = np.matvec(adj.reshape(-1, 2, 2), g) / det[:, None]
     bad = ~((det > 0.0) & (det < np.inf))
     if bad.any():
         x[bad] = _solve_rows(_symmetric_matrices(h[bad], p), g[bad])

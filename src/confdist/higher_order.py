@@ -554,18 +554,17 @@ def _precision_window(n: int, varphi_hat: np.ndarray, c2_hat: np.ndarray, quad: 
     return _window_cubics(nodes, d_nodes), unavailable.any(axis=1) & ~np.isnan(nodes).any(axis=1)
 
 
-def _skovgaard_roots(n: int, varphi_hat, quad, varphi, window=None, hat=None):
+def _skovgaard_roots(n: int, varphi_hat, quad, varphi, window=None):
     """The signed root of :func:`skovgaard_precision`'s corrected deviance
     (``float()`` of it) and its flag, for fits (rows) x precisions (points)
     by broadcasting: columns ``varphi_hat`` and the :func:`_precision_quads`
     ``quad`` (floats for one fit), and ``varphi`` a float or a row of points
-    all fits share; ``hat`` is the :func:`_cumulant_arrays` of ``varphi_hat``,
-    where held.  The rows with an available factor at a point inside the
+    all fits share.  The rows with an available factor at a point inside the
     window take their :func:`_precision_window`, built here (``window`` None,
     from coverage), or ``window()``, a curve's :func:`_lazy_window` thunk for
     its one row.  NaN where a cubic's nodes did not settle."""
     c2_hat = _cumulant_d2_array(varphi_hat)
-    dp = _profile_deviance_precision_array(n, varphi_hat, varphi, hat)
+    dp = _profile_deviance_precision_array(n, varphi_hat, varphi)
     value, unavailable, clamped = _corrected_deviance_values(
         dp, _precision_correction_factors(n, c2_hat, quad, varphi))
     near = dp < ROOT_WINDOW**2

@@ -436,22 +436,19 @@ class TestNewtonKernel:
         for i in np.flatnonzero(converged):
             assert np.array_equal(mu[i], np.exp(X @ beta[i]))
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_steps_match_lapack(self, p):
-        # closed form (adjugate over determinant) for p <= 3, within a few
-        # ulps of the row's largest entry on well-conditioned SPD matrices;
-        # p > 3 is the stacked LAPACK solve itself
-        rng = np.random.default_rng(p)
-        A = rng.normal(size=(500, p, p))
-        H = A @ np.swapaxes(A, 1, 2) + p * np.eye(p)  # condition numbers below 10
-        g = rng.normal(size=(500, p))
-        j, k = np.triu_indices(p)
-        got = gamma._solve_information(H[:, j, k], g)
+    def test_closed_form_steps_match_lapack(self):
+        # p = 2, the adjugate over the determinant: within a few ulps of the
+        # row's largest entry on well-conditioned SPD matrices
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(500, 2, 2))
+        H = A @ np.swapaxes(A, 1, 2) + 2.0 * np.eye(2)  # condition numbers below 10
+        g = rng.normal(size=(500, 2))
+        got = gamma._solve_information(H[:, [0, 0, 1], [0, 1, 1]], g)
         want = np.linalg.solve(H, g[:, :, None])[:, :, 0]
         ulp = np.spacing(np.abs(want).max(axis=1))[:, None]
-        assert np.all(np.abs(got - want) <= (16 if p <= 3 else 0) * ulp)
+        assert np.all(np.abs(got - want) <= 16 * ulp)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_singular_row_is_nan(self, p):
         j, k = np.triu_indices(p)
         h = np.stack([np.eye(p)[j, k], np.ones(j.size)])  # the identity, then all ones
@@ -461,6 +458,20 @@ class TestNewtonKernel:
         with np.errstate(all="ignore"):
             got = gamma._solve_information(h, g)
         assert np.array_equal(got[0], g[0]) and np.isnan(got[1]).all()
+
+    def test_fitted_mean_out_of_range_is_not_accepted(self):
+        # the log-form iteration settles, but exp(X beta_hat) underflows to 0
+        # at the last observation, so sum_b is not finite
+        X = np.array([[1.0, -0.3082781503978844], [1.0, -0.881694971470056],
+                      [1.0, 0.14663082307360867], [1.0, 0.594925861846824]])
+        y = np.array([4.35e-322, 3.040450843861996e-309, 5e-324, 5e-324])
+        with np.errstate(all="ignore"):
+            beta, mu, sum_b, converged = block_fit(X, y[None])
+        assert np.isfinite(beta).all() and not np.isfinite(sum_b[0]) and not converged[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="leave the floating-point range"):
+                fit_irls(Dataset(y=y, X=X))
 
 
 @pytest.mark.parametrize("model", ["gamma_known_mu", "gamma_regression"])
