@@ -473,13 +473,13 @@ _SERIES_WIDTH, _SERIES_ORDER = 1e-3, 6
 def _deviance_series(varphi_hat, h):
     """cumulant(varphi_hat + h) - cumulant(varphi_hat) - h cumulant_d1(varphi_hat)
     as its Taylor series, sum over k = 2.._SERIES_ORDER of h^k / k! times
-    cumulant's k-th derivative psi^(k-1)(v) + (-1)^(k-1) (k-2)! / v^(k-1).
+    cumulant's k-th derivative, (-1)^k (k-2)! ((k-1) zeta(k, v) - v^(1-k)).
     Elementwise operations only, so a float and an array element round alike."""
     inv = inv_power = 1.0 / varphi_hat
     coefficients = []
     for k in range(2, _SERIES_ORDER + 1):
-        correction = (-1) ** (k - 1) * math.factorial(k - 2) * inv_power
-        coefficients.append((_sf.polygamma(k - 1, varphi_hat) + correction) / math.factorial(k))
+        derivative = (k - 1) * _sf.zeta(k, varphi_hat) - inv_power
+        coefficients.append((-1) ** k * derivative / (k * (k - 1)))
         inv_power = inv_power * inv
     total = 0.0
     for c in reversed(coefficients):
@@ -537,13 +537,13 @@ def _profile_deviance_precision_array(n: int, varphi_hat: np.ndarray, varphi,
     precisions; ``hat`` and ``at`` are their _cumulant_arrays, where held."""
     c_hat, c1_hat = _cumulant_arrays(varphi_hat) if hat is None else hat
     c = (_cumulant_arrays(varphi) if at is None else at)[0]
-    d = np.maximum(2.0 * n * ((varphi_hat - varphi) * c1_hat + c - c_hat), 0.0)
-    h = np.asarray(varphi - varphi_hat)
-    near = np.abs(h) <= _SERIES_WIDTH * varphi_hat
+    diff = varphi_hat - varphi
+    d = np.maximum(2.0 * n * (diff * c1_hat + c - c_hat), 0.0)
+    near = np.abs(diff) <= _SERIES_WIDTH * varphi_hat
     if near.any():
         d = np.array(d)
         d[near] = np.maximum(2.0 * n * _deviance_series(
-            np.broadcast_to(varphi_hat, near.shape)[near], h[near]), 0.0)
+            np.broadcast_to(varphi_hat, near.shape)[near], -np.asarray(diff)[near]), 0.0)
     return d
 
 

@@ -459,7 +459,7 @@ class TestNewtonKernel:
 
     def test_fitted_mean_out_of_range_is_not_accepted(self):
         # the log-form iteration settles, but exp(X beta_hat) underflows to 0
-        # at the last observation, so sum_b is not finite
+        # at one observation, so sum_b is not finite
         X = np.array([[1.0, -0.3082781503978844], [1.0, -0.881694971470056],
                       [1.0, 0.14663082307360867], [1.0, 0.594925861846824]])
         y = np.array([4.35e-322, 3.040450843861996e-309, 5e-324, 5e-324])
