@@ -468,22 +468,23 @@ def profile_deviance_precision(fit: GammaFit, varphi: float) -> ProfileDeviance:
 # up to 5e-10 relatively at varphi_hat = 2, and more at larger varphi_hat; a
 # band of 1e-2 would also move printed confdens values (by 9e-12).
 _SERIES_WIDTH, _SERIES_ORDER = 1e-3, 6
+# The orders k of the series, and the factors (-1)^k / (k (k - 1)) of its terms.
+_SERIES_K = np.arange(2.0, _SERIES_ORDER + 1.0)
+_SERIES_SCALE = (-1.0) ** _SERIES_K / (_SERIES_K * (_SERIES_K - 1.0))
 
 
 def _deviance_series(varphi_hat, h):
     """cumulant(varphi_hat + h) - cumulant(varphi_hat) - h cumulant_d1(varphi_hat)
     as its Taylor series, sum over k = 2.._SERIES_ORDER of h^k / k! times
     cumulant's k-th derivative, (-1)^k (k-2)! ((k-1) zeta(k, v) - v^(1-k)).
-    Elementwise operations only, so a float and an array element round alike."""
-    inv = inv_power = 1.0 / varphi_hat
-    coefficients = []
-    for k in range(2, _SERIES_ORDER + 1):
-        derivative = (k - 1) * _sf.zeta(k, varphi_hat) - inv_power
-        coefficients.append((-1) ** k * derivative / (k * (k - 1)))
-        inv_power = inv_power * inv
+    Elementwise operations and running products only, so a float and an
+    array element round alike."""
+    v = np.asarray(varphi_hat)[..., None]
+    inv_powers = np.cumprod(np.broadcast_to(1.0 / v, v.shape[:-1] + _SERIES_K.shape), axis=-1)
+    coefficients = ((_SERIES_K - 1.0) * _sf.zeta(_SERIES_K, v) - inv_powers) * _SERIES_SCALE
     total = 0.0
-    for c in reversed(coefficients):
-        total = (total + c) * h
+    for j in range(_SERIES_K.size - 1, -1, -1):
+        total = (total + coefficients[..., j]) * h
     return total * h
 
 
