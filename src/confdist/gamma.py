@@ -453,39 +453,20 @@ def profile_deviance_precision(fit: GammaFit, varphi: float) -> ProfileDeviance:
         2n * [(varphi_hat - varphi) * cumulant_d1(varphi_hat)
               + cumulant(varphi) - cumulant(varphi_hat)].
 
-    That form cancels near the estimate, so within _SERIES_WIDTH of
-    varphi_hat (relatively) the bracket is summed as its Taylor series
-    (:func:`_deviance_series`).  Values inside the floating-point
-    cancellation floor clamp to 0.
+    Values inside the floating-point cancellation floor clamp to 0.  The
+    form cancels near the estimate, so within _NEAR_ESTIMATE of varphi_hat
+    (relatively) the value is the array kernel's.
     """
     v = _require_positive("precision", varphi)
     return ProfileDeviance(_precision_deviance_curve(fit.n, fit.varphi_hat)(v), at=v, dims=1)
 
 
-# The precision profile deviance is summed as a series within this relative
-# distance of the estimate, to this order in varphi - varphi_hat (truncation
-# below 1e-15 relatively).  Just outside it the closed form is still off by
-# up to 5e-10 relatively at varphi_hat = 2, and more at larger varphi_hat; a
-# band of 1e-2 would also move printed confdens values (by 9e-12).
-_SERIES_WIDTH, _SERIES_ORDER = 1e-3, 6
-# The orders k of the series, and the factors (-1)^k / (k (k - 1)) of its terms.
-_SERIES_K = np.arange(2.0, _SERIES_ORDER + 1.0)
-_SERIES_SCALE = (-1.0) ** _SERIES_K / (_SERIES_K * (_SERIES_K - 1.0))
-
-
-def _deviance_series(varphi_hat, h):
-    """cumulant(varphi_hat + h) - cumulant(varphi_hat) - h cumulant_d1(varphi_hat)
-    as its Taylor series, sum over k = 2.._SERIES_ORDER of h^k / k! times
-    cumulant's k-th derivative, (-1)^k (k-2)! ((k-1) zeta(k, v) - v^(1-k)).
-    Elementwise operations and running products only, so a float and an
-    array element round alike."""
-    v = np.asarray(varphi_hat)[..., None]
-    inv_powers = np.cumprod(np.broadcast_to(1.0 / v, v.shape[:-1] + _SERIES_K.shape), axis=-1)
-    coefficients = ((_SERIES_K - 1.0) * _sf.zeta(_SERIES_K, v) - inv_powers) * _SERIES_SCALE
-    total = 0.0
-    for j in range(_SERIES_K.size - 1, -1, -1):
-        total = (total + coefficients[..., j]) * h
-    return total * h
+# Near the estimate the closed-form precision profile deviance cancels, and
+# its float form (math.lgamma) and array form (scipy's gammaln) round apart
+# by up to 7e-7 of it at 2e-4 from a varphi_hat near 10.  Within this relative
+# distance a float takes the array kernel, so a curve's pointwise values and
+# its ``values`` are the same floats there.
+_NEAR_ESTIMATE = 1e-3
 
 
 def _precision_deviance_curve(n: int, varphi_hat: float):
@@ -494,8 +475,8 @@ def _precision_deviance_curve(n: int, varphi_hat: float):
     c_hat, c1_hat = cumulant(varphi_hat), cumulant_d1(varphi_hat)
 
     def deviance(v):
-        if abs(v - varphi_hat) <= _SERIES_WIDTH * varphi_hat:
-            return max(2.0 * n * float(_deviance_series(varphi_hat, v - varphi_hat)), 0.0)
+        if abs(v - varphi_hat) <= _NEAR_ESTIMATE * varphi_hat:
+            return float(_profile_deviance_precision_array(n, varphi_hat, v))
         return max(2.0 * n * ((varphi_hat - v) * c1_hat + cumulant(v) - c_hat), 0.0)
     return deviance
 
@@ -538,14 +519,7 @@ def _profile_deviance_precision_array(n: int, varphi_hat: np.ndarray, varphi,
     precisions; ``hat`` and ``at`` are their _cumulant_arrays, where held."""
     c_hat, c1_hat = _cumulant_arrays(varphi_hat) if hat is None else hat
     c = (_cumulant_arrays(varphi) if at is None else at)[0]
-    diff = varphi_hat - varphi
-    d = np.maximum(2.0 * n * (diff * c1_hat + c - c_hat), 0.0)
-    near = np.abs(diff) <= _SERIES_WIDTH * varphi_hat
-    if near.any():
-        d = np.array(d)
-        d[near] = np.maximum(2.0 * n * _deviance_series(
-            np.broadcast_to(varphi_hat, near.shape)[near], -np.asarray(diff)[near]), 0.0)
-    return d
+    return np.maximum(2.0 * n * ((varphi_hat - varphi) * c1_hat + c - c_hat), 0.0)
 
 
 def _profile_deviance_beta_array(n: int, varphi_hat: np.ndarray, hat: tuple,
