@@ -15,8 +15,15 @@ the leading rows of a full one: a replication's data depend on neither the
 study's size nor the worker count.  Reports reduce hit counts, so a run is
 reproducible bit for bit across any number of workers.
 
-Replications run in compute blocks of whole stream blocks.  Every model fits
-a whole compute block and forms its pivot values as arrays, from design
+A regression scenario keeps the design and the true mean (X beta, or
+exp(X beta) for gamma regression) that it computed to validate itself, so a
+study does not draw the design stream again.  A gamma regression scenario
+whose largest true mean times the gamma draw's upper ``_DRAW_TAIL``
+quantile overflows is rejected when it is built.
+
+Replications run in compute blocks of whole stream blocks, and a study
+counts in plain Python integers.  Every model fits a whole compute block
+and forms its pivot values as arrays, from design
 quantities computed once per study, window rows included: their
 interpolation nodes are solved for all window rows of a block at once.  Both
 gamma models run one kernel: the known-mean model is the gamma regression
@@ -35,6 +42,7 @@ tests/test_golden_reports.py pins the bundled scenarios.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -43,6 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammainccinv
 
 from .errors import DomainError, ScenarioError
 from .gamma import (
@@ -67,7 +76,7 @@ from .higher_order import (
 from .linear import (
     Contrast,
     LinearFit,
-    _rss_noise_floor,
+    _noise_floor_factor,
     _svd_factors,
     contrast,
     contrast_pivot,
@@ -92,6 +101,10 @@ _DESIGN_STREAM = 2**63
 # A bound on a study's size; its stream block ids stay below 2**24, far
 # below _DESIGN_STREAM.
 _MAX_REPLICATIONS = 2**32
+
+# A gamma_regression scenario is rejected when its largest true mean times
+# the gamma draw quantile at this upper-tail probability overflows.
+_DRAW_TAIL = 1e-15
 
 # Response values per compute block (rows x n), rounded down to whole stream
 # blocks.  Large enough that the per-block setup is noise, small enough that
@@ -146,6 +159,12 @@ _FOREIGN_FIELDS = {
     "gamma_known_mu": ("phi", "beta", "p", "design", "contrast_vector"),
     "gamma_regression": ("phi", "contrast_vector"),
 }
+
+
+@functools.lru_cache(maxsize=64)
+def _draw_quantile(varphi: float) -> float:
+    """The gamma(varphi, 1/varphi) draw exceeded with probability _DRAW_TAIL."""
+    return float(gammainccinv(varphi, _DRAW_TAIL)) / varphi
 
 
 @dataclass(frozen=True)
@@ -236,12 +255,26 @@ class Scenario:
                 if not any(self.contrast_vector):
                     raise ScenarioError("contrast vector must be nonzero")
             gamma = self.model == "gamma_regression"
+            X = design_matrix(self)
             with np.errstate(all="ignore"):  # an overflowing mean is what this rejects
-                eta = design_matrix(self) @ np.array(self.beta)
+                eta = X @ np.array(self.beta)
                 mean = np.exp(eta) if gamma else eta
-            if not (np.all(np.isfinite(mean)) and (not gamma or np.all(mean > 0.0))):
-                need = "finite and positive" if gamma else "finite"
-                raise ScenarioError(f"the true mean must be {need}, got beta={self.beta!r}")
+            if gamma:  # a NaN mean fails both tests, as min and max propagate it
+                lo, hi = float(mean.min()), float(mean.max())
+                if not (lo > 0.0 and math.isfinite(hi)):
+                    raise ScenarioError(
+                        f"the true mean must be finite and positive, got beta={self.beta!r}")
+                top = _draw_quantile(self.varphi)  # a response is the mean times a draw
+                if not math.isfinite(hi * top):
+                    raise ScenarioError(
+                        f"the true mean's draws overflow: its largest value {hi:.4g} "
+                        f"times {top:.4g} (the gamma draw's upper {_DRAW_TAIL:g} quantile "
+                        f"at varphi={self.varphi!r}) is not finite, got beta={self.beta!r}")
+            elif not np.all(np.isfinite(mean)):
+                raise ScenarioError(f"the true mean must be finite, got beta={self.beta!r}")
+            # kept for the study, outside the fields (to_dict, ==, hash, repr)
+            object.__setattr__(self, "_X", X)
+            object.__setattr__(self, "_mean", mean)
 
     def to_dict(self) -> dict:
         return {
@@ -317,7 +350,8 @@ class CoverageReport:
 
 
 def design_matrix(sc: Scenario) -> np.ndarray | None:
-    """Fixed design for the scenario: built once, shared by all replications."""
+    """Fixed design for the scenario, shared by all replications: built when the
+    scenario is validated, which keeps it for its studies."""
     if sc.model == "gamma_known_mu":
         return None
     p = len(sc.beta)
@@ -339,11 +373,13 @@ def design_matrix(sc: Scenario) -> np.ndarray | None:
 class _Study:
     """What every replication of a scenario shares, computed once per study.
 
-    ``mean`` is X beta (normal) or exp(X beta) (gamma); the known-mean
-    model has a design with no columns and mean 1.  ``svd``, the design's
-    thin SVD, gives either regression its start.  Normal
-    regression also keeps the truth as a LinearFit (true beta and variance
-    with the design's Gram matrix), and the contrast at the truth.
+    ``X`` and ``mean``, X beta (normal) or exp(X beta) (gamma), are the ones
+    the scenario validated; the known-mean model has a design with no
+    columns and mean 1.  ``svd``, the design's thin SVD, gives either
+    regression its start.  Normal regression also keeps the truth as a
+    LinearFit (true beta and variance with the design's Gram matrix and
+    SVD), the contrast at the truth, the noise-floor factor of its fits and
+    each method's law.
     """
 
     X: np.ndarray | None = None
@@ -351,24 +387,28 @@ class _Study:
     svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     truth: LinearFit | None = None
     con: Contrast | None = None
+    floor_factor: float | None = None
+    laws: dict[str, PivotLaw] | None = None
 
 
 def _study(sc: Scenario) -> _Study:
     if sc.model == "gamma_known_mu":
         return _Study(np.empty((sc.n, 0)), np.ones(sc.n))
-    X = design_matrix(sc)
-    beta = np.array(sc.beta)
-    mean = np.exp(X @ beta) if sc.model == "gamma_regression" else X @ beta
+    X, mean = sc._X, sc._mean
     svd = _svd_factors(X)  # SingularDesignError as in the fits
     if sc.model == "gamma_regression":
         return _Study(X, mean, svd)
     n, p = X.shape
-    truth = LinearFit(beta_hat=beta, phi_hat_m=sc.phi, xtx=X.T @ X, df=n - p, n=n, p=p)
+    df, (_, s, vt) = n - p, svd
+    truth = LinearFit(beta_hat=np.array(sc.beta), phi_hat_m=sc.phi, xtx=X.T @ X, df=df,
+                      n=n, p=p, inv_root=vt / s[:, None])
     con = None
     if "contrast_t" in sc.methods:
         b = np.array(sc.contrast_vector) if sc.contrast_vector else np.eye(p)[0]
         con = contrast(truth, b)
-    return _Study(X, mean, svd, truth, con)
+    laws = {"variance_chisq": PivotLaw.chisq(df), "contrast_t": PivotLaw.student_t(df),
+            "coefficient_f": PivotLaw.f(p, df)}
+    return _Study(X, mean, svd, truth, con, _noise_floor_factor(n, p), laws)
 
 
 def _blocks(reps: range, n: int):
@@ -409,27 +449,27 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
     rows; a row whose residual sum of squares falls to the floor is a
     failed fit.
     """
-    truth = study.truth
-    n, p, df = truth.n, truth.p, truth.df
+    truth, laws = study.truth, study.laws
+    p, df = truth.p, truth.df
     u, s, vt = study.svd
     beta_hat = np.matvec(vt.T, np.matvec(u.T, Y) / s)
     resid = Y - np.matvec(study.X, beta_hat)
     rss = np.vecdot(resid, resid)
-    fitted = rss > _rss_noise_floor(n, p, np.sqrt(np.vecdot(Y, Y)))  # np.linalg.norm(y)
+    fitted = rss > (study.floor_factor * np.sqrt(np.vecdot(Y, Y))) ** 2  # np.linalg.norm(y)
     beta_hat, phi_hat_m = beta_hat[fitted], rss[fitted] / df
     out = {}
     if "variance_chisq" in sc.methods:
         v = (df * phi_hat_m) / sc.phi
-        out["variance_chisq"] = (v, PivotLaw.chisq(df), False)
+        out["variance_chisq"] = (v, laws["variance_chisq"], False)
     if "contrast_t" in sc.methods:
         con = study.con
         v = (np.vecdot(beta_hat, con.b) - con.lambda_hat) / np.sqrt(con.k * phi_hat_m)
-        out["contrast_t"] = (v, PivotLaw.student_t(df), False)
+        out["contrast_t"] = (v, laws["contrast_t"], False)
     if "coefficient_f" in sc.methods:
         d = beta_hat - truth.beta_hat
         v = np.vecdot(np.vecmat(d, truth.xtx), d) / (p * phi_hat_m)
-        out["coefficient_f"] = (v, PivotLaw.f(p, df), False)
-    return out, int(fitted.sum())
+        out["coefficient_f"] = (v, laws["coefficient_f"], False)
+    return out, len(beta_hat)
 
 
 def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
@@ -506,26 +546,27 @@ def _hits(v: np.ndarray, law: PivotLaw, levels: tuple[float, ...]) -> list[int]:
     hits = below[:k]
     for j in range(k):
         if below[k + j] > hits[j]:
-            hits[j] += np.count_nonzero(law.cdf(s[hits[j]:below[k + j]]) <= levels[j])
+            hits[j] += int(np.count_nonzero(law.cdf(s[hits[j]:below[k + j]]) <= levels[j]))
     return hits
 
 
 def _run_chunk(sc: Scenario, study: _Study, reps: range) -> tuple:
-    hits = np.zeros((len(sc.methods), len(sc.levels)), dtype=np.int64)
-    flagged = np.zeros(len(sc.methods), dtype=np.int64)
-    used = np.zeros(len(sc.methods), dtype=np.int64)
-    failures = 0
-    levels = tuple(sc.levels)
+    """Counts over ``reps`` as Python ints: hits (a list per method, one count
+    per level), then flagged rows, used rows (one count per method each) and
+    failed replications."""
     block = _normal_block if sc.model == "normal_regression" else _gamma_block
+    levels, parts = tuple(sc.levels), []  # a list of levels is accepted
     for ids in _blocks(reps, sc.n):
-        values, n_used = block(sc, study, _responses(sc, study, ids))
-        failures += len(ids) - n_used
-        for i, method in enumerate(sc.methods):
-            v, law, flag = values[method]
-            hits[i] += _hits(v, law, levels)
-            flagged[i] += np.count_nonzero(flag)
-            used[i] += n_used
-    return hits, flagged, used, failures
+        values, used = block(sc, study, _responses(sc, study, ids))
+        parts.append(([_hits(*values[m][:2], levels) for m in sc.methods],
+                      [int(np.count_nonzero(values[m][2])) for m in sc.methods],
+                      [used] * len(sc.methods), len(ids) - used))
+    return functools.reduce(_add, parts)
+
+
+def _add(a, b):
+    """Elementwise sum of two counts of one shape (nested lists and tuples of ints)."""
+    return a + b if isinstance(a, int) else type(a)(map(_add, a, b))
 
 
 def run_scenario(sc: Scenario, jobs: int = 1) -> CoverageReport:
@@ -552,11 +593,7 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> CoverageReport:
     else:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_run_chunk, [sc] * len(chunks), [study] * len(chunks), chunks))
-
-    hits = sum(p[0] for p in parts)
-    flagged = sum(p[1] for p in parts)
-    used = sum(p[2] for p in parts)
-    failures = sum(p[3] for p in parts)
+    hits, flagged, used, failures = functools.reduce(_add, parts)  # one part: no sum
 
     if failures > 0.01 * sc.replications:
         raise ScenarioError(
@@ -564,7 +601,6 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> CoverageReport:
         )
 
     rows = []
-    hits, flagged, used = hits.tolist(), flagged.tolist(), used.tolist()
     for i, method in enumerate(sc.methods):
         for j, level in enumerate(sc.levels):
             rows.append(

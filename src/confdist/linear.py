@@ -29,6 +29,8 @@ class LinearFit:
 
     ``phi_hat_m`` is the residual variance with divisor n - p (the marginal
     variance estimate), and ``xtx`` the Gram matrix of the design.
+    ``inv_root`` is diag(1/s) V' from the design's thin SVD X = U diag(s) V',
+    so (X'X)^{-1} = inv_root' inv_root; a fit summary has only ``xtx``.
     """
 
     beta_hat: np.ndarray
@@ -37,6 +39,7 @@ class LinearFit:
     df: int
     n: int
     p: int
+    inv_root: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,14 @@ def _svd_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
-def _rss_noise_floor(n: int, p: int, y_norm):
-    """Residual sum of squares at or below which a fit counts as perfect.
+def _noise_floor_factor(n: int, p: int) -> float:
+    """eps * max(n, p): a residual sum of squares at or below
+    (factor * ||y||)**2 counts as a perfect fit.
 
     A perfect fit leaves only rounding residue; reporting it as exactly zero
-    makes the degenerate state detectable downstream.  ``y_norm`` may be an
-    array of response norms.
+    makes the degenerate state detectable downstream.
     """
-    return (np.finfo(float).eps * max(n, p) * y_norm) ** 2
+    return float(np.finfo(float).eps * max(n, p))
 
 
 def fit_ols(data: Dataset) -> LinearFit:
@@ -86,7 +89,7 @@ def fit_ols(data: Dataset) -> LinearFit:
     beta = vt.T @ ((u.T @ y) / s)
     resid = y - X @ beta
     rss = float(resid @ resid)
-    if rss <= _rss_noise_floor(n, p, np.linalg.norm(y)):
+    if rss <= (_noise_floor_factor(n, p) * np.linalg.norm(y)) ** 2:
         rss = 0.0
     df = n - p
     return LinearFit(
@@ -96,17 +99,26 @@ def fit_ols(data: Dataset) -> LinearFit:
         df=df,
         n=n,
         p=p,
+        inv_root=vt / s[:, None],
     )
 
 
 def contrast(fit: LinearFit, b: np.ndarray) -> Contrast:
-    """Contrast summary for b'beta: estimate and k = b'(X'X)^{-1} b."""
+    """Contrast summary for b'beta: estimate and k = b'(X'X)^{-1} b.
+
+    With the design's SVD at hand k is ||diag(1/s) V'b||^2, which does not
+    square the design's condition number; a fit summary solves with X'X.
+    """
     b = np.asarray(b, dtype=float)
     if b.shape != (fit.p,):
         raise DomainError(f"contrast vector must have length {fit.p}, got shape {b.shape}")
     if not np.any(b):
         raise DomainError("contrast vector must be nonzero")
-    k = float(b @ np.linalg.solve(fit.xtx, b))
+    if fit.inv_root is None:
+        k = float(b @ np.linalg.solve(fit.xtx, b))
+    else:
+        z = fit.inv_root @ b
+        k = float(z @ z)
     return Contrast(b=b, lambda_hat=float(b @ fit.beta_hat), k=k)
 
 

@@ -164,8 +164,13 @@ class PivotLaw:
         """Distribution function at a point (a float back) or at each element
         of an array (an array back): 0 at -inf and 1 at inf, and 0 at or
         below 0 on the half line.  A NaN point raises DomainError; a NaN
-        element stays NaN."""
+        element stays NaN.  A point stays off numpy's array dispatch: the
+        scalar confidence functions call it one point at a time."""
         law = _LAWS[self.family]
+        if isinstance(v, (float, int)):
+            if math.isnan(v):
+                raise DomainError(f"x must be finite, got {v!r}")
+            return 0.0 if law.half_line and v <= 0.0 else float(law.cdf(float(v), *self.df))
         v = np.asarray(v, dtype=float)
         if v.ndim == 0 and math.isnan(v):
             raise DomainError(f"x must be finite, got {float(v)!r}")

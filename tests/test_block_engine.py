@@ -151,8 +151,8 @@ def oracle_counts(sc: Scenario):
 def engine_counts(sc: Scenario):
     hits, flagged, used, failures = coverage._run_chunk(
         sc, coverage._study(sc), range(sc.replications))
-    assert not flagged.any()
-    return hits, used, failures
+    assert not any(flagged)
+    return np.array(hits), np.array(used), failures
 
 
 @st.composite
@@ -199,17 +199,19 @@ class TestNormalBlockTransforms:
 
     def test_rank_deficient_design_raises_like_fit_ols(self, monkeypatch):
         # each regression model's study raises before any replication runs,
-        # with the text of its own fit
-        normal = Scenario(model="normal_regression", n=10, replications=100, seed=3,
-                          levels=(0.5,), methods=("variance_chisq", "contrast_t"),
-                          beta=(1.0, 0.5, 0.5), phi=1.0)
-        gamma = Scenario(model="gamma_regression", n=10, replications=100, seed=3,
-                         levels=(0.5,), methods=("first_order_precision", "skovgaard_beta"),
-                         beta=(0.5, -0.3, 0.2), varphi=2.0)
-        for sc, fit in ((normal, fit_ols), (gamma, fit_irls)):
-            X = design_matrix(sc)
+        # with the text of its own fit; the scenario keeps the design it
+        # validated, so the rank-deficient design is patched in before it is built
+        normal = dict(model="normal_regression", n=10, replications=100, seed=3,
+                      levels=(0.5,), methods=("variance_chisq", "contrast_t"),
+                      beta=(1.0, 0.5, 0.5), phi=1.0)
+        gamma = dict(model="gamma_regression", n=10, replications=100, seed=3,
+                     levels=(0.5,), methods=("first_order_precision", "skovgaard_beta"),
+                     beta=(0.5, -0.3, 0.2), varphi=2.0)
+        for keywords, fit in ((normal, fit_ols), (gamma, fit_irls)):
+            X = design_matrix(Scenario(**keywords))
             X[:, 2] = X[:, 1]
             monkeypatch.setattr(coverage, "design_matrix", lambda _: X)
+            sc = Scenario(**keywords)
             with pytest.raises(SingularDesignError) as raised:
                 run_scenario(sc)
             with pytest.raises(SingularDesignError) as direct:

@@ -903,6 +903,9 @@ def _error_files(d):
         "overflow": ("[overflow]\nmodel = gamma_regression\nn = 10\nreplications = 100\n"
                      "seed = 1\nlevels = 0.5\nmethods = first_order_precision\n"
                      "beta = 800, 0\nvarphi = 2\n"),
+        "draws_overflow": ("[draws_overflow]\nmodel = gamma_regression\nn = 10\n"
+                           "replications = 100\nseed = 1\nlevels = 0.5\n"
+                           "methods = first_order_precision\nbeta = 709, 0\nvarphi = 2\n"),
     }
     for name, text in scenarios.items():
         (d / f"{name}.ini").write_text(text)
@@ -1018,6 +1021,11 @@ ERROR_CASES = {
         "coverage --scenario {d}/overflow.ini --out {d}/o", 2,
         "scenario error: [overflow]: the true mean must be finite and positive, "
         "got beta=(800.0, 0.0)"),
+    "scenario_gamma_draws_overflow": (
+        "coverage --scenario {d}/draws_overflow.ini --out {d}/o", 2,
+        "scenario error: [draws_overflow]: the true mean's draws overflow: its largest value "
+        "8.218e+307 times 19.1 (the gamma draw's upper 1e-15 quantile at varphi=2.0) is not "
+        "finite, got beta=(709.0, 0.0)"),
     # a data error naming the file and the field
     **{f"fit_json_{name}": (f"interval --fit-json {{d}}/{name}.json {FIT_JSON_FLAGS[model]}", 3,
                             f"{{d}}/{name}.json: {next(iter(change))}")
@@ -1117,6 +1125,21 @@ class TestErrorPaths:
         assert main(["interval", "--fit-json", str(tmp_path / "edge.json"),
                      *FIT_JSON_NORMAL.split(), "variance"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_contrast_of_a_design_at_the_rank_limit_is_accepted(self, tmp_path, capsys):
+        # the data of the test above: k from the design's SVD stays positive,
+        # where a solve with the X'X the fit forms gave k = -9.4e13 (exit 4)
+        rng = np.random.default_rng(4)
+        x1 = rng.normal(size=40)
+        x2 = x1 + 1e-13 * rng.normal(size=40)
+        write_csv(tmp_path / "edge.csv", ["y", "x1", "x2"],
+                  np.column_stack([1.0 + x1 + rng.normal(size=40), x1, x2]))
+        assert main(["interval", "--file", str(tmp_path / "edge.csv"), "--model", "normal",
+                     "--response", "y", "--design", "x1,x2", "--method", "exact",
+                     "--level", "0.9", "--target", "contrast:0,1,-1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["statement"]["confidence"] == 0.9
 
     def test_ok_scenario_runs(self, tmp_path, capsys):
         # the scenario the coverage cases name is valid: only their flags fail

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from confdist import coverage
 from confdist.coverage import (
     Scenario,
     compare_methods,
@@ -154,6 +155,20 @@ class TestScenarioValidation:
             with pytest.raises(ScenarioError, match=f"true mean must be {need}, got beta="):
                 normal_scenario(**overrides)
 
+    def test_gamma_draws_that_overflow_rejected(self):
+        # exp(709) is finite, but a gamma(2, 1/2) draw above 2.2 takes the
+        # response past the float maximum: 59 of these 100 replications
+        # failed; at beta (700, 0) none do, and no warning leaks
+        keywords = dict(model="gamma_regression", n=10, replications=100, seed=1,
+                        levels=(0.5,), methods=("first_order_precision",), varphi=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match=r"the true mean's draws overflow: its "
+                               r"largest value 8\.218e\+307 times 19\.1 \(the gamma draw's "
+                               r"upper 1e-15 quantile at varphi=2\.0\) is not finite"):
+                Scenario(beta=(709.0, 0.0), **keywords)
+            assert run_scenario(Scenario(beta=(700.0, 0.0), **keywords)).failures == 0
+
 
 class TestDesignMatrix:
     def test_deterministic_given_seed(self):
@@ -170,6 +185,30 @@ class TestDesignMatrix:
             levels=(0.5,), methods=("fraser_z",), varphi=2.0,
         )
         assert design_matrix(sc) is None
+
+    @pytest.mark.parametrize("keywords", [
+        dict(),
+        dict(REGRESSION, methods=("first_order_precision", "skovgaard_beta"), replications=300),
+    ], ids=["normal", "gamma_regression"])
+    def test_study_keeps_the_validated_design(self, monkeypatch, keywords):
+        # the scenario keeps the design and true mean it validated, so a study
+        # draws only its replications' streams, never the design stream again
+        sc = normal_scenario(**keywords)
+        draw, streams = coverage.rng_draws, []
+
+        def recorder(stream, *args, **kwargs):
+            streams.append(stream.stream_id)
+            return draw(stream, *args, **kwargs)
+
+        monkeypatch.setattr(coverage, "rng_draws", recorder)
+        run_scenario(sc)
+        assert streams == list(range(-(-sc.replications // coverage._STREAM_BLOCK)))
+        study = coverage._study(sc)
+        monkeypatch.setattr(coverage, "rng_draws", draw)
+        X, beta = design_matrix(sc), np.array(sc.beta)
+        assert study.X.tobytes() == X.tobytes()
+        mean = np.exp(X @ beta) if sc.model == "gamma_regression" else X @ beta
+        assert study.mean.tobytes() == mean.tobytes()
 
 
 class TestRunScenario:

@@ -101,7 +101,7 @@ CASES = {
 
 # sha256 of each case's stdout (an exit-4 case prints nothing).
 GOLDEN = {
-    "confdens_contrast_exact": "e2e1b956d1ffe795bdfb3042c616ac8a380177c89d4c58c273bca8eb90dda32b",
+    "confdens_contrast_exact": "df4161794c2eed3331b5674c9a868b498921849315ce29207aeb12f27e9b77a5",
     "confdens_gamma_first_order":
         "cbd55e48cc37dff00ed0bd75f68fdf765c98b7eeaa34b97821abda6fb25a0b7d",
     "confdens_gamma_skovgaard": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

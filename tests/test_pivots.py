@@ -110,6 +110,20 @@ class TestPivotLaw:
         grid = CDF_POINTS.reshape(2, -1)
         assert law.cdf(grid).tobytes() == engine(grid).tobytes()
 
+    @pytest.mark.parametrize("law", [law for law, _ in LAW_TABLE_CASES],
+                             ids=[f"{law.family}{law.df}" for law, _ in LAW_TABLE_CASES])
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(allow_nan=False) | st.sampled_from(
+        [0.0, -0.0, -1.0, -1e-300, 5e-324, math.inf, -math.inf]))
+    def test_cdf_of_a_float_is_the_one_element_arrays(self, law, x):
+        # a float takes the law's scalar function, never a 0-d array, and
+        # gives the array's value bit for bit, at 0 and off the half line too
+        got = law.cdf(x)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == law.cdf(np.array([x])).tobytes()
+        if x.is_integer() and abs(x) < 2**53:
+            assert law.cdf(int(x)) == got
+
     def test_t_cdf_at_one_df_is_the_cauchy_form(self):
         # scipy's stdtr at df = 1 is 1.6e-9 off at x = 1e-8, where the CDF is
         # 1/2 + x/pi up to x^3/(3 pi)
