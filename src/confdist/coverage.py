@@ -76,7 +76,7 @@ from .higher_order import (
 from .linear import (
     Contrast,
     LinearFit,
-    _noise_floor_factor,
+    _rss_noise_floor,
     _svd_factors,
     contrast,
     contrast_pivot,
@@ -159,12 +159,6 @@ _FOREIGN_FIELDS = {
     "gamma_known_mu": ("phi", "beta", "p", "design", "contrast_vector"),
     "gamma_regression": ("phi", "contrast_vector"),
 }
-
-
-@functools.lru_cache(maxsize=64)
-def _draw_quantile(varphi: float) -> float:
-    """The gamma(varphi, 1/varphi) draw exceeded with probability _DRAW_TAIL."""
-    return float(gammainccinv(varphi, _DRAW_TAIL)) / varphi
 
 
 @dataclass(frozen=True)
@@ -264,7 +258,8 @@ class Scenario:
                 if not (lo > 0.0 and math.isfinite(hi)):
                     raise ScenarioError(
                         f"the true mean must be finite and positive, got beta={self.beta!r}")
-                top = _draw_quantile(self.varphi)  # a response is the mean times a draw
+                # a response is the mean times a gamma(varphi, 1/varphi) draw
+                top = float(gammainccinv(self.varphi, _DRAW_TAIL)) / self.varphi
                 if not math.isfinite(hi * top):
                     raise ScenarioError(
                         f"the true mean's draws overflow: its largest value {hi:.4g} "
@@ -378,8 +373,7 @@ class _Study:
     columns and mean 1.  ``svd``, the design's thin SVD, gives either
     regression its start.  Normal regression also keeps the truth as a
     LinearFit (true beta and variance with the design's Gram matrix and
-    SVD), the contrast at the truth, the noise-floor factor of its fits and
-    each method's law.
+    SVD), and the contrast at the truth.
     """
 
     X: np.ndarray | None = None
@@ -387,8 +381,6 @@ class _Study:
     svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     truth: LinearFit | None = None
     con: Contrast | None = None
-    floor_factor: float | None = None
-    laws: dict[str, PivotLaw] | None = None
 
 
 def _study(sc: Scenario) -> _Study:
@@ -406,9 +398,7 @@ def _study(sc: Scenario) -> _Study:
     if "contrast_t" in sc.methods:
         b = np.array(sc.contrast_vector) if sc.contrast_vector else np.eye(p)[0]
         con = contrast(truth, b)
-    laws = {"variance_chisq": PivotLaw.chisq(df), "contrast_t": PivotLaw.student_t(df),
-            "coefficient_f": PivotLaw.f(p, df)}
-    return _Study(X, mean, svd, truth, con, _noise_floor_factor(n, p), laws)
+    return _Study(X, mean, svd, truth, con)
 
 
 def _blocks(reps: range, n: int):
@@ -449,26 +439,26 @@ def _normal_block(sc: Scenario, study: _Study, Y: np.ndarray) -> tuple[dict, int
     rows; a row whose residual sum of squares falls to the floor is a
     failed fit.
     """
-    truth, laws = study.truth, study.laws
-    p, df = truth.p, truth.df
+    truth = study.truth
+    n, p, df = truth.n, truth.p, truth.df
     u, s, vt = study.svd
     beta_hat = np.matvec(vt.T, np.matvec(u.T, Y) / s)
     resid = Y - np.matvec(study.X, beta_hat)
     rss = np.vecdot(resid, resid)
-    fitted = rss > (study.floor_factor * np.sqrt(np.vecdot(Y, Y))) ** 2  # np.linalg.norm(y)
+    fitted = rss > _rss_noise_floor(n, p, np.sqrt(np.vecdot(Y, Y)))  # np.linalg.norm(y)
     beta_hat, phi_hat_m = beta_hat[fitted], rss[fitted] / df
     out = {}
     if "variance_chisq" in sc.methods:
         v = (df * phi_hat_m) / sc.phi
-        out["variance_chisq"] = (v, laws["variance_chisq"], False)
+        out["variance_chisq"] = (v, PivotLaw.chisq(df), False)
     if "contrast_t" in sc.methods:
         con = study.con
         v = (np.vecdot(beta_hat, con.b) - con.lambda_hat) / np.sqrt(con.k * phi_hat_m)
-        out["contrast_t"] = (v, laws["contrast_t"], False)
+        out["contrast_t"] = (v, PivotLaw.student_t(df), False)
     if "coefficient_f" in sc.methods:
         d = beta_hat - truth.beta_hat
         v = np.vecdot(np.vecmat(d, truth.xtx), d) / (p * phi_hat_m)
-        out["coefficient_f"] = (v, laws["coefficient_f"], False)
+        out["coefficient_f"] = (v, PivotLaw.f(p, df), False)
     return out, len(beta_hat)
 
 

@@ -68,14 +68,14 @@ def _svd_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
-def _noise_floor_factor(n: int, p: int) -> float:
-    """eps * max(n, p): a residual sum of squares at or below
-    (factor * ||y||)**2 counts as a perfect fit.
+def _rss_noise_floor(n: int, p: int, y_norm):
+    """Residual sum of squares at or below which a fit counts as perfect.
 
     A perfect fit leaves only rounding residue; reporting it as exactly zero
-    makes the degenerate state detectable downstream.
+    makes the degenerate state detectable downstream.  ``y_norm`` may be an
+    array of response norms.
     """
-    return float(np.finfo(float).eps * max(n, p))
+    return (np.finfo(float).eps * max(n, p) * y_norm) ** 2
 
 
 def fit_ols(data: Dataset) -> LinearFit:
@@ -89,7 +89,7 @@ def fit_ols(data: Dataset) -> LinearFit:
     beta = vt.T @ ((u.T @ y) / s)
     resid = y - X @ beta
     rss = float(resid @ resid)
-    if rss <= (_noise_floor_factor(n, p) * np.linalg.norm(y)) ** 2:
+    if rss <= _rss_noise_floor(n, p, np.linalg.norm(y)):
         rss = 0.0
     df = n - p
     return LinearFit(
