@@ -19,7 +19,8 @@ A regression scenario keeps the design and the true mean (X beta, or
 exp(X beta) for gamma regression) that it computed to validate itself, so a
 study does not draw the design stream again.  A gamma regression scenario
 whose largest true mean times the gamma draw's upper ``_DRAW_TAIL``
-quantile overflows is rejected when it is built.
+quantile overflows, or whose smallest true mean times its lower
+``_DRAW_TAIL`` quantile rounds to 0, is rejected when it is built.
 
 Replications run in compute blocks of whole stream blocks, and a study
 counts in plain Python integers.  Every model fits a whole compute block
@@ -51,12 +52,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainccinv
+from scipy.special import gammainccinv, gammaincinv
 
 from .errors import DomainError, ScenarioError
 from .gamma import (
     _DEGENERATE_MEAN_B,
-    _cumulant_arrays,
+    _cumulants,
     _fit_irls_block,
     _log_least_squares,
     _profile_deviance_beta_array,
@@ -103,7 +104,9 @@ _DESIGN_STREAM = 2**63
 _MAX_REPLICATIONS = 2**32
 
 # A gamma_regression scenario is rejected when its largest true mean times
-# the gamma draw quantile at this upper-tail probability overflows.
+# the gamma draw quantile at this upper-tail probability overflows, or its
+# smallest true mean times the quantile at this lower-tail probability
+# rounds to 0.
 _DRAW_TAIL = 1e-15
 
 # Response values per compute block (rows x n), rounded down to whole stream
@@ -265,6 +268,12 @@ class Scenario:
                         f"the true mean's draws overflow: its largest value {hi:.4g} "
                         f"times {top:.4g} (the gamma draw's upper {_DRAW_TAIL:g} quantile "
                         f"at varphi={self.varphi!r}) is not finite, got beta={self.beta!r}")
+                bottom = float(gammaincinv(self.varphi, _DRAW_TAIL)) / self.varphi
+                if not lo * bottom > 0.0:
+                    raise ScenarioError(
+                        f"the true mean's draws underflow: its smallest value {lo:.4g} "
+                        f"times {bottom:.4g} (the gamma draw's lower {_DRAW_TAIL:g} quantile "
+                        f"at varphi={self.varphi!r}) rounds to 0, got beta={self.beta!r}")
             elif not np.all(np.isfinite(mean)):
                 raise ScenarioError(f"the true mean must be finite, got beta={self.beta!r}")
             # kept for the study, outside the fields (to_dict, ==, hash, repr)
@@ -489,7 +498,7 @@ def _gamma_arrays(sc: Scenario, study: _Study, Y: np.ndarray) -> dict:
         mean_b = np.concatenate((mean_b, mean_b_truth[at_truth]))
     solved = _solve_precision_array(mean_b)
     vh = solved[:len(y)]
-    hat = _cumulant_arrays(vh)
+    hat = _cumulants(vh)
     no_flags, normal = np.zeros(len(y), dtype=bool), PivotLaw.normal()
     zp = _signed_roots(n, vh, v, hat)
     first_order = (zp, normal, no_flags)

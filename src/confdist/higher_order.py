@@ -32,11 +32,10 @@ from .gamma import (
     _DEGENERATE_MEAN_B,
     GammaFit,
     _column_products,
-    _cumulant_arrays,
-    _cumulant_d2_array,
-    _precision_deviance_curve,
+    _cumulant_d2,
+    _cumulants,
+    _precision_deviance,
     _profile_deviance_beta_array,
-    _profile_deviance_precision_array,
     _solve_information,
     _solve_precision_array,
     _solve_rows,
@@ -118,16 +117,29 @@ class CorrectedDeviance:
         return self.sign * math.sqrt(max(self.value, 0.0))
 
 
+# Each correction is one formula of numpy ufuncs for floats and arrays (see
+# gamma._cumulants).  Array callers apply their own masks and errstate.
+
+
+def _modified_root(signed_root, correction):
+    """z = z_p + (1/z_p) * log(m / z_p): exactly z_p where m equals z_p,
+    since log(1.0) = 0.0, and NaN where m / z_p is negative."""
+    return signed_root + np.log(correction / signed_root) / signed_root
+
+
+def _corrected_deviance(deviance, correction):
+    """d = d_p + log(m)/(2 d_p), before the clamp at 0: exactly d_p where m
+    is 1, since log(1.0) = 0.0."""
+    return deviance + np.log(correction) / (2.0 * deviance)
+
+
 def modified_root_value(signed_root: float, correction: float) -> float:
     """z = z_p + (1/z_p) * log(m / z_p); exactly z_p when m equals z_p."""
     if signed_root == 0.0:
         raise DomainError("modified root is indeterminate at a zero signed root")
-    ratio = correction / signed_root
-    if ratio <= 0.0:
+    if correction / signed_root <= 0.0:
         raise DomainError("correction and signed root must share a sign")
-    if correction == signed_root:
-        return signed_root
-    return signed_root + math.log(ratio) / signed_root
+    return float(_modified_root(signed_root, correction))
 
 
 def corrected_deviance_value(deviance: float, correction: float) -> tuple[float, bool]:
@@ -136,12 +148,19 @@ def corrected_deviance_value(deviance: float, correction: float) -> tuple[float,
         raise DomainError("corrected deviance is indeterminate at zero deviance")
     if correction <= 0.0:
         raise DomainError("correction factor must be positive")
-    if correction == 1.0:
-        return deviance, False
-    raw = deviance + math.log(correction) / (2.0 * deviance)
-    if raw < 0.0:
-        return 0.0, True
-    return raw, False
+    raw = float(_corrected_deviance(deviance, correction))
+    return (0.0, True) if raw < 0.0 else (raw, False)
+
+
+def _corrected_rows(deviance: np.ndarray, correction: np.ndarray):
+    """The rule of :func:`corrected_deviance_value` on arrays: a correction
+    that is not positive (NaN: unavailable) keeps the first-order deviance,
+    and a negative value clamps at 0.  Returns (value, unavailable, clamped)."""
+    unavailable = ~(correction > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.where(unavailable, deviance, _corrected_deviance(deviance, correction))
+    clamped = raw < 0.0
+    return np.where(clamped, 0.0, raw), unavailable, clamped
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +169,22 @@ def corrected_deviance_value(deviance: float, correction: float) -> tuple[float,
 
 
 def _curve(pointwise, kernel, name: str):
-    """A precision curve from its two forms: a float goes to ``pointwise``;
-    an array, and the curve's ``values`` attribute, go to ``kernel`` on one
-    row of the points, and the result takes the array's shape.
+    """A precision curve: a float goes to ``pointwise``, its float path; an
+    array, and the curve's ``values`` attribute, go to ``kernel`` on one row
+    of the points, and the result takes the array's shape.  Both evaluate
+    the same formulas, so they give the same floats.  The float path keeps
+    its own control flow (window dispatch, flagged results) because interval
+    inversion evaluates one float about ten times per endpoint, and a
+    one-row kernel call costs several times as much.
 
     Both paths check positivity as :func:`_require_positive` does (the first
-    bad element of an array raises, under ``name``).  Arrays are evaluated
-    with floating-point warnings off: at extreme precisions the kernel terms
-    overflow to inf or NaN silently, as in the scalar float arithmetic of the
-    pointwise form, and the checks that follow (a modified root's sign, the
-    monotone check, a finite root) decide.
+    bad element of an array raises, under ``name``).  An array is evaluated
+    with floating-point warnings off, as interval inversion evaluates floats
+    (a numpy context per float would cost about as much as the float): at
+    extreme precisions the terms overflow to inf or NaN, and the checks that
+    follow (a modified root's sign, the monotone check, a finite root) decide.
     """
+
     def values(varphi) -> np.ndarray:
         v = np.asarray(varphi, dtype=float)
         bad = ~(np.isfinite(v) & (v > 0))
@@ -197,15 +221,15 @@ def signed_root_curve(n: int, varphi_hat: float):
     """varphi -> :func:`signed_precision_root` for one (n, varphi_hat); the
     cumulant terms at varphi_hat are computed once, not per varphi.
 
-    On an array, and through ``values``, the curve is one call of
-    :func:`_signed_roots`, the array kernel coverage uses (see :func:`_curve`).
+    A float and an array (or ``values``) both go to :func:`_signed_roots`,
+    the array kernel coverage uses (see :func:`_curve`).
     """
     if n < 2:
         raise DomainError("need at least two observations")
     vh = _require_positive("varphi_hat", varphi_hat)
-    deviance = _precision_deviance_curve(n, vh)
-    return _curve(lambda v: math.copysign(math.sqrt(deviance(v)), vh - v),
-                  lambda points: _signed_roots(n, vh, points), "varphi")
+    hat = _cumulants(vh)
+    return _curve(lambda v: float(_signed_roots(n, vh, v, hat)),
+                  lambda points: _signed_roots(n, vh, points, hat), "varphi")
 
 
 def signed_precision_root(n: int, varphi_hat: float, varphi: float) -> float:
@@ -227,9 +251,9 @@ def fraser_curve(fit: GammaFit):
     :func:`_fraser_window` the kernel builds for a block's window rows, on
     one row (see :func:`_lazy_window`).  On an array, and through ``values``,
     the curve is one call of :func:`_fraser_roots`, the array kernel coverage
-    uses, with this cached cubic; points inside the window take the same
-    cubic, so their values are the same floats as the pointwise curve's.  A
-    regression fit raises DomainError.
+    uses, with this cached cubic.  A float gives the same value: the same
+    cubic inside the window, the same formulas outside it.  A regression fit
+    raises DomainError.
     """
     if fit.p:
         raise DomainError(f"the Fraser root needs a known-mean fit (p = 0), got p={fit.p}")
@@ -279,18 +303,10 @@ _NODE_RTOL = 8.9e-16
 _NODE_STEPS = 50
 
 
-def _signed_roots(n: int, varphi_hat: np.ndarray, varphi, hat=None, at=None) -> np.ndarray:
-    d = _profile_deviance_precision_array(n, varphi_hat, varphi, hat, at)
-    return np.copysign(np.sqrt(d), varphi_hat - varphi)
-
-
-def _modified_root_values(signed_root: np.ndarray, correction: np.ndarray) -> np.ndarray:
-    """:func:`modified_root_value` on arrays; NaN where the scalar raises."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = correction / signed_root
-        z = np.where(correction == signed_root, signed_root,
-                     signed_root + np.log(ratio) / signed_root)
-    return np.where(ratio > 0.0, z, np.nan)
+def _signed_roots(n: int, varphi_hat, varphi, hat=None, at=None):
+    """The signed root of :func:`_precision_deviance`, floats or arrays."""
+    d = _precision_deviance(n, varphi_hat, varphi, hat, at)
+    return np.sign(varphi_hat - varphi) * np.sqrt(d)
 
 
 def _newton_nodes(step_fn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,16 +340,16 @@ def _precision_window_nodes(n: int, varphi_hat: np.ndarray, info_root: np.ndarra
     wrong side of the estimate, or misses its target by more than 1e-6 is NaN.
     """
     t = _WINDOW_TARGETS
-    hat = _cumulant_arrays(varphi_hat)
+    hat = _cumulants(varphi_hat)
 
     def step(u):
-        at = _cumulant_arrays(u)
+        at = _cumulants(u)
         zp = _signed_roots(n, varphi_hat, u, hat, at)
         return (zp - t) * zp / (n * (at[1] - hat[1]))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         u, open_ = _newton_nodes(step, varphi_hat - t / info_root)
-        d = _profile_deviance_precision_array(n, varphi_hat, u, hat)
+        d = _precision_deviance(n, varphi_hat, u, hat)
         settled = (~open_ & np.isfinite(u) & ((varphi_hat - u) * t > 0.0)
                    & (np.abs(np.copysign(np.sqrt(d), varphi_hat - u) - t) <= 1e-6))
     return np.where(settled, u, np.nan), np.where(settled, d, np.nan)
@@ -360,8 +376,10 @@ def _fraser_window(n: int, varphi_hat: np.ndarray, info_root: np.ndarray):
     """The window cubic of the known-mean modified root, one row per fit
     (columns ``varphi_hat`` and ``info_root``); NaN where a node does not settle."""
     nodes, d = _precision_window_nodes(n, varphi_hat, info_root)
-    return _window_cubics(nodes, _modified_root_values(np.copysign(np.sqrt(d), varphi_hat - nodes),
-                                                       info_root * (varphi_hat - nodes)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _modified_root(np.copysign(np.sqrt(d), varphi_hat - nodes),
+                                info_root * (varphi_hat - nodes))
+    return _window_cubics(nodes, values)
 
 
 def _fraser_roots(n: int, varphi_hat, varphi, signed_root, window=None):
@@ -372,9 +390,11 @@ def _fraser_roots(n: int, varphi_hat, varphi, signed_root, window=None):
     inside the window take their :func:`_fraser_window` cubic, built here
     (``window`` None, from coverage), or the cubic of ``window()``, a curve's
     :func:`_lazy_window` thunk for its one row.  NaN where
-    :func:`modified_root_value` raises or a cubic's nodes did not settle."""
-    info_root = np.sqrt(n * _cumulant_d2_array(varphi_hat))
-    value = _modified_root_values(signed_root, info_root * (varphi_hat - varphi))
+    :func:`modified_root_value` raises outside the window or a cubic's nodes
+    did not settle."""
+    info_root = np.sqrt(n * _cumulant_d2(varphi_hat))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = _modified_root(signed_root, info_root * (varphi_hat - varphi))
     inside = np.abs(signed_root) < ROOT_WINDOW
     rows = inside.any(axis=1)
     if rows.any():
@@ -388,15 +408,13 @@ def _fraser_roots(n: int, varphi_hat, varphi, signed_root, window=None):
 # ---------------------------------------------------------------------------
 
 
-def _precision_correction_factor(quad: float, fit: GammaFit, varphi: float) -> float | None:
-    """m for the precision, an information ratio with a score-form adjustment
-    from the fit's :func:`_precision_quads` row; None if m or its denominator is <= 0."""
-    n, vh = fit.n, fit.varphi_hat
-    denom = n * cumulant_d2(varphi) - quad / varphi
-    if denom <= 0.0:
-        return None
-    m = n * cumulant_d2(vh) / denom
-    return m if m > 0.0 else None
+def _precision_correction_factor(n: int, c2_hat, quad, varphi):
+    """m for the precision, an information ratio with a score-form adjustment:
+    n c2(varphi_hat) / (n c2(varphi) - quad / varphi), with ``c2_hat`` the
+    fit's cumulant_d2 at its estimate and ``quad`` its :func:`_precision_quads`
+    row; floats or arrays that broadcast.  The correction is available where
+    m is positive (so is its denominator, as c2_hat is positive)."""
+    return n * c2_hat / (n * _cumulant_d2(varphi) - quad / varphi)
 
 
 def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
@@ -407,30 +425,31 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     the :func:`_precision_window` the kernel builds for a block's window
     rows, on one row (see :func:`_lazy_window`).  On an array, and through
     ``values``, the curve gives the signed roots of the corrected deviances
-    (``float()`` of the pointwise results) in one call of
+    (``float()`` of the float path's results) in one call of
     :func:`_skovgaard_roots`, the array kernel coverage uses, with this
-    cached window; points inside the window take the same cubic as the
-    pointwise curve.  A fit of another (n, p) than ``data`` raises DomainError.
+    cached window: the same values, by the same cubic inside the window and
+    the same formulas outside it.  A fit of another (n, p) than ``data``
+    raises DomainError.
     """
     if (fit.n, fit.p) != (data.n, data.p):
         raise DomainError(f"fit (n, p) = {fit.n, fit.p} differs from the data's {data.n, data.p}")
     n, vh = fit.n, fit.varphi_hat
-    deviance = _precision_deviance_curve(n, vh)
+    hat, c2_hat = _cumulants(vh), _cumulant_d2(vh)
     quad = float(_precision_quads(data.X, data.y[None], fit.mu_hat[None])[0])
     col = np.array([[vh]])
-    window = _lazy_window(vh, lambda: _precision_window(n, col, _cumulant_d2_array(col),
+    window = _lazy_window(vh, lambda: _precision_window(n, col, _cumulant_d2(col),
                                                         np.array([[quad]])))
 
     def corrected(v: float) -> CorrectedDeviance:
-        dp = deviance(v)
+        dp = float(_precision_deviance(n, vh, v, hat))
         sign = math.copysign(1.0, vh - v) if v != vh else 0.0
-        m = _precision_correction_factor(quad, fit, v)
-        if m is not None and dp >= ROOT_WINDOW**2:
+        m = float(_precision_correction_factor(n, c2_hat, quad, v))
+        if m > 0.0 and dp >= ROOT_WINDOW**2:
             value, clamped = corrected_deviance_value(dp, m)
             return CorrectedDeviance(deviance=dp, correction=m, value=value, dims=1,
                                      sign=sign, clamped=clamped)
         # without a factor, or inside the window (then through its cubic)
-        cubic, unavailable = (None, True) if m is None else window()
+        cubic, unavailable = window() if m > 0.0 else (None, True)
         if unavailable:  # here, or at a node (a one-element array)
             return CorrectedDeviance(deviance=dp, correction=math.nan, value=dp, dims=1,
                                      sign=sign, correction_unavailable=True)
@@ -463,7 +482,7 @@ def skovgaard_beta(data: Dataset, fit: GammaFit, beta: np.ndarray) -> CorrectedD
     beta = np.asarray(beta, dtype=float)
     prec = profile_precision_at(data, beta)
     vh = fit.varphi_hat
-    dp = float(_profile_deviance_beta_array(fit.n, vh, _cumulant_arrays(vh), prec))
+    dp = float(_profile_deviance_beta_array(fit.n, vh, _cumulants(vh), prec))
     value, correction, interpolated, unavailable, clamped = _skovgaard_beta_values(
         data.X, data.y[None], fit.beta_hat[None], np.array([vh]), beta,
         np.exp(data.X @ beta)[None], np.array([prec]), np.array([dp]))
@@ -504,16 +523,6 @@ def _precision_quads(X: np.ndarray, Y: np.ndarray, mu_hat: np.ndarray) -> np.nda
         return np.vecdot(r, _solve_information(np.matvec(_column_products(X), ratio), r))
 
 
-def _precision_correction_factors(n: int, c2_hat: np.ndarray, quad: np.ndarray,
-                                  varphi) -> np.ndarray:
-    """:func:`_precision_correction_factor` from each row's cumulant_d2 at its
-    estimate and quadratic form, at one or many precisions; NaN for None."""
-    denom = n * _cumulant_d2_array(varphi) - quad / varphi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = n * c2_hat / denom
-    return np.where((denom > 0.0) & (m > 0.0), m, np.nan)
-
-
 def _beta_correction_factors(X: np.ndarray, Y: np.ndarray, mu: np.ndarray,
                              varphi_hat: np.ndarray, profile_prec: np.ndarray) -> np.ndarray:
     """The determinant-ratio m of the coefficient vector for every row at one
@@ -523,24 +532,10 @@ def _beta_correction_factors(X: np.ndarray, Y: np.ndarray, mu: np.ndarray,
     xr = np.matmul(X.T, (ratio - 1.0)[:, :, None])  # the scores, as columns
     weighted = np.matmul(X.T, X * ratio[:, :, None])  # X' diag(y/mu) X
     prec = profile_prec[:, None, None]
-    denom_mat = prec * weighted - xr * np.swapaxes(xr, 1, 2) / (n * _cumulant_d2_array(prec))
+    denom_mat = prec * weighted - xr * np.swapaxes(xr, 1, 2) / (n * _cumulant_d2(prec))
     sign_num, logdet_num = np.linalg.slogdet(varphi_hat[:, None, None] * (X.T @ X))
     sign_den, logdet_den = np.linalg.slogdet(denom_mat)
     return np.where((sign_num > 0.0) & (sign_den > 0.0), np.exp(logdet_num - logdet_den), np.nan)
-
-
-def _corrected_deviance_values(deviance: np.ndarray, correction: np.ndarray):
-    """:func:`corrected_deviance_value` for deviances outside the window.
-
-    A NaN correction (unavailable) keeps the first-order deviance.  Returns
-    (value, unavailable, clamped).
-    """
-    unavailable = np.isnan(correction)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(unavailable | (correction == 1.0), deviance,
-                       deviance + np.log(correction) / (2.0 * deviance))
-    clamped = raw < 0.0
-    return np.where(clamped, 0.0, raw), unavailable, clamped
 
 
 def _precision_window(n: int, varphi_hat: np.ndarray, c2_hat: np.ndarray, quad: np.ndarray):
@@ -549,8 +544,9 @@ def _precision_window(n: int, varphi_hat: np.ndarray, c2_hat: np.ndarray, quad: 
     corrected deviances at the nodes, and whether the factor is unavailable at
     a node (the first-order deviance is kept then).  Unsettled nodes give a NaN cubic."""
     nodes, dp = _precision_window_nodes(n, varphi_hat, np.sqrt(n * c2_hat))
-    d_nodes, unavailable, _ = _corrected_deviance_values(
-        dp, _precision_correction_factors(n, c2_hat, quad, nodes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = _precision_correction_factor(n, c2_hat, quad, nodes)
+    d_nodes, unavailable, _ = _corrected_rows(dp, m)
     return _window_cubics(nodes, d_nodes), unavailable.any(axis=1) & ~np.isnan(nodes).any(axis=1)
 
 
@@ -563,10 +559,11 @@ def _skovgaard_roots(n: int, varphi_hat, quad, varphi, window=None):
     window take their :func:`_precision_window`, built here (``window`` None,
     from coverage), or ``window()``, a curve's :func:`_lazy_window` thunk for
     its one row.  NaN where a cubic's nodes did not settle."""
-    c2_hat = _cumulant_d2_array(varphi_hat)
-    dp = _profile_deviance_precision_array(n, varphi_hat, varphi)
-    value, unavailable, clamped = _corrected_deviance_values(
-        dp, _precision_correction_factors(n, c2_hat, quad, varphi))
+    c2_hat = _cumulant_d2(varphi_hat)
+    dp = _precision_deviance(n, varphi_hat, varphi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = _precision_correction_factor(n, c2_hat, quad, varphi)
+    value, unavailable, clamped = _corrected_rows(dp, m)
     near = dp < ROOT_WINDOW**2
     inside = near & ~unavailable
     rows = inside.any(axis=1)
@@ -583,7 +580,7 @@ def _along_rays(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: n
     """Means, profile precisions and profile deviances at beta_hat + t * direction.
 
     One row per data row and one column per node ``t``; ``hat`` is the
-    :func:`_cumulant_arrays` of the column ``varphi_hat``.  The precision (and
+    :func:`_cumulants` of the column ``varphi_hat``.  The precision (and
     so the deviance) is NaN where :func:`profile_precision_at` would raise.
     """
     b = beta_hat[:, None, :] + t[:, :, None] * direction[:, None, :]
@@ -610,7 +607,7 @@ def _ray_nodes(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray, direction: np
     """
     target = np.array(_RAY_TARGETS)
     xd = np.matmul(X, direction[:, :, None])[:, None, :, 0]
-    vh, hat = varphi_hat[:, None], _cumulant_arrays(varphi_hat[:, None])
+    vh, hat = varphi_hat[:, None], _cumulants(varphi_hat[:, None])
 
     def step(t):
         mu, prec, dp = _along_rays(X, Y, beta_hat, direction, vh, hat, t)
@@ -639,7 +636,7 @@ def _skovgaard_beta_values(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray,
     correction_unavailable only; a row whose nodes do not settle holds NaN.
     """
     correction = _beta_correction_factors(X, Y, mu, varphi_hat, profile_prec)
-    value, unavailable, clamped = _corrected_deviance_values(deviance, correction)
+    value, unavailable, clamped = _corrected_rows(deviance, correction)
     interpolated = deviance < ROOT_WINDOW**2
     unavailable &= ~interpolated
     clamped &= ~interpolated
@@ -654,7 +651,7 @@ def _skovgaard_beta_values(X: np.ndarray, Y: np.ndarray, beta_hat: np.ndarray,
             m_t = _beta_correction_factors(
                 X, np.repeat(Y[rows], k, axis=0), mu_t.reshape(-1, X.shape[0]),
                 np.repeat(varphi_hat[rows], k), prec_t.ravel()).reshape(t.shape)
-        d_nodes, node_unavailable, _ = _corrected_deviance_values(dp_t, m_t)
+        d_nodes, node_unavailable, _ = _corrected_rows(dp_t, m_t)
         node_unavailable = node_unavailable.any(axis=1) & ~np.isnan(t).any(axis=1)
         cubic = _window_cubics(t, d_nodes)(1.0)[:, 0]
         value[rows] = np.where(node_unavailable, deviance[rows], np.maximum(cubic, 0.0))
@@ -686,9 +683,9 @@ def _precision_pivot(fit: GammaFit, curve=None) -> Pivot:
     """A precision curve of ``fit`` (by default its first-order signed root)
     as a decreasing pivot on (0, inf) with the standard normal law, brackets
     starting from varphi_hat +/- 0.75 varphi_hat.  The curve itself is the
-    value: :func:`_curve` sends an array to its kernel and a float to the
-    pointwise form (a float or a flagged result), which costs a fraction of
-    a kernel call."""
+    value: :func:`_curve` sends an array (a density grid) to its kernel and a
+    float (an inversion step) to its float path, a float or a flagged result.
+    Both evaluate the same formulas, so they give the same values."""
     vh = fit.varphi_hat
     return Pivot(law=PivotLaw.normal(), value_fn=curve or signed_root_curve(fit.n, vh),
                  monotonic="decreasing", param_support=(0.0, math.inf), hint=(vh, 0.75 * vh),

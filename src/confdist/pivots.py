@@ -348,9 +348,8 @@ def confidence_of(pivot: Pivot, bound: float, side: str = "<=") -> float:
 def _on_points(fn, points: np.ndarray) -> np.ndarray:
     """One call of a scalar pivot's ``fn`` on an array of points: a float per point.
 
-    Floating-point warnings are off, as in the scalar float arithmetic of a
-    pointwise call: an overflow gives inf silently, which a law density
-    maps to 0 and the jacobian check rejects.
+    Floating-point warnings are off: an overflow gives inf silently, which a
+    law density maps to 0 and the jacobian check rejects.
     """
     with np.errstate(all="ignore"):
         return np.broadcast_to(np.asarray(fn(points), dtype=float), points.shape)
@@ -455,6 +454,9 @@ def invert_pivot(pivot: Pivot, target: float) -> float:
     to 60 times from the pivot's hint; raises :class:`NoEndpointError` when
     the schedule never straddles the target.  On the log axis the starting
     half width is the hint's scale relative to its centre, at least 0.25.
+    The search runs with numpy's floating-point warnings off: far out on the
+    axis a pivot's terms may overflow to inf or NaN, and the search's own
+    checks decide.  A NaN pivot value raises :class:`DomainError`.
     """
     to_theta, to_u = _support_transform(pivot.param_support)
     center, scale = pivot.hint
@@ -463,10 +465,15 @@ def invert_pivot(pivot: Pivot, target: float) -> float:
     half = max(abs(scale) / max(center, 1e-300), 0.25) if log_axis else max(abs(scale), 1e-8)
 
     def g(u: float) -> float:
-        return pivot.value(to_theta(u)) - target
+        theta = to_theta(u)
+        v = pivot.value(theta)
+        if math.isnan(v):
+            raise DomainError(f"{pivot.label} is NaN at {theta!r}")
+        return v - target
 
     try:
-        u = find_root(g, (u0 - half, u0 + half))
+        with np.errstate(all="ignore"):
+            u = find_root(g, (u0 - half, u0 + half))
     except ArithmeticError as exc:
         raise NoEndpointError(
             f"{pivot.label}: could not bracket pivot value {target:.6g} "

@@ -164,7 +164,7 @@ def lower_regularized_gamma_oracle(k, x, tol=1e-13):
 
 def digamma_oracle(x, n=4000):
     """log n minus the harmonic-type partial sum, with an asymptotic tail."""
-    s = sum(1.0 / (x + k) for k in range(n))
+    s = math.fsum(1.0 / (x + k) for k in range(n))
     z = x + n
     tail = (
         math.log(z) - 1.0 / (2.0 * z) - 1.0 / (12.0 * z**2)
@@ -175,7 +175,7 @@ def digamma_oracle(x, n=4000):
 
 def trigamma_oracle(x, n=4000):
     """Partial sum of 1/(x+k)^2 plus an asymptotic tail bound."""
-    s = sum(1.0 / (x + k) ** 2 for k in range(n))
+    s = math.fsum(1.0 / (x + k) ** 2 for k in range(n))
     z = x + n
     tail = (
         1.0 / z + 1.0 / (2.0 * z**2) + 1.0 / (6.0 * z**3)
@@ -203,6 +203,55 @@ def log_gamma_oracle(x, tol=1e-13):
 
     body = adaptive_simpson(integrand, max(mode - width, 0.0), mode + width, tol)
     return math.log(body) + mode * math.log(mode) - mode - shift
+
+
+# ---------------------------------------------------------------------------
+# Gamma precision quantities in plain float arithmetic: the package defines
+# each once, as numpy ufunc arithmetic on floats and arrays alike
+# ---------------------------------------------------------------------------
+
+
+def cumulant(v):
+    return math.lgamma(v) - v * math.log(v) + v
+
+
+def cumulant_d1(v):
+    return digamma_oracle(v) - math.log(v)
+
+
+def cumulant_d2(v):
+    return trigamma_oracle(v) - 1.0 / v
+
+
+def precision_deviance(n, varphi_hat, varphi):
+    """The closed-form profile deviance of the precision, clamped at 0."""
+    d = 2.0 * n * ((varphi_hat - varphi) * cumulant_d1(varphi_hat)
+                   + cumulant(varphi) - cumulant(varphi_hat))
+    return max(d, 0.0)
+
+
+def modified_root(signed_root, correction):
+    """z_p + log(m / z_p) / z_p; z_p itself when m equals z_p."""
+    if correction == signed_root:
+        return signed_root
+    return signed_root + math.log(correction / signed_root) / signed_root
+
+
+def corrected_deviance(deviance, correction):
+    """d_p + log(m) / (2 d_p), clamped at 0; d_p itself when m is 1."""
+    if correction == 1.0:
+        return deviance
+    return max(deviance + math.log(correction) / (2.0 * deviance), 0.0)
+
+
+def precision_correction_factor(n, varphi_hat, quad, varphi):
+    """The Skovgaard factor of the precision; None where it or its
+    denominator is not positive."""
+    denom = n * cumulant_d2(varphi) - quad / varphi
+    if denom <= 0.0:
+        return None
+    m = n * cumulant_d2(varphi_hat) / denom
+    return m if m > 0.0 else None
 
 
 # ---------------------------------------------------------------------------

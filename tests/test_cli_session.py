@@ -108,7 +108,8 @@ class TestIntervalFlags:
 
     def test_unavailable_correction_is_reported(self, files, capsys, monkeypatch):
         first = _interval(capsys, files["gamma"], "first_order", 0.9, "lower")[1]
-        monkeypatch.setattr(higher_order, "_precision_correction_factor", lambda q, f, v: None)
+        monkeypatch.setattr(higher_order, "_precision_correction_factor",
+                            lambda n, c2_hat, quad, v: v * np.nan)
         code, payload = _interval(capsys, files["gamma"], "skovgaard", 0.9, "lower")
         assert code == 0 and payload["flags"] == ["correction_unavailable"]
         assert payload["statement"]["lower"] == first["statement"]["lower"]

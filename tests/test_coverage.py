@@ -169,6 +169,23 @@ class TestScenarioValidation:
                 Scenario(beta=(709.0, 0.0), **keywords)
             assert run_scenario(Scenario(beta=(700.0, 0.0), **keywords)).failures == 0
 
+    def test_gamma_draws_that_underflow_rejected(self):
+        # exp(-745) is the smallest subnormal, and a gamma(2, 1/2) draw takes
+        # the response to 0: 95 of these 100 replications failed to fit.  At
+        # (-740, 0) they fit, on subnormal responses, but the draw's lower
+        # 1e-15 quantile (2.24e-8) takes the mean to 0, so it is rejected
+        # too; at (-700, 0) that quantile stays above 0
+        keywords = dict(model="gamma_regression", n=10, replications=100, seed=1,
+                        levels=(0.5,), methods=("first_order_precision",), varphi=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in ((-745.0, 0.0), (-740.0, 0.0)):
+                with pytest.raises(ScenarioError, match=r"the true mean's draws underflow: its "
+                                   r"smallest value .* times 2\.236e-08 \(the gamma draw's "
+                                   r"lower 1e-15 quantile at varphi=2\.0\) rounds to 0"):
+                    Scenario(beta=beta, **keywords)
+            assert run_scenario(Scenario(beta=(-700.0, 0.0), **keywords)).failures == 0
+
 
 class TestDesignMatrix:
     def test_deterministic_given_seed(self):

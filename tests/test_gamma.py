@@ -208,16 +208,19 @@ class TestProfileDeviances:
             closed = profile_deviance_precision(fit, v).value
             assert closed == pytest.approx(brute, abs=1e-10)
 
-    def test_precision_deviance_near_the_estimate_is_the_array_kernels(self):
-        # the closed form cancels near varphi_hat, where math.lgamma and scipy's
-        # gammaln round apart by up to 7e-7 of the deviance (at 10.12..., 2e-4
-        # above); there a float takes the array kernel, so both forms agree
-        n = 16
-        for vh in (0.3, 2.8568472665526614, 10.120941665803892, 100.0):
-            curve = gamma._precision_deviance_curve(n, vh)
-            points = vh * (1.0 + np.array([-1e-3, -2e-4, -1e-6, 1e-6, 2e-4, 1e-3]))
-            kernel = gamma._profile_deviance_precision_array(n, vh, points)
-            assert [curve(v) for v in points] == kernel.tolist()
+    def test_precision_deviance_is_the_array_kernels_value(self):
+        # one formula serves floats and arrays: near varphi_hat, where the
+        # closed form cancels, and away from it, a float's deviance is the
+        # float an array kernel (fits as rows, points as columns) gives
+        fits = [fit_irls(simulate(seed, 30, [0.5, -0.3], varphi))
+                for seed, varphi in ((41, 0.3), (42, 2.0), (43, 10.0), (44, 100.0))]
+        rel = np.geomspace(1e-6, 0.5, 25)
+        for fit in fits:
+            vh = fit.varphi_hat
+            points = vh * np.concatenate([1.0 - rel, 1.0 + rel])
+            kernel = gamma._precision_deviance(fit.n, np.array([[vh]]), points[None])[0]
+            assert [profile_deviance_precision(fit, v).value for v in points.tolist()] == \
+                kernel.tolist()
 
     def test_beta_closed_form_matches_brute_force(self):
         ds = simulate(34, 45, [0.2, 0.6], 2.0)

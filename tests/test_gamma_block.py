@@ -47,7 +47,7 @@ from confdist.gamma import (
     GammaFit,
     _fit_irls_block,
     _log_least_squares,
-    _profile_deviance_precision_array,
+    _precision_deviance,
     _solve_precision_array,
     cumulant_d2,
     fit_irls,
@@ -198,7 +198,7 @@ class TestKnownMeanBlock:
         # agrees with the scalar root up to rounding and node-solve noise
         Y = coverage._responses(sc, coverage._study(sc), range(sc.replications))
         vh = _solve_precision_array((Y - 1.0 - np.log(Y)).mean(axis=1))
-        zp = np.sign(vh - varphi) * np.sqrt(_profile_deviance_precision_array(n, vh, varphi))
+        zp = np.sign(vh - varphi) * np.sqrt(_precision_deviance(n, vh, varphi))
         value, interpolated = (a[:, 0] for a in _fraser_roots(n, vh[:, None], varphi,
                                                               zp[:, None]))
         roots = [fraser_root_known_mu(y, varphi) for y in Y]
@@ -646,12 +646,9 @@ class TestSkovgaardWindowRows:
                       levels=(0.5,), methods=REGRESSION_METHODS, beta=(0.5, -0.3), varphi=2.0)
         X, rows = scalar_fits(sc)
         beta = np.array(sc.beta)
-        real_p, real_ps = (higher_order._precision_correction_factor,
-                           higher_order._precision_correction_factors)
+        real = higher_order._precision_correction_factor
         monkeypatch.setattr(higher_order, "_precision_correction_factor",
-                            lambda d, f, v: real_p(d, f, v) if v == sc.varphi else None)
-        monkeypatch.setattr(higher_order, "_precision_correction_factors",
-                            lambda n, vh, q, v: real_ps(n, vh, q, v) + np.where(
+                            lambda n, c2, q, v: real(n, c2, q, v) + np.where(
                                 np.equal(v, sc.varphi), 0.0, np.nan))
         monkeypatch.setattr(higher_order, "_beta_correction_factors",
                             lambda *a: np.full(len(a[1]), np.nan))

@@ -7,20 +7,25 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import digamma
 
+import oracles
 from confdist.coverage import METHODS
 from confdist.data import Dataset
 from confdist.errors import ContractViolationError, DomainError
 from confdist.gamma import (
     GammaFit,
-    _cumulant_d2_array,
-    _profile_deviance_precision_array,
+    _cumulant_d2,
+    _precision_deviance,
     cumulant,
+    cumulant_d1,
     cumulant_d2,
     fit_irls,
 )
 from confdist.higher_order import (
     ROOT_WINDOW,
     CorrectedDeviance,
+    _corrected_deviance,
+    _modified_root,
+    _precision_correction_factor,
     _precision_window_nodes,
     _window_cubics,
     ball_confidence,
@@ -80,12 +85,8 @@ def loops_det(M):
     return total
 
 
-def loops_cumulant(v):
-    return math.lgamma(v) - v * math.log(v) + v
-
-
 def loops_signed_root(n, vh, v, kp_at_vh):
-    dp = 2.0 * n * ((vh - v) * kp_at_vh + loops_cumulant(v) - loops_cumulant(vh))
+    dp = 2.0 * n * ((vh - v) * kp_at_vh + oracles.cumulant(v) - oracles.cumulant(vh))
     dp = max(dp, 0.0)
     return math.copysign(math.sqrt(dp), vh - v), dp
 
@@ -130,6 +131,56 @@ class TestRawFormulas:
             modified_root_value(1.0, -1.0)
         with pytest.raises(DomainError):
             corrected_deviance_value(0.0, 1.0)
+
+
+class TestOneDefinition:
+    """Each precision quantity is one formula for floats and arrays; it agrees
+    with the plain float arithmetic of tests/oracles.py (math.lgamma and the
+    series digamma and trigamma) within 1e-12 relative, away from the
+    cancellation of the deviance near varphi_hat."""
+
+    PRECISIONS = np.geomspace(0.05, 100.0, 25)
+
+    def test_cumulants(self):
+        for fn, oracle in ((cumulant, oracles.cumulant), (cumulant_d1, oracles.cumulant_d1),
+                           (cumulant_d2, oracles.cumulant_d2)):
+            for v in self.PRECISIONS.tolist():
+                assert fn(v) == pytest.approx(oracle(v), rel=1e-12), (fn.__name__, v)
+
+    def test_precision_deviance_away_from_the_estimate(self):
+        ratios = np.concatenate([np.geomspace(0.05, 0.75, 8), np.geomspace(1.33, 20.0, 8)])
+        for vh in (0.3, 2.0, 10.0):
+            for n in (2, 20, 500):
+                points = vh * ratios
+                values = _precision_deviance(n, vh, points)
+                for v, got in zip(points.tolist(), values, strict=True):
+                    want = oracles.precision_deviance(n, vh, v)
+                    assert got == pytest.approx(want, rel=1e-12), (vh, n, v)
+                    assert float(_precision_deviance(n, vh, v)) == got
+
+    def test_corrections(self):
+        rng = np.random.default_rng(11)
+        zp = np.concatenate([rng.uniform(0.05, 6.0, 40), -rng.uniform(0.05, 6.0, 40)])
+        m = zp * rng.uniform(0.2, 5.0, zp.size)
+        roots = _modified_root(zp, m)
+        deviances = _corrected_deviance(zp**2, np.abs(m))
+        for i in range(zp.size):
+            z, c = float(zp[i]), float(m[i])
+            assert roots[i] == pytest.approx(oracles.modified_root(z, c), rel=1e-12)
+            assert modified_root_value(z, c) == roots[i]
+            value = corrected_deviance_value(z * z, abs(c))[0]
+            assert value == pytest.approx(oracles.corrected_deviance(z * z, abs(c)), rel=1e-12)
+            assert value == max(deviances[i], 0.0)
+
+    def test_precision_correction_factor(self):
+        for n, vh, quad in ((12, 0.7, 0.05), (30, 2.0, 0.3), (200, 15.0, 2.0)):
+            for v in (vh * self.PRECISIONS[::3]).tolist():
+                want = oracles.precision_correction_factor(n, vh, quad, v)
+                got = float(_precision_correction_factor(n, cumulant_d2(vh), quad, v))
+                if want is None:
+                    assert not got > 0.0, (n, vh, v)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12), (n, vh, v)
 
 
 class TestFraserRoot:
@@ -183,8 +234,6 @@ class TestFraserRoot:
         # independent recomputation from (vh, n) with stdlib math only
         n, vh = km.n, km.varphi_hat
         # digamma via series with Euler-Maclaurin tail (see oracles module)
-        import oracles
-
         kp = oracles.digamma_oracle(vh) - math.log(vh)
         zp, _ = loops_signed_root(n, vh, v, kp)
         kpp = oracles.trigamma_oracle(vh) - 1.0 / vh
@@ -268,9 +317,9 @@ class TestWindowConstruction:
         # settle; their deviances are NaN exactly where their nodes are
         varphi_hat = 10.0 ** np.array(log_hats)[:, None]
         with np.errstate(all="ignore"):
-            info_root = np.sqrt(n * _cumulant_d2_array(varphi_hat))
+            info_root = np.sqrt(n * _cumulant_d2(varphi_hat))
             nodes, deviances = _precision_window_nodes(n, varphi_hat, info_root)
-            want = _profile_deviance_precision_array(n, varphi_hat, nodes)
+            want = _precision_deviance(n, varphi_hat, nodes)
         assert np.array_equal(np.isnan(deviances), np.isnan(nodes))
         assert np.array_equal(deviances, want, equal_nan=True)
 
@@ -339,8 +388,6 @@ class TestSkovgaardPrecision:
         ]
         w = loops_solve(M, xr)
         quad = sum(xr[j] * w[j] for j in range(p))
-
-        import oracles
 
         def kpp(u):
             return oracles.trigamma_oracle(u) - 1.0 / u
@@ -412,8 +459,6 @@ class TestSkovgaardBeta:
         r = [(y[i] - mu[i]) / mu[i] for i in range(n)]
         xr = [sum(X[i][j] * r[i] for i in range(n)) for j in range(p)]
 
-        import oracles
-
         kpp_vt = oracles.trigamma_oracle(vt) - 1.0 / vt
         num = [
             [fit.varphi_hat * sum(X[i][a] * X[i][b] for i in range(n)) for b in range(p)]
@@ -453,8 +498,6 @@ class TestCorrectedDensity:
         return Pivot(law=PivotLaw.normal(), value_fn=value_fn, param_support=(0.0, math.inf))
 
     def test_exact_normal_case(self):
-        import oracles
-
         grid = RealGrid(np.linspace(-1.0, 5.0, 61))
         dens = parameter_density(self.precision_pivot(lambda v: 2.0 - v), grid)
         for v in [0.5, 1.5, 2.0, 3.3]:

@@ -450,6 +450,19 @@ class TestIntervalEndpoint:
         with pytest.raises(NoEndpointError):
             interval_endpoint(pv, 0.99, "upper")
 
+    def test_nan_pivot_value_is_a_domain_error(self):
+        # NaN at a bracket end and inside the bracket, where brentq would
+        # stop with a bare ValueError; overflows on the way stay silent
+        for value_fn in (lambda t: math.nan if t < -1.0 else -t,
+                         lambda t: math.nan if 0.5 < t < 3.0 else 2.0 - t):
+            pv = Pivot(law=PivotLaw.normal(), value_fn=value_fn, hint=(0.0, 2.0), label="v")
+            with pytest.raises(DomainError, match=r"^v is NaN at "):
+                interval_endpoint(pv, 0.95, "lower")
+        # the bracket grows from 1e10 to beyond 1e23, where t * 1e300 overflows
+        pv = Pivot(law=PivotLaw.normal(), hint=(1e10, 1.0), param_support=(0.0, math.inf),
+                   value_fn=lambda t: 1e300 - np.float64(t) * 1e300)
+        assert interval_endpoint(pv, 0.5, "lower") == pytest.approx(1.0, rel=1e-9)
+
     def test_invalid_arguments(self):
         pv = location_pivot(0.0)
         with pytest.raises(DomainError):
