@@ -31,12 +31,13 @@ gamma models run one kernel: the known-mean model is the gamma regression
 with no coefficients.  A gamma precision method's values are one call of its
 array kernel in :mod:`confdist.higher_order` on the block's rows at the true
 precision; the kernel builds the window cubics of its own window rows.  A
-curve's ``values`` calls the same kernel on one row with its cached cubic.  A gamma replication is used when no
-requested pivot value is NaN.  Any other is a failed replication: a sample
-with a value not positive or not finite, a coefficient fit the block fit
-does not accept, a perfect fit (at the estimate, or at the truth for the
-coefficient methods), or window nodes that do not settle.  The scalar
-functions of :mod:`confdist.gamma` and :mod:`confdist.higher_order` are the
+curve called on an array calls the same kernel on one row with its cached
+cubic.  A gamma replication is used when no requested pivot value is NaN.
+Any other is a failed replication: a sample with a value not positive or
+not finite, a coefficient fit the block fit does not accept, a perfect
+fit (at the estimate, or at the truth for the coefficient methods), or
+window nodes that do not settle.  The scalar functions of
+:mod:`confdist.gamma` and :mod:`confdist.higher_order` are the
 per-replication reference for these values (tests/test_gamma_block.py), and
 tests/test_golden_reports.py pins the bundled scenarios.
 """

@@ -20,8 +20,9 @@ stacked LAPACK solve for a row whose determinant is not finite and
 positive and for every other p.  On exit mu_hat = exp(X beta_hat) and the summed
 unit deviance are formed again in the classic form of
 :func:`unit_deviance_terms`.  The precision then solves a strictly
-monotone scalar score equation.  One definition fits a block of responses
-at once, and the scalar fit is that block fit on one row.  A sample whose
+monotone scalar score equation by Newton's method.  One definition fits a
+block of responses at once, and one solves a block's precisions: the fits
+of one dataset are those on one row, the precision included.  A sample whose
 mean is known to be 1 is this model with p = 0.  Only this family/link pair
 is supported.
 """
@@ -37,7 +38,7 @@ from scipy import special as _sf
 from .data import Dataset
 from .errors import ConvergenceError, DegenerateFitError, DomainError
 from .linear import _svd_factors
-from .numerics import _require_positive, digamma, trigamma
+from .numerics import _require_positive
 
 __all__ = [
     "GammaFit",
@@ -59,8 +60,7 @@ __all__ = [
 # precision estimate would exceed ~5e12, far outside float-stable territory.
 _DEGENERATE_MEAN_B = 1e-13
 
-# Iteration settings shared by the scalar and array precision solves and by
-# the coefficient fit.
+# Iteration settings of the precision solve and of the coefficient fit.
 _PRECISION_TOL = 1e-15
 _PRECISION_STEPS = 40
 _IRLS_TOL = 1e-12
@@ -154,49 +154,38 @@ def gamma_loglik(beta: np.ndarray, varphi: float, data: Dataset) -> float:
 def solve_precision(mean_b: float) -> float:
     """Precision solving cumulant_d1(varphi) = -mean_b, for mean_b > 0.
 
-    The score function log(varphi) - digamma(varphi) - mean_b is strictly
-    decreasing from +inf to 0 and convex, so the root is unique and Newton's
-    method, after at most one overshoot, converges to it monotonically.  It
-    starts from the classical shape estimate, which cancels to 0 from
-    mean_b ~ 1e18 up; there it starts from 1/mean_b (the root is about
-    1/(mean_b + log mean_b)).  Steps that would leave the domain are damped.
-    The root is polished to the evaluation noise floor of the score: profile
-    deviance identities amplify a residual by 2*n*varphi, so 1e-13 is not
-    small enough downstream.  Raises ConvergenceError if the root is still
-    open after 40 steps.
+    One element of :func:`_solve_precision_array`, which documents the
+    iteration.  Raises DomainError for a mean_b that is not positive and
+    finite, and ConvergenceError if the root is still open after
+    _PRECISION_STEPS steps.
     """
     m = float(mean_b)
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"mean unit deviance must be positive, got {mean_b!r}")
-
-    # the start is 0 from m ~ 1e18 up, long before (m - 3)^2 overflows near 1e154
-    phi = (3.0 - m + math.sqrt((m - 3.0) ** 2 + 24.0 * m)) / (12.0 * m) if m < 1e150 else 0.0
-    if phi == 0.0:
-        phi = 1.0 / m
-    for _ in range(_PRECISION_STEPS):
-        g = math.log(phi) - digamma(phi) - m
-        if abs(g) <= max(_PRECISION_TOL, 8e-16 * (1.0 + abs(math.log(phi)) + m)):
-            return phi
-        gp = 1.0 / phi - trigamma(phi)  # strictly negative
-        step = g / gp
-        new = phi - step
-        while new <= 0.0:  # damp steps that overshoot the domain
-            step *= 0.5
-            new = phi - step
-        if new == phi:
-            return phi
-        phi = new
-    raise ConvergenceError(f"precision solve for mean unit deviance {m!r} "
-                           f"still open after {_PRECISION_STEPS} steps")
+    phi = float(_solve_precision_array(np.array([m]))[0])
+    if math.isnan(phi):
+        raise ConvergenceError(f"precision solve for mean unit deviance {m!r} "
+                               f"still open after {_PRECISION_STEPS} steps")
+    return phi
 
 
 def _solve_precision_array(mean_b: np.ndarray) -> np.ndarray:
-    """:func:`solve_precision` for an array of positive, finite mean unit deviances.
+    """Precisions solving cumulant_d1(varphi) = -mean_b for an array of
+    positive, finite mean unit deviances, one Newton iteration per element.
 
-    Each element follows the scalar iteration: the same start, tolerance
-    rule, domain damping, stalled-step stop and 40-step budget.  An element
-    still open after the budget is NaN.  np.log and math.log can differ in
-    the last bit, so an element may differ from the scalar solve by rounding.
+    The score log(varphi) - digamma(varphi) - mean_b is strictly decreasing
+    from +inf to 0 and convex, so the root is unique and Newton's method,
+    after at most one overshoot, converges to it monotonically.  It starts
+    from the classical shape estimate, which cancels to 0 from mean_b ~ 1e18
+    up; there it starts from 1/mean_b (the root is about
+    1/(mean_b + log mean_b)).  Steps that would leave the domain are halved
+    until they stay in it.  An element stops once its score is within the
+    score's evaluation noise floor, or once a step leaves it unchanged: the
+    profile deviance identities amplify a residual by 2*n*varphi, so 1e-13
+    is not small enough downstream.  An element still open after
+    _PRECISION_STEPS steps is NaN.  Every operation is elementwise, so an
+    element's root does not depend on the other elements, and
+    :func:`solve_precision` is this solve on one element.
     """
     m = np.asarray(mean_b, dtype=float)
     s = np.minimum(m, 1e150)  # (s - 3)^2 stays finite, and the start is 0 from 1e18 up

@@ -170,12 +170,12 @@ def _corrected_rows(deviance: np.ndarray, correction: np.ndarray):
 
 def _curve(pointwise, kernel, name: str):
     """A precision curve: a float goes to ``pointwise``, its float path; an
-    array, and the curve's ``values`` attribute, go to ``kernel`` on one row
-    of the points, and the result takes the array's shape.  Both evaluate
-    the same formulas, so they give the same floats.  The float path keeps
-    its own control flow (window dispatch, flagged results) because interval
-    inversion evaluates one float about ten times per endpoint, and a
-    one-row kernel call costs several times as much.
+    array goes to ``kernel`` on one row of the points, and the result takes
+    the array's shape.  Both evaluate the same formulas, so they give the
+    same floats.  The float path keeps its own control flow (window
+    dispatch, flagged results) because interval inversion evaluates one
+    float about ten times per endpoint, and a one-row kernel call costs
+    several times as much.
 
     Both paths check positivity as :func:`_require_positive` does (the first
     bad element of an array raises, under ``name``).  An array is evaluated
@@ -185,7 +185,9 @@ def _curve(pointwise, kernel, name: str):
     follow (a modified root's sign, the monotone check, a finite root) decide.
     """
 
-    def values(varphi) -> np.ndarray:
+    def curve(varphi):
+        if not isinstance(varphi, np.ndarray):
+            return pointwise(_require_positive(name, varphi))
         v = np.asarray(varphi, dtype=float)
         bad = ~(np.isfinite(v) & (v > 0))
         if bad.any():
@@ -193,12 +195,6 @@ def _curve(pointwise, kernel, name: str):
         with np.errstate(all="ignore"):
             return kernel(v.reshape(1, -1)).reshape(v.shape)
 
-    def curve(varphi):
-        if isinstance(varphi, np.ndarray):
-            return values(varphi)
-        return pointwise(_require_positive(name, varphi))
-
-    curve.values = values
     return curve
 
 
@@ -221,8 +217,8 @@ def signed_root_curve(n: int, varphi_hat: float):
     """varphi -> :func:`signed_precision_root` for one (n, varphi_hat); the
     cumulant terms at varphi_hat are computed once, not per varphi.
 
-    A float and an array (or ``values``) both go to :func:`_signed_roots`,
-    the array kernel coverage uses (see :func:`_curve`).
+    A float and an array both go to :func:`_signed_roots`, the array kernel
+    coverage uses (see :func:`_curve`).
     """
     if n < 2:
         raise DomainError("need at least two observations")
@@ -249,17 +245,21 @@ def fraser_curve(fit: GammaFit):
     Computed once per fit: the signed-root curve, sqrt(n * cumulant_d2(varphi_hat))
     and, at the first varphi inside the window, its cubic: the
     :func:`_fraser_window` the kernel builds for a block's window rows, on
-    one row (see :func:`_lazy_window`).  On an array, and through ``values``,
-    the curve is one call of :func:`_fraser_roots`, the array kernel coverage
-    uses, with this cached cubic.  A float gives the same value: the same
-    cubic inside the window, the same formulas outside it.  A regression fit
-    raises DomainError.
+    one row (see :func:`_lazy_window`).  On an array the curve is one call
+    of :func:`_fraser_roots`, the array kernel coverage uses, with this
+    cached cubic.  A float gives the same value: the same cubic inside the
+    window, the same formulas outside it.  A regression fit raises
+    DomainError, as does a varphi_hat so small that
+    sqrt(n * cumulant_d2(varphi_hat)) overflows.
     """
     if fit.p:
         raise DomainError(f"the Fraser root needs a known-mean fit (p = 0), got p={fit.p}")
     n, vh = fit.n, fit.varphi_hat
     zp_fn = signed_root_curve(n, vh)
     info_root = math.sqrt(n * cumulant_d2(vh))
+    if not math.isfinite(info_root):
+        raise DomainError(f"the Fraser root's sqrt(n * cumulant_d2(varphi_hat)) overflows "
+                          f"at varphi_hat={vh!r}")
     window = _lazy_window(vh, lambda: (
         _fraser_window(n, np.array([[vh]]), np.array([[info_root]])), None))
 
@@ -423,9 +423,9 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     Computed once per fit: the cumulant terms at varphi_hat, the score
     quadratic form and, at the first varphi inside the window, its window:
     the :func:`_precision_window` the kernel builds for a block's window
-    rows, on one row (see :func:`_lazy_window`).  On an array, and through
-    ``values``, the curve gives the signed roots of the corrected deviances
-    (``float()`` of the float path's results) in one call of
+    rows, on one row (see :func:`_lazy_window`).  On an array the curve
+    gives the signed roots of the corrected deviances (``float()`` of the
+    float path's results) in one call of
     :func:`_skovgaard_roots`, the array kernel coverage uses, with this
     cached window: the same values, by the same cubic inside the window and
     the same formulas outside it.  A fit of another (n, p) than ``data``
@@ -443,7 +443,9 @@ def skovgaard_precision_curve(data: Dataset, fit: GammaFit):
     def corrected(v: float) -> CorrectedDeviance:
         dp = float(_precision_deviance(n, vh, v, hat))
         sign = math.copysign(1.0, vh - v) if v != vh else 0.0
-        m = float(_precision_correction_factor(n, c2_hat, quad, v))
+        # where 1/v overflows, cumulant_d2(v) is inf - inf and no factor is available
+        m = math.nan if 1.0 / v == math.inf else float(
+            _precision_correction_factor(n, c2_hat, quad, v))
         if m > 0.0 and dp >= ROOT_WINDOW**2:
             value, clamped = corrected_deviance_value(dp, m)
             return CorrectedDeviance(deviance=dp, correction=m, value=value, dims=1,

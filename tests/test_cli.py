@@ -883,6 +883,7 @@ def _error_files(d):
     (d / "nonfinite.csv").write_text("y,x\n1,2\ninf,3\n4,5\n")
     (d / "latin1.csv").write_bytes("y,x\n1,2\n3,4\n5,6\n# café\n".encode("latin-1"))
     (d / "empty.csv").write_text("")
+    (d / "huge_value.csv").write_text("y\n1e300\n1\n2\n")  # varphi_hat about 3e-300
     normal_fit = SUMMARIES["normal"]
     summaries = {
         **SUMMARIES,
@@ -933,6 +934,11 @@ ERROR_CASES = {
     "csv_non_finite_cell": (
         "fit --file {d}/nonfinite.csv --model normal --response y --design x", 3,
         "{d}/nonfinite.csv"),
+    **{f"{command}_fraser_information_overflows": (
+        f"{command} --file {{d}}/huge_value.csv --model gamma --known-mu --response y "
+        f"--target precision --method fraser {flags}", 4,
+        "sqrt(n * cumulant_d2(varphi_hat)) overflows at varphi_hat=")
+       for command, flags in (("interval", "--level 0.9"), ("confdens", "--grid 1e-301:1e-299:5"))},
     "confdens_gamma_skovgaard": (
         "confdens --file {d}/gamma.csv --model gamma --response y --design x "
         "--target precision --method skovgaard --grid 0.3:8:101", 4, "not monotone"),

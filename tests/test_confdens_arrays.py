@@ -100,7 +100,7 @@ def _check_same_density(pivot, grid: RealGrid, window: bool):
     density: the same error (a root not monotone over the grid, or at an
     extreme precision not finite or of the wrong sign), or the same
     difference quotients.  ``value_fn`` on a float is the pointwise curve,
-    and on an array the curve's ``values``.
+    and on an array the curve's array kernel.
 
     The roots at every evaluation point theta + h and theta - h (theta where
     theta <= h) agree to RTOL, relative above 1 and absolute below: near the
@@ -152,6 +152,9 @@ def test_known_mean_density_matches_pointwise(seed, n, grid, fraser):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 200), grid=GRIDS,
        method=st.sampled_from(["skovgaard", "first_order"]))
+# the grid's first point is subnormal: 1/varphi overflows there, and the
+# pointwise Skovgaard factor is unavailable without a RuntimeWarning
+@example(seed=0, n=5, grid=("near0", 2, 2.2250738585072014e-308), method="skovgaard")
 def test_regression_density_matches_pointwise(seed, n, grid, method):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n)

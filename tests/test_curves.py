@@ -5,8 +5,8 @@ first varphi inside the |z_p| < 0.05 window.  These tests evaluate one curve
 over a shuffled grid, with the window points first or last, and compare
 every result with a fresh curve per point (the scalar functions), so the
 cache cannot depend on the order of evaluation.  They also compare the
-curve's ``values`` on the whole grid with ``float()`` of its pointwise
-results, the pivot values either gives: they are the same floats.
+curve called on the whole grid as an array with ``float()`` of its
+pointwise results, the pivot values either gives: they are the same floats.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ def _grid(n: int, varphi_hat: float, order: list[int], window_first: bool) -> li
 
 
 def _values_match(curve, points: list[float]) -> None:
-    """``curve.values`` on the grid in one call is ``float()`` of each pointwise
+    """The curve on the grid as one array is ``float()`` of each pointwise
     result, the same float: inside the window both take the cached cubic, and
     outside it both evaluate the same formulas."""
-    values = curve.values(np.array(points))
+    values = curve(np.array(points))
     for v, got in zip(points, values, strict=True):
         assert got == float(curve(v)), v
 

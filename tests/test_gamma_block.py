@@ -7,12 +7,13 @@ failure counts must equal those of fitting one replication at a time with
 the public scalar API.
 
 The block coefficient fit is :func:`~confdist.gamma.fit_irls` row by row,
-bit for bit, so a regression row fails exactly when its scalar fit raises.
-The array transforms are not the scalar ones' floats.  They agree to
-rounding (the precision solve uses np.log).  Known-mean and precision
-window rows build their nodes (one Newton solver, accepted within 1e-6 of
-their target roots) and cubics (one stacked solve) exactly as the scalar
-curves do, so they agree to rounding too.  :func:`skovgaard_beta` is one
+bit for bit, so a regression row fails exactly when its scalar fit raises;
+the block's precision solve is :func:`~confdist.gamma.solve_precision`
+element by element, bit for bit, in both models.  The array transforms
+agree with the scalar ones to rounding.  Known-mean and precision window
+rows build their nodes (one Newton solver, accepted within 1e-6 of their
+target roots) and cubics (one stacked solve) exactly as the scalar curves
+do, so they agree to rounding too.  :func:`skovgaard_beta` is one
 row of the block kernel, bit for bit, so its coefficient-ray window rows are
 checked against :func:`ray_search_oracle` instead: a doubling bracket and a
 brentq solve per node, with the determinant-ratio factor by slogdet.  They
@@ -30,6 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.optimize import brentq
 
 from confdist import coverage, gamma, higher_order, pivots
@@ -51,10 +53,10 @@ from confdist.gamma import (
     _solve_precision_array,
     cumulant_d2,
     fit_irls,
+    fit_known_mean,
     profile_deviance_beta,
     profile_deviance_precision,
     profile_precision_at,
-    solve_precision,
     unit_deviance_terms,
 )
 from confdist.higher_order import (
@@ -219,13 +221,17 @@ class TestKnownMeanBlock:
         assert failures == nonpositive > 0
         assert np.all(used == sc.replications - failures)
 
-    def test_precision_solve_matches_scalar(self):
+    def test_precision_solve_matches_brentq(self):
         m = np.exp(np.random.default_rng(0).uniform(math.log(1e-12), math.log(1e3), 3000))
         got = _solve_precision_array(m)
-        want = np.array([solve_precision(v) for v in m])
-        # the score flattens as the precision grows, so a last-bit difference
-        # in its logarithm moves the root by about eps * varphi, relatively
-        assert np.all(np.abs(got - want) <= 1e-14 * want * np.maximum(1.0, want))
+        # the root lies in (1/(2m), 1/m), since 1/(2v) < log(v) - digamma(v) < 1/v
+        want = np.array([brentq(lambda v: math.log(v) - special.psi(v) - mb, 0.25 / mb,
+                                2.0 / mb, xtol=1e-300, rtol=8.9e-16) for mb in m])
+        # Newton stops with the score within its noise floor, and brentq's
+        # sign change lies within that floor too; the score falls faster than
+        # 1/(2 varphi^2), so the roots are within 4 varphi^2 floors of each other
+        floor = np.maximum(1e-15, 8e-16 * (1.0 + np.abs(np.log(want)) + m))
+        assert np.all(np.abs(got - want) <= 4.0 * want**2 * floor)
 
 
 class TestRegressionBlock:
@@ -766,7 +772,7 @@ class TestOneRowOfTheKernel:
 
 
 class TestBlockRowsAreCurveValues:
-    """A row of the coverage kernel is the ``values`` of that fit's curve at
+    """A row of the coverage kernel is that fit's curve on an array holding
     the true precision, bit for bit, window rows included: both call one
     array kernel per method, the curve on one row."""
 
@@ -802,11 +808,43 @@ class TestBlockRowsAreCurveValues:
                     signed_root_curve(n, fit.varphi_hat),
                     fraser_curve(fit) if p == 0 else skovgaard_precision_curve(
                         Dataset(y=y, X=X), fit))):
-                curves[m].append(curve.values(v)[0])
+                curves[m].append(curve(v)[0])
         corrected = sc.methods[1]
         assert values[corrected][2].sum() >= 50  # window rows
         for m in sc.methods:
             assert np.array(curves[m]).tobytes() == values[m][0].tobytes()
+
+
+class TestOneDatasetFitsAreBlockRows:
+    """:func:`fit_known_mean` and :func:`fit_irls` give a dataset the
+    precision estimate the coverage engine gives its block row, bit for bit:
+    both take one element of the one precision solve."""
+
+    @pytest.mark.parametrize("sc", [
+        Scenario(model="gamma_known_mu", n=10, replications=20000, seed=5, levels=(0.5,),
+                 methods=("first_order_z",), varphi=2.0),
+        Scenario(model="gamma_regression", n=30, replications=2000, seed=11, levels=(0.5,),
+                 methods=("first_order_precision",), beta=(0.5, -0.3), varphi=2.0),
+    ], ids=["known_mu", "regression"])
+    def test_fit_precision_is_the_engine_row(self, sc):
+        study = coverage._study(sc)
+        Y = coverage._responses(sc, study, range(sc.replications))
+        solved = []
+
+        def solve(mean_b):
+            solved.append(_solve_precision_array(mean_b))
+            return solved[-1]
+
+        with mock.patch.object(coverage, "_solve_precision_array", solve):
+            coverage._gamma_arrays(sc, study, Y)
+        if study.X.shape[1]:
+            fits = [fit_irls(Dataset(y=y, X=study.X)) for y in Y]
+        else:
+            fits = [fit_known_mean(y) for y in Y]
+        (engine,) = solved  # one call: no method asks for precisions at the truth
+        assert engine.shape == (len(Y),)  # every row is fitted
+        vh = np.array([f.varphi_hat for f in fits])
+        assert vh.tobytes() == engine.tobytes(), f"{np.count_nonzero(vh != engine)} rows differ"
 
 
 class TestRowFailures:

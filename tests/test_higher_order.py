@@ -355,7 +355,7 @@ class TestWindowConstruction:
                        n=n, p=0)
         scale = 1.0 / math.sqrt(n * cumulant_d2(varphi_hat))
         grid = varphi_hat + np.linspace(-3.0, 3.0, 601) * ROOT_WINDOW * scale
-        assert np.all(np.diff(fraser_curve(fit).values(grid)) < 0.0)
+        assert np.all(np.diff(fraser_curve(fit)(grid)) < 0.0)
 
 
 class TestSkovgaardPrecision:
